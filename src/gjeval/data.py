@@ -248,6 +248,8 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
                 age = float(fields["age"])
             except ValueError:
                 raise ParseError(f"non-numeric age {fields['age']!r}", row_no) from None
+            if not math.isfinite(age) or age < 0:
+                raise ParseError(f"age must be finite and non-negative, got {fields['age']!r}", row_no)
         records.append(
             PredictionRecord(
                 image_id=fields["image_id"],

@@ -15,18 +15,25 @@ the same width) with a convolutional branch (a wider spatial grid):
 4. A fully connected layer maps the fused vector to 3 logits; training
    minimizes cross-entropy on the stable softmax of those logits.
 
-Everything is float64 numpy. Gradients are derived analytically for every
-parameter (no autodiff); ``backward`` recomputes the forward pass under the
-same dropout seed so the two always agree. Functions accept a single sample
-(no leading axis) or a batch (leading axis N).
+Everything is float64 numpy. ``head_forward`` is the one forward pass;
+``backward`` recomputes it under the same dropout seed, so gradients always
+belong to the forward pass they differentiate, and derives every parameter's
+gradient analytically (no autodiff). Both accept a single sample (no leading
+axis) or a batch (leading axis N).
+
+The pointwise convolutions are batched matrix products on (N, channels, C)
+arrays: ``w @ x`` forward, ``w.T @ g`` for input gradients, and
+``g @ a.transpose(0, 2, 1)`` summed over the batch for weight gradients.
+Bias adds, dropout and ReLU masks work in place. ``train_toy`` evaluates its
+per-epoch accuracies in slices of ``batch_size`` rows, the same size as a
+training step.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,11 +54,6 @@ __all__ = [
     "TrainSpec",
     "TrainResult",
     "init_head",
-    "combine_dino",
-    "align_res",
-    "gate_forward",
-    "classify",
-    "ce_loss",
     "head_forward",
     "backward",
     "adam_step",
@@ -60,8 +62,6 @@ __all__ = [
     "train_toy",
     "params_to_json",
     "params_from_json",
-    "write_bundle_csv",
-    "read_bundle_csv",
 ]
 
 LOSS_FLOOR = 1e-12
@@ -233,96 +233,37 @@ def init_head(config: HeadConfig, seed: int = 0) -> HeadParams:
     return HeadParams(config=config, align=align, gating=gating, cls_w=cls_w, cls_b=cls_b)
 
 
-def combine_dino(f_grid_dino: np.ndarray, f_cls: np.ndarray) -> np.ndarray:
-    """Token-branch feature: class vector plus the spatial mean of its grid."""
-    grid = np.asarray(f_grid_dino, dtype=np.float64)
-    cls = np.asarray(f_cls, dtype=np.float64)
-    return cls + grid.mean(axis=(-3, -2))
-
-
-def align_res(f_grid_res: np.ndarray, align: AlignParams) -> np.ndarray:
-    """Conv-branch feature: spatial mean pooling then a linear (1x1 conv) projection."""
-    pooled = np.asarray(f_grid_res, dtype=np.float64).mean(axis=(-3, -2))
-    return pooled @ align.w + align.b
-
-
-def _dropout_masks(rng_seed: int, shape1, shape2, rate: float):
-    if rate == 0.0:
-        return np.ones(shape1), np.ones(shape2)
-    rng = np.random.default_rng(rng_seed)
+def _dropout_masks(rng_seed: int, shape: tuple[int, ...], rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inverted-dropout masks for the two hidden layers: 0 or 1/keep per element."""
     keep = 1.0 - rate
-    m1 = (rng.random(shape1) < keep).astype(np.float64) / keep
-    m2 = (rng.random(shape2) < keep).astype(np.float64) / keep
-    return m1, m2
+    masks = (np.random.default_rng(rng_seed).random((2, *shape)) < keep).astype(np.float64)
+    masks /= keep
+    return masks[0], masks[1]
 
 
 def _gate_core(x: np.ndarray, g: GatingParams, training: bool, rng_seed: int) -> dict:
     """Gating network on a batched 2-channel sequence x of shape (N, 2, C)."""
     n, _, c = x.shape
-    h = g.b1.size
-    h1 = np.einsum("ac,ncx->nax", g.w1, x) + g.b1[None, :, None]
-    a1 = np.maximum(h1, 0.0)
-    if training:
-        m1, m2 = _dropout_masks(rng_seed, (n, h, c), (n, h, c), g.dropout)
+    if training and g.dropout > 0.0:
+        m1, m2 = _dropout_masks(rng_seed, (n, g.b1.size, c), g.dropout)
     else:
         m1 = m2 = None
-    a1d = a1 if m1 is None else a1 * m1
-    h2 = np.einsum("ab,nbx->nax", g.w2, a1d) + g.b2[None, :, None]
-    a2 = np.maximum(h2, 0.0)
-    a2d = a2 if m2 is None else a2 * m2
-    z = np.einsum("ab,nbx->nax", g.w3, a2d) + g.b3[None, :, None]
-    zs = z - z.max(axis=1, keepdims=True)
-    e = np.exp(zs)
-    s = e / e.sum(axis=1, keepdims=True)
+    h1 = g.w1 @ x
+    h1 += g.b1[:, None]
+    a1d = np.maximum(h1, 0.0)
+    if m1 is not None:
+        a1d *= m1
+    h2 = g.w2 @ a1d
+    h2 += g.b2[:, None]
+    a2d = np.maximum(h2, 0.0)
+    if m2 is not None:
+        a2d *= m2
+    s = g.w3 @ a2d
+    s += g.b3[:, None]
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
     return {"x": x, "h1": h1, "a1d": a1d, "m1": m1, "h2": h2, "a2d": a2d, "m2": m2, "s": s}
-
-
-def gate_forward(
-    f_dino: np.ndarray,
-    f_res: np.ndarray,
-    gating: GatingParams,
-    training: bool = False,
-    rng_seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-element gates and the fused vector.
-
-    Returns (a_dino, a_res, f_fus); the gates are softmax outputs across the
-    two channels, so a_dino + a_res == 1 elementwise and the fusion is a
-    convex combination of the two branch features.
-    """
-    fd = np.asarray(f_dino, dtype=np.float64)
-    fr = np.asarray(f_res, dtype=np.float64)
-    single = fd.ndim == 1
-    if single:
-        fd, fr = fd[None], fr[None]
-    x = np.stack([fd, fr], axis=1)
-    cache = _gate_core(x, gating, training, rng_seed)
-    a_dino = cache["s"][:, 0, :]
-    a_res = cache["s"][:, 1, :]
-    f_fus = a_dino * fd + a_res * fr
-    if single:
-        return a_dino[0], a_res[0], f_fus[0]
-    return a_dino, a_res, f_fus
-
-
-def classify(f_fus: np.ndarray, params: HeadParams) -> tuple[np.ndarray, np.ndarray]:
-    """Logits and stable-softmax probabilities from the fused vector."""
-    f = np.asarray(f_fus, dtype=np.float64)
-    logits = f @ params.cls_w + params.cls_b
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=-1, keepdims=True)
-    return logits, probs
-
-
-def ce_loss(probs: np.ndarray, truth) -> float | np.ndarray:
-    """Cross-entropy of the true class, with the probability floored at 1e-12."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim == 1:
-        return float(-np.log(max(p[int(truth)], LOSS_FLOOR)))
-    t = np.asarray(truth, dtype=np.int64)
-    picked = p[np.arange(p.shape[0]), t]
-    return -np.log(np.maximum(picked, LOSS_FLOOR))
 
 
 def _as_batch(bundle: FeatureBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -396,26 +337,27 @@ def _loss_and_grads(
     a_dino, a_res, s = c["a_dino"], c["a_res"], c["s"]
 
     # Fusion product: gradient reaches the gates and, directly, both branches.
-    g_s = np.stack([g_ffus * f_dino, g_ffus * f_res], axis=1)
+    g_z = np.stack([g_ffus * f_dino, g_ffus * f_res], axis=1)
     # Softmax across the 2-channel axis: dL/dz = s * (g - sum_c g_c s_c).
-    g_z = s * (g_s - (g_s * s).sum(axis=1, keepdims=True))
+    g_z -= (g_z * s).sum(axis=1, keepdims=True)
+    g_z *= s
 
     gt = params.gating
     g_b3 = g_z.sum(axis=(0, 2))
-    g_w3 = np.einsum("nax,nbx->ab", g_z, c["a2d"])
-    g_a2 = np.einsum("ab,nax->nbx", gt.w3, g_z)
+    g_w3 = (g_z @ c["a2d"].transpose(0, 2, 1)).sum(axis=0)
+    g_h2 = gt.w3.T @ g_z
     if c["m2"] is not None:
-        g_a2 = g_a2 * c["m2"]
-    g_h2 = g_a2 * (c["h2"] > 0)
+        g_h2 *= c["m2"]
+    g_h2 *= c["h2"] > 0
     g_b2 = g_h2.sum(axis=(0, 2))
-    g_w2 = np.einsum("nax,nbx->ab", g_h2, c["a1d"])
-    g_a1 = np.einsum("ab,nax->nbx", gt.w2, g_h2)
+    g_w2 = (g_h2 @ c["a1d"].transpose(0, 2, 1)).sum(axis=0)
+    g_h1 = gt.w2.T @ g_h2
     if c["m1"] is not None:
-        g_a1 = g_a1 * c["m1"]
-    g_h1 = g_a1 * (c["h1"] > 0)
+        g_h1 *= c["m1"]
+    g_h1 *= c["h1"] > 0
     g_b1 = g_h1.sum(axis=(0, 2))
-    g_w1 = np.einsum("nax,ncx->ac", g_h1, c["x"])
-    g_x = np.einsum("ac,nax->ncx", gt.w1, g_h1)
+    g_w1 = (g_h1 @ c["x"].transpose(0, 2, 1)).sum(axis=0)
+    g_x = gt.w1.T @ g_h1
 
     g_fdino = g_ffus * a_dino + g_x[:, 0, :]
     g_fres = g_ffus * a_res + g_x[:, 1, :]
@@ -634,9 +576,14 @@ def make_synthetic_features(
     return FeatureBundle(f_cls=f_cls, f_grid_dino=gd, f_grid_res=gr), labels
 
 
-def _accuracy(params: HeadParams, fb: FeatureBundle, labels: np.ndarray) -> float:
-    fp = head_forward(params, fb)
-    return float((fp.probs.argmax(axis=1) == labels).mean())
+def _accuracy(params: HeadParams, fb: FeatureBundle, labels: np.ndarray, batch_size: int) -> float:
+    """Argmax accuracy, evaluated ``batch_size`` rows at a time."""
+    hits = 0
+    for start in range(0, labels.size, batch_size):
+        rows = slice(start, start + batch_size)
+        fp = head_forward(params, FeatureBundle(fb.f_cls[rows], fb.f_grid_dino[rows], fb.f_grid_res[rows]))
+        hits += int(np.count_nonzero(fp.probs.argmax(axis=1) == labels[rows]))
+    return hits / labels.size
 
 
 def train_toy(spec: TrainSpec) -> TrainResult:
@@ -686,8 +633,8 @@ def train_toy(spec: TrainSpec) -> TrainResult:
             {
                 "epoch": epoch + 1,
                 "train_loss": epoch_loss / n_train,
-                "train_acc": _accuracy(params, train_fb, y_train),
-                "holdout_acc": _accuracy(params, hold_fb, y_hold),
+                "train_acc": _accuracy(params, train_fb, y_train, spec.batch_size),
+                "holdout_acc": _accuracy(params, hold_fb, y_hold, spec.batch_size),
             }
         )
 
@@ -764,55 +711,4 @@ def params_from_json(text: str) -> HeadParams:
         ),
         cls_w=arr("cls_w"),
         cls_b=arr("cls_b"),
-    )
-
-
-def write_bundle_csv(ids: Sequence[str], labels: Sequence[int], dino: np.ndarray, res: np.ndarray) -> str:
-    """Flat feature CSV with dino_/res_ column prefixes, one row per sample."""
-    d = np.asarray(dino, dtype=np.float64)
-    r = np.asarray(res, dtype=np.float64)
-    header = (
-        ["id", "label"]
-        + [f"dino_{i}" for i in range(d.shape[1])]
-        + [f"res_{i}" for i in range(r.shape[1])]
-    )
-    lines = [",".join(header)]
-    for i, (sid, lab) in enumerate(zip(ids, labels)):
-        vals = [sid, str(int(lab))] + [repr(float(v)) for v in d[i]] + [repr(float(v)) for v in r[i]]
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
-
-
-def read_bundle_csv(text: str) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Parse a flat feature CSV back into (ids, labels, dino matrix, res matrix)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    if header[:2] != ["id", "label"]:
-        raise ValueError("bundle CSV must start with id,label columns")
-    dino_cols = [i for i, h in enumerate(header) if h.startswith("dino_")]
-    res_cols = [i for i, h in enumerate(header) if h.startswith("res_")]
-    if not dino_cols or not res_cols:
-        raise ValueError("bundle CSV needs dino_ and res_ columns")
-    ids, labels, dino, res = [], [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"row has {len(parts)} fields, expected {len(header)}")
-        ids.append(parts[0])
-        labels.append(int(parts[1]))
-        dino.append([float(parts[i]) for i in dino_cols])
-        res.append([float(parts[i]) for i in res_cols])
-    return ids, np.array(labels, dtype=np.int64), np.array(dino), np.array(res)
-
-
-def bundle_from_vectors(dino_vecs: np.ndarray, res_vecs: np.ndarray) -> FeatureBundle:
-    """Treat flat per-branch vectors as a bundle: the dino vector is the class
-    token with an all-zero grid, the res vector a 1x1 conv grid."""
-    d = np.atleast_2d(np.asarray(dino_vecs, dtype=np.float64))
-    r = np.atleast_2d(np.asarray(res_vecs, dtype=np.float64))
-    n, c = d.shape
-    return FeatureBundle(
-        f_cls=d,
-        f_grid_dino=np.zeros((n, 1, 1, c)),
-        f_grid_res=r[:, None, None, :],
     )

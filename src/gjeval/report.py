@@ -73,7 +73,8 @@ def build_report_doc(
 
 
 def dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """Strict JSON: a NaN or infinity in ``doc`` raises ValueError."""
+    return json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def cm_csv(report: MetricReport) -> str:

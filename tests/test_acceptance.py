@@ -32,7 +32,7 @@ from gjeval import (
 )
 from gjeval.cli import main as cli_main
 from gjeval.data import Dataset, PredictionRecord, ClassLabel, parse_predictions
-from gjeval.fusion import gate_forward, make_synthetic_features, FeatureBundle
+from gjeval.fusion import make_synthetic_features, FeatureBundle
 from gjeval.metrics import BinaryStats
 from gjeval.stats import bowker_test, chi2_sf, std_normal_cdf
 
@@ -271,12 +271,15 @@ def test_criterion_7_fusion_head_verification():
         params = init_head(cfg, seed=k)
         for _, arr in params.param_items():
             arr += gen.normal(scale=0.3, size=arr.shape)
-        fd = gen.normal(scale=2.0, size=(500, cfg.c_dino))
-        fr = gen.normal(scale=2.0, size=(500, cfg.c_dino))
-        a_dino, a_res, f_fus = gate_forward(fd, fr, params.gating)
-        worst_sum = max(worst_sum, float(np.max(np.abs(a_dino + a_res - 1.0))))
-        lo, hi = np.minimum(fd, fr), np.maximum(fd, fr)
-        assert np.all(f_fus >= lo - 1e-12) and np.all(f_fus <= hi + 1e-12)
+        fb = FeatureBundle(
+            f_cls=gen.normal(scale=2.0, size=(500, cfg.c_dino)),
+            f_grid_dino=gen.normal(scale=2.0, size=(500, *cfg.grid_dino, cfg.c_dino)),
+            f_grid_res=gen.normal(scale=2.0, size=(500, *cfg.grid_res, cfg.c_res)),
+        )
+        fp = head_forward(params, fb)
+        worst_sum = max(worst_sum, float(np.max(np.abs(fp.a_dino + fp.a_res - 1.0))))
+        lo, hi = np.minimum(fp.f_dino, fp.f_res), np.maximum(fp.f_dino, fp.f_res)
+        assert np.all(fp.f_fus >= lo - 1e-12) and np.all(fp.f_fus <= hi + 1e-12)
         draws += 500
     ok_gate = worst_sum <= 1e-12 and draws >= 10_000
 

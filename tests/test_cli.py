@@ -16,7 +16,7 @@ import pytest
 from gjeval.cli import main
 from gjeval.data import parse_predictions, serialize_predictions
 from gjeval.fusion import params_from_json
-from gjeval.report import load_report_schema
+from gjeval.report import dump_json, load_report_schema
 
 
 def run(*argv: str) -> int:
@@ -161,6 +161,23 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run("evaluate", "--pred", str(bad), "--out", str(out)) == 1
         assert not out.exists()
+
+    def test_impossible_age_is_1(self, tmp_path, capsys):
+        # an infinite age once gave exit 0 and "age_mean": Infinity in report.json
+        pred = tmp_path / "age.csv"
+        pred.write_text(
+            "image_id,patient_id,true_label,p_aegja,p_eegja,p_control,center,modality,sex,age\n"
+            "i1,p1,A-EGJA,0.8,0.15,0.05,C1,WLI,F,inf\n"
+        )
+        out = tmp_path / "o"
+        assert run("evaluate", "--pred", str(pred), "--out", str(out)) == 1
+        assert not out.exists()
+        assert "row 2: age must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_dump_json_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_json({"results": {"summary": {"age_mean": value}}})
 
     def test_usage_error_is_1(self, tmp_path, capsys):
         assert run("evaluate", "--bogus-flag") == 1

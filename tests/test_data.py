@@ -88,6 +88,16 @@ class TestParsePredictions:
         assert rec.center == "C1" and rec.modality == "WLI"
         assert rec.sex == "F" and rec.age == 63
 
+    @pytest.mark.parametrize("age", ["inf", "nan", "-3"])
+    def test_impossible_age_rejected_with_row(self, age):
+        text = (
+            HEADER + ",center,modality,sex,age\n"
+            "i1,p1,A-EGJA,0.8,0.15,0.05,C1,WLI,F,63\n"
+            f"i2,p2,control,0.1,0.2,0.7,C1,WLI,M,{age}\n"
+        )
+        with pytest.raises(ParseError, match=rf"row 3: age must be finite and non-negative, got '{age}'"):
+            parse_predictions(text)
+
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header"):
             parse_predictions("a,b,c\n1,2,3\n")

@@ -1,10 +1,12 @@
-"""Fusion head: forward identities, analytic gradients vs finite differences,
-Adam arithmetic, serialization, and the synthetic training loop."""
+"""Fusion head: forward identities, the matmul passes against an einsum
+oracle, analytic gradients vs finite differences, Adam arithmetic,
+serialization, and the synthetic training loop."""
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,17 +28,7 @@ from gjeval import (
     params_to_json,
     train_toy,
 )
-from gjeval.fusion import (
-    align_res,
-    bundle_from_vectors,
-    ce_loss,
-    classify,
-    combine_dino,
-    gate_forward,
-    make_synthetic_features,
-    read_bundle_csv,
-    write_bundle_csv,
-)
+from gjeval.fusion import _accuracy, _loss_and_grads, make_synthetic_features
 
 TINY = HeadConfig(c_dino=6, c_res=5, grid_dino=(2, 2), grid_res=(3, 2), hidden=4, dropout=0.0)
 
@@ -73,6 +65,125 @@ def central_difference(params: HeadParams, one: FeatureBundle, label: int,
         losses.append(-math.log(head_forward(params, one).probs[label]))
     arr[ix] = orig
     return (losses[0] - losses[1]) / (2.0 * step)
+
+
+def oracle_masks(rng_seed: int, shape: tuple, rate: float):
+    if rate == 0.0:
+        return np.ones(shape), np.ones(shape)
+    rng = np.random.default_rng(rng_seed)
+    keep = 1.0 - rate
+    m1 = (rng.random(shape) < keep).astype(np.float64) / keep
+    m2 = (rng.random(shape) < keep).astype(np.float64) / keep
+    return m1, m2
+
+
+def oracle_forward(params: HeadParams, fb: FeatureBundle, training: bool, rng_seed: int) -> dict:
+    """The forward pass written with np.einsum and out-of-place arithmetic,
+    kept as an independent reference for the matmul passes."""
+    fc, gd, gr = (np.asarray(a, dtype=np.float64) for a in (fb.f_cls, fb.f_grid_dino, fb.f_grid_res))
+    pooled_r = gr.mean(axis=(1, 2))
+    f_dino = fc + gd.mean(axis=(1, 2))
+    f_res = pooled_r @ params.align.w + params.align.b
+    x = np.stack([f_dino, f_res], axis=1)
+    g = params.gating
+    n, _, c = x.shape
+    h1 = np.einsum("ac,ncx->nax", g.w1, x) + g.b1[None, :, None]
+    m1, m2 = oracle_masks(rng_seed, (n, g.b1.size, c), g.dropout) if training else (None, None)
+    a1d = np.maximum(h1, 0.0) if m1 is None else np.maximum(h1, 0.0) * m1
+    h2 = np.einsum("ab,nbx->nax", g.w2, a1d) + g.b2[None, :, None]
+    a2d = np.maximum(h2, 0.0) if m2 is None else np.maximum(h2, 0.0) * m2
+    z = np.einsum("ab,nbx->nax", g.w3, a2d) + g.b3[None, :, None]
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
+    a_dino, a_res = s[:, 0, :], s[:, 1, :]
+    f_fus = a_dino * f_dino + a_res * f_res
+    logits = f_fus @ params.cls_w + params.cls_b
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return dict(x=x, h1=h1, a1d=a1d, m1=m1, h2=h2, a2d=a2d, m2=m2, s=s, pooled_r=pooled_r,
+                f_dino=f_dino, f_res=f_res, a_dino=a_dino, a_res=a_res, f_fus=f_fus,
+                logits=logits, probs=probs)
+
+
+def oracle_backward(params: HeadParams, fb: FeatureBundle, labels: np.ndarray,
+                    training: bool, rng_seed: int, reduction: str) -> dict:
+    """Gradients with the einsum contractions, as a reference for ``backward``."""
+    c = oracle_forward(params, fb, training, rng_seed)
+    n = labels.size
+    g_logits = c["probs"].copy()
+    g_logits[np.arange(n), labels] -= 1.0
+    if reduction == "mean":
+        g_logits /= n
+    g_ffus = g_logits @ params.cls_w.T
+    g_s = np.stack([g_ffus * c["f_dino"], g_ffus * c["f_res"]], axis=1)
+    g_z = c["s"] * (g_s - (g_s * c["s"]).sum(axis=1, keepdims=True))
+    g = params.gating
+    g_a2 = np.einsum("ab,nax->nbx", g.w3, g_z)
+    if c["m2"] is not None:
+        g_a2 = g_a2 * c["m2"]
+    g_h2 = g_a2 * (c["h2"] > 0)
+    g_a1 = np.einsum("ab,nax->nbx", g.w2, g_h2)
+    if c["m1"] is not None:
+        g_a1 = g_a1 * c["m1"]
+    g_h1 = g_a1 * (c["h1"] > 0)
+    g_x = np.einsum("ac,nax->ncx", g.w1, g_h1)
+    g_fres = g_ffus * c["a_res"] + g_x[:, 1, :]
+    return {
+        "align_w": c["pooled_r"].T @ g_fres,
+        "align_b": g_fres.sum(axis=0),
+        "gate_w1": np.einsum("nax,ncx->ac", g_h1, c["x"]),
+        "gate_b1": g_h1.sum(axis=(0, 2)),
+        "gate_w2": np.einsum("nax,nbx->ab", g_h2, c["a1d"]),
+        "gate_b2": g_h2.sum(axis=(0, 2)),
+        "gate_w3": np.einsum("nax,nbx->ab", g_z, c["a2d"]),
+        "gate_b3": g_z.sum(axis=(0, 2)),
+        "cls_w": c["f_fus"].T @ g_logits,
+        "cls_b": g_logits.sum(axis=0),
+    }
+
+
+ORACLE_SHAPES = {
+    "tiny": (TINY, 5),
+    "batch1": (HeadConfig(c_dino=6, c_res=5, grid_dino=(2, 2), grid_res=(3, 2), hidden=4), 1),
+    "hidden1": (HeadConfig(c_dino=5, c_res=4, hidden=1), 6),
+    "c_dino1": (HeadConfig(c_dino=1, c_res=3, grid_dino=(1, 1), grid_res=(2, 1), hidden=3), 4),
+    "default": (HeadConfig(), 33),
+}
+
+
+def assert_close_to_oracle(actual: np.ndarray, desired: np.ndarray, name: str) -> None:
+    """rtol 1e-12 per entry, with an absolute floor of 1e-12 times the array's
+    largest entry: a reordered sum errs relative to the sum of its terms'
+    magnitudes, not to its result, so an entry near zero by cancellation
+    may differ relatively more."""
+    floor = 1e-12 * float(np.max(np.abs(desired), initial=0.0))
+    np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=floor, err_msg=name)
+
+
+class TestEinsumOracle:
+    """head_forward and backward agree with the einsum formulas (the matmul
+    contractions sum in another order, so bits may differ in the last place),
+    with dropout off and on."""
+
+    @pytest.mark.parametrize("shape", list(ORACLE_SHAPES))
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_forward_and_backward_match(self, shape, dropout):
+        base, n = ORACLE_SHAPES[shape]
+        cfg = replace(base, dropout=dropout)
+        seed = list(ORACLE_SHAPES).index(shape)
+        params = jitter(init_head(cfg, seed=seed), seed=700 + seed)
+        fb, labels = random_bundle(cfg, n, seed=800 + seed)
+        for training in (False, True):
+            ref = oracle_forward(params, fb, training, rng_seed=seed)
+            fp = head_forward(params, fb, training=training, rng_seed=seed)
+            for name in ("f_dino", "f_res", "a_dino", "a_res", "f_fus", "logits", "probs"):
+                assert_close_to_oracle(getattr(fp, name), ref[name], name)
+            for reduction in ("sum", "mean"):
+                ref_g = oracle_backward(params, fb, labels, training, seed, reduction)
+                grads = backward(fb, labels, params, training=training, rng_seed=seed, reduction=reduction)
+                for name, arr in params.param_items():
+                    assert grads[name].shape == arr.shape
+                    assert_close_to_oracle(grads[name], ref_g[name], name)
 
 
 class TestConfig:
@@ -120,30 +231,37 @@ class TestInit:
 
 class TestForwardIdentities:
     def test_combine_dino_is_cls_plus_spatial_mean(self, rng):
+        params = init_head(TINY, seed=1)
         fc = rng.normal(size=(7, 6))
         gd = rng.normal(size=(7, 2, 2, 6))
-        out = combine_dino(gd, fc)
-        assert np.allclose(out, fc + gd.mean(axis=(1, 2)))
+        gr = rng.normal(size=(7, 3, 2, 5))
+        fp = head_forward(params, FeatureBundle(fc, gd, gr))
+        assert np.allclose(fp.f_dino, fc + gd.mean(axis=(1, 2)))
 
     def test_align_res_projection(self, rng):
-        params = init_head(TINY, seed=1)
+        params = jitter(init_head(TINY, seed=1), seed=11)
+        fc = rng.normal(size=(4, 6))
+        gd = rng.normal(size=(4, 2, 2, 6))
         gr = rng.normal(size=(4, 3, 2, 5))
-        out = align_res(gr, params.align)
+        fp = head_forward(params, FeatureBundle(fc, gd, gr))
         pooled = gr.mean(axis=(1, 2))
-        assert np.allclose(out, pooled @ params.align.w + params.align.b)
-        assert out.shape == (4, 6)
+        assert np.allclose(fp.f_res, pooled @ params.align.w + params.align.b)
+        assert fp.f_res.shape == (4, 6)
 
     def test_gates_sum_to_one_and_fusion_between_inputs(self, rng):
         params = init_head(TINY, seed=2)
         for _ in range(200):
-            fd = rng.normal(scale=3, size=(5, 6))
-            fr = rng.normal(scale=3, size=(5, 6))
-            a_dino, a_res, f_fus = gate_forward(fd, fr, params.gating)
-            assert np.allclose(a_dino + a_res, 1.0, atol=1e-12)
-            assert np.all(a_dino >= 0) and np.all(a_res >= 0)
-            lo = np.minimum(fd, fr)
-            hi = np.maximum(fd, fr)
-            assert np.all(f_fus >= lo - 1e-12) and np.all(f_fus <= hi + 1e-12)
+            fb = FeatureBundle(
+                rng.normal(scale=3, size=(5, 6)),
+                rng.normal(scale=3, size=(5, 2, 2, 6)),
+                rng.normal(scale=3, size=(5, 3, 2, 5)),
+            )
+            fp = head_forward(params, fb)
+            assert np.allclose(fp.a_dino + fp.a_res, 1.0, atol=1e-12)
+            assert np.all(fp.a_dino >= 0) and np.all(fp.a_res >= 0)
+            lo = np.minimum(fp.f_dino, fp.f_res)
+            hi = np.maximum(fp.f_dino, fp.f_res)
+            assert np.all(fp.f_fus >= lo - 1e-12) and np.all(fp.f_fus <= hi + 1e-12)
 
     def test_single_sample_equals_batch_row(self, rng):
         params = init_head(TINY, seed=3)
@@ -162,27 +280,47 @@ class TestForwardIdentities:
         assert np.allclose(fp.probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(fp.probs > 0)
 
-    def test_classify_matches_manual_softmax(self, rng):
-        params = init_head(TINY, seed=5)
-        f = rng.normal(size=(3, 6))
-        logits, probs = classify(f, params)
-        ref = f @ params.cls_w + params.cls_b
-        assert np.allclose(logits, ref)
+    def test_classify_matches_manual_softmax(self):
+        params = jitter(init_head(TINY, seed=5), seed=15)
+        fb, _ = random_bundle(TINY, 3, seed=6)
+        fp = head_forward(params, fb)
+        ref = fp.f_fus @ params.cls_w + params.cls_b
+        assert np.allclose(fp.logits, ref)
         e = np.exp(ref - ref.max(axis=1, keepdims=True))
-        assert np.allclose(probs, e / e.sum(axis=1, keepdims=True))
+        assert np.allclose(fp.probs, e / e.sum(axis=1, keepdims=True))
+
+    @staticmethod
+    def one_hot_head() -> tuple[HeadParams, FeatureBundle]:
+        """A head whose fused vector is (1, 0, 0): both branches equal it, so
+        any convex gate returns it, and the classifier is the identity."""
+        cfg = HeadConfig(c_dino=3, c_res=3, grid_dino=(1, 1), grid_res=(1, 1), hidden=2, dropout=0.0)
+        params = init_head(cfg, seed=0)
+        params.align.w[:] = 0.0
+        params.align.b[:] = [1.0, 0.0, 0.0]
+        params.cls_w[:] = np.eye(3)
+        params.cls_b[:] = 0.0
+        one = FeatureBundle(np.array([1.0, 0.0, 0.0]), np.zeros((1, 1, 3)), np.zeros((1, 1, 3)))
+        return params, one
+
+    @staticmethod
+    def loss(params: HeadParams, one: FeatureBundle, label: int) -> float:
+        fc, gd, gr = one.f_cls[None], one.f_grid_dino[None], one.f_grid_res[None]
+        return _loss_and_grads(params, fc, gd, gr, np.array([label]), False, 0, "sum")[0]
 
     def test_softmax_hand_value(self):
         # softmax(1, 0, 0) and its cross entropy against class 1
-        cfg = HeadConfig(c_dino=3, c_res=3, hidden=2, dropout=0.0)
-        params = init_head(cfg, seed=0)
-        params.cls_w[:] = np.eye(3)
-        params.cls_b[:] = 0.0
-        logits, probs = classify(np.array([1.0, 0.0, 0.0]), params)
-        assert probs == pytest.approx([0.5761, 0.2119, 0.2119], abs=1e-4)
-        assert ce_loss(probs, 1) == pytest.approx(1.5514, abs=1e-4)
+        params, one = self.one_hot_head()
+        fp = head_forward(params, one)
+        assert fp.f_fus == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+        assert fp.probs == pytest.approx([0.5761, 0.2119, 0.2119], abs=1e-4)
+        assert self.loss(params, one, 1) == pytest.approx(1.5514, abs=1e-4)
 
     def test_ce_loss_floor(self):
-        assert ce_loss(np.array([1.0, 0.0, 0.0]), 1) == pytest.approx(-math.log(1e-12))
+        # a true-class probability that underflows to 0 costs -log(1e-12)
+        params, one = self.one_hot_head()
+        params.cls_b[:] = [1000.0, 0.0, 0.0]
+        assert head_forward(params, one).probs[1] == 0.0
+        assert self.loss(params, one, 1) == pytest.approx(-math.log(1e-12))
 
     def test_dropout_zero_training_equals_eval(self):
         params = init_head(TINY, seed=7)  # TINY has dropout 0
@@ -384,26 +522,6 @@ class TestSerialization:
         with pytest.raises(ValueError, match="format"):
             params_from_json(json.dumps({"format": "other"}))
 
-    def test_bundle_csv_round_trip(self, rng):
-        ids = ["a", "b", "c"]
-        labels = [0, 2, 1]
-        dino = rng.normal(size=(3, 4))
-        res = rng.normal(size=(3, 5))
-        text = write_bundle_csv(ids, labels, dino, res)
-        ids2, labels2, dino2, res2 = read_bundle_csv(text)
-        assert ids2 == ids
-        assert np.array_equal(labels2, labels)
-        assert np.array_equal(dino2, dino)
-        assert np.array_equal(res2, res)
-
-    def test_bundle_from_vectors_shapes(self, rng):
-        fb = bundle_from_vectors(rng.normal(size=(4, 6)), rng.normal(size=(4, 5)))
-        assert fb.f_cls.shape == (4, 6)
-        assert fb.f_grid_dino.shape == (4, 1, 1, 6)
-        assert fb.f_grid_res.shape == (4, 1, 1, 5)
-        # zero grid means f_dino reduces to the raw vector
-        assert np.allclose(combine_dino(fb.f_grid_dino, fb.f_cls), fb.f_cls)
-
 
 class TestSyntheticFeatures:
     def test_balanced_labels(self):
@@ -474,6 +592,15 @@ class TestTrainToy:
         )
         with pytest.raises(DivergenceError, match="step"):
             train_toy(spec)
+
+    def test_chunked_accuracy_equals_full_batch(self):
+        # 103 rows: no slice size below divides it, so the last slice is short
+        for seed in range(4):
+            params = jitter(init_head(TINY, seed=seed), seed=900 + seed)
+            fb, labels = random_bundle(TINY, 103, seed=seed)
+            full = float((head_forward(params, fb).probs.argmax(axis=1) == labels).mean())
+            for batch_size in (1, 10, 64, 128):
+                assert _accuracy(params, fb, labels, batch_size) == full
 
     def test_shuffled_labels_stay_at_chance(self):
         spec = TrainSpec(
