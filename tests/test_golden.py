@@ -1,0 +1,177 @@
+"""Golden output digests: the sha256 of every file each subcommand writes on
+small seeded fixtures, pinned in ``golden_digests.json``.
+
+A change that must not move output bytes (a refactor) leaves every digest
+unchanged. A change that moves bytes on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+
+and says which digests moved and why. Every run uses relative paths inside
+one working directory, because reports record their input paths.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gjeval.cli import main
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+# synthetic fixtures: name -> `gjeval synth` arguments
+SYNTH = {
+    "default": ["--seed", "1"],
+    "sep0": ["--patients", "10,8,12", "--images-max", "6", "--sep", "0", "--seed", "2"],
+    "onehot": ["--patients", "5,4,6", "--images-max", "4", "--sep", "inf", "--seed", "3"],
+    "no_eegja": ["--patients", "6,0,7", "--images-max", "5", "--seed", "4"],
+    "multi": ["--patients", "5,4,6", "--images-min", "8", "--images-max", "20", "--seed", "5"],
+}
+FIXTURES = (*SYNTH, "grid")
+
+# run name -> argv; {f} is the fixture name
+RUNS = {
+    "evaluate_image": ["evaluate", "--pred", "{f}.csv", "--level", "image"],
+    "evaluate_patient": ["evaluate", "--pred", "{f}.csv", "--level", "patient"],
+    "evaluate_weighted": ["evaluate", "--pred", "{f}.csv", "--level", "weighted"],
+    "evaluate_svg": ["evaluate", "--pred", "{f}.csv", "--level", "image", "--svg"],
+    "compare": ["compare", "--pred-a", "{f}.csv", "--pred-b", "{f}_b.csv"],
+    "readers": ["readers", "--pred", "{f}.csv", "--readers", "{f}_readers.csv"],
+    "kfold_patient": ["kfold", "--pred", "{f}.csv", "--k", "4", "--by", "patient"],
+    "kfold_image": ["kfold", "--pred", "{f}.csv", "--k", "4", "--by", "image"],
+}
+FUSION_DEMO = ["fusion-demo", "--dim", "12", "--hidden", "3", "--epochs", "2", "--batch", "64"]
+
+CASES = (
+    [f"{f}.synth" for f in SYNTH]
+    + [f"{f}.{run}" for f in FIXTURES for run in RUNS]
+    + ["fusion_demo"]
+)
+
+
+def grid_csv() -> str:
+    """Probabilities on a 0.1 grid (exact ties inside rows, across rows and in
+    patient means) plus rows that drift from 1 by up to 1.5e-4 and are
+    renormalized at parse time."""
+    gen = np.random.default_rng(6)
+    triples = [(a, b, 10 - a - b) for a in range(11) for b in range(11 - a)]
+    lines = ["image_id,patient_id,true_label,p_aegja,p_eegja,p_control"]
+    image = 0
+    for patient in range(30):
+        truth = ("A-EGJA", "E-EGJA", "control")[patient % 3]
+        for _ in range(int(gen.integers(1, 5))):
+            image += 1
+            if gen.random() < 0.2:
+                probs = [f"{v:.4f}" for v in gen.dirichlet(np.ones(3))]
+            else:
+                probs = [repr(v / 10) for v in triples[int(gen.integers(len(triples)))]]
+            lines.append(f"g{image:03d},q{patient:02d},{truth}," + ",".join(probs))
+    return "\n".join(lines) + "\n"
+
+
+def partner_csv(text: str, seed: int) -> str:
+    """A second model on the same images: probabilities mixed with seeded noise."""
+    gen = np.random.default_rng(seed)
+    head, *rows = text.splitlines()
+    out = [head]
+    for row in rows:
+        f = row.split(",")
+        p = np.array([float(v) for v in f[3:6]]) + gen.uniform(0, 0.4, 3)
+        p /= p.sum()
+        out.append(",".join(f[:3] + [repr(float(v)) for v in p] + f[6:]))
+    return "\n".join(out) + "\n"
+
+
+def readers_csv(text: str, seed: int) -> str:
+    """Five readers over every image: right three times in four, with timings."""
+    gen = np.random.default_rng(seed)
+    rows = [row.split(",") for row in text.splitlines()[1:]]
+    lines = ["reader_id,group,arm,image_id,pred_label,elapsed_s"]
+    for rid, group, arm in (("r1", "trainee", "A"), ("r2", "trainee", "B"),
+                            ("r3", "competent", "A"), ("r4", "expert", "B"),
+                            ("r5", "expert", "B")):
+        for f in rows:
+            pred = f[2] if gen.random() < 0.75 else str(int(gen.integers(0, 3)))
+            lines.append(f"{rid},{group},{arm},{f[0]},{pred},{int(gen.integers(5, 60))}")
+    return "\n".join(lines) + "\n"
+
+
+@contextlib.contextmanager
+def inside(workdir: Path):
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+def make_inputs(workdir: Path) -> None:
+    with inside(workdir):
+        for seed, name in enumerate(FIXTURES, start=1):
+            path = Path(f"{name}.csv")
+            if name == "grid":
+                path.write_text(grid_csv())
+            else:
+                assert main(["synth", *SYNTH[name], "--out", str(path)]) == 0
+            text = path.read_text()
+            Path(f"{name}_b.csv").write_text(partner_csv(text, seed))
+            Path(f"{name}_readers.csv").write_text(readers_csv(text, seed))
+
+
+def argv_of(case: str, out: str) -> list[str]:
+    if case == "fusion_demo":
+        return [*FUSION_DEMO, "--out", out]
+    fixture, run = case.split(".")
+    if run == "synth":
+        return ["synth", *SYNTH[fixture], "--out", f"{out}/pred.csv"]
+    return [a.format(f=fixture) for a in RUNS[run]] + ["--out", out]
+
+
+def run_case(workdir: Path, case: str) -> dict[str, str]:
+    """Exit status and sha256 of every file the case writes."""
+    out = f"out/{case}"
+    with inside(workdir), contextlib.redirect_stdout(None):
+        code = main(argv_of(case, out))
+        files = sorted(Path(out).iterdir()) if Path(out).is_dir() else []
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+    return {"exit": code, "files": digests}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("golden")
+    make_inputs(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(DIGESTS.read_text())
+
+
+def test_digest_file_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_output_bytes_match_golden(workdir, golden, case):
+    assert run_case(workdir, case) == golden[case]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        make_inputs(Path(tmp))
+        doc = {case: run_case(Path(tmp), case) for case in CASES}
+    DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS} ({len(doc)} cases)")
