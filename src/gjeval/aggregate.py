@@ -1,14 +1,14 @@
 """Aggregation layers on top of image-level predictions: patient-level
-roll-ups, inverse-count weighting, analysis-level evaluation, reader-study
-pooling, and demographic subgroup slicing.
+roll-ups, inverse-count weighting, analysis-level evaluation and reader-study
+pooling.
 
 Analysis levels
 ---------------
-image     one record per image, unit weights.
+image     one row per image, unit weights.
 patient   per-patient probabilities are the arithmetic mean of that
           patient's image probabilities; the call is the severity-tie-broken
           argmax of the mean. n = number of patients.
-weighted  image-level records weighted by 1 / (images of the same patient),
+weighted  image-level rows weighted by 1 / (images of the same patient),
           so every patient contributes total mass 1 and the effective n
           equals the patient count. Confidence intervals and curves all use
           the weighted counts.
@@ -17,20 +17,19 @@ weighted  image-level records weighted by 1 / (images of the same patient),
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .data import CLASS_ORDER, ClassLabel, Dataset, ReaderRecord, argmax_severity
-from .metrics import MetricReport, compute_report
+from .data import CLASS_ORDER, READER_GROUPS, Dataset, ReaderRecord
+from .metrics import MetricReport, class_stats, compute_report, confusion_matrix
 from .stats import PairedPredictions, TestResult, bowker_test, delong_test, kappa_test
 
 __all__ = [
-    "PatientPrediction",
     "PooledReaderPairs",
     "JoinedPredictions",
     "patient_mean_aggregate",
-    "patient_max_aggregate",
     "inverse_count_weights",
     "evaluate",
     "join_predictions",
@@ -43,95 +42,54 @@ __all__ = [
 LEVELS = ("image", "patient", "weighted")
 
 
-@dataclass(frozen=True)
-class PatientPrediction:
-    """One patient's aggregated probabilities and call."""
+def patient_mean_aggregate(ds: Dataset) -> np.ndarray:
+    """(patients, 3) mean image probabilities, rows in ``ds.patient_ids`` order.
 
-    patient_id: str
-    truth: ClassLabel
-    probs: tuple[float, float, float]
-    n_images: int
-
-    @property
-    def pred(self) -> ClassLabel:
-        return argmax_severity(self.probs)
-
-
-def _aggregate(ds: Dataset, reducer: str) -> tuple[PatientPrediction, ...]:
+    Each patient's images are summed in row order, then divided by their count.
+    """
     if len(ds) == 0:
         raise ValueError("cannot aggregate an empty dataset")
-    out = []
-    probs = ds.probs_matrix()
-    for pid, positions in ds.patient_index.items():
-        block = probs[list(positions)]
-        if reducer == "mean":
-            agg = block.mean(axis=0)
-        else:
-            agg = block.max(axis=0)
-            s = agg.sum()
-            if s > 0:
-                agg = agg / s
-        out.append(
-            PatientPrediction(
-                patient_id=pid,
-                truth=ds.records[positions[0]].truth,
-                probs=(float(agg[0]), float(agg[1]), float(agg[2])),
-                n_images=len(positions),
-            )
-        )
-    return tuple(out)
-
-
-def patient_mean_aggregate(ds: Dataset) -> tuple[PatientPrediction, ...]:
-    """Mean of image probabilities per patient; ties break toward severity."""
-    return _aggregate(ds, "mean")
-
-
-def patient_max_aggregate(ds: Dataset) -> tuple[PatientPrediction, ...]:
-    """Elementwise max of image probabilities per patient, renormalized to sum 1."""
-    return _aggregate(ds, "max")
+    n = len(ds.patient_ids)
+    sums = [np.bincount(ds.patient_codes, weights=ds.probs[:, j], minlength=n) for j in range(3)]
+    return np.stack(sums, axis=1) / ds.patient_counts()[:, None]
 
 
 def inverse_count_weights(ds: Dataset) -> np.ndarray:
-    """Per-record weights 1 / (images of that record's patient).
+    """Per-row weights 1 / (images of that row's patient).
 
     Weights sum to the number of patients, so weighted analyses use the
     patient count as their effective sample size.
     """
-    counts = {pid: len(pos) for pid, pos in ds.patient_index.items()}
-    return np.array([1.0 / counts[r.patient_id] for r in ds.records], dtype=np.float64)
+    return 1.0 / ds.patient_counts()[ds.patient_codes]
 
 
-def evaluate(ds: Dataset, level: str = "image", workers: int = 1) -> MetricReport:
+def evaluate(ds: Dataset, level: str = "image") -> MetricReport:
     """Full metric bundle for a dataset at one analysis level."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     warnings = []
     if ds.renormalized:
         warnings.append(f"{ds.renormalized} record(s) had probabilities renormalized at parse time")
-    if level == "image":
-        return compute_report(
-            ds.truth_array(), ds.pred_array(), ds.probs_matrix(),
-            level="image", extra_warnings=warnings, workers=workers,
-        )
     if level == "patient":
-        pats = patient_mean_aggregate(ds)
-        truths = np.array([p.truth for p in pats], dtype=np.int64)
-        preds = np.array([p.pred for p in pats], dtype=np.int64)
-        probs = np.array([p.probs for p in pats], dtype=np.float64)
+        probs = patient_mean_aggregate(ds)
         return compute_report(
-            truths, preds, probs, level="patient", extra_warnings=warnings, workers=workers,
+            ds.truth[ds.patient_first_row], probs.argmax(axis=1), probs,
+            level="patient", extra_warnings=warnings,
         )
-    weights = inverse_count_weights(ds)
+    weights = inverse_count_weights(ds) if level == "weighted" else None
     return compute_report(
-        ds.truth_array(), ds.pred_array(), ds.probs_matrix(), weights=weights,
-        level="weighted", extra_warnings=warnings, workers=workers,
+        ds.truth, ds.pred, ds.probs, weights=weights, level=level, extra_warnings=warnings,
     )
+
+
+def _rows_of(ds: Dataset) -> dict[str, int]:
+    """Row of each image id."""
+    return dict(zip(ds.image_ids, range(len(ds))))
 
 
 @dataclass(frozen=True)
 class JoinedPredictions:
-    """Two models' records joined on image_id, in first-dataset order."""
+    """Two models' predictions joined on image_id, in first-dataset order."""
 
     image_ids: tuple[str, ...]
     truths: np.ndarray
@@ -153,29 +111,22 @@ def join_predictions(ds_a: Dataset, ds_b: Dataset) -> JoinedPredictions:
 
     Truths must agree on every joined image; an empty join is an error.
     """
-    by_id_b = {r.image_id: r for r in ds_b.records}
-    ids, truths, pa, pb, qa, qb = [], [], [], [], [], []
-    for ra in ds_a.records:
-        rb = by_id_b.get(ra.image_id)
-        if rb is None:
-            continue
-        if rb.truth != ra.truth:
-            raise ValueError(f"true label mismatch for image {ra.image_id!r}")
-        ids.append(ra.image_id)
-        truths.append(int(ra.truth))
-        pa.append(int(ra.pred))
-        pb.append(int(rb.pred))
-        qa.append(ra.probs)
-        qb.append(rb.probs)
-    if not ids:
+    rows_b = np.fromiter(map(_rows_of(ds_b).get, ds_a.image_ids, repeat(-1)), np.int64, len(ds_a))
+    rows_a = np.flatnonzero(rows_b >= 0)
+    rows_b = rows_b[rows_a]
+    truths = ds_a.truth[rows_a]
+    mismatch = np.flatnonzero(truths != ds_b.truth[rows_b])
+    if mismatch.size:
+        raise ValueError(f"true label mismatch for image {ds_a.image_ids[rows_a[mismatch[0]]]!r}")
+    if not rows_a.size:
         raise ValueError("no common image_ids between the two prediction sets")
     return JoinedPredictions(
-        image_ids=tuple(ids),
-        truths=np.array(truths, dtype=np.int64),
-        preds_a=np.array(pa, dtype=np.int64),
-        preds_b=np.array(pb, dtype=np.int64),
-        probs_a=np.array(qa, dtype=np.float64),
-        probs_b=np.array(qb, dtype=np.float64),
+        image_ids=tuple(map(ds_a.image_ids.__getitem__, rows_a.tolist())),
+        truths=truths,
+        preds_a=ds_a.pred[rows_a],
+        preds_b=ds_b.pred[rows_b],
+        probs_a=ds_a.probs[rows_a],
+        probs_b=ds_b.probs[rows_b],
     )
 
 
@@ -213,22 +164,17 @@ def pool_readers(
     Reader records joining to no model image are an error (the model dataset
     defines the image universe).
     """
-    by_id = {r.image_id: r for r in model.records}
+    model_rows = _rows_of(model)
     cell = [r for r in readers if r.group == group and r.arm == arm]
     if not cell:
         raise ValueError(f"no reader records for group={group!r} arm={arm!r}")
-    truths, rpred, mpred, obs_reader, image_ids = [], [], [], [], []
-    elapsed = []
+    rows, elapsed = [], []
     any_elapsed = any(r.elapsed_s is not None for r in cell)
     for r in cell:
-        m = by_id.get(r.image_id)
-        if m is None:
+        row = model_rows.get(r.image_id)
+        if row is None:
             raise ValueError(f"reader record references unknown image {r.image_id!r}")
-        truths.append(int(m.truth))
-        rpred.append(int(r.pred))
-        mpred.append(int(m.pred))
-        obs_reader.append(r.reader_id)
-        image_ids.append(r.image_id)
+        rows.append(row)
         if any_elapsed:
             if r.elapsed_s is None:
                 raise ValueError(f"missing elapsed_s for reader {r.reader_id!r} image {r.image_id!r}")
@@ -237,11 +183,11 @@ def pool_readers(
         group=group,
         arm=arm,
         reader_ids=tuple(sorted({r.reader_id for r in cell})),
-        image_ids=tuple(image_ids),
-        obs_reader=tuple(obs_reader),
-        truths=np.array(truths, dtype=np.int64),
-        reader_preds=np.array(rpred, dtype=np.int64),
-        model_preds=np.array(mpred, dtype=np.int64),
+        image_ids=tuple(r.image_id for r in cell),
+        obs_reader=tuple(r.reader_id for r in cell),
+        truths=model.truth[rows],
+        reader_preds=np.array([int(r.pred) for r in cell], dtype=np.int64),
+        model_preds=model.pred[rows],
         elapsed_s=np.array(elapsed, dtype=np.float64) if any_elapsed else None,
     )
 
@@ -296,11 +242,7 @@ def per_reader_points(
     readers: Sequence[ReaderRecord], model: Dataset
 ) -> list[dict]:
     """Per-reader, per-class sensitivity/specificity/PPV rows for scatter plots."""
-    from .metrics import class_stats, confusion_matrix
-
-    from .data import READER_GROUPS
-
-    by_id = {r.image_id: r for r in model.records}
+    model_rows = _rows_of(model)
     cells: dict[tuple[str, str, str], list[ReaderRecord]] = {}
     for r in readers:
         cells.setdefault((r.reader_id, r.group, r.arm), []).append(r)
@@ -309,13 +251,14 @@ def per_reader_points(
     cell_order = sorted(cells, key=lambda k: (READER_GROUPS.index(k[1]), k[2], k[0]))
     for reader_id, group, arm in cell_order:
         recs = cells[(reader_id, group, arm)]
-        truths, preds = [], []
+        model_rows_of_cell = []
         for r in recs:
-            m = by_id.get(r.image_id)
-            if m is None:
+            row = model_rows.get(r.image_id)
+            if row is None:
                 raise ValueError(f"reader record references unknown image {r.image_id!r}")
-            truths.append(int(m.truth))
-            preds.append(int(r.pred))
+            model_rows_of_cell.append(row)
+        truths = model.truth[model_rows_of_cell]
+        preds = [int(r.pred) for r in recs]
         cm = confusion_matrix(truths, preds)
         for cls in CLASS_ORDER:
             st = class_stats(cm, cls)

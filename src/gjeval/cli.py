@@ -18,7 +18,6 @@ import numpy as np
 from . import aggregate, fusion, report as rpt
 from .data import (
     CLASS_ORDER,
-    Dataset,
     ParseError,
     SynthSpec,
     fold_datasets,
@@ -100,12 +99,12 @@ def _has_undefined(mr: MetricReport) -> bool:
 def cmd_evaluate(args) -> int:
     pred_path = Path(args.pred)
     ds = parse_predictions(pred_path.read_text(), strict=args.strict)
-    mr = aggregate.evaluate(ds, level=args.level, workers=args.workers)
+    mr = aggregate.evaluate(ds, level=args.level)
     if args.strict and _has_undefined(mr):
         _err("metric degeneracy (zero-denominator ratio) in strict mode")
         return 2
-    # Worker-pool size and SVG emission are execution details, not semantic
-    # config: reports must be byte-identical across them.
+    # SVG emission is an execution detail, not semantic config: reports must
+    # be byte-identical with and without it.
     config = {
         "subcommand": "evaluate",
         "pred": str(pred_path),
@@ -267,10 +266,7 @@ def cmd_kfold(args) -> int:
                 "images_by_class": summary.images_by_class,
             }
         )
-    if spec.unit == "patient":
-        order = list(ds.patient_index.keys())
-    else:
-        order = [r.image_id for r in ds.records]
+    order = ds.patient_ids if spec.unit == "patient" else ds.image_ids
     assign_lines = ["unit_id,fold"] + [f"{u},{spec.assignments[u]}" for u in order]
     config = {
         "subcommand": "kfold",
@@ -410,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=cmd_evaluate)

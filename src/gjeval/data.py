@@ -1,4 +1,5 @@
-"""Core data model: class labels, prediction/reader records, datasets, folds, synthesis.
+"""Core data model: class labels, the columnar prediction dataset, reader records,
+folds, synthesis.
 
 The three diagnostic classes are ordered by severity: A-EGJA (index 0) is the
 most severe, E-EGJA (index 1) intermediate, control (index 2) least. All
@@ -11,8 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,13 +23,11 @@ __all__ = [
     "ClassLabel",
     "CLASS_ORDER",
     "ParseError",
-    "PredictionRecord",
     "ReaderRecord",
     "Dataset",
     "DatasetSummary",
     "FoldSpec",
     "SynthSpec",
-    "argmax_severity",
     "parse_label",
     "parse_predictions",
     "serialize_predictions",
@@ -47,6 +47,7 @@ PRED_OPT_COLUMNS = ("center", "modality", "sex", "age")
 READER_BASE_COLUMNS = ("reader_id", "group", "arm", "image_id", "pred_label")
 READER_GROUPS = ("trainee", "competent", "expert")
 READER_ARMS = ("A", "B")
+_BOM = "\ufeff"  # a byte order mark, as spreadsheet exports write it
 
 
 class ClassLabel(IntEnum):
@@ -106,36 +107,6 @@ def parse_label(token: str, row: int | None = None) -> ClassLabel:
         raise ParseError(f"unknown class label {token!r}", row) from None
 
 
-def argmax_severity(probs: Sequence[float]) -> ClassLabel:
-    """Index of the largest probability; ties resolve to the more severe class.
-
-    Canonical class order equals severity order, so the first maximum wins.
-    """
-    best = 0
-    for i in (1, 2):
-        if probs[i] > probs[best]:
-            best = i
-    return ClassLabel(best)
-
-
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One image-level model prediction with its ground truth."""
-
-    image_id: str
-    patient_id: str
-    truth: ClassLabel
-    probs: tuple[float, float, float]
-    center: str | None = None
-    modality: str | None = None
-    sex: str | None = None
-    age: float | None = None
-
-    @property
-    def pred(self) -> ClassLabel:
-        return argmax_severity(self.probs)
-
-
 @dataclass(frozen=True)
 class ReaderRecord:
     """One human reader's call on one image."""
@@ -148,66 +119,185 @@ class ReaderRecord:
     elapsed_s: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable collection of prediction records with a patient lookup index."""
+    """Image-level predictions as columns, one row per image.
 
-    records: tuple[PredictionRecord, ...]
-    patient_index: dict[str, tuple[int, ...]] = field(compare=False, default_factory=dict)
-    renormalized: int = field(compare=False, default=0)
+    ``patient_ids`` lists every patient once, in first-appearance order;
+    ``patient_codes[i]`` is the position there of row i's patient and
+    ``patient_first_row[k]`` the row of patient k's first image. ``pred`` is
+    the argmax of ``probs``: the first maximum wins, so ties go to the more
+    severe class. An optional column is None when no row has a value;
+    ``age`` is NaN on rows without one. Build with ``from_columns``.
+    """
+
+    image_ids: tuple[str, ...]
+    patient_ids: tuple[str, ...]
+    patient_codes: np.ndarray
+    patient_first_row: np.ndarray
+    truth: np.ndarray
+    probs: np.ndarray
+    pred: np.ndarray
+    center: tuple[str | None, ...] | None = None
+    modality: tuple[str | None, ...] | None = None
+    sex: tuple[str | None, ...] | None = None
+    age: np.ndarray | None = None
+    renormalized: int = 0
 
     @classmethod
-    def from_records(cls, records: Iterable[PredictionRecord], renormalized: int = 0) -> "Dataset":
-        recs = tuple(records)
-        seen_images: set[str] = set()
-        truths: dict[str, ClassLabel] = {}
-        index: dict[str, list[int]] = {}
-        for pos, r in enumerate(recs):
-            if r.image_id in seen_images:
-                raise ParseError(f"duplicate image_id {r.image_id!r}")
-            seen_images.add(r.image_id)
-            prev = truths.setdefault(r.patient_id, r.truth)
-            if prev != r.truth:
-                raise ParseError(f"conflicting true labels for patient {r.patient_id!r}")
-            index.setdefault(r.patient_id, []).append(pos)
-        frozen = {pid: tuple(ix) for pid, ix in index.items()}
-        return cls(records=recs, patient_index=frozen, renormalized=renormalized)
+    def from_columns(
+        cls,
+        image_ids: Iterable[str],
+        patient_ids: Iterable[str],
+        truth,
+        probs,
+        *,
+        center: Iterable[str | None] | None = None,
+        modality: Iterable[str | None] | None = None,
+        sex: Iterable[str | None] | None = None,
+        age=None,
+        renormalized: int = 0,
+    ) -> "Dataset":
+        """Index per-row columns (``patient_ids`` has one entry per row).
+
+        Image ids must be unique and a patient's images must share one true
+        label; otherwise the first row that breaks either rule is reported.
+        """
+        image_ids = tuple(image_ids)
+        row_patients = tuple(patient_ids)
+        n = len(image_ids)
+        patients = tuple(dict.fromkeys(row_patients))
+        position = {pid: k for k, pid in enumerate(patients)}
+        codes = np.fromiter(map(position.__getitem__, row_patients), np.int64, n)
+        first_row = np.unique(codes, return_index=True)[1].astype(np.int64)
+        truth = np.array(truth, dtype=np.int64).reshape(n)
+        probs = np.array(probs, dtype=np.float64).reshape(n, 3)
+        conflicts = np.flatnonzero(truth != truth[first_row][codes])
+        if len(set(image_ids)) < n or conflicts.size:
+            dup = _first_repeat(image_ids)
+            if dup is not None and (not conflicts.size or dup <= conflicts[0]):
+                raise ParseError(f"duplicate image_id {image_ids[dup]!r}")
+            raise ParseError(f"conflicting true labels for patient {row_patients[conflicts[0]]!r}")
+        if age is not None:
+            age = np.array(age, dtype=np.float64).reshape(n)
+            if np.isnan(age).all():
+                age = None
+        columns = dict(
+            patient_codes=codes, patient_first_row=first_row,
+            truth=truth, probs=probs, pred=probs.argmax(axis=1), age=age,
+        )
+        for arr in columns.values():
+            if arr is not None:
+                arr.flags.writeable = False
+        return cls(
+            image_ids=image_ids,
+            patient_ids=patients,
+            center=_optional(center),
+            modality=_optional(modality),
+            sex=_optional(sex),
+            renormalized=renormalized,
+            **columns,
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.image_ids)
 
-    def truth_array(self) -> np.ndarray:
-        return np.array([r.truth for r in self.records], dtype=np.int64)
+    def row_patient_ids(self) -> np.ndarray:
+        """Each row's patient id, as an object array."""
+        return np.array(self.patient_ids, dtype=object)[self.patient_codes]
 
-    def pred_array(self) -> np.ndarray:
-        return np.array([r.pred for r in self.records], dtype=np.int64)
+    def patient_counts(self) -> np.ndarray:
+        """Images per patient, in ``patient_ids`` order."""
+        return np.bincount(self.patient_codes, minlength=len(self.patient_ids))
 
-    def probs_matrix(self) -> np.ndarray:
-        return np.array([r.probs for r in self.records], dtype=np.float64)
+    def select(self, mask) -> "Dataset":
+        """The rows where ``mask`` is true, in order, re-indexed."""
+        mask = np.asarray(mask, dtype=bool)
 
-    def patient_truth(self, patient_id: str) -> ClassLabel:
-        return self.records[self.patient_index[patient_id][0]].truth
+        def pick(col):
+            return None if col is None else compress(col, mask)
+
+        return Dataset.from_columns(
+            pick(self.image_ids),
+            self.row_patient_ids()[mask],
+            self.truth[mask],
+            self.probs[mask],
+            center=pick(self.center),
+            modality=pick(self.modality),
+            sex=pick(self.sex),
+            age=None if self.age is None else self.age[mask],
+        )
 
 
-def _parse_probs(fields: dict[str, str], row: int, strict: bool) -> tuple[tuple[float, float, float], bool]:
-    vals = []
-    for col in ("p_aegja", "p_eegja", "p_control"):
+def _optional(col: Iterable[str | None] | None) -> tuple[str | None, ...] | None:
+    if col is None:
+        return None
+    col = tuple(col)
+    return None if col.count(None) == len(col) else col
+
+
+def _first_repeat(values: Sequence[str]) -> int | None:
+    seen: set[str] = set()
+    for pos, v in enumerate(values):
+        if v in seen:
+            return pos
+        seen.add(v)
+    return None
+
+
+def _floats(col: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``float()`` of every entry (NaN where it raises) and the mask of those."""
+    try:
+        return np.fromiter(map(float, col), np.float64, len(col)), np.zeros(len(col), dtype=bool)
+    except ValueError:
+        pass
+    vals = np.full(len(col), np.nan)
+    bad = np.zeros(len(col), dtype=bool)
+    for i, s in enumerate(col):
         try:
-            v = float(fields[col])
+            vals[i] = float(s)
         except ValueError:
-            raise ParseError(f"non-numeric probability in column {col}: {fields[col]!r}", row) from None
-        if not math.isfinite(v) or v < 0.0 or v > 1.0:
-            raise ParseError(f"probability out of range in column {col}: {fields[col]!r}", row)
-        vals.append(v)
-    total = vals[0] + vals[1] + vals[2]
-    dev = abs(total - 1.0)
-    tol = PROB_SUM_TOL_STRICT if strict else PROB_SUM_TOL_LAX
-    if dev > tol:
-        raise ParseError(f"probabilities sum to {total!r}, deviation {dev:.3g} exceeds tolerance {tol:g}", row)
-    if dev > PROB_SUM_TOL_STRICT:
-        vals = [v / total for v in vals]
-        return (vals[0], vals[1], vals[2]), True
-    return (vals[0], vals[1], vals[2]), False
+            bad[i] = True
+    return vals, bad
+
+
+class _FirstFailure:
+    """The earliest row that any check rejects. Checks run in the order a
+    row is validated, so at one row the earlier check's message wins."""
+
+    def __init__(self) -> None:
+        self.index: int | None = None
+        self.message = ""
+
+    def check(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        hits = np.flatnonzero(bad)
+        if hits.size and (self.index is None or hits[0] < self.index):
+            self.index = int(hits[0])
+            self.message = message(self.index)
+
+
+def _data_rows(reader, width: int) -> tuple[list[list[str]], list[int], tuple[int, int] | None]:
+    """The rows up to the first with a wrong field count, the file lines of
+    the blank lines skipped among them, and that row's (line, field count)."""
+    rows, blanks = [], []
+    for row_no, raw in enumerate(reader, start=2):
+        if len(raw) == width:
+            rows.append(raw)
+        elif not raw or (len(raw) == 1 and not raw[0].strip()):
+            blanks.append(row_no)
+        else:
+            return rows, blanks, (row_no, len(raw))
+    return rows, blanks, None
+
+
+def _line_of(index: int, blanks: list[int]) -> int:
+    """File line of data row ``index``, given the (sorted) blank lines."""
+    line = index + 2
+    for blank in blanks:
+        if blank > line:
+            break
+        line += 1
+    return line
 
 
 def parse_predictions(source: str, strict: bool = False) -> Dataset:
@@ -215,9 +305,12 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
 
     In strict mode the three probabilities must sum to 1 within 1e-6. Otherwise
     deviations up to 1e-3 are renormalized and tallied on ``Dataset.renormalized``;
-    larger deviations are errors in both modes. LF and CRLF line endings are accepted.
+    larger deviations are errors in both modes. LF and CRLF line endings are
+    accepted, and so is a leading UTF-8 byte order mark. The first bad row is
+    reported, with the first of its faults in the order: field count, empty
+    ``image_id``/``patient_id``, label, each probability (number, range), sum, age.
     """
-    reader = csv.reader(io.StringIO(source, newline=""))
+    reader = csv.reader(io.StringIO(source.removeprefix(_BOM), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -228,43 +321,71 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
             f"header must start with {','.join(PRED_BASE_COLUMNS)}; got {','.join(header)}"
         )
     extras = header[len(PRED_BASE_COLUMNS) :]
-    for col in extras:
+    for pos, col in enumerate(extras):
         if col not in PRED_OPT_COLUMNS:
             raise ParseError(f"unknown column {col!r}")
-    records: list[PredictionRecord] = []
-    renorm = 0
-    for row_no, raw in enumerate(reader, start=2):
-        if not raw or (len(raw) == 1 and not raw[0].strip()):
-            continue  # ignore blank lines
-        if len(raw) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(raw)}", row_no)
-        fields = dict(zip(header, (f.strip() for f in raw)))
-        truth = parse_label(fields["true_label"], row_no)
-        probs, was_renormalized = _parse_probs(fields, row_no, strict)
-        renorm += int(was_renormalized)
-        age: float | None = None
-        if fields.get("age"):
-            try:
-                age = float(fields["age"])
-            except ValueError:
-                raise ParseError(f"non-numeric age {fields['age']!r}", row_no) from None
-            if not math.isfinite(age) or age < 0:
-                raise ParseError(f"age must be finite and non-negative, got {fields['age']!r}", row_no)
-        records.append(
-            PredictionRecord(
-                image_id=fields["image_id"],
-                patient_id=fields["patient_id"],
-                truth=truth,
-                probs=probs,
-                center=fields.get("center") or None,
-                modality=fields.get("modality") or None,
-                sex=fields.get("sex") or None,
-                age=age,
-            )
-        )
-    if not records:
+        if col in extras[:pos]:
+            raise ParseError(f"duplicate column {col!r}")
+    rows, blanks, bad_width = _data_rows(reader, len(header))
+    if not rows and bad_width is None:
         raise ParseError("no data rows")
-    return Dataset.from_records(records, renormalized=renorm)
+    n = len(rows)
+    columns = zip(*rows) if rows else [()] * len(header)
+    cols = {name: list(map(str.strip, col)) for name, col in zip(header, columns)}
+    del rows, columns
+    fail = _FirstFailure()
+    for name in ("image_id", "patient_id"):
+        col = cols[name]
+        if "" in col:
+            fail.check(np.fromiter(map(len, col), np.int64, n) == 0, lambda i, name=name: f"empty {name}")
+    tokens = cols["true_label"]
+    codes = {tok: int(_LABEL_ALIASES.get(tok.lower(), -1)) for tok in set(tokens)}
+    truth = np.fromiter(map(codes.__getitem__, tokens), np.int64, n)
+    fail.check(truth < 0, lambda i: f"unknown class label {tokens[i]!r}")
+    probs = np.empty((n, 3))
+    for j, name in enumerate(("p_aegja", "p_eegja", "p_control")):
+        col = cols[name]
+        probs[:, j], non_numeric = _floats(col)
+        fail.check(non_numeric, lambda i, name=name, col=col: f"non-numeric probability in column {name}: {col[i]!r}")
+        v = probs[:, j]
+        out_of_range = ~np.isfinite(v) | (v < 0.0) | (v > 1.0)
+        fail.check(out_of_range, lambda i, name=name, col=col: f"probability out of range in column {name}: {col[i]!r}")
+    total = probs[:, 0] + probs[:, 1] + probs[:, 2]
+    dev = np.abs(total - 1.0)
+    tol = PROB_SUM_TOL_STRICT if strict else PROB_SUM_TOL_LAX
+    fail.check(
+        dev > tol,
+        lambda i: f"probabilities sum to {float(total[i])!r}, deviation {float(dev[i]):.3g} exceeds tolerance {tol:g}",
+    )
+    age = None
+    if "age" in cols:
+        raw = cols["age"]
+        given = np.fromiter(map(len, raw), np.int64, n) > 0
+        age, non_numeric = _floats(raw if given.all() else [s or "nan" for s in raw])
+        fail.check(non_numeric, lambda i: f"non-numeric age {raw[i]!r}")
+        fail.check(given & (~np.isfinite(age) | (age < 0)), lambda i: f"age must be finite and non-negative, got {raw[i]!r}")
+    if fail.index is not None:
+        raise ParseError(fail.message, _line_of(fail.index, blanks))
+    if bad_width is not None:
+        row_no, got = bad_width
+        raise ParseError(f"expected {len(header)} fields, got {got}", row_no)
+    renorm = dev > PROB_SUM_TOL_STRICT
+    probs[renorm] /= total[renorm, None]
+
+    def optional(name: str) -> list[str | None] | None:
+        return [v or None for v in cols[name]] if name in cols else None
+
+    return Dataset.from_columns(
+        cols["image_id"],
+        cols["patient_id"],
+        truth,
+        probs,
+        center=optional("center"),
+        modality=optional("modality"),
+        sex=optional("sex"),
+        age=age,
+        renormalized=int(renorm.sum()),
+    )
 
 
 def _fmt(v: float) -> str:
@@ -273,31 +394,28 @@ def _fmt(v: float) -> str:
 
 def serialize_predictions(ds: Dataset) -> str:
     """Serialize a Dataset to CSV text (LF line endings, shortest-repr floats)."""
-    has_opt = {
-        "center": any(r.center is not None for r in ds.records),
-        "modality": any(r.modality is not None for r in ds.records),
-        "sex": any(r.sex is not None for r in ds.records),
-        "age": any(r.age is not None for r in ds.records),
-    }
-    opt_cols = [c for c in PRED_OPT_COLUMNS if has_opt[c]]
+    names = [c.display for c in CLASS_ORDER]
+    cols = [
+        ds.image_ids,
+        ds.row_patient_ids(),
+        [names[t] for t in ds.truth.tolist()],
+        *(map(_fmt, ds.probs[:, j].tolist()) for j in range(3)),
+    ]
+    opt_cols = [c for c in PRED_OPT_COLUMNS if getattr(ds, c) is not None]
+    for c in opt_cols:
+        if c == "age":
+            cols.append(["" if math.isnan(v) else _fmt(v) for v in ds.age.tolist()])
+        else:
+            cols.append(["" if v is None else v for v in getattr(ds, c)])
     lines = [",".join(PRED_BASE_COLUMNS + tuple(opt_cols))]
-    for r in ds.records:
-        row = [r.image_id, r.patient_id, r.truth.display, _fmt(r.probs[0]), _fmt(r.probs[1]), _fmt(r.probs[2])]
-        for c in opt_cols:
-            v = getattr(r, c)
-            if v is None:
-                row.append("")
-            elif c == "age":
-                row.append(_fmt(v))
-            else:
-                row.append(str(v))
-        lines.append(",".join(row))
+    lines.extend(map(",".join, zip(*cols)))
     return "\n".join(lines) + "\n"
 
 
 def parse_readers(source: str) -> tuple[ReaderRecord, ...]:
-    """Parse a reader-study CSV. (reader_id, image_id) pairs must be unique."""
-    reader = csv.reader(io.StringIO(source, newline=""))
+    """Parse a reader-study CSV. (reader_id, image_id) pairs must be unique.
+    A leading UTF-8 byte order mark is ignored."""
+    reader = csv.reader(io.StringIO(source.removeprefix(_BOM), newline=""))
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
@@ -398,32 +516,33 @@ def age_band(age: float) -> str:
 
 
 def summarize(ds: Dataset) -> DatasetSummary:
-    """Patient and image composition of a dataset, including demographics when present."""
-    pat_class: dict[str, int] = {c.display: 0 for c in CLASS_ORDER}
-    img_class: dict[str, int] = {c.display: 0 for c in CLASS_ORDER}
+    """Patient and image composition of a dataset, including demographics when present.
+
+    A patient's sex and age are those of its first image."""
+    first = ds.patient_first_row
+    names = [c.display for c in CLASS_ORDER]
+
+    def by_class(truth: np.ndarray) -> dict[str, int]:
+        return dict(zip(names, np.bincount(truth, minlength=3).tolist()))
+
     sex_counts: dict[str, int] = {}
-    ages: list[float] = []
+    if ds.sex is not None:
+        for sex in map(ds.sex.__getitem__, first.tolist()):
+            if sex is not None:
+                sex_counts[sex] = sex_counts.get(sex, 0) + 1
+    ages = np.empty(0) if ds.age is None else ds.age[first]
+    ages = ages[~np.isnan(ages)]
     bands = {"lt60": 0, "60to69": 0, "ge70": 0}
-    for pid, positions in ds.patient_index.items():
-        first = ds.records[positions[0]]
-        pat_class[first.truth.display] += 1
-        if first.sex is not None:
-            sex_counts[first.sex] = sex_counts.get(first.sex, 0) + 1
-        if first.age is not None:
-            ages.append(first.age)
-            bands[age_band(first.age)] += 1
-    for r in ds.records:
-        img_class[r.truth.display] += 1
-    age_mean = float(np.mean(ages)) if ages else None
-    age_sd = float(np.std(ages, ddof=1)) if len(ages) > 1 else None
+    for age in ages.tolist():
+        bands[age_band(age)] += 1
     return DatasetSummary(
-        patients=len(ds.patient_index),
-        images=len(ds.records),
-        patients_by_class=pat_class,
-        images_by_class=img_class,
+        patients=len(ds.patient_ids),
+        images=len(ds),
+        patients_by_class=by_class(ds.truth[first]),
+        images_by_class=by_class(ds.truth),
         patients_by_sex=sex_counts,
-        age_mean=age_mean,
-        age_sd=age_sd,
+        age_mean=float(np.mean(ages)) if ages.size else None,
+        age_sd=float(np.std(ages, ddof=1)) if ages.size > 1 else None,
         age_bands=bands,
     )
 
@@ -457,18 +576,13 @@ def kfold_split(ds: Dataset, k: int, unit: str = "patient", seed: int = 0) -> Fo
         raise ValueError(f"unit must be 'patient' or 'image', got {unit!r}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if unit == "patient":
-        units = list(ds.patient_index.keys())  # first-appearance order
-    else:
-        units = [r.image_id for r in ds.records]
+    units = ds.patient_ids if unit == "patient" else ds.image_ids  # first-appearance order
     if len(units) < k:
         raise ValueError(f"cannot split {len(units)} {unit}s into {k} folds")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(units))
-    assignments: dict[str, int] = {}
-    for fold, chunk in enumerate(np.array_split(order, k)):
-        for idx in chunk:
-            assignments[units[int(idx)]] = fold
+    folds = np.repeat(np.arange(k), [chunk.size for chunk in np.array_split(order, k)])
+    assignments = dict(zip(map(units.__getitem__, order.tolist()), folds.tolist()))
     return FoldSpec(k=k, unit=unit, seed=seed, assignments=assignments)
 
 
@@ -476,11 +590,11 @@ def fold_datasets(ds: Dataset, spec: FoldSpec, fold: int) -> tuple[Dataset, Data
     """(train, test) datasets for one fold of a FoldSpec."""
     if not 0 <= fold < spec.k:
         raise ValueError(f"fold {fold} out of range for k={spec.k}")
-    test_recs, train_recs = [], []
-    for r in ds.records:
-        key = r.patient_id if spec.unit == "patient" else r.image_id
-        (test_recs if spec.assignments[key] == fold else train_recs).append(r)
-    return Dataset.from_records(train_recs), Dataset.from_records(test_recs)
+    units = ds.patient_ids if spec.unit == "patient" else ds.image_ids
+    test = np.fromiter(map(spec.assignments.__getitem__, units), np.int64, len(units)) == fold
+    if spec.unit == "patient":
+        test = test[ds.patient_codes]
+    return ds.select(~test), ds.select(test)
 
 
 @dataclass(frozen=True)
@@ -514,7 +628,7 @@ def synth_generate(spec: SynthSpec) -> Dataset:
     if spec.separation < 0:
         raise ValueError("separation must be >= 0")
     rng = np.random.default_rng(spec.seed)
-    records: list[PredictionRecord] = []
+    cols: dict[str, list] = {c: [] for c in ("image_id", "patient_id", "truth", "probs", *PRED_OPT_COLUMNS)}
     patient_no = 0
     image_no = 0
     for cls, n_pat in zip(CLASS_ORDER, spec.patients_per_class):
@@ -527,7 +641,8 @@ def synth_generate(spec: SynthSpec) -> Dataset:
                 age = float(rng.integers(40, 86))
                 center = str(rng.choice(_SYNTH_CENTERS))
             else:
-                sex = age = center = None
+                sex = center = None
+                age = math.nan
             for _ in range(n_img):
                 image_no += 1
                 if math.isinf(spec.separation):
@@ -539,43 +654,18 @@ def synth_generate(spec: SynthSpec) -> Dataset:
                     z = logits - logits.max()
                     e = np.exp(z)
                     probs = list(e / e.sum())
-                modality = str(rng.choice(_SYNTH_MODALITIES)) if spec.demographics else None
-                records.append(
-                    PredictionRecord(
-                        image_id=f"img{image_no:05d}",
-                        patient_id=pid,
-                        truth=cls,
-                        probs=(float(probs[0]), float(probs[1]), float(probs[2])),
-                        center=center,
-                        modality=modality,
-                        sex=sex,
-                        age=age,
-                    )
-                )
-    return Dataset.from_records(records)
-
-
-def subgroup(ds: Dataset, predicate: Callable[[PredictionRecord], bool], name: str = "") -> Dataset:
-    """Filter a dataset to records matching ``predicate``. Empty result is an error."""
-    recs = [r for r in ds.records if predicate(r)]
-    if not recs:
-        raise ValueError(f"subgroup {name or predicate!r} selected no records")
-    return Dataset.from_records(recs)
-
-
-def sex_is(sex: str) -> Callable[[PredictionRecord], bool]:
-    return lambda r: r.sex is not None and r.sex.lower() == sex.lower()
-
-
-def age_in_band(band: str) -> Callable[[PredictionRecord], bool]:
-    if band not in ("lt60", "60to69", "ge70"):
-        raise ValueError(f"unknown age band {band!r}")
-    return lambda r: r.age is not None and age_band(r.age) == band
-
-
-def center_is(center: str) -> Callable[[PredictionRecord], bool]:
-    return lambda r: r.center == center
-
-
-def modality_is(modality: str) -> Callable[[PredictionRecord], bool]:
-    return lambda r: r.modality == modality
+                cols["image_id"].append(f"img{image_no:05d}")
+                cols["probs"].append(probs)
+                cols["modality"].append(str(rng.choice(_SYNTH_MODALITIES)) if spec.demographics else None)
+            for c, v in (("patient_id", pid), ("truth", int(cls)), ("center", center), ("sex", sex), ("age", age)):
+                cols[c].extend([v] * n_img)
+    return Dataset.from_columns(
+        cols["image_id"],
+        cols["patient_id"],
+        cols["truth"],
+        cols["probs"],
+        center=cols["center"],
+        modality=cols["modality"],
+        sex=cols["sex"],
+        age=cols["age"],
+    )

@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ClassLabel
-from .metrics import MetricReport
+from .metrics import MetricReport, compute_report
 
 __all__ = [
     "HeadConfig",
@@ -639,25 +638,10 @@ def train_toy(spec: TrainSpec) -> TrainResult:
         )
 
     fp = head_forward(params, hold_fb)
-    report = _holdout_report(fp.probs, y_hold)
-    acc = float((fp.probs.argmax(axis=1) == y_hold).mean())
+    pred = fp.probs.argmax(axis=1)
+    report = compute_report(y_hold, pred, fp.probs, level="image")
+    acc = float((pred == y_hold).mean())
     return TrainResult(params=params, log=tuple(log), report=report, holdout_accuracy=acc)
-
-
-def _holdout_report(probs: np.ndarray, labels: np.ndarray) -> MetricReport:
-    from .data import Dataset, PredictionRecord
-    from .aggregate import evaluate
-
-    records = [
-        PredictionRecord(
-            image_id=f"s{i:05d}",
-            patient_id=f"s{i:05d}",
-            truth=ClassLabel(int(labels[i])),
-            probs=(float(probs[i, 0]), float(probs[i, 1]), float(probs[i, 2])),
-        )
-        for i in range(labels.size)
-    ]
-    return evaluate(Dataset.from_records(records), level="image")
 
 
 def params_to_json(params: HeadParams) -> str:

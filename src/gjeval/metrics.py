@@ -473,12 +473,6 @@ class MetricReport:
         return out
 
 
-def _curve_jobs(probs, truths, weights):
-    jobs = [("micro", None)]
-    jobs += [(c.slug, c) for c in CLASS_ORDER]
-    return jobs
-
-
 def compute_report(
     truths,
     preds,
@@ -487,15 +481,12 @@ def compute_report(
     level: str = "image",
     time_cost_s: float | None = None,
     extra_warnings: Sequence[str] = (),
-    workers: int = 1,
 ) -> MetricReport:
     """Assemble the full metric bundle for a set of (truth, prediction) pairs.
 
     When ``probs`` is given, per-class and micro ROC/PR curves are added.
     ``weights`` switches every count, interval, and curve to weighted form;
     the effective n (sum of weights) replaces the record count everywhere.
-    ``workers`` > 1 computes the four curve sets in a thread pool; results
-    are assembled in a fixed order so output is identical for any pool size.
     """
     t = np.asarray(truths, dtype=np.int64)
     pr = np.asarray(preds, dtype=np.int64)
@@ -519,37 +510,20 @@ def compute_report(
     )
     if probs is not None:
         p = np.asarray(probs, dtype=np.float64)
-
-        def one(job):
-            name, cls = job
-            try:
-                if cls is None:
-                    return name, micro_curves(p, t, w)
-                s, y = ovr_scores(p, t, cls)
-                sw = w
-                return name, (roc_points(s, y, sw), pr_points(s, y, sw))
-            except ValueError as exc:
-                return name, exc
-
-        jobs = _curve_jobs(p, t, w)
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = dict(pool.map(one, jobs))
-        else:
-            results = dict(map(one, jobs))
-
         roc_pc: dict[str, CurveSeries] = {}
         pr_pc: dict[str, CurveSeries] = {}
         auc_pc: dict[str, float] = {}
         ap_pc: dict[str, float] = {}
-        for name, _cls in jobs:
-            res = results[name]
-            if isinstance(res, Exception):
-                warnings.append(f"curves for {name} skipped: {res}")
+        for name, cls in [("micro", None)] + [(c.slug, c) for c in CLASS_ORDER]:
+            try:
+                if cls is None:
+                    roc, prc = micro_curves(p, t, w)
+                else:
+                    s, y = ovr_scores(p, t, cls)
+                    roc, prc = roc_points(s, y, w), pr_points(s, y, w)
+            except ValueError as exc:
+                warnings.append(f"curves for {name} skipped: {exc}")
                 continue
-            roc, prc = res
             if name == "micro":
                 curve_fields.update(
                     auc_micro=roc.area, ap_micro=prc.area, roc_micro=roc, pr_micro=prc

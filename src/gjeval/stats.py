@@ -288,27 +288,6 @@ def delong_test(scores_a, scores_b, labels) -> TestResult:
     return TestResult(name="delong", statistic=z, p_value=p, detail=detail)
 
 
-def delong_test_micro(probs_a, probs_b, truths) -> TestResult:
-    """DeLong test on micro-flattened one-vs-rest pairs. Experimental.
-
-    Each record contributes three (score, indicator) pairs, one per class.
-    Flattening duplicates every record across classes, which induces
-    correlation the DeLong variance ignores, so the p-value is approximate;
-    the result is flagged experimental. Prefer per-class tests.
-    """
-    pa = np.asarray(probs_a, dtype=np.float64)
-    pb = np.asarray(probs_b, dtype=np.float64)
-    t = np.asarray(truths, dtype=np.int64)
-    if pa.shape != pb.shape or pa.ndim != 2 or pa.shape[1] != 3 or pa.shape[0] != t.size:
-        raise ValueError("probs must be (n, 3) matrices aligned with truths")
-    onehot = np.zeros_like(pa)
-    onehot[np.arange(t.size), t] = 1.0
-    res = delong_test(pa.reshape(-1), pb.reshape(-1), onehot.reshape(-1))
-    detail = dict(res.detail)
-    detail["experimental"] = True
-    return TestResult(name="delong_micro", statistic=res.statistic, p_value=res.p_value, detail=detail)
-
-
 def _cross_table(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
     t = np.zeros((3, 3), dtype=np.float64)
     np.add.at(t, (np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)), 1.0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gjeval import ClassLabel, Dataset, PredictionRecord
+from gjeval import Dataset
 
 
 def brute_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -67,20 +67,34 @@ def brute_average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     return ap
 
 
-def make_records(truths, probs, patient_ids=None) -> Dataset:
-    """Dataset from parallel truth/probability rows; one image per row."""
-    records = []
-    for i, (t, p) in enumerate(zip(truths, probs)):
-        pid = patient_ids[i] if patient_ids is not None else f"p{i:04d}"
-        records.append(
-            PredictionRecord(
-                image_id=f"img{i:05d}",
-                patient_id=pid,
-                truth=ClassLabel(t),
-                probs=(float(p[0]), float(p[1]), float(p[2])),
-            )
-        )
-    return Dataset.from_records(records)
+def make_dataset(truths, probs, patient_ids=None) -> Dataset:
+    """Dataset from parallel truth/probability rows; one patient per row by default."""
+    n = len(truths)
+    return Dataset.from_columns(
+        [f"img{i:05d}" for i in range(n)],
+        patient_ids if patient_ids is not None else [f"p{i:04d}" for i in range(n)],
+        truths,
+        probs,
+    )
+
+
+def dataset_columns(ds: Dataset) -> dict:
+    """Every column of a Dataset in a form ``==`` compares exactly (floats by
+    their bytes, so -0.0, NaN and the last bit all count)."""
+    return {
+        "image_ids": ds.image_ids,
+        "patient_ids": ds.patient_ids,
+        "patient_codes": ds.patient_codes.tolist(),
+        "patient_first_row": ds.patient_first_row.tolist(),
+        "truth": ds.truth.tolist(),
+        "probs": ds.probs.tobytes(),
+        "pred": ds.pred.tolist(),
+        "center": ds.center,
+        "modality": ds.modality,
+        "sex": ds.sex,
+        "age": None if ds.age is None else ds.age.tobytes(),
+        "renormalized": ds.renormalized,
+    }
 
 
 @pytest.fixture
@@ -104,4 +118,4 @@ def small_dataset():
         (0.1, 0.3, 0.6),
     ]
     pids = ["pa", "pa", "pa", "pb", "pb", "pc", "pd", "pd", "pe"]
-    return make_records(truths, probs, pids)
+    return make_dataset(truths, probs, pids)

@@ -5,19 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_records
+from conftest import make_dataset
 
 from gjeval import (
     ClassLabel,
     Dataset,
-    PredictionRecord,
     ReaderRecord,
     evaluate,
     group_vs_group_kappa,
     inverse_count_weights,
     join_predictions,
     model_vs_reader_tests,
-    patient_max_aggregate,
     patient_mean_aggregate,
     per_reader_points,
     pool_readers,
@@ -37,44 +35,46 @@ def two_patient_dataset():
         (0.2, 0.1, 0.7),
     ]
     pids = ["pa", "pa", "pb", "pb", "pb"]
-    return make_records(truths, probs, pids)
+    return make_dataset(truths, probs, pids)
 
 
 class TestPatientAggregation:
     def test_mean_is_image_average(self):
         ds = two_patient_dataset()
         agg = patient_mean_aggregate(ds)
-        by_id = {p.patient_id: p for p in agg}
-        pa = by_id["pa"]
-        assert pa.probs[0] == pytest.approx((0.6 + 0.2) / 2)
-        assert pa.probs[1] == pytest.approx((0.3 + 0.5) / 2)
-        assert pa.n_images == 2
-        assert sum(pa.probs) == pytest.approx(1.0)
+        assert agg.shape == (2, 3)
+        pa = agg[ds.patient_ids.index("pa")]
+        assert pa[0] == pytest.approx((0.6 + 0.2) / 2)
+        assert pa[1] == pytest.approx((0.3 + 0.5) / 2)
+        assert ds.patient_counts()[ds.patient_ids.index("pa")] == 2
+        assert pa.sum() == pytest.approx(1.0)
 
-    def test_max_renormalizes(self):
-        ds = two_patient_dataset()
-        agg = patient_max_aggregate(ds)
-        by_id = {p.patient_id: p for p in agg}
-        pa = by_id["pa"]
-        # elementwise max (0.6, 0.5, 0.3) renormalized to sum 1
-        assert pa.probs[0] == pytest.approx(0.6 / 1.4)
-        assert pa.probs[1] == pytest.approx(0.5 / 1.4)
-        assert sum(pa.probs) == pytest.approx(1.0)
+    def test_mean_sums_each_patient_in_row_order(self, rng):
+        # interleaved patients with up to 40 images: the mean must be the
+        # sequential row-order sum, not a pairwise or reordered one
+        codes = rng.integers(0, 5, 200)
+        probs = rng.dirichlet(np.ones(3), 200)
+        ds = make_dataset(codes % 3, probs, [f"p{c}" for c in codes])
+        agg = patient_mean_aggregate(ds)
+        for k, pid in enumerate(ds.patient_ids):
+            total = np.zeros(3)
+            for row in np.flatnonzero(ds.row_patient_ids() == pid):
+                total = total + probs[row]
+            assert agg[k].tobytes() == (total / ds.patient_counts()[k]).tobytes()
 
     def test_severity_tie_break_after_aggregation(self):
         # mean probs tie between E-EGJA and control -> E-EGJA (more severe)
         truths = [1, 1]
         probs = [(0.2857, 0.4286, 0.2857), (0.2857, 0.2857, 0.4286)]
-        ds = make_records(truths, probs, ["px", "px"])
+        ds = make_dataset(truths, probs, ["px", "px"])
         (pat,) = patient_mean_aggregate(ds)
-        assert pat.probs[1] == pytest.approx(pat.probs[2])
-        assert pat.pred == ClassLabel.EEGJA
+        assert pat[1] == pat[2]
+        assert evaluate(ds, "patient").cm.counts[ClassLabel.EEGJA, ClassLabel.EEGJA] == 1
 
     def test_preserves_truth(self):
         ds = two_patient_dataset()
-        for agg in (patient_mean_aggregate(ds), patient_max_aggregate(ds)):
-            for p in agg:
-                assert p.truth == ds.patient_truth(p.patient_id)
+        # pa is A-EGJA, pb control: one patient in each of those rows
+        assert evaluate(ds, "patient").cm.row_sums().tolist() == [1.0, 0.0, 1.0]
 
 
 class TestInverseCountWeights:
@@ -128,7 +128,7 @@ class TestEvaluateLevels:
             (0.7, 0.2, 0.1), (0.1, 0.7, 0.2), (0.2, 0.1, 0.7),
             (0.5, 0.4, 0.1), (0.3, 0.5, 0.2), (0.1, 0.3, 0.6),
         ]
-        ds = make_records(truths, probs)  # distinct patient per image
+        ds = make_dataset(truths, probs)  # distinct patient per image
         r_img = evaluate(ds, "image")
         r_pat = evaluate(ds, "patient")
         r_wtd = evaluate(ds, "weighted")
@@ -139,39 +139,32 @@ class TestEvaluateLevels:
 
 class TestJoinPredictions:
     def test_inner_join_in_first_order(self, small_dataset):
-        other = Dataset.from_records(tuple(reversed(small_dataset.records))[:5])
+        rows = [8, 7, 6, 5, 4]
+        other = Dataset.from_columns(
+            [small_dataset.image_ids[i] for i in rows], small_dataset.row_patient_ids()[rows],
+            small_dataset.truth[rows], small_dataset.probs[rows],
+        )
         joined = join_predictions(small_dataset, other)
         # order follows the first dataset
-        expected = [r.image_id for r in small_dataset.records if r.image_id in
-                    {o.image_id for o in other.records}]
-        assert list(joined.image_ids) == expected
+        assert list(joined.image_ids) == list(small_dataset.image_ids[4:])
+        assert joined.probs_b.tolist() == small_dataset.probs[4:].tolist()
 
     def test_truth_mismatch_rejected(self, small_dataset):
-        rec = small_dataset.records[0]
-        altered = PredictionRecord(
-            image_id=rec.image_id,
-            patient_id=rec.patient_id,
-            truth=ClassLabel.CONTROL,
-            probs=rec.probs,
+        other = Dataset.from_columns(
+            small_dataset.image_ids[:1], ["pa"], [ClassLabel.CONTROL], small_dataset.probs[:1]
         )
-        other = Dataset.from_records([altered])
         with pytest.raises(ValueError, match="true label"):
             join_predictions(small_dataset, other)
 
     def test_empty_join_rejected(self, small_dataset):
-        other = Dataset.from_records([
-            PredictionRecord(
-                image_id="elsewhere", patient_id="zz",
-                truth=ClassLabel.AEGJA, probs=(1.0, 0.0, 0.0),
-            )
-        ])
+        other = Dataset.from_columns(["elsewhere"], ["zz"], [ClassLabel.AEGJA], [(1.0, 0.0, 0.0)])
         with pytest.raises(ValueError, match="common"):
             join_predictions(small_dataset, other)
 
     def test_paired_shape(self, small_dataset):
         joined = join_predictions(small_dataset, small_dataset)
         pp = joined.paired()
-        assert len(pp.truths) == len(small_dataset.records)
+        assert len(pp.truths) == len(small_dataset)
         assert pp.preds_a == pp.preds_b
 
 
@@ -183,12 +176,12 @@ def reader_fixture(ds):
         ("t2", "trainee", "A", True),
         ("e1", "expert", "B", False),
     ):
-        for r in ds.records:
-            pred = r.truth if not flip else ClassLabel((int(r.truth) + 1) % 3)
+        for image_id, truth in zip(ds.image_ids, ds.truth.tolist()):
+            pred = ClassLabel((truth + 1) % 3 if flip else truth)
             recs.append(
                 ReaderRecord(
                     reader_id=rid, group=group, arm=arm,
-                    image_id=r.image_id, pred=pred, elapsed_s=5.0,
+                    image_id=image_id, pred=pred, elapsed_s=5.0,
                 )
             )
     return tuple(recs)
@@ -198,10 +191,10 @@ class TestReaderPooling:
     def test_pool_replicates_model_preds(self, small_dataset):
         readers = reader_fixture(small_dataset)
         pool = pool_readers(readers, small_dataset, "trainee", "A")
-        n = len(small_dataset.records)
+        n = len(small_dataset)
         assert pool.truths.size == 2 * n  # two trainees
         assert sorted(set(pool.reader_ids)) == ["t1", "t2"]
-        by_img = {r.image_id: r.pred for r in small_dataset.records}
+        by_img = dict(zip(small_dataset.image_ids, small_dataset.pred.tolist()))
         for img, mp in zip(pool.image_ids, pool.model_preds):
             assert mp == int(by_img[img])
 

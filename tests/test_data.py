@@ -1,4 +1,4 @@
-"""Parsing, serialization, folds, synthesis, and subgroup filters."""
+"""Parsing, serialization, the columnar dataset, folds, and synthesis."""
 
 from __future__ import annotations
 
@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dataset_columns, make_dataset
+
 from gjeval import (
     ClassLabel,
     Dataset,
     ParseError,
-    PredictionRecord,
     SynthSpec,
-    argmax_severity,
     fold_datasets,
     kfold_split,
     parse_label,
@@ -21,11 +21,11 @@ from gjeval import (
     parse_readers,
     serialize_predictions,
     serialize_readers,
-    subgroup,
     summarize,
     synth_generate,
 )
-from gjeval.data import ReaderRecord, age_band, sex_is, age_in_band, center_is, modality_is
+from gjeval.aggregate import patient_mean_aggregate
+from gjeval.data import age_band
 
 HEADER = "image_id,patient_id,true_label,p_aegja,p_eegja,p_control"
 
@@ -55,13 +55,13 @@ class TestLabels:
 
     def test_severity_order_is_canonical_order(self):
         # class 0 outranks 1 outranks 2 on ties
-        assert argmax_severity(np.array([0.4, 0.4, 0.2])) == 0
-        assert argmax_severity(np.array([0.2, 0.4, 0.4])) == 1
-        assert argmax_severity(np.array([1 / 3, 1 / 3, 1 / 3])) == 0
+        ds = make_dataset([0, 0, 0], [(0.4, 0.4, 0.2), (0.2, 0.4, 0.4), (1 / 3, 1 / 3, 1 / 3)])
+        assert ds.pred.tolist() == [0, 1, 0]
 
     def test_tie_break_example(self):
         # two-way tie between E-EGJA and control resolves to E-EGJA
-        assert argmax_severity(np.array([0.2857, 0.3571, 0.3571])) == 1
+        ds = parse_predictions(csv_text("i1,p1,E-EGJA,0.2857,0.3571,0.3571"))
+        assert ds.pred.tolist() == [ClassLabel.EEGJA]
 
 
 class TestParsePredictions:
@@ -72,11 +72,13 @@ class TestParsePredictions:
             "i3,p2,control,0.1,0.2,0.7",
         )
         ds = parse_predictions(text)
-        assert len(ds.records) == 3
-        assert ds.records[0].truth == ClassLabel.AEGJA
-        assert ds.records[1].pred == ClassLabel.EEGJA
+        assert len(ds) == 3
+        assert ds.truth[0] == ClassLabel.AEGJA
+        assert ds.pred[1] == ClassLabel.EEGJA
+        assert ds.patient_ids == ("p1", "p2")
+        assert ds.patient_codes.tolist() == [0, 0, 1]
         out = serialize_predictions(ds)
-        assert parse_predictions(out).records == ds.records
+        assert dataset_columns(parse_predictions(out)) == dataset_columns(ds)
 
     def test_optional_columns(self):
         text = (
@@ -84,9 +86,8 @@ class TestParsePredictions:
             "i1,p1,A-EGJA,0.8,0.15,0.05,C1,WLI,F,63\n"
         )
         ds = parse_predictions(text)
-        rec = ds.records[0]
-        assert rec.center == "C1" and rec.modality == "WLI"
-        assert rec.sex == "F" and rec.age == 63
+        assert ds.center == ("C1",) and ds.modality == ("WLI",)
+        assert ds.sex == ("F",) and ds.age.tolist() == [63.0]
 
     @pytest.mark.parametrize("age", ["inf", "nan", "-3"])
     def test_impossible_age_rejected_with_row(self, age):
@@ -124,7 +125,7 @@ class TestParsePredictions:
     def test_lax_renormalizes_small_drift(self):
         ds = parse_predictions(csv_text("i1,p1,A-EGJA,0.5004,0.3,0.2"))
         assert ds.renormalized == 1
-        assert math.isclose(sum(ds.records[0].probs), 1.0, abs_tol=1e-12)
+        assert math.isclose(sum(ds.probs[0].tolist()), 1.0, abs_tol=1e-12)
 
     def test_lax_rejects_large_drift(self):
         with pytest.raises(ParseError, match="sum"):
@@ -139,11 +140,79 @@ class TestParsePredictions:
 
     def test_blank_lines_skipped(self):
         ds = parse_predictions(HEADER + "\n\ni1,p1,A-EGJA,1,0,0\n\n")
-        assert len(ds.records) == 1
+        assert len(ds) == 1
 
     def test_empty_body_rejected(self):
         with pytest.raises(ParseError):
             parse_predictions(HEADER + "\n")
+
+    @pytest.mark.parametrize("row, column", [(",p1,A-EGJA,0.8,0.1,0.1", "image_id"),
+                                             ("i2, ,A-EGJA,0.8,0.1,0.1", "patient_id")])
+    def test_empty_id_rejected_with_row(self, row, column):
+        text = csv_text("i1,p1,A-EGJA,0.8,0.1,0.1", row)
+        with pytest.raises(ParseError, match=rf"^row 3: empty {column}$"):
+            parse_predictions(text)
+
+    def test_duplicate_header_column_rejected(self):
+        text = HEADER + ",age,age\ni1,p1,A-EGJA,1,0,0,61,62\n"
+        with pytest.raises(ParseError, match=r"^duplicate column 'age'$"):
+            parse_predictions(text)
+
+    def test_leading_byte_order_mark_stripped(self):
+        text = csv_text("i1,p1,A-EGJA,0.8,0.15,0.05")
+        assert dataset_columns(parse_predictions("\ufeff" + text)) == dataset_columns(parse_predictions(text))
+
+    def test_first_bad_row_wins_over_later_field_count(self):
+        text = csv_text("i1,p1,A-EGJA,0.8,0.15,0.05", "i2,p2,B-EGJA,1,0,0", "i3,p3,control")
+        with pytest.raises(ParseError, match=r"^row 3: unknown class label 'B-EGJA'$"):
+            parse_predictions(text)
+
+    def test_row_numbers_count_skipped_blank_lines(self):
+        text = HEADER + "\n\ni1,p1,A-EGJA,1,0,0\n\ni2,p2,A-EGJA,1,0,0.5\n"
+        with pytest.raises(ParseError, match=r"^row 5: probabilities sum to 1.5"):
+            parse_predictions(text)
+
+    def test_earlier_fault_in_a_row_wins(self):
+        # the label is checked before the probabilities, p_aegja before p_control
+        with pytest.raises(ParseError, match="unknown class label"):
+            parse_predictions(csv_text("i1,p1,nope,x,0,0"))
+        with pytest.raises(ParseError, match="column p_aegja: 'x'"):
+            parse_predictions(csv_text("i1,p1,A-EGJA,x,0,y"))
+
+
+class TestDataset:
+    def test_patient_columns_in_first_appearance_order(self):
+        ds = make_dataset([2, 0, 2, 1, 0], np.eye(3)[[2, 0, 2, 1, 0]], ["pz", "pa", "pz", "pm", "pa"])
+        assert ds.patient_ids == ("pz", "pa", "pm")
+        assert ds.patient_codes.tolist() == [0, 1, 0, 2, 1]
+        assert ds.patient_first_row.tolist() == [0, 1, 3]
+        assert ds.patient_counts().tolist() == [2, 2, 1]
+        assert ds.row_patient_ids().tolist() == ["pz", "pa", "pz", "pm", "pa"]
+        assert len(patient_mean_aggregate(ds)) == 3 and len(ds) == 5
+
+    def test_columns_are_read_only(self, small_dataset):
+        for col in (small_dataset.truth, small_dataset.probs, small_dataset.pred,
+                    small_dataset.patient_codes, small_dataset.patient_first_row):
+            with pytest.raises(ValueError):
+                col[0] = 0
+
+    def test_earliest_cross_row_fault_is_reported(self):
+        probs = np.eye(3)[[0, 0, 1, 1]]
+        # a duplicate image (3rd row) before a conflicting truth (4th row) ...
+        with pytest.raises(ParseError, match="^duplicate image_id 'a'$"):
+            Dataset.from_columns(["a", "b", "a", "d"], ["p", "q", "r", "q"], [0, 0, 1, 1], probs)
+        # ... a conflict (3rd row) before a duplicate (4th row) ...
+        with pytest.raises(ParseError, match="^conflicting true labels for patient 'q'$"):
+            Dataset.from_columns(["a", "b", "c", "a"], ["p", "q", "q", "r"], [0, 0, 1, 1], probs)
+        # ... and in one row the duplicate is reported
+        with pytest.raises(ParseError, match="^duplicate image_id 'b'$"):
+            Dataset.from_columns(["a", "b", "b", "d"], ["p", "q", "q", "r"], [0, 0, 1, 1], probs)
+
+    def test_select_reindexes_patients(self, small_dataset):
+        sub = small_dataset.select(small_dataset.truth != 0)
+        assert sub.patient_ids == ("pb", "pc", "pd", "pe")
+        assert sub.patient_codes.tolist() == [0, 0, 1, 2, 2, 3]
+        assert sub.probs.tolist() == small_dataset.probs[3:].tolist()
 
 
 class TestReaders:
@@ -179,6 +248,10 @@ class TestReaders:
         with pytest.raises(ParseError):
             parse_readers(text)
 
+    def test_leading_byte_order_mark_stripped(self):
+        text = "reader_id,group,arm,image_id,pred_label\nr1,expert,B,i1,control\n"
+        assert parse_readers("\ufeff" + text) == parse_readers(text)
+
     def test_negative_elapsed_rejected(self):
         text = "reader_id,group,arm,image_id,pred_label,elapsed_s\nr1,trainee,A,i1,control,-1\n"
         with pytest.raises(ParseError):
@@ -212,26 +285,18 @@ class TestSummarize:
 
 class TestKFold:
     def _dataset(self, n_patients=20, images_each=3):
-        records = []
-        for p in range(n_patients):
-            cls = ClassLabel(p % 3)
-            probs = [0.0, 0.0, 0.0]
-            probs[int(cls)] = 1.0
-            for j in range(images_each):
-                records.append(
-                    PredictionRecord(
-                        image_id=f"i{p}_{j}",
-                        patient_id=f"p{p:03d}",
-                        truth=cls,
-                        probs=tuple(probs),
-                    )
-                )
-        return Dataset.from_records(records)
+        patients = np.repeat(np.arange(n_patients), images_each)
+        return Dataset.from_columns(
+            [f"i{p}_{j}" for p in range(n_patients) for j in range(images_each)],
+            [f"p{p:03d}" for p in patients],
+            patients % 3,
+            np.eye(3)[patients % 3],
+        )
 
     def test_assignment_partition(self):
         ds = self._dataset()
         spec = kfold_split(ds, k=5, unit="patient", seed=3)
-        assert sorted(spec.assignments) == sorted(ds.patient_index)
+        assert sorted(spec.assignments) == sorted(ds.patient_ids)
         assert set(spec.assignments.values()) == set(range(5))
         sizes = spec.fold_sizes()
         assert sum(sizes) == 20
@@ -250,15 +315,14 @@ class TestKFold:
         spec = kfold_split(ds, k=3, unit="patient", seed=0)
         for fold in range(3):
             train, test = fold_datasets(ds, spec, fold)
-            train_p = {r.patient_id for r in train.records}
-            test_p = {r.patient_id for r in test.records}
-            assert not train_p & test_p
-            assert len(train.records) + len(test.records) == len(ds.records)
+            assert not set(train.patient_ids) & set(test.patient_ids)
+            assert len(train) + len(test) == len(ds)
+            assert len(test.patient_ids) == spec.fold_sizes()[fold]
 
     def test_image_unit(self):
         ds = self._dataset(n_patients=4, images_each=5)
         spec = kfold_split(ds, k=4, unit="image", seed=1)
-        assert sorted(spec.assignments) == sorted(r.image_id for r in ds.records)
+        assert sorted(spec.assignments) == sorted(ds.image_ids)
 
     def test_k_bounds(self):
         ds = self._dataset(n_patients=3, images_each=1)
@@ -273,55 +337,31 @@ class TestSynth:
         spec = SynthSpec(patients_per_class=(5, 4, 6), images_min=2, images_max=4, seed=11)
         a = synth_generate(spec)
         b = synth_generate(spec)
-        assert a.records == b.records
-        assert len(a.patient_index) == 15
-        per_class = {c: 0 for c in ClassLabel}
-        for pid, img_ids in a.patient_index.items():
-            per_class[a.records[img_ids[0]].truth] += 1
-            assert 2 <= len(img_ids) <= 4
-        assert per_class == {ClassLabel.AEGJA: 5, ClassLabel.EEGJA: 4, ClassLabel.CONTROL: 6}
+        assert dataset_columns(a) == dataset_columns(b)
+        assert len(a.patient_ids) == 15
+        counts = a.patient_counts()
+        assert counts.min() >= 2 and counts.max() <= 4
+        assert np.bincount(a.truth[a.patient_first_row]).tolist() == [5, 4, 6]
 
     def test_probability_rows_valid(self):
         ds = synth_generate(SynthSpec(patients_per_class=(3, 3, 3), seed=2))
-        for rec in ds.records:
-            assert math.isclose(sum(rec.probs), 1.0, abs_tol=1e-9)
-            assert all(p >= 0 for p in rec.probs)
+        assert np.allclose(ds.probs.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        assert (ds.probs >= 0).all()
 
     def test_infinite_separation_is_one_hot(self):
         ds = synth_generate(SynthSpec(patients_per_class=(2, 2, 2), separation=float("inf"), seed=5))
-        for rec in ds.records:
-            assert rec.probs[int(rec.truth)] == 1.0
-            assert rec.pred == rec.truth
+        assert (ds.probs[np.arange(len(ds)), ds.truth] == 1.0).all()
+        assert ds.pred.tolist() == ds.truth.tolist()
 
     def test_separation_improves_accuracy(self):
         accs = []
         for sep in (0.5, 3.0):
             ds = synth_generate(SynthSpec(patients_per_class=(30, 30, 30), separation=sep, seed=7))
-            acc = np.mean([rec.pred == rec.truth for rec in ds.records])
+            acc = np.mean(ds.pred == ds.truth)
             accs.append(acc)
         assert accs[1] > accs[0]
 
     def test_demographics_present_by_default(self):
         ds = synth_generate(SynthSpec(patients_per_class=(2, 2, 2), seed=3))
-        rec = ds.records[0]
-        assert rec.sex in ("male", "female") and 40 <= rec.age <= 85
-        assert rec.center is not None and rec.modality is not None
-
-
-class TestSubgroups:
-    def test_filters(self):
-        text = (
-            HEADER + ",center,modality,sex,age\n"
-            "i1,p1,A-EGJA,1,0,0,C1,WLI,female,59\n"
-            "i2,p2,control,0,0,1,C2,NBI,male,72\n"
-        )
-        ds = parse_predictions(text)
-        assert len(subgroup(ds, sex_is("Female"), "sex=female").records) == 1
-        assert len(subgroup(ds, age_in_band("ge70"), "age ge70").records) == 1
-        assert len(subgroup(ds, center_is("C2"), "center=C2").records) == 1
-        assert len(subgroup(ds, modality_is("WLI"), "modality=WLI").records) == 1
-
-    def test_empty_subgroup_raises(self):
-        ds = parse_predictions(csv_text("i1,p1,A-EGJA,1,0,0"))
-        with pytest.raises(ValueError, match="no records"):
-            subgroup(ds, lambda r: False, "none")
+        assert ds.sex[0] in ("male", "female") and 40 <= ds.age[0] <= 85
+        assert ds.center[0] is not None and ds.modality[0] is not None

@@ -355,15 +355,6 @@ class TestComputeReport:
         assert r1.overall.accuracy.value == pytest.approx(r2.overall.accuracy.value)
         assert r1.auc_micro == pytest.approx(r2.auc_micro, abs=1e-12)
 
-    def test_workers_do_not_change_results(self, rng):
-        n = 200
-        truths = rng.integers(0, 3, n)
-        probs = rng.dirichlet(np.ones(3), n)
-        preds = probs.argmax(axis=1)
-        r1 = compute_report(truths, preds, probs=probs, level="image", workers=1)
-        r4 = compute_report(truths, preds, probs=probs, level="image", workers=4)
-        assert r1.as_dict() == r4.as_dict()
-
     def test_without_probs_no_curves(self, rng):
         truths = rng.integers(0, 3, 30)
         preds = rng.integers(0, 3, 30)

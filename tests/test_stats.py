@@ -22,7 +22,6 @@ from gjeval import (
     delong_auc_cov,
     delong_auc_variance,
     delong_test,
-    delong_test_micro,
     kappa_test,
     midranks,
     std_normal_cdf,
@@ -181,15 +180,6 @@ class TestDeLong:
         res = delong_test(a, b, labels)
         for key in ("auc_a", "auc_b", "var_a", "var_b", "cov"):
             assert key in res.detail
-
-    def test_micro_mode_flagged_experimental(self, rng):
-        truths = rng.integers(0, 3, 40)
-        pa = rng.dirichlet(np.ones(3), 40)
-        pb = rng.dirichlet(np.ones(3), 40)
-        res = delong_test_micro(pa, pb, truths)
-        assert res.name == "delong_micro"
-        assert res.detail["experimental"] is True
-        assert 0.0 <= res.p_value <= 1.0
 
 
 class TestBootstrapVariance:
