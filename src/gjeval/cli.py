@@ -110,7 +110,6 @@ def cmd_evaluate(args) -> int:
         "pred": str(pred_path),
         "level": args.level,
         "strict": args.strict,
-        "seed": args.seed,
     }
     doc = rpt.build_report_doc(
         kind="evaluate",
@@ -405,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=aggregate.LEVELS, default="image")
     p.add_argument("--out", required=True)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--svg", action="store_true")
     p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=cmd_evaluate)

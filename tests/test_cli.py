@@ -100,6 +100,16 @@ class TestEvaluate:
         run("evaluate", "--pred", str(pred_csv), "--out", str(b))
         assert tree(a) == tree(b)
 
+    def test_config_holds_only_what_changes_results(self, pred_csv, tmp_path, capsys):
+        # nothing in evaluate is random, and the curves are computed in one thread
+        out = tmp_path / "ev"
+        assert run("evaluate", "--pred", str(pred_csv), "--out", str(out)) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert sorted(config) == ["level", "pred", "strict", "subcommand"]
+        for flag in ("--seed", "--workers"):
+            assert run("evaluate", "--pred", str(pred_csv), "--out", str(tmp_path / "x"), flag, "2") == 1
+            assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
     def test_svg_adds_files_without_touching_report(self, pred_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run("evaluate", "--pred", str(pred_csv), "--out", str(a))
