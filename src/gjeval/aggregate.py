@@ -251,13 +251,13 @@ def per_reader_points(
     cell_order = sorted(cells, key=lambda k: (READER_GROUPS.index(k[1]), k[2], k[0]))
     for reader_id, group, arm in cell_order:
         recs = cells[(reader_id, group, arm)]
-        model_rows_of_cell = []
+        cell_rows = []
         for r in recs:
             row = model_rows.get(r.image_id)
             if row is None:
                 raise ValueError(f"reader record references unknown image {r.image_id!r}")
-            model_rows_of_cell.append(row)
-        truths = model.truth[model_rows_of_cell]
+            cell_rows.append(row)
+        truths = model.truth[cell_rows]
         preds = [int(r.pred) for r in recs]
         cm = confusion_matrix(truths, preds)
         for cls in CLASS_ORDER:
