@@ -45,6 +45,8 @@ RUNS = {
     "evaluate_svg": ["evaluate", "--pred", "{f}.csv", "--level", "image", "--svg"],
     "compare": ["compare", "--pred-a", "{f}.csv", "--pred-b", "{f}_b.csv"],
     "readers": ["readers", "--pred", "{f}.csv", "--readers", "{f}_readers.csv"],
+    "readers_sparse": ["readers", "--pred", "{f}.csv", "--readers", "{f}_readers_sparse.csv"],
+    "readers_untimed": ["readers", "--pred", "{f}.csv", "--readers", "{f}_readers_untimed.csv"],
     "kfold_patient": ["kfold", "--pred", "{f}.csv", "--k", "4", "--by", "patient"],
     "kfold_image": ["kfold", "--pred", "{f}.csv", "--k", "4", "--by", "image"],
 }
@@ -104,6 +106,46 @@ def readers_csv(text: str, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# label tokens a reader file may use for each class
+TOKENS = (("0", "aegja", "A-EGJA"), ("1", "eegja", "E-EGJA"), ("control", "2", "Control"))
+
+
+def sparse_readers_csv(text: str, seed: int) -> str:
+    """All six cells, each reader on a seeded subset of the images, written
+    the way people write them: mixed-case groups and arms, labels as indices,
+    slugs or names. Reader r1 reads in two cells (trainee:A on the first half
+    of the images, trainee:B on the second), expert:A reads the second half,
+    so trainee:A shares no image with either; competent:B has no timings."""
+    gen = np.random.default_rng(seed + 100)
+    rows = [row.split(",") for row in text.splitlines()[1:]]
+    half = len(rows) // 2
+    lines = ["reader_id,group,arm,image_id,pred_label,elapsed_s"]
+    for rid, group, arm, pool in (("r1", "trainee", "A", rows[:half]), ("r1", "Trainee", "b", rows[half:]),
+                                  ("r2", "competent", "A", rows), ("r3", "COMPETENT", "B", rows),
+                                  ("r4", "Expert", "a", rows[half:]), ("r5", "expert", "B", rows),
+                                  ("r6", "expert", "B", rows)):
+        for i in gen.choice(len(pool), size=max(1, 2 * len(pool) // 3), replace=False).tolist():
+            f = pool[i]
+            truth = ("A-EGJA", "E-EGJA", "control").index(f[2])
+            pred = truth if gen.random() < 0.7 else int(gen.integers(0, 3))
+            token = str(gen.choice(TOKENS[pred]))
+            elapsed = "" if group == "COMPETENT" else f"{gen.uniform(2, 60):.2f}"
+            lines.append(f"{rid},{group},{arm},{f[0]},{token},{elapsed}")
+    return "\n".join(lines) + "\n"
+
+
+def untimed_readers_csv(text: str, seed: int) -> str:
+    """Three readers over every image, in a file without an elapsed_s column."""
+    gen = np.random.default_rng(seed + 200)
+    rows = [row.split(",") for row in text.splitlines()[1:]]
+    lines = ["reader_id,group,arm,image_id,pred_label"]
+    for rid, group, arm in (("u1", "trainee", "A"), ("u2", "competent", "B"), ("u3", "expert", "A")):
+        for f in rows:
+            pred = f[2] if gen.random() < 0.8 else str(int(gen.integers(0, 3)))
+            lines.append(f"{rid},{group},{arm},{f[0]},{pred}")
+    return "\n".join(lines) + "\n"
+
+
 @contextlib.contextmanager
 def inside(workdir: Path):
     cwd = os.getcwd()
@@ -125,6 +167,8 @@ def make_inputs(workdir: Path) -> None:
             text = path.read_text()
             Path(f"{name}_b.csv").write_text(partner_csv(text, seed))
             Path(f"{name}_readers.csv").write_text(readers_csv(text, seed))
+            Path(f"{name}_readers_sparse.csv").write_text(sparse_readers_csv(text, seed))
+            Path(f"{name}_readers_untimed.csv").write_text(untimed_readers_csv(text, seed))
 
 
 def argv_of(case: str, out: str) -> list[str]:
