@@ -17,14 +17,14 @@ weighted  image-level rows weighted by 1 / (images of the same patient),
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
 
-from .data import CLASS_ORDER, READER_GROUPS, Dataset, ReaderRecord
+from .data import CLASS_ORDER, READER_CELLS, Dataset, Readers, _id_codes
 from .metrics import MetricReport, class_stats, compute_report, confusion_matrix
-from .stats import PairedPredictions, TestResult, bowker_test, delong_test, kappa_test
+from .stats import TestResult, bowker_test, delong_test, kappa_test
 
 __all__ = [
     "PooledReaderPairs",
@@ -82,9 +82,10 @@ def evaluate(ds: Dataset, level: str = "image") -> MetricReport:
     )
 
 
-def _rows_of(ds: Dataset) -> dict[str, int]:
-    """Row of each image id."""
-    return dict(zip(ds.image_ids, range(len(ds))))
+def _rows_of(ds: Dataset, image_ids: Sequence[str]) -> np.ndarray:
+    """The row in ``ds`` of each of ``image_ids``, -1 where it has none."""
+    rows = dict(zip(ds.image_ids, range(len(ds))))
+    return np.fromiter(map(rows.get, image_ids, repeat(-1)), np.int64, len(image_ids))
 
 
 @dataclass(frozen=True)
@@ -98,20 +99,13 @@ class JoinedPredictions:
     probs_a: np.ndarray
     probs_b: np.ndarray
 
-    def paired(self) -> PairedPredictions:
-        return PairedPredictions(
-            truths=tuple(int(v) for v in self.truths),
-            preds_a=tuple(int(v) for v in self.preds_a),
-            preds_b=tuple(int(v) for v in self.preds_b),
-        )
-
 
 def join_predictions(ds_a: Dataset, ds_b: Dataset) -> JoinedPredictions:
     """Inner-join two prediction datasets on image_id.
 
     Truths must agree on every joined image; an empty join is an error.
     """
-    rows_b = np.fromiter(map(_rows_of(ds_b).get, ds_a.image_ids, repeat(-1)), np.int64, len(ds_a))
+    rows_b = _rows_of(ds_b, ds_a.image_ids)
     rows_a = np.flatnonzero(rows_b >= 0)
     rows_b = rows_b[rows_a]
     truths = ds_a.truth[rows_a]
@@ -134,20 +128,19 @@ def join_predictions(ds_a: Dataset, ds_b: Dataset) -> JoinedPredictions:
 class PooledReaderPairs:
     """All observations of one (group, arm) cell, joined to the model's data.
 
-    One row per reader-image observation: the model's prediction is
-    replicated once per reader observation of that image, so reader and
-    model see identical observation counts in pooled comparisons.
+    One row per reader-image observation, in file order: the model's
+    prediction is replicated once per reader observation of that image, so
+    reader and model see identical observation counts in pooled comparisons.
     """
 
     group: str
     arm: str
     reader_ids: tuple[str, ...]
     image_ids: tuple[str, ...]
-    obs_reader: tuple[str, ...]
     truths: np.ndarray
     reader_preds: np.ndarray
     model_preds: np.ndarray
-    elapsed_s: np.ndarray | None  # None when the study recorded no timings
+    elapsed_s: np.ndarray | None  # None when the cell recorded no timings
 
     @property
     def mean_elapsed_s(self) -> float | None:
@@ -156,39 +149,40 @@ class PooledReaderPairs:
         return float(self.elapsed_s.mean())
 
 
-def pool_readers(
-    readers: Sequence[ReaderRecord], model: Dataset, group: str, arm: str
-) -> PooledReaderPairs:
+def pool_readers(readers: Readers, model: Dataset, group: str, arm: str) -> PooledReaderPairs:
     """Pool every reader observation of one (group, arm) cell against the model.
 
-    Reader records joining to no model image are an error (the model dataset
-    defines the image universe).
+    A call on an image the model lacks is an error (the model dataset defines
+    the image universe), and so is a call without a time in a cell that has
+    times. The first such call in file order is reported; on one call, the
+    unknown image.
     """
-    model_rows = _rows_of(model)
-    cell = [r for r in readers if r.group == group and r.arm == arm]
-    if not cell:
+    code = READER_CELLS.index((group, arm)) if (group, arm) in READER_CELLS else -1
+    in_cell = readers.cells() == code
+    image_ids = tuple(compress(readers.image_ids, in_cell.tolist()))
+    if not image_ids:
         raise ValueError(f"no reader records for group={group!r} arm={arm!r}")
-    rows, elapsed = [], []
-    any_elapsed = any(r.elapsed_s is not None for r in cell)
-    for r in cell:
-        row = model_rows.get(r.image_id)
-        if row is None:
-            raise ValueError(f"reader record references unknown image {r.image_id!r}")
-        rows.append(row)
-        if any_elapsed:
-            if r.elapsed_s is None:
-                raise ValueError(f"missing elapsed_s for reader {r.reader_id!r} image {r.image_id!r}")
-            elapsed.append(r.elapsed_s)
+    rows = _rows_of(model, image_ids)
+    elapsed = None if readers.elapsed_s is None else readers.elapsed_s[in_cell]
+    if elapsed is not None and np.isnan(elapsed).all():
+        elapsed = None
+    unknown = rows < 0
+    bad = np.flatnonzero(unknown if elapsed is None else unknown | np.isnan(elapsed))
+    if bad.size:
+        i = int(bad[0])
+        if unknown[i]:
+            raise ValueError(f"reader record references unknown image {image_ids[i]!r}")
+        reader_id = readers.reader_ids[int(np.flatnonzero(in_cell)[i])]
+        raise ValueError(f"missing elapsed_s for reader {reader_id!r} image {image_ids[i]!r}")
     return PooledReaderPairs(
         group=group,
         arm=arm,
-        reader_ids=tuple(sorted({r.reader_id for r in cell})),
-        image_ids=tuple(r.image_id for r in cell),
-        obs_reader=tuple(r.reader_id for r in cell),
+        reader_ids=tuple(sorted(set(compress(readers.reader_ids, in_cell.tolist())))),
+        image_ids=image_ids,
         truths=model.truth[rows],
-        reader_preds=np.array([int(r.pred) for r in cell], dtype=np.int64),
+        reader_preds=readers.pred[in_cell],
         model_preds=model.pred[rows],
-        elapsed_s=np.array(elapsed, dtype=np.float64) if any_elapsed else None,
+        elapsed_s=elapsed,
     )
 
 
@@ -205,12 +199,10 @@ def reader_group_report(pool: PooledReaderPairs) -> MetricReport:
 
 def model_vs_reader_tests(pool: PooledReaderPairs) -> list[TestResult]:
     """Agreement (kappa) and symmetry (Bowker) between model and pooled readers."""
-    pairs = PairedPredictions(
-        truths=tuple(int(v) for v in pool.truths),
-        preds_a=tuple(int(v) for v in pool.model_preds),
-        preds_b=tuple(int(v) for v in pool.reader_preds),
-    )
-    return [kappa_test(pool.model_preds, pool.reader_preds), bowker_test(pairs)]
+    return [
+        kappa_test(pool.model_preds, pool.reader_preds),
+        bowker_test(np.stack((pool.model_preds, pool.reader_preds), axis=1)),
+    ]
 
 
 def group_vs_group_kappa(pool_x: PooledReaderPairs, pool_y: PooledReaderPairs) -> TestResult:
@@ -221,50 +213,55 @@ def group_vs_group_kappa(pool_x: PooledReaderPairs, pool_y: PooledReaderPairs) -
     same image in the other cell. This pools inter-reader variability
     symmetrically without singling out any reader correspondence.
     """
-    by_img_x: dict[str, list[int]] = {}
-    for img, pred in zip(pool_x.image_ids, pool_x.reader_preds):
-        by_img_x.setdefault(img, []).append(int(pred))
-    a, b = [], []
-    for img, pred_y in zip(pool_y.image_ids, pool_y.reader_preds):
-        for pred_x in by_img_x.get(img, ()):
-            a.append(pred_x)
-            b.append(int(pred_y))
-    if not a:
+    codes = _id_codes(pool_x.image_ids + pool_y.image_ids)
+    code_x, code_y = codes[: len(pool_x.image_ids)], codes[len(pool_x.image_ids) :]
+    order = np.argsort(code_x, kind="stable")
+    start = np.searchsorted(code_x[order], code_y, "left")
+    counts = np.searchsorted(code_x[order], code_y, "right") - start
+    n_pairs = int(counts.sum())
+    if not n_pairs:
         raise ValueError(
             f"no common images between cells {pool_x.group}/{pool_x.arm} and {pool_y.group}/{pool_y.arm}"
         )
-    res = kappa_test(a, b)
-    res.detail["n_pairs"] = len(a)
+    # each call of pool_y in turn, with the pool_x calls on its image in file order
+    ends = np.cumsum(counts)
+    picks = order[np.arange(n_pairs) + np.repeat(start - (ends - counts), counts)]
+    res = kappa_test(pool_x.reader_preds[picks], np.repeat(pool_y.reader_preds, counts))
+    res.detail["n_pairs"] = n_pairs
     return res
 
 
-def per_reader_points(
-    readers: Sequence[ReaderRecord], model: Dataset
-) -> list[dict]:
-    """Per-reader, per-class sensitivity/specificity/PPV rows for scatter plots."""
-    model_rows = _rows_of(model)
-    cells: dict[tuple[str, str, str], list[ReaderRecord]] = {}
-    for r in readers:
-        cells.setdefault((r.reader_id, r.group, r.arm), []).append(r)
-    rows = []
-    # presentation order: trainee, competent, expert; then arm, then reader
-    cell_order = sorted(cells, key=lambda k: (READER_GROUPS.index(k[1]), k[2], k[0]))
-    for reader_id, group, arm in cell_order:
-        recs = cells[(reader_id, group, arm)]
-        cell_rows = []
-        for r in recs:
-            row = model_rows.get(r.image_id)
-            if row is None:
-                raise ValueError(f"reader record references unknown image {r.image_id!r}")
-            cell_rows.append(row)
-        truths = model.truth[cell_rows]
-        preds = [int(r.pred) for r in recs]
-        cm = confusion_matrix(truths, preds)
+def per_reader_points(readers: Readers, model: Dataset) -> list[dict]:
+    """Per-reader, per-class sensitivity/specificity/PPV rows for scatter plots.
+
+    Readers come in cell order (trainee, competent, expert; arm A before B),
+    then by reader_id.
+    """
+    names = sorted(set(readers.reader_ids))
+    rank = dict(zip(names, range(len(names))))
+    key = readers.cells() * len(names) + np.fromiter(
+        map(rank.__getitem__, readers.reader_ids), np.int64, len(readers)
+    )
+    order = np.argsort(key, kind="stable")
+    rows = _rows_of(model, readers.image_ids)[order]
+    unknown = np.flatnonzero(rows < 0)
+    if unknown.size:
+        raise ValueError(
+            f"reader record references unknown image {readers.image_ids[int(order[unknown[0]])]!r}"
+        )
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    truths, preds = model.truth[rows], readers.pred[order]
+    out = []
+    for start, end, k in zip(starts.tolist(), [*starts[1:].tolist(), len(key)], key[starts].tolist()):
+        cell, reader = divmod(k, len(names))
+        group, arm = READER_CELLS[cell]
+        cm = confusion_matrix(truths[start:end], preds[start:end])
         for cls in CLASS_ORDER:
             st = class_stats(cm, cls)
-            rows.append(
+            out.append(
                 {
-                    "reader_id": reader_id,
+                    "reader_id": names[reader],
                     "group": group,
                     "arm": arm,
                     "class": cls.display,
@@ -273,4 +270,4 @@ def per_reader_points(
                     "ppv": st.ppv.value,
                 }
             )
-    return rows
+    return out

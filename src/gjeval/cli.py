@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import aggregate, fusion, report as rpt
 from .data import (
     CLASS_ORDER,
-    ParseError,
+    READER_CELLS,
     SynthSpec,
     fold_datasets,
     kfold_split,
@@ -129,7 +130,10 @@ def cmd_compare(args) -> int:
     ds_a = parse_predictions(path_a.read_text())
     ds_b = parse_predictions(path_b.read_text())
     joined = aggregate.join_predictions(ds_a, ds_b)
-    tests = [bowker_test(joined.paired()), kappa_test(joined.preds_a, joined.preds_b)]
+    tests = [
+        bowker_test(np.stack((joined.preds_a, joined.preds_b), axis=1)),
+        kappa_test(joined.preds_a, joined.preds_b),
+    ]
     warnings: list[str] = []
     wanted = CLASS_ORDER if args.cls == "all" else [c for c in CLASS_ORDER if c.slug == args.cls]
     for cls in wanted:
@@ -139,15 +143,7 @@ def cmd_compare(args) -> int:
         except ValueError as exc:
             warnings.append(f"delong:{cls.slug} skipped: {exc}")
             continue
-        tests.append(
-            res.__class__(
-                name=f"delong:{cls.slug}",
-                statistic=res.statistic,
-                p_value=res.p_value,
-                df=res.df,
-                detail=res.detail,
-            )
-        )
+        tests.append(replace(res, name=f"delong:{cls.slug}"))
     config = {
         "subcommand": "compare",
         "pred_a": str(path_a),
@@ -178,13 +174,7 @@ def cmd_readers(args) -> int:
     pred_path, readers_path = Path(args.pred), Path(args.readers)
     model = parse_predictions(pred_path.read_text())
     readers = parse_readers(readers_path.read_text())
-    cells = []
-    for group in ("trainee", "competent", "expert"):
-        for arm in ("A", "B"):
-            if any(r.group == group and r.arm == arm for r in readers):
-                cells.append((group, arm))
-    if not cells:
-        raise ParseError("readers file contains no observations")
+    cells = [READER_CELLS[c] for c in np.flatnonzero(np.bincount(readers.cells())).tolist()]
     pooled = {cell: aggregate.pool_readers(readers, model, *cell) for cell in cells}
     groups_out = []
     model_vs_group = {}
@@ -473,9 +463,6 @@ def main(argv=None) -> int:
         return 3
     except _UsageError as exc:
         _err(str(exc))
-        return 1
-    except ParseError as exc:
-        _err(f"input error: {exc}")
         return 1
     except (FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
         _err(f"input error: {exc}")

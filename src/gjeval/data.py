@@ -1,5 +1,5 @@
-"""Core data model: class labels, the columnar prediction dataset, reader records,
-folds, synthesis.
+"""Core data model: class labels, the columnar prediction dataset and reader
+table, folds, synthesis.
 
 The three diagnostic classes are ordered by severity: A-EGJA (index 0) is the
 most severe, E-EGJA (index 1) intermediate, control (index 2) least. All
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import compress
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ __all__ = [
     "ClassLabel",
     "CLASS_ORDER",
     "ParseError",
-    "ReaderRecord",
+    "Readers",
     "Dataset",
     "DatasetSummary",
     "FoldSpec",
@@ -32,7 +32,6 @@ __all__ = [
     "parse_predictions",
     "serialize_predictions",
     "parse_readers",
-    "serialize_readers",
     "summarize",
     "kfold_split",
     "fold_datasets",
@@ -47,6 +46,7 @@ PRED_OPT_COLUMNS = ("center", "modality", "sex", "age")
 READER_BASE_COLUMNS = ("reader_id", "group", "arm", "image_id", "pred_label")
 READER_GROUPS = ("trainee", "competent", "expert")
 READER_ARMS = ("A", "B")
+READER_CELLS = tuple((g, a) for g in READER_GROUPS for a in READER_ARMS)  # by cell code
 _BOM = "\ufeff"  # a byte order mark, as spreadsheet exports write it
 
 
@@ -105,18 +105,6 @@ def parse_label(token: str, row: int | None = None) -> ClassLabel:
         return _LABEL_ALIASES[key]
     except KeyError:
         raise ParseError(f"unknown class label {token!r}", row) from None
-
-
-@dataclass(frozen=True)
-class ReaderRecord:
-    """One human reader's call on one image."""
-
-    reader_id: str
-    group: str
-    arm: str
-    image_id: str
-    pred: ClassLabel
-    elapsed_s: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +249,33 @@ def _floats(col: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return vals, bad
 
 
+def _blank_as_nan(col: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_floats`` of a column whose blanks read as NaN, and the non-blank mask."""
+    given = np.fromiter(map(len, col), np.int64, len(col)) > 0
+    vals, non_numeric = _floats(col if given.all() else [v or "nan" for v in col])
+    return vals, non_numeric, given
+
+
+def _codes(col: list[str], table: dict[str, int], fold: Callable[[str], str] = str.lower) -> np.ndarray:
+    """``table[fold(token)]`` of every token (-1 where absent), once per distinct token."""
+    codes = {tok: int(table.get(fold(tok), -1)) for tok in set(col)}
+    return np.fromiter(map(codes.__getitem__, col), np.int64, len(col))
+
+
+def _id_codes(ids: Sequence[str]) -> np.ndarray:
+    """Per row, a code shared by equal ids: the row of the id's last occurrence."""
+    last = dict(zip(ids, range(len(ids))))
+    return np.fromiter(map(last.__getitem__, ids), np.int64, len(ids))
+
+
+def _repeats(key: np.ndarray) -> np.ndarray:
+    """Mask of the entries equal to an earlier entry."""
+    order = np.argsort(key, kind="stable")
+    out = np.zeros(key.size, dtype=bool)
+    out[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return out
+
+
 class _FirstFailure:
     """The earliest row that any check rejects. Checks run in the order a
     row is validated, so at one row the earlier check's message wins."""
@@ -275,19 +290,54 @@ class _FirstFailure:
             self.index = int(hits[0])
             self.message = message(self.index)
 
+    def empty(self, cols: dict[str, list[str]], names: tuple[str, ...]) -> None:
+        for name in names:
+            col = cols[name]
+            if "" in col:
+                self.check(np.fromiter(map(len, col), np.int64, len(col)) == 0, lambda i, name=name: f"empty {name}")
 
-def _data_rows(reader, width: int) -> tuple[list[list[str]], list[int], tuple[int, int] | None]:
-    """The rows up to the first with a wrong field count, the file lines of
-    the blank lines skipped among them, and that row's (line, field count)."""
-    rows, blanks = [], []
-    for row_no, raw in enumerate(reader, start=2):
-        if len(raw) == width:
-            rows.append(raw)
-        elif not raw or (len(raw) == 1 and not raw[0].strip()):
-            blanks.append(row_no)
-        else:
-            return rows, blanks, (row_no, len(raw))
-    return rows, blanks, None
+    def raise_first(self, blanks: list[int], bad_row: tuple[int, str] | None) -> None:
+        """Raise the first failing row's error: a checked fault, else the bad row."""
+        if self.index is not None:
+            raise ParseError(self.message, _line_of(self.index, blanks))
+        if bad_row is not None:
+            raise ParseError(bad_row[1], bad_row[0])
+
+
+def _header(source: str) -> tuple[list[str], Iterator[list[str]]]:
+    """The stripped header fields and a reader of the rows after them. A
+    leading byte order mark is ignored."""
+    reader = csv.reader(io.StringIO(source.removeprefix(_BOM), newline=""))
+    try:
+        return [h.strip() for h in next(reader)], reader
+    except StopIteration:
+        raise ParseError("empty file") from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), 1) from None
+
+
+def _data_rows(reader, header: list[str]) -> tuple[dict[str, list[str]], list[int], tuple[int, str] | None]:
+    """The data rows up to the first bad one as stripped columns, one per
+    header name; the file lines of the blank lines skipped among them; and
+    the bad row's (line, message). A row is bad when its field count is wrong
+    or ``csv`` rejects it, e.g. for a field over ``csv.field_size_limit()``."""
+    rows, blanks, bad_row = [], [], None
+    row_no = 1
+    try:
+        for row_no, raw in enumerate(reader, start=2):
+            if len(raw) == len(header):
+                rows.append(raw)
+            elif not raw or (len(raw) == 1 and not raw[0].strip()):
+                blanks.append(row_no)
+            else:
+                bad_row = (row_no, f"expected {len(header)} fields, got {len(raw)}")
+                break
+    except csv.Error as exc:
+        bad_row = (row_no + 1, str(exc))
+    if not rows and bad_row is None:
+        raise ParseError("no data rows")
+    columns = zip(*rows) if rows else [()] * len(header)
+    return {name: list(map(str.strip, col)) for name, col in zip(header, columns)}, blanks, bad_row
 
 
 def _line_of(index: int, blanks: list[int]) -> int:
@@ -307,15 +357,11 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     deviations up to 1e-3 are renormalized and tallied on ``Dataset.renormalized``;
     larger deviations are errors in both modes. LF and CRLF line endings are
     accepted, and so is a leading UTF-8 byte order mark. The first bad row is
-    reported, with the first of its faults in the order: field count, empty
-    ``image_id``/``patient_id``, label, each probability (number, range), sum, age.
+    reported, with the first of its faults in the order: field count (or a
+    field ``csv`` rejects), empty ``image_id``/``patient_id``, label, each
+    probability (number, range), sum, age.
     """
-    reader = csv.reader(io.StringIO(source.removeprefix(_BOM), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file") from None
-    header = [h.strip() for h in header]
+    header, reader = _header(source)
     if tuple(header[: len(PRED_BASE_COLUMNS)]) != PRED_BASE_COLUMNS:
         raise ParseError(
             f"header must start with {','.join(PRED_BASE_COLUMNS)}; got {','.join(header)}"
@@ -326,21 +372,12 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
             raise ParseError(f"unknown column {col!r}")
         if col in extras[:pos]:
             raise ParseError(f"duplicate column {col!r}")
-    rows, blanks, bad_width = _data_rows(reader, len(header))
-    if not rows and bad_width is None:
-        raise ParseError("no data rows")
-    n = len(rows)
-    columns = zip(*rows) if rows else [()] * len(header)
-    cols = {name: list(map(str.strip, col)) for name, col in zip(header, columns)}
-    del rows, columns
+    cols, blanks, bad_row = _data_rows(reader, header)
+    n = len(cols[header[0]])
     fail = _FirstFailure()
-    for name in ("image_id", "patient_id"):
-        col = cols[name]
-        if "" in col:
-            fail.check(np.fromiter(map(len, col), np.int64, n) == 0, lambda i, name=name: f"empty {name}")
+    fail.empty(cols, ("image_id", "patient_id"))
     tokens = cols["true_label"]
-    codes = {tok: int(_LABEL_ALIASES.get(tok.lower(), -1)) for tok in set(tokens)}
-    truth = np.fromiter(map(codes.__getitem__, tokens), np.int64, n)
+    truth = _codes(tokens, _LABEL_ALIASES)
     fail.check(truth < 0, lambda i: f"unknown class label {tokens[i]!r}")
     probs = np.empty((n, 3))
     for j, name in enumerate(("p_aegja", "p_eegja", "p_control")):
@@ -360,15 +397,10 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     age = None
     if "age" in cols:
         raw = cols["age"]
-        given = np.fromiter(map(len, raw), np.int64, n) > 0
-        age, non_numeric = _floats(raw if given.all() else [s or "nan" for s in raw])
+        age, non_numeric, given = _blank_as_nan(raw)
         fail.check(non_numeric, lambda i: f"non-numeric age {raw[i]!r}")
         fail.check(given & (~np.isfinite(age) | (age < 0)), lambda i: f"age must be finite and non-negative, got {raw[i]!r}")
-    if fail.index is not None:
-        raise ParseError(fail.message, _line_of(fail.index, blanks))
-    if bad_width is not None:
-        row_no, got = bad_width
-        raise ParseError(f"expected {len(header)} fields, got {got}", row_no)
+    fail.raise_first(blanks, bad_row)
     renorm = dev > PROB_SUM_TOL_STRICT
     probs[renorm] /= total[renorm, None]
 
@@ -412,72 +444,80 @@ def serialize_predictions(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_readers(source: str) -> tuple[ReaderRecord, ...]:
-    """Parse a reader-study CSV. (reader_id, image_id) pairs must be unique.
-    A leading UTF-8 byte order mark is ignored."""
-    reader = csv.reader(io.StringIO(source.removeprefix(_BOM), newline=""))
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise ParseError("empty file") from None
+@dataclass(frozen=True, eq=False)
+class Readers:
+    """Reader calls as columns, one row per (reader, image) call, in file order.
+
+    ``group`` and ``arm`` are int64 codes into ``READER_GROUPS`` and
+    ``READER_ARMS``; ``cells()`` combines them into positions in
+    ``READER_CELLS``. ``pred`` is the called class. ``elapsed_s`` is NaN on
+    calls without a time, and None when the file has no ``elapsed_s`` column.
+    The arrays are read-only.
+    """
+
+    reader_ids: tuple[str, ...]
+    image_ids: tuple[str, ...]
+    group: np.ndarray
+    arm: np.ndarray
+    pred: np.ndarray
+    elapsed_s: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for arr in (self.group, self.arm, self.pred, self.elapsed_s):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.reader_ids)
+
+    def cells(self) -> np.ndarray:
+        """Each call's cell code, ``2 * group + arm``."""
+        return 2 * self.group + self.arm
+
+
+def parse_readers(source: str) -> Readers:
+    """Parse a reader-study CSV into a Readers table.
+
+    Groups and arms are case-insensitive, and (reader_id, image_id) pairs must
+    be unique. LF and CRLF line endings are accepted, and so is a leading
+    UTF-8 byte order mark. The first bad row is reported, with the first of
+    its faults in the order: field count (or a field ``csv`` rejects), empty
+    ``reader_id``/``image_id``, group, arm, duplicate pair, ``elapsed_s``
+    (number, range), label.
+    """
+    header, reader = _header(source)
     if tuple(header[: len(READER_BASE_COLUMNS)]) != READER_BASE_COLUMNS:
         raise ParseError(
             f"header must start with {','.join(READER_BASE_COLUMNS)}; got {','.join(header)}"
         )
-    has_elapsed = len(header) > len(READER_BASE_COLUMNS)
-    if has_elapsed and header[len(READER_BASE_COLUMNS) :] != ["elapsed_s"]:
+    if header[len(READER_BASE_COLUMNS) :] not in ([], ["elapsed_s"]):
         raise ParseError(f"unexpected trailing columns {header[len(READER_BASE_COLUMNS):]}")
-    out: list[ReaderRecord] = []
-    seen: set[tuple[str, str]] = set()
-    for row_no, raw in enumerate(reader, start=2):
-        if not raw or (len(raw) == 1 and not raw[0].strip()):
-            continue
-        if len(raw) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(raw)}", row_no)
-        fields = dict(zip(header, (f.strip() for f in raw)))
-        group = fields["group"].lower()
-        if group not in READER_GROUPS:
-            raise ParseError(f"unknown reader group {fields['group']!r}", row_no)
-        arm = fields["arm"].upper()
-        if arm not in READER_ARMS:
-            raise ParseError(f"unknown study arm {fields['arm']!r}", row_no)
-        key = (fields["reader_id"], fields["image_id"])
-        if key in seen:
-            raise ParseError(f"duplicate (reader_id, image_id) pair {key!r}", row_no)
-        seen.add(key)
-        elapsed: float | None = None
-        if has_elapsed and fields.get("elapsed_s"):
-            try:
-                elapsed = float(fields["elapsed_s"])
-            except ValueError:
-                raise ParseError(f"non-numeric elapsed_s {fields['elapsed_s']!r}", row_no) from None
-            if not math.isfinite(elapsed) or elapsed < 0:
-                raise ParseError(f"elapsed_s out of range: {elapsed!r}", row_no)
-        out.append(
-            ReaderRecord(
-                reader_id=fields["reader_id"],
-                group=group,
-                arm=arm,
-                image_id=fields["image_id"],
-                pred=parse_label(fields["pred_label"], row_no),
-                elapsed_s=elapsed,
-            )
-        )
-    if not out:
-        raise ParseError("no data rows")
-    return tuple(out)
-
-
-def serialize_readers(records: Sequence[ReaderRecord]) -> str:
-    has_elapsed = any(r.elapsed_s is not None for r in records)
-    cols = READER_BASE_COLUMNS + (("elapsed_s",) if has_elapsed else ())
-    lines = [",".join(cols)]
-    for r in records:
-        row = [r.reader_id, r.group, r.arm, r.image_id, r.pred.display]
-        if has_elapsed:
-            row.append("" if r.elapsed_s is None else _fmt(r.elapsed_s))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    cols, blanks, bad_row = _data_rows(reader, header)
+    n = len(cols[header[0]])
+    fail = _FirstFailure()
+    fail.empty(cols, ("reader_id", "image_id"))
+    groups, arms = cols["group"], cols["arm"]
+    group = _codes(groups, {g: k for k, g in enumerate(READER_GROUPS)})
+    fail.check(group < 0, lambda i: f"unknown reader group {groups[i]!r}")
+    arm = _codes(arms, {a: k for k, a in enumerate(READER_ARMS)}, str.upper)
+    fail.check(arm < 0, lambda i: f"unknown study arm {arms[i]!r}")
+    reader_ids, image_ids = cols["reader_id"], cols["image_id"]
+    fail.check(
+        _repeats(_id_codes(reader_ids) * n + _id_codes(image_ids)),
+        lambda i: f"duplicate (reader_id, image_id) pair {(reader_ids[i], image_ids[i])!r}",
+    )
+    elapsed = None
+    if "elapsed_s" in cols:
+        raw = cols["elapsed_s"]
+        elapsed, non_numeric, given = _blank_as_nan(raw)
+        fail.check(non_numeric, lambda i: f"non-numeric elapsed_s {raw[i]!r}")
+        bad = given & (~np.isfinite(elapsed) | (elapsed < 0))
+        fail.check(bad, lambda i: f"elapsed_s out of range: {float(elapsed[i])!r}")
+    labels = cols["pred_label"]
+    pred = _codes(labels, _LABEL_ALIASES)
+    fail.check(pred < 0, lambda i: f"unknown class label {labels[i]!r}")
+    fail.raise_first(blanks, bad_row)
+    return Readers(tuple(reader_ids), tuple(image_ids), group, arm, pred, elapsed)
 
 
 @dataclass(frozen=True)
@@ -555,9 +595,6 @@ class FoldSpec:
     unit: str  # "patient" | "image"
     seed: int
     assignments: dict[str, int]
-
-    def members(self, fold: int) -> tuple[str, ...]:
-        return tuple(u for u, f in self.assignments.items() if f == fold)
 
     def fold_sizes(self) -> list[int]:
         sizes = [0] * self.k

@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "TestResult",
-    "PairedPredictions",
     "DeLongCov",
     "std_normal_cdf",
     "chi2_sf",
@@ -72,24 +71,6 @@ class TestResult:
                 for k, v in self.detail.items()
             }
         return out
-
-
-@dataclass(frozen=True)
-class PairedPredictions:
-    """Hard predictions from two classifiers on the same records."""
-
-    truths: tuple[int, ...]
-    preds_a: tuple[int, ...]
-    preds_b: tuple[int, ...]
-
-    def __post_init__(self):
-        if not (len(self.truths) == len(self.preds_a) == len(self.preds_b)):
-            raise ValueError("paired predictions must have equal lengths")
-        if len(self.truths) == 0:
-            raise ValueError("paired predictions must be non-empty")
-        for seq in (self.truths, self.preds_a, self.preds_b):
-            if any(v not in (0, 1, 2) for v in seq):
-                raise ValueError("labels must be in {0, 1, 2}")
 
 
 def std_normal_cdf(x: float) -> float:
@@ -289,32 +270,29 @@ def delong_test(scores_a, scores_b, labels) -> TestResult:
 
 
 def _cross_table(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if np.any((a < 0) | (a > 2)) or np.any((b < 0) | (b > 2)):
+        raise ValueError("labels must be in {0, 1, 2}")
     t = np.zeros((3, 3), dtype=np.float64)
-    np.add.at(t, (np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)), 1.0)
+    np.add.at(t, (a, b), 1.0)
     return t
 
 
-def bowker_test(
-    pairs: PairedPredictions | Sequence[tuple[int, int]], all_pairs: bool = False
-) -> TestResult:
+def bowker_test(pairs: Sequence[tuple[int, int]] | np.ndarray, all_pairs: bool = False) -> TestResult:
     """McNemar-Bowker test of symmetry on the cross-table of two prediction sets.
 
-    ``pairs`` is either a :class:`PairedPredictions` or a plain sequence of
-    (pred_a, pred_b) label pairs. statistic = sum over class pairs (i, j),
+    ``pairs`` holds (pred_a, pred_b) label pairs: a sequence of pairs or an
+    (n, 2) array. statistic = sum over class pairs (i, j),
     i < j, of (T[i,j] - T[j,i])^2 / (T[i,j] + T[j,i]). Pairs with
     T[i,j] + T[j,i] == 0 are dropped and df reduced, unless ``all_pairs``
     keeps df = 3 (the zero-sum pairs still contribute 0 to the statistic).
     A table with no informative pairs returns statistic 0, p = 1.
     """
-    if isinstance(pairs, PairedPredictions):
-        a_labels, b_labels = pairs.preds_a, pairs.preds_b
-    else:
-        seq = list(pairs)
-        if not seq:
-            raise ValueError("bowker_test requires at least one pair")
-        a_labels = [p[0] for p in seq]
-        b_labels = [p[1] for p in seq]
-    t = _cross_table(a_labels, b_labels)
+    pairs = np.asarray(pairs, dtype=np.int64)
+    if not pairs.size:
+        raise ValueError("bowker_test requires at least one pair")
+    t = _cross_table(pairs[:, 0], pairs[:, 1])
     stat = 0.0
     df = 0
     dropped = 0

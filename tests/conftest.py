@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gjeval import Dataset
+from gjeval import Dataset, Readers
 
 
 def brute_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -94,6 +94,18 @@ def dataset_columns(ds: Dataset) -> dict:
         "sex": ds.sex,
         "age": None if ds.age is None else ds.age.tobytes(),
         "renormalized": ds.renormalized,
+    }
+
+
+def reader_columns(readers: Readers) -> dict:
+    """Every column of a Readers table in a form ``==`` compares exactly."""
+    return {
+        "reader_ids": readers.reader_ids,
+        "image_ids": readers.image_ids,
+        "group": readers.group.tolist(),
+        "arm": readers.arm.tolist(),
+        "pred": readers.pred.tolist(),
+        "elapsed_s": None if readers.elapsed_s is None else readers.elapsed_s.tobytes(),
     }
 
 

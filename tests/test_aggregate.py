@@ -10,7 +10,7 @@ from conftest import make_dataset
 from gjeval import (
     ClassLabel,
     Dataset,
-    ReaderRecord,
+    Readers,
     evaluate,
     group_vs_group_kappa,
     inverse_count_weights,
@@ -22,6 +22,8 @@ from gjeval import (
     reader_group_report,
 )
 from gjeval.aggregate import LEVELS
+from gjeval.data import READER_ARMS, READER_GROUPS
+from gjeval.stats import kappa_test
 
 
 def two_patient_dataset():
@@ -161,30 +163,34 @@ class TestJoinPredictions:
         with pytest.raises(ValueError, match="common"):
             join_predictions(small_dataset, other)
 
-    def test_paired_shape(self, small_dataset):
-        joined = join_predictions(small_dataset, small_dataset)
-        pp = joined.paired()
-        assert len(pp.truths) == len(small_dataset)
-        assert pp.preds_a == pp.preds_b
+
+def make_readers(calls) -> Readers:
+    """Readers from (reader_id, group, arm, image_id, pred, elapsed_s) calls."""
+    rid, group, arm, image, pred, elapsed = zip(*calls)
+    return Readers(
+        rid, image,
+        np.array([READER_GROUPS.index(g) for g in group]),
+        np.array([READER_ARMS.index(a) for a in arm]),
+        np.array(pred, dtype=np.int64),
+        np.array(elapsed, dtype=np.float64),
+    )
+
+
+def reader_calls(ds):
+    """Two trainees in arm A, one expert in arm B, covering all images."""
+    return [
+        (rid, group, arm, image_id, (truth + 1) % 3 if flip else truth, 5.0)
+        for rid, group, arm, flip in (
+            ("t1", "trainee", "A", False),
+            ("t2", "trainee", "A", True),
+            ("e1", "expert", "B", False),
+        )
+        for image_id, truth in zip(ds.image_ids, ds.truth.tolist())
+    ]
 
 
 def reader_fixture(ds):
-    """Two trainees in arm A, one expert in arm B, covering all images."""
-    recs = []
-    for rid, group, arm, flip in (
-        ("t1", "trainee", "A", False),
-        ("t2", "trainee", "A", True),
-        ("e1", "expert", "B", False),
-    ):
-        for image_id, truth in zip(ds.image_ids, ds.truth.tolist()):
-            pred = ClassLabel((truth + 1) % 3 if flip else truth)
-            recs.append(
-                ReaderRecord(
-                    reader_id=rid, group=group, arm=arm,
-                    image_id=image_id, pred=pred, elapsed_s=5.0,
-                )
-            )
-    return tuple(recs)
+    return make_readers(reader_calls(ds))
 
 
 class TestReaderPooling:
@@ -204,10 +210,7 @@ class TestReaderPooling:
         assert pool.mean_elapsed_s == pytest.approx(5.0)
 
     def test_dangling_image_rejected(self, small_dataset):
-        readers = reader_fixture(small_dataset) + (
-            ReaderRecord(reader_id="t1", group="trainee", arm="A",
-                         image_id="ghost", pred=ClassLabel.CONTROL, elapsed_s=1.0),
-        )
+        readers = make_readers(reader_calls(small_dataset) + [("t1", "trainee", "A", "ghost", 2, 1.0)])
         with pytest.raises(ValueError, match="ghost"):
             pool_readers(readers, small_dataset, "trainee", "A")
 
@@ -217,14 +220,33 @@ class TestReaderPooling:
             pool_readers(readers, small_dataset, "competent", "A")
 
     def test_partial_elapsed_rejected(self, small_dataset):
-        readers = list(reader_fixture(small_dataset))
-        r0 = readers[0]
-        readers[0] = ReaderRecord(
-            reader_id=r0.reader_id, group=r0.group, arm=r0.arm,
-            image_id=r0.image_id, pred=r0.pred, elapsed_s=None,
-        )
+        calls = reader_calls(small_dataset)
+        calls[0] = (*calls[0][:5], np.nan)
         with pytest.raises(ValueError, match="elapsed"):
-            pool_readers(tuple(readers), small_dataset, "trainee", "A")
+            pool_readers(make_readers(calls), small_dataset, "trainee", "A")
+
+    def test_first_bad_call_wins_and_unknown_image_beats_missing_time(self, small_dataset):
+        calls = reader_calls(small_dataset)
+        calls[3] = ("t1", "trainee", "A", "ghost3", 0, np.nan)
+        calls[5] = ("t1", "trainee", "A", "ghost5", 0, 1.0)
+        with pytest.raises(ValueError, match="unknown image 'ghost3'"):
+            pool_readers(make_readers(calls), small_dataset, "trainee", "A")
+        calls[1] = (*calls[1][:5], np.nan)
+        with pytest.raises(ValueError, match="missing elapsed_s for reader 't1' image 'img00001'"):
+            pool_readers(make_readers(calls), small_dataset, "trainee", "A")
+
+    def test_untimed_cell_among_timed(self, small_dataset):
+        calls = [(*c[:5], np.nan) if c[0] == "e1" else c for c in reader_calls(small_dataset)]
+        readers = make_readers(calls)
+        assert pool_readers(readers, small_dataset, "expert", "B").mean_elapsed_s is None
+        assert pool_readers(readers, small_dataset, "trainee", "A").mean_elapsed_s == 5.0
+
+    def test_pool_keeps_file_order(self, small_dataset):
+        calls = reader_calls(small_dataset)[::-1]
+        pool = pool_readers(make_readers(calls), small_dataset, "trainee", "A")
+        cell = [c for c in calls if c[1] == "trainee"]
+        assert pool.image_ids == tuple(c[3] for c in cell)
+        assert pool.reader_preds.tolist() == [c[4] for c in cell]
 
 
 class TestReaderReports:
@@ -251,6 +273,32 @@ class TestReaderReports:
         # 2 trainees x 1 expert x 9 images = 18 cross pairs
         assert res.detail["n_pairs"] == 18
         assert "kappa" in res.detail
+
+    def test_group_vs_group_matches_nested_loop(self, small_dataset, rng):
+        ids = small_dataset.image_ids
+        for _ in range(50):
+            calls = [
+                (f"r{int(rng.integers(0, 4))}{group}", group, arm, ids[int(rng.integers(0, 9))],
+                 int(rng.integers(0, 3)), 1.0)
+                for group, arm in (("trainee", "A"), ("expert", "B"))
+                for _ in range(int(rng.integers(1, 15)))
+            ]
+            calls = list({(c[0], c[3]): c for c in calls}.values())
+            x, y = (pool_readers(make_readers(calls), small_dataset, *cell)
+                    for cell in (("trainee", "A"), ("expert", "B")))
+            a, b = [], []
+            for img_y, pred_y in zip(y.image_ids, y.reader_preds.tolist()):
+                for img_x, pred_x in zip(x.image_ids, x.reader_preds.tolist()):
+                    if img_x == img_y:
+                        a.append(pred_x)
+                        b.append(pred_y)
+            if not a:
+                with pytest.raises(ValueError, match="no common images"):
+                    group_vs_group_kappa(x, y)
+                continue
+            want = kappa_test(a, b)
+            want.detail["n_pairs"] = len(a)
+            assert group_vs_group_kappa(x, y).as_dict() == want.as_dict()
 
     def test_per_reader_points_sorted_cells(self, small_dataset):
         pts = per_reader_points(reader_fixture(small_dataset), small_dataset)

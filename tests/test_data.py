@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dataset_columns, make_dataset
+from conftest import dataset_columns, make_dataset, reader_columns
 
 from gjeval import (
     ClassLabel,
@@ -20,12 +20,11 @@ from gjeval import (
     parse_predictions,
     parse_readers,
     serialize_predictions,
-    serialize_readers,
     summarize,
     synth_generate,
 )
 from gjeval.aggregate import patient_mean_aggregate
-from gjeval.data import age_band
+from gjeval.data import READER_ARMS, READER_CELLS, READER_GROUPS, age_band
 
 HEADER = "image_id,patient_id,true_label,p_aegja,p_eegja,p_control"
 
@@ -179,6 +178,18 @@ class TestParsePredictions:
         with pytest.raises(ParseError, match="column p_aegja: 'x'"):
             parse_predictions(csv_text("i1,p1,A-EGJA,x,0,y"))
 
+    def test_over_long_field_rejected_with_row(self):
+        text = csv_text("i1,p1,A-EGJA,1,0,0", "i" * 200_000 + ",p2,A-EGJA,1,0,0")
+        with pytest.raises(ParseError, match=r"^row 3: field larger than field limit \(131072\)$"):
+            parse_predictions(text)
+        with pytest.raises(ParseError, match=r"^row 1: field larger than field limit"):
+            parse_predictions("x" * 200_000 + "\n")
+
+    def test_bad_row_before_over_long_field_wins(self):
+        text = csv_text("i1,p1,nope,1,0,0", "i" * 200_000 + ",p2,A-EGJA,1,0,0")
+        with pytest.raises(ParseError, match=r"^row 2: unknown class label 'nope'$"):
+            parse_predictions(text)
+
 
 class TestDataset:
     def test_patient_columns_in_first_appearance_order(self):
@@ -215,6 +226,9 @@ class TestDataset:
         assert sub.probs.tolist() == small_dataset.probs[3:].tolist()
 
 
+READER_HEADER = "reader_id,group,arm,image_id,pred_label"
+
+
 class TestReaders:
     def test_round_trip(self):
         text = (
@@ -225,15 +239,56 @@ class TestReaders:
         )
         readers = parse_readers(text)
         assert len(readers) == 3
-        assert readers[0].group == "trainee" and readers[0].arm == "A"
-        assert readers[2].pred == ClassLabel.EEGJA
-        assert parse_readers(serialize_readers(readers)) == readers
+        assert readers.group[0] == READER_GROUPS.index("trainee") and readers.arm[0] == READER_ARMS.index("A")
+        assert readers.pred[2] == ClassLabel.EEGJA
+        assert reader_columns(readers) == {
+            "reader_ids": ("r1", "r1", "r2"),
+            "image_ids": ("i1", "i2", "i1"),
+            "group": [0, 0, 2],
+            "arm": [0, 0, 1],
+            "pred": [0, 2, 1],
+            "elapsed_s": np.array([12.5, 8.0, 3.25]).tobytes(),
+        }
 
     def test_group_case_insensitive_arm_normalized(self):
-        text = "reader_id,group,arm,image_id,pred_label\nr1,Expert,b,i1,control\n"
-        (rec,) = parse_readers(text)
-        assert rec.group == "expert" and rec.arm == "B"
-        assert rec.elapsed_s is None
+        text = READER_HEADER + "\nr1,Expert,b,i1,control\n"
+        readers = parse_readers(text)
+        assert READER_CELLS[int(readers.cells()[0])] == ("expert", "B")
+        assert readers.elapsed_s is None
+
+    def test_blank_elapsed_is_nan_and_arrays_read_only(self):
+        readers = parse_readers(READER_HEADER + ",elapsed_s\nr1,trainee,A,i1,0,\nr1,trainee,A,i2,1,4\n")
+        assert np.isnan(readers.elapsed_s[0]) and readers.elapsed_s[1] == 4.0
+        for arr in (readers.group, readers.arm, readers.pred, readers.elapsed_s):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    @pytest.mark.parametrize("row, column", [(",trainee,A,i2,control", "reader_id"),
+                                             ("r1,trainee,A, ,control", "image_id")])
+    def test_empty_id_rejected_with_row(self, row, column):
+        # checked right after the field count, before the unknown group
+        text = READER_HEADER + "\nr1,trainee,A,i1,control\n" + row.replace("trainee", "novice") + "\n"
+        with pytest.raises(ParseError, match=rf"^row 3: empty {column}$"):
+            parse_readers(text)
+
+    def test_over_long_field_rejected_with_row(self):
+        text = READER_HEADER + "\nr1,trainee,A,i1,control\nr1,trainee,A," + "i" * 200_000 + ",control\n"
+        with pytest.raises(ParseError, match=r"^row 3: field larger than field limit \(131072\)$"):
+            parse_readers(text)
+
+    def test_bad_row_before_over_long_field_wins(self):
+        text = READER_HEADER + "\nr1,novice,A,i1,control\nr1,trainee,A," + "i" * 200_000 + ",control\n"
+        with pytest.raises(ParseError, match=r"^row 2: unknown reader group 'novice'$"):
+            parse_readers(text)
+
+    def test_first_bad_row_and_first_fault_in_it(self):
+        text = READER_HEADER + ",elapsed_s\n\nr1,trainee,A,i1,control,1\nr1,trainee,b,i1,nope,x\nr2,x,A,i2,0,1\n"
+        with pytest.raises(ParseError, match=r"^row 4: duplicate \(reader_id, image_id\) pair \('r1', 'i1'\)$"):
+            parse_readers(text)
+        with pytest.raises(ParseError, match=r"^row 4: non-numeric elapsed_s 'x'$"):
+            parse_readers(text.replace("b,i1,nope", "b,i3,nope"))
+        with pytest.raises(ParseError, match=r"^row 3: elapsed_s out of range: inf$"):
+            parse_readers(text.replace("control,1", "zzz,inf"))
 
     def test_duplicate_observation_rejected(self):
         text = (
@@ -250,7 +305,7 @@ class TestReaders:
 
     def test_leading_byte_order_mark_stripped(self):
         text = "reader_id,group,arm,image_id,pred_label\nr1,expert,B,i1,control\n"
-        assert parse_readers("\ufeff" + text) == parse_readers(text)
+        assert reader_columns(parse_readers("\ufeff" + text)) == reader_columns(parse_readers(text))
 
     def test_negative_elapsed_rejected(self):
         text = "reader_id,group,arm,image_id,pred_label,elapsed_s\nr1,trainee,A,i1,control,-1\n"

@@ -26,7 +26,6 @@ from gjeval import (
     midranks,
     std_normal_cdf,
 )
-from gjeval.stats import PairedPredictions
 from gjeval.stats import TestResult as StatResult
 
 
@@ -234,8 +233,7 @@ class TestBowker:
         assert res.p_value == pytest.approx(float(scipy.stats.chi2.sf(4.0, 3)), abs=1e-10)
 
     def test_accepts_paired_predictions(self):
-        pp = PairedPredictions(truths=(0, 1, 2), preds_a=(0, 1, 2), preds_b=(1, 1, 2))
-        res = bowker_test(pp)
+        res = bowker_test(np.array([[0, 1], [1, 1], [2, 2]]))
         assert res.df == 1
 
     def test_p_in_unit_interval_fuzz(self, rng):
@@ -248,6 +246,13 @@ class TestBowker:
 
 
 class TestKappaTest:
+    def test_labels_out_of_range_rejected(self):
+        # -1 would otherwise index the table from the end and count as class 2
+        with pytest.raises(ValueError, match=r"labels must be in \{0, 1, 2\}"):
+            kappa_test([-1, 0, 1], [2, 0, 1])
+        with pytest.raises(ValueError, match=r"labels must be in \{0, 1, 2\}"):
+            bowker_test([(0, 3), (1, 1)])
+
     def test_hand_kappa_value(self):
         a = [0, 0, 1, 1, 2, 2, 0, 1, 2]
         b = [0, 0, 1, 2, 2, 2, 1, 1, 0]
