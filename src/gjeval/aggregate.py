@@ -33,6 +33,7 @@ __all__ = [
     "inverse_count_weights",
     "evaluate",
     "join_predictions",
+    "reader_rows",
     "pool_readers",
     "reader_group_report",
     "model_vs_reader_tests",
@@ -149,20 +150,28 @@ class PooledReaderPairs:
         return float(self.elapsed_s.mean())
 
 
-def pool_readers(readers: Readers, model: Dataset, group: str, arm: str) -> PooledReaderPairs:
+def reader_rows(readers: Readers, model: Dataset) -> np.ndarray:
+    """Each reader call's row in ``model``, -1 where the model lacks the image."""
+    return _rows_of(model, readers.image_ids)
+
+
+def pool_readers(
+    readers: Readers, model: Dataset, group: str, arm: str, rows: np.ndarray | None = None
+) -> PooledReaderPairs:
     """Pool every reader observation of one (group, arm) cell against the model.
 
     A call on an image the model lacks is an error (the model dataset defines
     the image universe), and so is a call without a time in a cell that has
     times. The first such call in file order is reported; on one call, the
-    unknown image.
+    unknown image. ``rows`` is ``reader_rows(readers, model)``, which a
+    caller pooling several cells looks up once.
     """
     code = READER_CELLS.index((group, arm)) if (group, arm) in READER_CELLS else -1
     in_cell = readers.cells() == code
     image_ids = tuple(compress(readers.image_ids, in_cell.tolist()))
     if not image_ids:
         raise ValueError(f"no reader records for group={group!r} arm={arm!r}")
-    rows = _rows_of(model, image_ids)
+    rows = (reader_rows(readers, model) if rows is None else rows)[in_cell]
     elapsed = None if readers.elapsed_s is None else readers.elapsed_s[in_cell]
     if elapsed is not None and np.isnan(elapsed).all():
         elapsed = None
@@ -231,11 +240,12 @@ def group_vs_group_kappa(pool_x: PooledReaderPairs, pool_y: PooledReaderPairs) -
     return res
 
 
-def per_reader_points(readers: Readers, model: Dataset) -> list[dict]:
+def per_reader_points(readers: Readers, model: Dataset, rows: np.ndarray | None = None) -> list[dict]:
     """Per-reader, per-class sensitivity/specificity/PPV rows for scatter plots.
 
     Readers come in cell order (trainee, competent, expert; arm A before B),
-    then by reader_id.
+    then by reader_id. ``rows`` is ``reader_rows(readers, model)``, when the
+    caller has it.
     """
     names = sorted(set(readers.reader_ids))
     rank = dict(zip(names, range(len(names))))
@@ -243,7 +253,7 @@ def per_reader_points(readers: Readers, model: Dataset) -> list[dict]:
         map(rank.__getitem__, readers.reader_ids), np.int64, len(readers)
     )
     order = np.argsort(key, kind="stable")
-    rows = _rows_of(model, readers.image_ids)[order]
+    rows = (reader_rows(readers, model) if rows is None else rows)[order]
     unknown = np.flatnonzero(rows < 0)
     if unknown.size:
         raise ValueError(

@@ -69,9 +69,7 @@ def _write_outputs(outdir: Path, files: dict[str, str]) -> None:
 
 def _report_files(mr: MetricReport, svg: bool = False) -> dict[str, str]:
     files = {"cm.csv": rpt.cm_csv(mr)}
-    curves = rpt.curve_filenames(mr)
-    for name, series in curves.items():
-        files[name] = series.to_csv()
+    files.update(rpt.curve_csvs(mr))
     if svg and mr.roc_micro is not None:
         roc_list = [("micro", mr.roc_micro)] + [
             (c.display, mr.roc_per_class[c.slug])
@@ -175,7 +173,8 @@ def cmd_readers(args) -> int:
     model = parse_predictions(pred_path.read_text())
     readers = parse_readers(readers_path.read_text())
     cells = [READER_CELLS[c] for c in np.flatnonzero(np.bincount(readers.cells())).tolist()]
-    pooled = {cell: aggregate.pool_readers(readers, model, *cell) for cell in cells}
+    rows = aggregate.reader_rows(readers, model)
+    pooled = {cell: aggregate.pool_readers(readers, model, *cell, rows) for cell in cells}
     groups_out = []
     model_vs_group = {}
     for cell in cells:
@@ -204,7 +203,7 @@ def cmd_readers(args) -> int:
                 notes.append(f"{key}: {exc}")
                 continue
             group_vs_group[key] = res.detail.get("kappa")
-    scatter = aggregate.per_reader_points(readers, model)
+    scatter = aggregate.per_reader_points(readers, model, rows)
     scatter_lines = ["reader_id,group,arm,class,sensitivity,specificity,ppv"]
     for row in scatter:
         vals = [

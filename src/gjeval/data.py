@@ -10,6 +10,7 @@ severe class.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 from dataclasses import dataclass
@@ -98,6 +99,15 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+class _CrossRowFault(ParseError):
+    """A fault between rows that ``Dataset.from_columns`` finds; ``index``
+    is the data row where it shows, so a parser can name the file line."""
+
+    def __init__(self, message: str, index: int):
+        self.index = index
+        super().__init__(message)
+
+
 def parse_label(token: str, row: int | None = None) -> ClassLabel:
     """Parse a class label from its display name or numeric index, case-insensitively."""
     key = token.strip().lower()
@@ -164,8 +174,9 @@ class Dataset:
         if len(set(image_ids)) < n or conflicts.size:
             dup = _first_repeat(image_ids)
             if dup is not None and (not conflicts.size or dup <= conflicts[0]):
-                raise ParseError(f"duplicate image_id {image_ids[dup]!r}")
-            raise ParseError(f"conflicting true labels for patient {row_patients[conflicts[0]]!r}")
+                raise _CrossRowFault(f"duplicate image_id {image_ids[dup]!r}", dup)
+            bad = int(conflicts[0])
+            raise _CrossRowFault(f"conflicting true labels for patient {row_patients[bad]!r}", bad)
         if age is not None:
             age = np.array(age, dtype=np.float64).reshape(n)
             if np.isnan(age).all():
@@ -320,24 +331,35 @@ def _data_rows(reader, header: list[str]) -> tuple[dict[str, list[str]], list[in
     """The data rows up to the first bad one as stripped columns, one per
     header name; the file lines of the blank lines skipped among them; and
     the bad row's (line, message). A row is bad when its field count is wrong
-    or ``csv`` rejects it, e.g. for a field over ``csv.field_size_limit()``."""
-    rows, blanks, bad_row = [], [], None
-    row_no = 1
+    or ``csv`` rejects it, e.g. for a field over ``csv.field_size_limit()``.
+
+    Cyclic garbage collection is paused while the rows are read and turned
+    into columns: the row lists and their iterators hold only strings, and
+    collecting as they pile up is wasted work. The caller's collector state
+    is restored afterwards."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        for row_no, raw in enumerate(reader, start=2):
-            if len(raw) == len(header):
-                rows.append(raw)
-            elif not raw or (len(raw) == 1 and not raw[0].strip()):
-                blanks.append(row_no)
-            else:
-                bad_row = (row_no, f"expected {len(header)} fields, got {len(raw)}")
-                break
-    except csv.Error as exc:
-        bad_row = (row_no + 1, str(exc))
-    if not rows and bad_row is None:
-        raise ParseError("no data rows")
-    columns = zip(*rows) if rows else [()] * len(header)
-    return {name: list(map(str.strip, col)) for name, col in zip(header, columns)}, blanks, bad_row
+        rows, blanks, bad_row = [], [], None
+        row_no = 1
+        try:
+            for row_no, raw in enumerate(reader, start=2):
+                if len(raw) == len(header):
+                    rows.append(raw)
+                elif not raw or (len(raw) == 1 and not raw[0].strip()):
+                    blanks.append(row_no)
+                else:
+                    bad_row = (row_no, f"expected {len(header)} fields, got {len(raw)}")
+                    break
+        except csv.Error as exc:
+            bad_row = (row_no + 1, str(exc))
+        if not rows and bad_row is None:
+            raise ParseError("no data rows")
+        columns = zip(*rows) if rows else [()] * len(header)
+        return {name: list(map(str.strip, col)) for name, col in zip(header, columns)}, blanks, bad_row
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _line_of(index: int, blanks: list[int]) -> int:
@@ -359,7 +381,10 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     accepted, and so is a leading UTF-8 byte order mark. The first bad row is
     reported, with the first of its faults in the order: field count (or a
     field ``csv`` rejects), empty ``image_id``/``patient_id``, label, each
-    probability (number, range), sum, age.
+    probability (number, range), sum, age. When every row passes, a
+    duplicated ``image_id`` or a patient with two true labels is reported at
+    the line that repeats it; the earlier line wins, and on one line the
+    duplicate.
     """
     header, reader = _header(source)
     if tuple(header[: len(PRED_BASE_COLUMNS)]) != PRED_BASE_COLUMNS:
@@ -407,17 +432,20 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     def optional(name: str) -> list[str | None] | None:
         return [v or None for v in cols[name]] if name in cols else None
 
-    return Dataset.from_columns(
-        cols["image_id"],
-        cols["patient_id"],
-        truth,
-        probs,
-        center=optional("center"),
-        modality=optional("modality"),
-        sex=optional("sex"),
-        age=age,
-        renormalized=int(renorm.sum()),
-    )
+    try:
+        return Dataset.from_columns(
+            cols["image_id"],
+            cols["patient_id"],
+            truth,
+            probs,
+            center=optional("center"),
+            modality=optional("modality"),
+            sex=optional("sex"),
+            age=age,
+            renormalized=int(renorm.sum()),
+        )
+    except _CrossRowFault as exc:
+        raise ParseError(str(exc), _line_of(exc.index, blanks)) from None
 
 
 def _fmt(v: float) -> str:

@@ -17,6 +17,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "pr_points",
     "micro_curves",
     "ovr_scores",
+    "repr_runs",
     "compute_report",
 ]
 
@@ -295,26 +297,49 @@ def cohen_kappa(cm: ConfusionMatrix | np.ndarray) -> float:
     return (p_o - p_e) / (1.0 - p_e)
 
 
-@dataclass(frozen=True)
+def repr_runs(values: np.ndarray) -> list[str]:
+    """``repr`` of each value of a float64 array, computed once per run of
+    bit-identical neighbours (so ``-0.0`` and ``0.0`` stay apart)."""
+    bits = values.view(np.int64)
+    new = np.empty(bits.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    texts = list(map(repr, values[new].tolist()))
+    if len(texts) == values.size:
+        return texts
+    return list(map(texts.__getitem__, (np.cumsum(new) - 1).tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class CurveSeries:
     """A ROC or PR curve: points plus its summary area.
 
     ``kind`` is "ROC" (x=FPR, y=TPR, area=AUC) or "PR" (x=recall,
-    y=precision, area=average precision). Thresholds align with points;
-    the ROC origin carries threshold +inf.
+    y=precision, area=average precision). ``x``, ``y`` and ``thresholds``
+    are read-only float64 arrays of equal length; the ROC origin carries
+    threshold +inf.
     """
 
     kind: str
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-    thresholds: tuple[float, ...]
+    x: np.ndarray
+    y: np.ndarray
+    thresholds: np.ndarray
     area: float
 
-    def to_csv(self) -> str:
-        lines = [f"# kind={self.kind} area={self.area!r}", "x,y,threshold"]
-        for xi, yi, ti in zip(self.x, self.y, self.thresholds):
-            lines.append(f"{xi!r},{yi!r},{ti!r}")
-        return "\n".join(lines) + "\n"
+    def __post_init__(self) -> None:
+        for arr in (self.x, self.y, self.thresholds):
+            arr.flags.writeable = False
+
+    def to_csv(self, columns: tuple[list[str], list[str], list[str]] | None = None) -> str:
+        """The curve as CSV: a ``# kind= area=`` line, a header, one row per point.
+
+        ``columns`` holds the x, y and threshold texts (``repr_runs`` of each
+        array) when the caller has formatted them already.
+        """
+        x, y, t = columns or (repr_runs(self.x), repr_runs(self.y), repr_runs(self.thresholds))
+        comma = repeat(",")
+        rows = chain.from_iterable(zip(x, comma, y, comma, t, repeat("\n")))
+        return "".join(chain((f"# kind={self.kind} area={self.area!r}\nx,y,threshold\n",), rows))
 
 
 def _grouped_sweep(
@@ -368,13 +393,7 @@ def roc_points(scores, labels, weights=None) -> CurveSeries:
     fpr = np.concatenate(([0.0], (cum_all - cum_pos) / neg))
     thresholds = np.concatenate(([np.inf], thr))
     area = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) * 0.5))
-    return CurveSeries(
-        kind="ROC",
-        x=tuple(float(v) for v in fpr),
-        y=tuple(float(v) for v in tpr),
-        thresholds=tuple(float(v) for v in thresholds),
-        area=area,
-    )
+    return CurveSeries(kind="ROC", x=fpr, y=tpr, thresholds=thresholds, area=area)
 
 
 def pr_points(scores, labels, weights=None) -> CurveSeries:
@@ -386,13 +405,7 @@ def pr_points(scores, labels, weights=None) -> CurveSeries:
     precision = cum_pos / cum_all
     d_recall = np.diff(np.concatenate(([0.0], recall)))
     area = float(np.sum(precision * d_recall))
-    return CurveSeries(
-        kind="PR",
-        x=tuple(float(v) for v in recall),
-        y=tuple(float(v) for v in precision),
-        thresholds=tuple(float(v) for v in thr),
-        area=area,
-    )
+    return CurveSeries(kind="PR", x=recall, y=precision, thresholds=thr, area=area)
 
 
 def ovr_scores(

@@ -15,8 +15,10 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .data import CLASS_ORDER
-from .metrics import CurveSeries, MetricReport
+from .metrics import CurveSeries, MetricReport, repr_runs
 
 __all__ = [
     "REPORT_SCHEMA_ID",
@@ -29,7 +31,7 @@ __all__ = [
     "curves_svg",
     "training_log_csv",
     "load_report_schema",
-    "curve_filenames",
+    "curve_csvs",
 ]
 
 REPORT_SCHEMA_ID = "gjeval-report-v1"
@@ -85,17 +87,32 @@ def cm_csv(report: MetricReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curve_filenames(report: MetricReport) -> dict[str, CurveSeries]:
-    """Mapping of output file name to curve, in canonical emission order."""
-    out: dict[str, CurveSeries] = {}
-    if report.roc_micro is not None:
-        out["roc_micro.csv"] = report.roc_micro
-        out["pr_micro.csv"] = report.pr_micro
-    for c in CLASS_ORDER:
-        if c.slug in report.roc_per_class:
-            out[f"roc_{c.slug}.csv"] = report.roc_per_class[c.slug]
-        if c.slug in report.pr_per_class:
-            out[f"pr_{c.slug}.csv"] = report.pr_per_class[c.slug]
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _curve_pair_csvs(name: str, roc: CurveSeries, pr: CurveSeries) -> tuple[str, str]:
+    """The ROC and PR CSVs of one curve set, sharing formatted columns: PR
+    recall and thresholds are the ROC TPR and thresholds without the origin."""
+    if not (_same_bits(pr.x, roc.y[1:]) and _same_bits(pr.thresholds, roc.thresholds[1:])):
+        raise ValueError(f"{name} PR recall and thresholds are not the ROC TPR and thresholds")
+    fpr, tpr, thresholds = repr_runs(roc.x), repr_runs(roc.y), repr_runs(roc.thresholds)
+    roc_csv = roc.to_csv((fpr, tpr, thresholds))
+    del fpr  # the PR file does not use it; free it before formatting precision
+    return roc_csv, pr.to_csv((tpr[1:], repr_runs(pr.y), thresholds[1:]))
+
+
+def curve_csvs(report: MetricReport) -> dict[str, str]:
+    """CSV text of every curve by output file name, in canonical emission order."""
+    pairs = [("micro", report.roc_micro, report.pr_micro)] if report.roc_micro is not None else []
+    pairs += [
+        (c.slug, report.roc_per_class[c.slug], report.pr_per_class[c.slug])
+        for c in CLASS_ORDER
+        if c.slug in report.roc_per_class
+    ]
+    out: dict[str, str] = {}
+    for name, roc, pr in pairs:
+        out[f"roc_{name}.csv"], out[f"pr_{name}.csv"] = _curve_pair_csvs(name, roc, pr)
     return out
 
 
@@ -133,7 +150,7 @@ def curves_svg(title: str, named_series: list[tuple[str, CurveSeries]]) -> str:
         )
     for i, (label, series) in enumerate(named_series):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(series.x, series.y))
+        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(series.x.tolist(), series.y.tolist()))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -20,6 +20,7 @@ from gjeval import (
     per_reader_points,
     pool_readers,
     reader_group_report,
+    reader_rows,
 )
 from gjeval.aggregate import LEVELS
 from gjeval.data import READER_ARMS, READER_GROUPS
@@ -299,6 +300,27 @@ class TestReaderReports:
             want = kappa_test(a, b)
             want.detail["n_pairs"] = len(a)
             assert group_vs_group_kappa(x, y).as_dict() == want.as_dict()
+
+    def test_given_rows_match_looked_up_rows(self, small_dataset):
+        calls = reader_calls(small_dataset)
+        calls[4] = ("t1", "trainee", "A", "ghost", 0, 1.0)
+        readers = make_readers(calls)
+        rows = reader_rows(readers, small_dataset)
+        assert rows.tolist() == [
+            small_dataset.image_ids.index(c[3]) if c[3] != "ghost" else -1 for c in calls
+        ]
+        want = pool_readers(readers, small_dataset, "expert", "B")
+        got = pool_readers(readers, small_dataset, "expert", "B", rows)
+        assert got.image_ids == want.image_ids
+        assert got.truths.tolist() == want.truths.tolist()
+        assert got.model_preds.tolist() == want.model_preds.tolist()
+        with pytest.raises(ValueError, match="unknown image 'ghost'"):
+            pool_readers(readers, small_dataset, "trainee", "A", rows)
+        with pytest.raises(ValueError, match="unknown image 'ghost'"):
+            per_reader_points(readers, small_dataset, rows)
+        clean = make_readers(reader_calls(small_dataset))
+        rows = reader_rows(clean, small_dataset)
+        assert per_reader_points(clean, small_dataset, rows) == per_reader_points(clean, small_dataset)
 
     def test_per_reader_points_sorted_cells(self, small_dataset):
         pts = per_reader_points(reader_fixture(small_dataset), small_dataset)

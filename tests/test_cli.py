@@ -297,6 +297,16 @@ class TestReaders:
         run("readers", "--pred", str(pred_csv), "--readers", str(readers_csv), "--out", str(b))
         assert tree(a) == tree(b)
 
+    def test_model_rows_looked_up_once(self, pred_csv, readers_csv, tmp_path, monkeypatch):
+        from gjeval import aggregate
+
+        calls = []
+        rows_of = aggregate._rows_of
+        monkeypatch.setattr(aggregate, "_rows_of", lambda *a: calls.append(1) or rows_of(*a))
+        assert run("readers", "--pred", str(pred_csv), "--readers", str(readers_csv),
+                   "--out", str(tmp_path / "rd")) == 0
+        assert len(calls) == 1
+
 
 class TestKfold:
     def test_outputs_and_partition(self, pred_csv, tmp_path):

@@ -1,0 +1,134 @@
+"""Differential test of the curve CSV writer.
+
+``report.curve_csvs`` formats each curve set's shared columns once: PR
+recall and thresholds reuse the ROC TPR and threshold texts, and a run of
+bit-identical values is formatted once. The oracle is the row-by-row
+``CurveSeries.to_csv`` that the writer replaced, applied to each curve on
+its own in the old file order. Both must give the same text for every curve
+file at every analysis level.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from gjeval import Dataset, SynthSpec, evaluate, serialize_predictions, synth_generate
+from gjeval.cli import main
+from gjeval.data import CLASS_ORDER
+from gjeval.metrics import CurveSeries, compute_report, repr_runs, roc_points
+from gjeval.report import curve_csvs
+
+
+def oracle_to_csv(series: CurveSeries) -> str:
+    lines = [f"# kind={series.kind} area={series.area!r}", "x,y,threshold"]
+    for xi, yi, ti in zip(series.x.tolist(), series.y.tolist(), series.thresholds.tolist()):
+        lines.append(f"{xi!r},{yi!r},{ti!r}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_curve_files(report) -> dict[str, str]:
+    """Every curve file, each curve formatted on its own, in emission order."""
+    out = {}
+    if report.roc_micro is not None:
+        out["roc_micro.csv"] = oracle_to_csv(report.roc_micro)
+        out["pr_micro.csv"] = oracle_to_csv(report.pr_micro)
+    for c in CLASS_ORDER:
+        if c.slug in report.roc_per_class:
+            out[f"roc_{c.slug}.csv"] = oracle_to_csv(report.roc_per_class[c.slug])
+            out[f"pr_{c.slug}.csv"] = oracle_to_csv(report.pr_per_class[c.slug])
+    return out
+
+
+# every probability triple on a grid of quarters; their sums are exactly 1
+QUARTERS = np.array([(a, b, 4 - a - b) for a in range(5) for b in range(5 - a)]) / 4
+
+
+def tied_dataset(seed: int) -> Dataset:
+    """A seeded synth dataset moved to the nearest triple of quarters (heavy
+    ties), with some zeros negated so ``-0.0`` sits next to ``0.0``, the last
+    zero of each column included."""
+    ds = synth_generate(SynthSpec(patients_per_class=(9, 4, 11), images_max=6, separation=1.0, seed=seed))
+    probs = QUARTERS[np.abs(ds.probs[:, None, :] - QUARTERS).sum(axis=2).argmin(axis=1)]
+    gen = np.random.default_rng(seed)
+    for j in range(3):
+        zeros = np.flatnonzero(probs[:, j] == 0.0)
+        flip = zeros[gen.random(zeros.size) < 0.5]
+        probs[np.r_[flip, zeros[-1:]], j] = -0.0
+    return Dataset.from_columns(ds.image_ids, ds.row_patient_ids(), ds.truth, probs)
+
+
+@pytest.mark.parametrize("level", ["image", "patient", "weighted"])
+@pytest.mark.parametrize("seed", range(3))
+def test_writer_matches_row_by_row_to_csv(level, seed):
+    report = evaluate(tied_dataset(seed), level=level)
+    got = curve_csvs(report)
+    want = oracle_curve_files(report)
+    assert list(got) == list(want)
+    assert got == want
+    if level != "patient":  # a patient mean of -0.0 images is +0.0
+        assert any(",-0.0\n" in text for text in got.values())
+
+
+def test_cli_curve_files_match_row_by_row_to_csv(tmp_path):
+    ds = tied_dataset(7)
+    pred = tmp_path / "pred.csv"
+    pred.write_text(serialize_predictions(ds))
+    for level in ("image", "weighted"):
+        out = tmp_path / level
+        assert main(["evaluate", "--pred", str(pred), "--level", level, "--out", str(out)]) == 0
+        want = oracle_curve_files(evaluate(ds, level=level))
+        assert {name: (out / name).read_text() for name in want} == want
+
+
+def test_repr_runs_equals_repr_of_each_value(rng):
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, 0.5, 1 / 3, 5e-324, 1.0, np.nan])
+    for _ in range(300):
+        k = int(rng.integers(0, 12))
+        values = np.repeat(rng.choice(pool, k), rng.integers(1, 5, k))
+        assert repr_runs(values) == list(map(repr, values.tolist()))
+    runs = np.array([0.0, -0.0, -0.0, 0.0, 0.0, np.inf, np.inf, 0.25, -0.0])
+    assert repr_runs(runs) == ["0.0", "-0.0", "-0.0", "0.0", "0.0", "inf", "inf", "0.25", "-0.0"]
+    assert repr_runs(np.empty(0)) == []
+
+
+def _with_pr_micro(report, **changes):
+    return dataclasses.replace(report, pr_micro=dataclasses.replace(report.pr_micro, **changes))
+
+
+def test_writer_rejects_pr_columns_not_from_the_roc():
+    report = evaluate(tied_dataset(1), level="image")
+    x = report.pr_micro.x.copy()
+    x[len(x) // 2] = np.nextafter(x[len(x) // 2], 2.0)
+    with pytest.raises(ValueError, match="micro PR recall and thresholds are not the ROC"):
+        curve_csvs(_with_pr_micro(report, x=x))
+    with pytest.raises(ValueError, match="micro PR recall"):
+        curve_csvs(_with_pr_micro(report, x=report.pr_micro.x[:-1]))
+    # equal as numbers but not as bits: 0.0 in place of a -0.0 threshold
+    thresholds = report.pr_micro.thresholds.copy()
+    negative_zero = np.flatnonzero(np.signbit(thresholds) & (thresholds == 0.0))
+    assert negative_zero.size
+    thresholds[negative_zero] = 0.0
+    with pytest.raises(ValueError, match="micro PR recall"):
+        curve_csvs(_with_pr_micro(report, thresholds=thresholds))
+
+
+def test_curve_arrays_are_read_only_float64():
+    report = evaluate(tied_dataset(2), level="weighted")
+    series = [report.roc_micro, report.pr_micro, *report.roc_per_class.values(), *report.pr_per_class.values()]
+    assert len(series) == 8
+    for s in series:
+        for arr in (s.x, s.y, s.thresholds):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+
+def test_to_csv_without_columns_formats_its_own():
+    roc = roc_points(np.array([0.9, 0.9, -0.0, 0.0, 0.1]), np.array([1, 0, 1, 0, 0], float))
+    assert roc.to_csv() == oracle_to_csv(roc)
+    report = compute_report([0, 1, 2, 0], [0, 1, 2, 1], np.eye(3)[[0, 1, 2, 1]])
+    assert curve_csvs(report)["pr_micro.csv"] == report.pr_micro.to_csv()

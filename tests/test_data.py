@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from gjeval import (
     synth_generate,
 )
 from gjeval.aggregate import patient_mean_aggregate
-from gjeval.data import READER_ARMS, READER_CELLS, READER_GROUPS, age_band
+from gjeval.data import READER_ARMS, READER_CELLS, READER_GROUPS, _data_rows, age_band
 
 HEADER = "image_id,patient_id,true_label,p_aegja,p_eegja,p_control"
 
@@ -189,6 +190,54 @@ class TestParsePredictions:
         text = csv_text("i1,p1,nope,1,0,0", "i" * 200_000 + ",p2,A-EGJA,1,0,0")
         with pytest.raises(ParseError, match=r"^row 2: unknown class label 'nope'$"):
             parse_predictions(text)
+
+    def test_cross_row_faults_name_the_repeating_line(self):
+        # with a blank line after each of the first two rows, rows 1-4 sit on lines 2, 4, 6, 7
+        def parse(ids, patients, labels):
+            rows = [f"{i},{p},{t},0.4,0.3,0.3" for i, p, t in zip(ids, patients, labels)]
+            return parse_predictions(csv_text(rows[0], "", rows[1], "  ", *rows[2:]))
+
+        labels = ("A-EGJA", "A-EGJA", "E-EGJA", "E-EGJA")
+        # a duplicate image (row 3) before a conflicting truth (row 4) ...
+        with pytest.raises(ParseError, match="^row 6: duplicate image_id 'a'$") as exc:
+            parse("abad", "pqrq", labels)
+        assert exc.value.row == 6
+        # ... a conflict (row 3) before a duplicate (row 4) ...
+        with pytest.raises(ParseError, match="^row 6: conflicting true labels for patient 'q'$"):
+            parse("abca", "pqqr", labels)
+        # ... and in one row the duplicate is reported
+        with pytest.raises(ParseError, match="^row 6: duplicate image_id 'b'$"):
+            parse("abbd", "pqqr", labels)
+        # a fault within a row wins over an earlier cross-row fault
+        with pytest.raises(ParseError, match="^row 7: unknown class label 'nope'$"):
+            parse("abad", "pqrq", labels[:3] + ("nope",))
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_gc_state_restored_after_failed_parse(self, collecting):
+        before = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            for parse, text in (
+                (parse_predictions, HEADER + "\n"),
+                (parse_predictions, csv_text("i1,p1,A-EGJA,1,0,0", "i2,p1,A-EGJA,1,0")),
+                (parse_predictions, csv_text("i1,p1,A-EGJA,1,0,0", "i1,p1,A-EGJA,1,0,0")),
+                (parse_readers, READER_HEADER + "\nr1,trainee,A,i1\n"),
+            ):
+                with pytest.raises(ParseError):
+                    parse(text)
+                assert gc.isenabled() is collecting
+            seen = []
+
+            def rows():
+                yield ["a", "b"]
+                seen.append(gc.isenabled())
+                raise RuntimeError("reader failed")
+
+            with pytest.raises(RuntimeError):
+                _data_rows(rows(), ["x", "y"])
+            assert seen == [False] and gc.isenabled() is collecting
+        finally:
+            (gc.enable if before else gc.disable)()
 
 
 class TestDataset:

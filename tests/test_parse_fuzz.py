@@ -2,8 +2,9 @@
 
 The oracle is the row-by-row parser that the columnar ``parse_predictions``
 replaced, kept here with the rules added since: an empty ``image_id`` or
-``patient_id`` is a row error, a duplicated header column is an error, and a
-leading byte order mark is ignored. Both parsers read seeded mutations of
+``patient_id`` is a row error, a duplicated header column is an error, a
+leading byte order mark is ignored, and a duplicated ``image_id`` or a
+patient's second true label names the file line that repeats it. Both parsers read seeded mutations of
 valid CSVs and must raise the same message or return the same columns.
 Through the CLI, every mutation must end in exit 0, or in exit 1 with the
 oracle's message.
@@ -65,6 +66,7 @@ def oracle_parse(source: str, strict: bool = False) -> dict:
         if col in extras[:pos]:
             raise ParseError(f"duplicate column {col!r}")
     records = []
+    lines = []
     renorm = 0
     for row_no, raw in enumerate(reader, start=2):
         if not raw or (len(raw) == 1 and not raw[0].strip()):
@@ -88,16 +90,17 @@ def oracle_parse(source: str, strict: bool = False) -> dict:
                 raise ParseError(f"age must be finite and non-negative, got {fields['age']!r}", row_no)
         records.append((fields["image_id"], fields["patient_id"], truth, probs,
                         *(fields.get(c) or None for c in ("center", "modality", "sex")), age))
+        lines.append(row_no)
     if not records:
         raise ParseError("no data rows")
     seen: set[str] = set()
     first: dict[str, int] = {}
     for pos, (image_id, patient_id, truth, *_) in enumerate(records):
         if image_id in seen:
-            raise ParseError(f"duplicate image_id {image_id!r}")
+            raise ParseError(f"duplicate image_id {image_id!r}", lines[pos])
         seen.add(image_id)
         if records[first.setdefault(patient_id, pos)][2] != truth:
-            raise ParseError(f"conflicting true labels for patient {patient_id!r}")
+            raise ParseError(f"conflicting true labels for patient {patient_id!r}", lines[pos])
 
     def pred(p):
         best = 0
