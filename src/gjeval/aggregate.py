@@ -155,23 +155,21 @@ def reader_rows(readers: Readers, model: Dataset) -> np.ndarray:
     return _rows_of(model, readers.image_ids)
 
 
-def pool_readers(
-    readers: Readers, model: Dataset, group: str, arm: str, rows: np.ndarray | None = None
-) -> PooledReaderPairs:
+def pool_readers(readers: Readers, model: Dataset, group: str, arm: str, rows: np.ndarray) -> PooledReaderPairs:
     """Pool every reader observation of one (group, arm) cell against the model.
 
     A call on an image the model lacks is an error (the model dataset defines
     the image universe), and so is a call without a time in a cell that has
     times. The first such call in file order is reported; on one call, the
-    unknown image. ``rows`` is ``reader_rows(readers, model)``, which a
-    caller pooling several cells looks up once.
+    unknown image. ``rows`` is ``reader_rows(readers, model)``, looked up
+    once for every cell.
     """
     code = READER_CELLS.index((group, arm)) if (group, arm) in READER_CELLS else -1
     in_cell = readers.cells() == code
     image_ids = tuple(compress(readers.image_ids, in_cell.tolist()))
     if not image_ids:
         raise ValueError(f"no reader records for group={group!r} arm={arm!r}")
-    rows = (reader_rows(readers, model) if rows is None else rows)[in_cell]
+    rows = rows[in_cell]
     elapsed = None if readers.elapsed_s is None else readers.elapsed_s[in_cell]
     if elapsed is not None and np.isnan(elapsed).all():
         elapsed = None
@@ -240,12 +238,11 @@ def group_vs_group_kappa(pool_x: PooledReaderPairs, pool_y: PooledReaderPairs) -
     return res
 
 
-def per_reader_points(readers: Readers, model: Dataset, rows: np.ndarray | None = None) -> list[dict]:
+def per_reader_points(readers: Readers, model: Dataset, rows: np.ndarray) -> list[dict]:
     """Per-reader, per-class sensitivity/specificity/PPV rows for scatter plots.
 
     Readers come in cell order (trainee, competent, expert; arm A before B),
-    then by reader_id. ``rows`` is ``reader_rows(readers, model)``, when the
-    caller has it.
+    then by reader_id. ``rows`` is ``reader_rows(readers, model)``.
     """
     names = sorted(set(readers.reader_ids))
     rank = dict(zip(names, range(len(names))))
@@ -253,7 +250,7 @@ def per_reader_points(readers: Readers, model: Dataset, rows: np.ndarray | None 
         map(rank.__getitem__, readers.reader_ids), np.int64, len(readers)
     )
     order = np.argsort(key, kind="stable")
-    rows = (reader_rows(readers, model) if rows is None else rows)[order]
+    rows = rows[order]
     unknown = np.flatnonzero(rows < 0)
     if unknown.size:
         raise ValueError(

@@ -177,6 +177,10 @@ def make_readers(calls) -> Readers:
     )
 
 
+def pooled(readers, ds, group, arm):
+    return pool_readers(readers, ds, group, arm, reader_rows(readers, ds))
+
+
 def reader_calls(ds):
     """Two trainees in arm A, one expert in arm B, covering all images."""
     return [
@@ -197,7 +201,7 @@ def reader_fixture(ds):
 class TestReaderPooling:
     def test_pool_replicates_model_preds(self, small_dataset):
         readers = reader_fixture(small_dataset)
-        pool = pool_readers(readers, small_dataset, "trainee", "A")
+        pool = pooled(readers, small_dataset, "trainee", "A")
         n = len(small_dataset)
         assert pool.truths.size == 2 * n  # two trainees
         assert sorted(set(pool.reader_ids)) == ["t1", "t2"]
@@ -207,44 +211,44 @@ class TestReaderPooling:
 
     def test_mean_elapsed(self, small_dataset):
         readers = reader_fixture(small_dataset)
-        pool = pool_readers(readers, small_dataset, "expert", "B")
+        pool = pooled(readers, small_dataset, "expert", "B")
         assert pool.mean_elapsed_s == pytest.approx(5.0)
 
     def test_dangling_image_rejected(self, small_dataset):
         readers = make_readers(reader_calls(small_dataset) + [("t1", "trainee", "A", "ghost", 2, 1.0)])
         with pytest.raises(ValueError, match="ghost"):
-            pool_readers(readers, small_dataset, "trainee", "A")
+            pooled(readers, small_dataset, "trainee", "A")
 
     def test_empty_cell_rejected(self, small_dataset):
         readers = reader_fixture(small_dataset)
         with pytest.raises(ValueError):
-            pool_readers(readers, small_dataset, "competent", "A")
+            pooled(readers, small_dataset, "competent", "A")
 
     def test_partial_elapsed_rejected(self, small_dataset):
         calls = reader_calls(small_dataset)
         calls[0] = (*calls[0][:5], np.nan)
         with pytest.raises(ValueError, match="elapsed"):
-            pool_readers(make_readers(calls), small_dataset, "trainee", "A")
+            pooled(make_readers(calls), small_dataset, "trainee", "A")
 
     def test_first_bad_call_wins_and_unknown_image_beats_missing_time(self, small_dataset):
         calls = reader_calls(small_dataset)
         calls[3] = ("t1", "trainee", "A", "ghost3", 0, np.nan)
         calls[5] = ("t1", "trainee", "A", "ghost5", 0, 1.0)
         with pytest.raises(ValueError, match="unknown image 'ghost3'"):
-            pool_readers(make_readers(calls), small_dataset, "trainee", "A")
+            pooled(make_readers(calls), small_dataset, "trainee", "A")
         calls[1] = (*calls[1][:5], np.nan)
         with pytest.raises(ValueError, match="missing elapsed_s for reader 't1' image 'img00001'"):
-            pool_readers(make_readers(calls), small_dataset, "trainee", "A")
+            pooled(make_readers(calls), small_dataset, "trainee", "A")
 
     def test_untimed_cell_among_timed(self, small_dataset):
         calls = [(*c[:5], np.nan) if c[0] == "e1" else c for c in reader_calls(small_dataset)]
         readers = make_readers(calls)
-        assert pool_readers(readers, small_dataset, "expert", "B").mean_elapsed_s is None
-        assert pool_readers(readers, small_dataset, "trainee", "A").mean_elapsed_s == 5.0
+        assert pooled(readers, small_dataset, "expert", "B").mean_elapsed_s is None
+        assert pooled(readers, small_dataset, "trainee", "A").mean_elapsed_s == 5.0
 
     def test_pool_keeps_file_order(self, small_dataset):
         calls = reader_calls(small_dataset)[::-1]
-        pool = pool_readers(make_readers(calls), small_dataset, "trainee", "A")
+        pool = pooled(make_readers(calls), small_dataset, "trainee", "A")
         cell = [c for c in calls if c[1] == "trainee"]
         assert pool.image_ids == tuple(c[3] for c in cell)
         assert pool.reader_preds.tolist() == [c[4] for c in cell]
@@ -252,7 +256,7 @@ class TestReaderPooling:
 
 class TestReaderReports:
     def test_group_report_no_curves(self, small_dataset):
-        pool = pool_readers(reader_fixture(small_dataset), small_dataset, "expert", "B")
+        pool = pooled(reader_fixture(small_dataset), small_dataset, "expert", "B")
         rep = reader_group_report(pool)
         assert rep.auc_micro is None
         assert rep.level == "readers:expert:B"
@@ -261,15 +265,15 @@ class TestReaderReports:
         assert rep.overall.accuracy.value == pytest.approx(1.0)
 
     def test_model_vs_reader_test_order(self, small_dataset):
-        pool = pool_readers(reader_fixture(small_dataset), small_dataset, "expert", "B")
+        pool = pooled(reader_fixture(small_dataset), small_dataset, "expert", "B")
         tests = model_vs_reader_tests(pool)
         assert [t.name for t in tests] == ["kappa", "bowker"]
         assert "kappa" in tests[0].detail
 
     def test_group_vs_group_cross_join(self, small_dataset):
         readers = reader_fixture(small_dataset)
-        pool_a = pool_readers(readers, small_dataset, "trainee", "A")
-        pool_b = pool_readers(readers, small_dataset, "expert", "B")
+        pool_a = pooled(readers, small_dataset, "trainee", "A")
+        pool_b = pooled(readers, small_dataset, "expert", "B")
         res = group_vs_group_kappa(pool_a, pool_b)
         # 2 trainees x 1 expert x 9 images = 18 cross pairs
         assert res.detail["n_pairs"] == 18
@@ -285,7 +289,7 @@ class TestReaderReports:
                 for _ in range(int(rng.integers(1, 15)))
             ]
             calls = list({(c[0], c[3]): c for c in calls}.values())
-            x, y = (pool_readers(make_readers(calls), small_dataset, *cell)
+            x, y = (pooled(make_readers(calls), small_dataset, *cell)
                     for cell in (("trainee", "A"), ("expert", "B")))
             a, b = [], []
             for img_y, pred_y in zip(y.image_ids, y.reader_preds.tolist()):
@@ -301,29 +305,23 @@ class TestReaderReports:
             want.detail["n_pairs"] = len(a)
             assert group_vs_group_kappa(x, y).as_dict() == want.as_dict()
 
-    def test_given_rows_match_looked_up_rows(self, small_dataset):
+    def test_reader_rows_mark_unknown_images(self, small_dataset):
         calls = reader_calls(small_dataset)
         calls[4] = ("t1", "trainee", "A", "ghost", 0, 1.0)
         readers = make_readers(calls)
         rows = reader_rows(readers, small_dataset)
         assert rows.tolist() == [
-            small_dataset.image_ids.index(c[3]) if c[3] != "ghost" else -1 for c in calls
+            -1 if c[3] == "ghost" else small_dataset.image_ids.index(c[3]) for c in calls
         ]
-        want = pool_readers(readers, small_dataset, "expert", "B")
-        got = pool_readers(readers, small_dataset, "expert", "B", rows)
-        assert got.image_ids == want.image_ids
-        assert got.truths.tolist() == want.truths.tolist()
-        assert got.model_preds.tolist() == want.model_preds.tolist()
+        assert pool_readers(readers, small_dataset, "expert", "B", rows).truths.size == len(small_dataset)
         with pytest.raises(ValueError, match="unknown image 'ghost'"):
             pool_readers(readers, small_dataset, "trainee", "A", rows)
         with pytest.raises(ValueError, match="unknown image 'ghost'"):
             per_reader_points(readers, small_dataset, rows)
-        clean = make_readers(reader_calls(small_dataset))
-        rows = reader_rows(clean, small_dataset)
-        assert per_reader_points(clean, small_dataset, rows) == per_reader_points(clean, small_dataset)
 
     def test_per_reader_points_sorted_cells(self, small_dataset):
-        pts = per_reader_points(reader_fixture(small_dataset), small_dataset)
+        readers = reader_fixture(small_dataset)
+        pts = per_reader_points(readers, small_dataset, reader_rows(readers, small_dataset))
         # 3 readers x 3 classes
         assert len(pts) == 9
         keys = [(p["group"], p["arm"], p["reader_id"], p["class"]) for p in pts]
