@@ -63,7 +63,7 @@ def _stamp(args) -> str | None:
 def _write_outputs(outdir: Path, files: dict[str, str]) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (outdir / name).write_text(text)
+        (outdir / name).write_text(text, encoding="utf-8")
         print(f"wrote {outdir / name}")
 
 
@@ -97,7 +97,7 @@ def _has_undefined(mr: MetricReport) -> bool:
 
 def cmd_evaluate(args) -> int:
     pred_path = Path(args.pred)
-    ds = parse_predictions(pred_path.read_text(), strict=args.strict)
+    ds = parse_predictions(pred_path.read_text(encoding="utf-8"), strict=args.strict)
     mr = aggregate.evaluate(ds, level=args.level)
     if args.strict and _has_undefined(mr):
         _err("metric degeneracy (zero-denominator ratio) in strict mode")
@@ -125,8 +125,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     path_a, path_b = Path(args.pred_a), Path(args.pred_b)
-    ds_a = parse_predictions(path_a.read_text())
-    ds_b = parse_predictions(path_b.read_text())
+    ds_a = parse_predictions(path_a.read_text(encoding="utf-8"))
+    ds_b = parse_predictions(path_b.read_text(encoding="utf-8"))
     joined = aggregate.join_predictions(ds_a, ds_b)
     tests = [
         bowker_test(np.stack((joined.preds_a, joined.preds_b), axis=1)),
@@ -170,8 +170,8 @@ def cmd_compare(args) -> int:
 
 def cmd_readers(args) -> int:
     pred_path, readers_path = Path(args.pred), Path(args.readers)
-    model = parse_predictions(pred_path.read_text())
-    readers = parse_readers(readers_path.read_text())
+    model = parse_predictions(pred_path.read_text(encoding="utf-8"))
+    readers = parse_readers(readers_path.read_text(encoding="utf-8"))
     cells = [READER_CELLS[c] for c in np.flatnonzero(np.bincount(readers.cells())).tolist()]
     rows = aggregate.reader_rows(readers, model)
     pooled = {cell: aggregate.pool_readers(readers, model, *cell, rows) for cell in cells}
@@ -239,11 +239,10 @@ def cmd_readers(args) -> int:
 
 def cmd_kfold(args) -> int:
     pred_path = Path(args.pred)
-    ds = parse_predictions(pred_path.read_text())
+    ds = parse_predictions(pred_path.read_text(encoding="utf-8"))
     spec = kfold_split(ds, k=args.k, unit=args.by, seed=args.seed)
     per_fold = []
-    for fold in range(spec.k):
-        _, test_ds = fold_datasets(ds, spec, fold)
+    for fold, test_ds in enumerate(fold_datasets(ds, spec)):
         summary = summarize(test_ds)
         per_fold.append(
             {
@@ -302,7 +301,7 @@ def cmd_synth(args) -> int:
     ds = synth_generate(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(serialize_predictions(ds))
+    out.write_text(serialize_predictions(ds), encoding="utf-8")
     s = summarize(ds)
     print(f"wrote {out} ({s.patients} patients, {s.images} images)")
     return 0

@@ -15,8 +15,8 @@ import io
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import compress
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import compress, repeat
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "DatasetSummary",
     "FoldSpec",
     "SynthSpec",
-    "parse_label",
     "parse_predictions",
     "serialize_predictions",
     "parse_readers",
@@ -49,6 +48,8 @@ READER_GROUPS = ("trainee", "competent", "expert")
 READER_ARMS = ("A", "B")
 READER_CELLS = tuple((g, a) for g in READER_GROUPS for a in READER_ARMS)  # by cell code
 _BOM = "\ufeff"  # a byte order mark, as spreadsheet exports write it
+# columns by header name, the blank lines skipped, the first bad row's (line, message)
+_Rows = tuple[dict[str, list[str]], list[int], tuple[int, str] | None]
 
 
 class ClassLabel(IntEnum):
@@ -106,15 +107,6 @@ class _CrossRowFault(ParseError):
     def __init__(self, message: str, index: int):
         self.index = index
         super().__init__(message)
-
-
-def parse_label(token: str, row: int | None = None) -> ClassLabel:
-    """Parse a class label from its display name or numeric index, case-insensitively."""
-    key = token.strip().lower()
-    try:
-        return _LABEL_ALIASES[key]
-    except KeyError:
-        raise ParseError(f"unknown class label {token!r}", row) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,19 +307,61 @@ class _FirstFailure:
             raise ParseError(bad_row[1], bad_row[0])
 
 
-def _header(source: str) -> tuple[list[str], Iterator[list[str]]]:
-    """The stripped header fields and a reader of the rows after them. A
-    leading byte order mark is ignored."""
-    reader = csv.reader(io.StringIO(source.removeprefix(_BOM), newline=""))
+def _table(source: str) -> tuple[list[str], Callable[[], _Rows]]:
+    """The stripped header fields, and a function that reads the data rows
+    into ``_data_rows``'s columns, blank lines and bad row. A leading byte
+    order mark is ignored.
+
+    Plain text (see ``_plain_split``) is split on newlines and commas; any
+    other file is read by ``csv``. Both give the same fields and errors."""
+    text = source.removeprefix(_BOM)
+    plain = _plain_split(text)
+    if plain is not None:
+        head, body = plain
+        header = [h.strip() for h in head.split(",")]
+        return header, lambda: (_split_columns(body, header), [], None)
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        return [h.strip() for h in next(reader)], reader
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise ParseError("empty file") from None
     except csv.Error as exc:
         raise ParseError(str(exc), 1) from None
+    return header, lambda: _data_rows(reader, header)
 
 
-def _data_rows(reader, header: list[str]) -> tuple[dict[str, list[str]], list[int], tuple[int, str] | None]:
+def _plain_split(text: str) -> tuple[str, str] | None:
+    """The header line and the data lines (without the final newline) of
+    text that ``csv`` would read as plain comma-separated fields, else None.
+
+    Text is plain when it has no quote, CR or NUL (a CR ends a line for
+    ``csv``; Python 3.10's ``csv`` rejects NUL), at least two columns and one
+    data line, the header's comma count on every data line, and no line
+    longer than ``csv.field_size_limit()``. Blank lines, ragged rows and
+    fields ``csv`` may reject are left to ``csv``, so their row numbers and
+    messages stay its own."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    head, _, body = text.partition("\n")
+    body = body.removesuffix("\n")
+    commas = head.count(",")
+    limit = csv.field_size_limit()
+    if not body or not commas or len(head) > limit:
+        return None
+    lines = body.split("\n")
+    if set(map(str.count, lines, repeat(","))) != {commas} or max(map(len, lines)) > limit:
+        return None
+    return head, body
+
+
+def _split_columns(body: str, header: list[str]) -> dict[str, list[str]]:
+    """The stripped columns of plain data lines, one per header name."""
+    fields = body.replace("\n", ",").split(",")
+    k = len(header)
+    return {name: list(map(str.strip, fields[j::k])) for j, name in enumerate(header)}
+
+
+def _data_rows(reader, header: list[str]) -> _Rows:
     """The data rows up to the first bad one as stripped columns, one per
     header name; the file lines of the blank lines skipped among them; and
     the bad row's (line, message). A row is bad when its field count is wrong
@@ -386,7 +420,7 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     the line that repeats it; the earlier line wins, and on one line the
     duplicate.
     """
-    header, reader = _header(source)
+    header, read_rows = _table(source)
     if tuple(header[: len(PRED_BASE_COLUMNS)]) != PRED_BASE_COLUMNS:
         raise ParseError(
             f"header must start with {','.join(PRED_BASE_COLUMNS)}; got {','.join(header)}"
@@ -397,7 +431,7 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
             raise ParseError(f"unknown column {col!r}")
         if col in extras[:pos]:
             raise ParseError(f"duplicate column {col!r}")
-    cols, blanks, bad_row = _data_rows(reader, header)
+    cols, blanks, bad_row = read_rows()
     n = len(cols[header[0]])
     fail = _FirstFailure()
     fail.empty(cols, ("image_id", "patient_id"))
@@ -513,14 +547,14 @@ def parse_readers(source: str) -> Readers:
     ``reader_id``/``image_id``, group, arm, duplicate pair, ``elapsed_s``
     (number, range), label.
     """
-    header, reader = _header(source)
+    header, read_rows = _table(source)
     if tuple(header[: len(READER_BASE_COLUMNS)]) != READER_BASE_COLUMNS:
         raise ParseError(
             f"header must start with {','.join(READER_BASE_COLUMNS)}; got {','.join(header)}"
         )
     if header[len(READER_BASE_COLUMNS) :] not in ([], ["elapsed_s"]):
         raise ParseError(f"unexpected trailing columns {header[len(READER_BASE_COLUMNS):]}")
-    cols, blanks, bad_row = _data_rows(reader, header)
+    cols, blanks, bad_row = read_rows()
     n = len(cols[header[0]])
     fail = _FirstFailure()
     fail.empty(cols, ("reader_id", "image_id"))
@@ -651,15 +685,14 @@ def kfold_split(ds: Dataset, k: int, unit: str = "patient", seed: int = 0) -> Fo
     return FoldSpec(k=k, unit=unit, seed=seed, assignments=assignments)
 
 
-def fold_datasets(ds: Dataset, spec: FoldSpec, fold: int) -> tuple[Dataset, Dataset]:
-    """(train, test) datasets for one fold of a FoldSpec."""
-    if not 0 <= fold < spec.k:
-        raise ValueError(f"fold {fold} out of range for k={spec.k}")
+def fold_datasets(ds: Dataset, spec: FoldSpec) -> list[Dataset]:
+    """The test dataset of every fold of a FoldSpec, in fold order. Each
+    row's fold is looked up once; a fold's training set is every other row."""
     units = ds.patient_ids if spec.unit == "patient" else ds.image_ids
-    test = np.fromiter(map(spec.assignments.__getitem__, units), np.int64, len(units)) == fold
+    fold = np.fromiter(map(spec.assignments.__getitem__, units), np.int64, len(units))
     if spec.unit == "patient":
-        test = test[ds.patient_codes]
-    return ds.select(~test), ds.select(test)
+        fold = fold[ds.patient_codes]
+    return [ds.select(fold == k) for k in range(spec.k)]
 
 
 @dataclass(frozen=True)

@@ -173,5 +173,5 @@ def training_log_csv(log: tuple[dict, ...]) -> str:
 
 def load_report_schema() -> dict:
     """The versioned JSON schema shipped with the package."""
-    text = resources.files("gjeval").joinpath("schemas/report-v1.json").read_text()
+    text = resources.files("gjeval").joinpath("schemas/report-v1.json").read_text(encoding="utf-8")
     return json.loads(text)

@@ -9,7 +9,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gjeval import Dataset, Readers
+import gjeval.data
+from gjeval import Dataset, ParseError, Readers
+
+# The class label tokens the input format accepts, matched case-insensitively
+# after stripping: display names, slugs and indices.
+LABEL_CODES = {
+    "a-egja": 0, "e-egja": 1, "control": 2,
+    "aegja": 0, "eegja": 1,
+    "0": 0, "1": 1, "2": 2,
+}
+
+
+def oracle_label(token: str, row: int | None = None) -> int:
+    """A label token's class index; an unknown token is the parsers' error."""
+    try:
+        return LABEL_CODES[token.strip().lower()]
+    except KeyError:
+        raise ParseError(f"unknown class label {token!r}", row) from None
 
 
 def brute_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -107,6 +124,21 @@ def reader_columns(readers: Readers) -> dict:
         "pred": readers.pred.tolist(),
         "elapsed_s": None if readers.elapsed_s is None else readers.elapsed_s.tobytes(),
     }
+
+
+@pytest.fixture
+def tokenizer_paths(monkeypatch):
+    """Counts, per parse, the texts split as plain CSV and those read by ``csv``."""
+    counts = {"plain": 0, "csv": 0}
+    plain_split = gjeval.data._plain_split
+
+    def counted(text):
+        found = plain_split(text)
+        counts["csv" if found is None else "plain"] += 1
+        return found
+
+    monkeypatch.setattr(gjeval.data, "_plain_split", counted)
+    return counts
 
 
 @pytest.fixture

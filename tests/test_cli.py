@@ -421,6 +421,30 @@ class TestEntryPoints:
         assert run(*argv, str(in_process)) == 0
         assert tree(script) == tree(in_process) == tree(as_module)
 
+    @pytest.mark.parametrize("subcommand", ["evaluate", "compare", "readers", "kfold", "synth", "fusion-demo"])
+    def test_files_read_and_written_as_utf8(self, subcommand, pred_csv, pred_csv_b, readers_csv, tmp_path):
+        # EncodingWarning flags every file opened in the locale's encoding
+        out = tmp_path / "out"
+        ids = tmp_path / "ids.csv"  # non-ASCII patient ids, which kfold writes back out
+        ids.write_text("image_id,patient_id,true_label,p_aegja,p_eegja,p_control\n" + "".join(
+            f"é{k},pé{k},{k % 3},1,0,0\n" for k in range(6)), encoding="utf-8")
+        argv = {
+            "evaluate": ["--pred", str(pred_csv), "--out", str(out)],
+            "compare": ["--pred-a", str(pred_csv), "--pred-b", str(pred_csv_b), "--out", str(out)],
+            "readers": ["--pred", str(pred_csv), "--readers", str(readers_csv), "--out", str(out)],
+            "kfold": ["--pred", str(ids), "--k", "3", "--out", str(out)],
+            "synth": ["--patients", "2,2,2", "--out", str(out / "synth.csv")],
+            "fusion-demo": ["--dim", "12", "--hidden", "3", "--epochs", "2", "--batch", "64", "--out", str(out)],
+        }[subcommand]
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "gjeval", subcommand, *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        if subcommand == "kfold":
+            assert "pé0," in (out / "assignments.csv").read_bytes().decode("utf-8")
+
     @pytest.mark.skipif(shutil.which("gjeval") is None, reason="no gjeval console script on PATH")
     def test_installed_console_script_matches_module(self, pred_csv, tmp_path):
         declared = declared_console_script()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import gc
 import math
 
@@ -17,7 +18,6 @@ from gjeval import (
     SynthSpec,
     fold_datasets,
     kfold_split,
-    parse_label,
     parse_predictions,
     parse_readers,
     serialize_predictions,
@@ -42,16 +42,14 @@ class TestLabels:
         assert [c.slug for c in ClassLabel] == ["aegja", "eegja", "control"]
 
     def test_parse_aliases(self):
-        assert parse_label("A-EGJA") == ClassLabel.AEGJA
-        assert parse_label("a-egja") == ClassLabel.AEGJA
-        assert parse_label("aegja") == ClassLabel.AEGJA
-        assert parse_label("Control") == ClassLabel.CONTROL
-        assert parse_label("2") == ClassLabel.CONTROL
-        assert parse_label("1") == ClassLabel.EEGJA
+        tokens = {"A-EGJA": ClassLabel.AEGJA, "a-egja": ClassLabel.AEGJA, "aegja": ClassLabel.AEGJA,
+                  "Control": ClassLabel.CONTROL, "2": ClassLabel.CONTROL, "1": ClassLabel.EEGJA}
+        rows = [f"i{k},p{k},{token},1,0,0" for k, token in enumerate(tokens)]
+        assert parse_predictions(csv_text(*rows)).truth.tolist() == list(tokens.values())
 
     def test_parse_rejects_unknown(self):
-        with pytest.raises(ParseError):
-            parse_label("B-EGJA")
+        with pytest.raises(ParseError, match="^row 3: unknown class label 'B-EGJA'$"):
+            parse_predictions(csv_text("i1,p1,A-EGJA,1,0,0", "i2,p2,B-EGJA,1,0,0"))
 
     def test_severity_order_is_canonical_order(self):
         # class 0 outranks 1 outranks 2 on ties
@@ -362,6 +360,93 @@ class TestReaders:
             parse_readers(text)
 
 
+ROWS = ("i1,p1,A-EGJA,0.8,0.15,0.05", "i2,p1,A-EGJA,0.2,0.5,0.3", "i3,p2,control,0.1,0.2,0.7")
+READER_ROWS = ("r1,trainee,A,i1,A-EGJA", "r1,trainee,A,i2,control", "r2,expert,B,i1,E-EGJA")
+LONG = "x" * 100_000  # under csv.field_size_limit(); two of them make a line over it
+OVER = "x" * 200_000  # over csv.field_size_limit()
+
+
+def _text(header: str, rows, newline: str = "\n", end: str = "\n", bom: bool = False) -> str:
+    return "\ufeff" * bom + newline.join((header, *rows)) + end
+
+
+# (id, parser, text, the tokenizer that reads the text as given)
+TOKENIZER_CASES = [
+    ("quoted-field", parse_predictions, _text(HEADER, ROWS), "plain"),
+    ("crlf", parse_predictions, _text(HEADER, ROWS, newline="\r\n", end="\r\n"), "csv"),
+    ("cr", parse_predictions, _text(HEADER, ROWS, newline="\r", end="\r"), "csv"),
+    ("blank-line", parse_predictions, _text(HEADER, (ROWS[0], "", ROWS[1], " \t", ROWS[2])), "csv"),
+    ("trailing-blank-line", parse_predictions, _text(HEADER, ROWS, end="\n\n"), "csv"),
+    ("header-only", parse_predictions, _text(HEADER, ()), "csv"),
+    ("no-final-newline", parse_predictions, _text(HEADER, ROWS, end=""), "plain"),
+    ("ragged-short", parse_predictions, _text(HEADER, (ROWS[0], "i2,p1,A-EGJA,0.2,0.5", ROWS[2])), "csv"),
+    ("ragged-long", parse_predictions, _text(HEADER, (ROWS[0], ROWS[1] + ",x", ROWS[2])), "csv"),
+    ("over-long-header", parse_predictions, _text(OVER + "," + HEADER, ROWS), "csv"),
+    ("over-long-field", parse_predictions, _text(HEADER, (ROWS[0], OVER + ROWS[1], ROWS[2])), "csv"),
+    ("long-line-short-fields", parse_predictions, _text(HEADER, (ROWS[0], f"{LONG},{LONG}p,A-EGJA,1,0,0")), "csv"),
+    ("nul", parse_predictions, _text(HEADER, (ROWS[0], "i\x002" + ROWS[1][2:], ROWS[2])), "csv"),
+    ("x85", parse_predictions, _text(HEADER, ("i\x851,\x85p1\x85" + ROWS[0][5:], ROWS[1])), "plain"),
+    ("u2028", parse_predictions, _text(HEADER, ("i\u20281,p1\u2028" + ROWS[0][5:], ROWS[1])), "plain"),
+    ("x0b", parse_predictions, _text(HEADER, ("i1\x0b,\x0bp1" + ROWS[0][5:], ROWS[1])), "plain"),
+    ("padded", parse_predictions,
+     _text(" image_id ,patient_id\t," + HEADER[20:], (" i1 ,\tp1\t, A-EGJA ,0.8 ,\t0.15, 0.05 ", ROWS[1])), "plain"),
+    ("bom", parse_predictions, _text(HEADER, ROWS, bom=True), "plain"),
+    ("bad-label", parse_predictions, _text(HEADER, (ROWS[0], "i2,p1,nope,0.2,0.5,0.3")), "plain"),
+    ("readers-padded-bom", parse_readers, _text(READER_HEADER, (" r1 , Trainee ,a, i1 ,\t0",) + READER_ROWS[1:], bom=True), "plain"),
+    ("readers-ragged", parse_readers, _text(READER_HEADER, (READER_ROWS[0], READER_ROWS[1] + ",", READER_ROWS[2])), "csv"),
+    ("readers-crlf", parse_readers, _text(READER_HEADER, READER_ROWS, newline="\r\n", end="\r\n"), "csv"),
+]
+
+
+def _quote_first_field(text: str) -> str:
+    """The same file with the header's first field quoted, so that only
+    ``csv`` can read it."""
+    body = text.removeprefix("\ufeff")
+    end = body.index(",")
+    return text[: len(text) - len(body)] + '"' + body[:end] + '"' + body[end:]
+
+
+class TestTokenizerPaths:
+    """The plain split and ``csv`` read every file alike: the same columns
+    or the same error."""
+
+    @staticmethod
+    def _outcome(parse, text):
+        try:
+            ds = parse(text)
+        except ParseError as exc:
+            return "error", str(exc)
+        return "ok", dataset_columns(ds) if isinstance(ds, Dataset) else reader_columns(ds)
+
+    @pytest.mark.parametrize(("parse", "text", "path"), [c[1:] for c in TOKENIZER_CASES],
+                             ids=[c[0] for c in TOKENIZER_CASES])
+    def test_both_tokenizers_agree(self, parse, text, path, tokenizer_paths):
+        got = self._outcome(parse, text)
+        assert tokenizer_paths == {"plain": path == "plain", "csv": path == "csv"}
+        assert self._outcome(parse, _quote_first_field(text)) == got
+        assert tokenizer_paths["csv"] == 1 + (path == "csv")
+
+    def test_plain_fields_are_stripped_like_csv_fields(self):
+        ds = parse_predictions(_text(HEADER, ("i\x851,\x85p1\x85" + ROWS[0][5:], ROWS[1])))
+        assert ds.image_ids == ("i\x851", "i2") and ds.patient_ids == ("p1",)
+        ds = parse_predictions(_text(" image_id ,patient_id\t," + HEADER[20:], (" i1 ,\tp1\t, A-EGJA ,0.8 ,\t0.15, 0.05 ",)))
+        assert ds.image_ids == ("i1",) and ds.probs.tolist() == [[0.8, 0.15, 0.05]]
+
+    def test_field_size_limit_read_at_call_time(self, tokenizer_paths):
+        text = _text(HEADER, ROWS)
+        old = csv.field_size_limit(20)
+        try:
+            with pytest.raises(ParseError, match=r"^row 2: field larger than field limit \(20\)$"):
+                parse_predictions(_text(HEADER, ("i1,p1,A-EGJA,0.8,0.15,0.050000000000000000000",)))
+            assert tokenizer_paths["csv"] == 1
+            cols = dataset_columns(parse_predictions(text))
+        finally:
+            csv.field_size_limit(old)
+        assert tokenizer_paths["csv"] == 2
+        assert cols == dataset_columns(parse_predictions(text))
+        assert tokenizer_paths["plain"] == 1
+
+
 class TestSummarize:
     def test_counts_and_age_stats(self):
         text = (
@@ -417,16 +502,21 @@ class TestKFold:
     def test_patient_integrity(self):
         ds = self._dataset()
         spec = kfold_split(ds, k=3, unit="patient", seed=0)
-        for fold in range(3):
-            train, test = fold_datasets(ds, spec, fold)
-            assert not set(train.patient_ids) & set(test.patient_ids)
-            assert len(train) + len(test) == len(ds)
+        folds = fold_datasets(ds, spec)
+        assert len(folds) == 3
+        # the folds partition the images, and no patient is in two folds
+        assert sorted(i for test in folds for i in test.image_ids) == sorted(ds.image_ids)
+        patients = [p for test in folds for p in test.patient_ids]
+        assert len(set(patients)) == len(patients) == len(ds.patient_ids)
+        for fold, test in enumerate(folds):
             assert len(test.patient_ids) == spec.fold_sizes()[fold]
+            assert {spec.assignments[p] for p in test.patient_ids} == {fold}
 
     def test_image_unit(self):
         ds = self._dataset(n_patients=4, images_each=5)
         spec = kfold_split(ds, k=4, unit="image", seed=1)
         assert sorted(spec.assignments) == sorted(ds.image_ids)
+        assert [len(test) for test in fold_datasets(ds, spec)] == spec.fold_sizes()
 
     def test_k_bounds(self):
         ds = self._dataset(n_patients=3, images_each=1)

@@ -7,7 +7,8 @@ leading byte order mark is ignored, and a duplicated ``image_id`` or a
 patient's second true label names the file line that repeats it. Both parsers read seeded mutations of
 valid CSVs and must raise the same message or return the same columns.
 Through the CLI, every mutation must end in exit 0, or in exit 1 with the
-oracle's message.
+oracle's message. Each seed sends at least 50 texts through each of the
+parser's two tokenizers: the plain split and ``csv``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dataset_columns
+from conftest import dataset_columns, oracle_label
 
 from gjeval.cli import main
-from gjeval.data import ParseError, parse_label, parse_predictions
+from gjeval.data import ParseError, parse_predictions
 
 BASE = ("image_id", "patient_id", "true_label", "p_aegja", "p_eegja", "p_control")
 OPTIONAL = ("center", "modality", "sex", "age")
@@ -77,7 +78,7 @@ def oracle_parse(source: str, strict: bool = False) -> dict:
         for col in ("image_id", "patient_id"):
             if not fields[col]:
                 raise ParseError(f"empty {col}", row_no)
-        truth = int(parse_label(fields["true_label"], row_no))
+        truth = oracle_label(fields["true_label"], row_no)
         probs, renormalized = _oracle_probs(fields, row_no, strict)
         renorm += renormalized
         age = math.nan
@@ -231,15 +232,16 @@ def cases(n: int, seed: int):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_parser_matches_row_by_row_oracle(seed):
+def test_parser_matches_row_by_row_oracle(seed, tokenizer_paths):
     kinds = {"ok": 0, "error": 0}
     for text, strict in cases(400, seed):
         want = outcome(oracle_parse, text, strict)
         got = outcome(lambda t, s: dataset_columns(parse_predictions(t, s)), text, strict)
         assert got == want, text
         kinds[want[0]] += 1
-    # the mutations exercise both outcomes
+    # the mutations exercise both outcomes, and both tokenizers
     assert min(kinds.values()) > 50, kinds
+    assert min(tokenizer_paths.values()) >= 50, tokenizer_paths
 
 
 def test_cli_exits_0_or_1_with_the_oracle_message(tmp_path, capsys):

@@ -7,7 +7,9 @@ that ``csv`` rejects (a field over its size limit) is a row error like a wrong
 field count. Both parsers read seeded mutations of valid CSVs and must raise
 the same message or return the same columns. Through the CLI, every mutation
 must end in exit 0, or in exit 1 with the oracle's message or, for a file
-that parses, the message of the row-by-row pooling it replaced.
+that parses, the message of the row-by-row pooling it replaced. Each seed
+sends at least 50 texts through each of the parser's two tokenizers: the
+plain split and ``csv``.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reader_columns
+from conftest import oracle_label, reader_columns
 
 from gjeval.cli import main
-from gjeval.data import ParseError, parse_label, parse_readers
+from gjeval.data import ParseError, parse_readers
 
 BASE = ("reader_id", "group", "arm", "image_id", "pred_label")
 GROUPS = ("trainee", "competent", "expert")
@@ -76,7 +78,7 @@ def oracle_parse(source: str) -> dict:
                     raise ParseError(f"non-numeric elapsed_s {fields['elapsed_s']!r}", row_no) from None
                 if not math.isfinite(elapsed) or elapsed < 0:
                     raise ParseError(f"elapsed_s out of range: {elapsed!r}", row_no)
-            pred = int(parse_label(fields["pred_label"], row_no))
+            pred = oracle_label(fields["pred_label"], row_no)
             calls.append((key[0], GROUPS.index(group), ARMS.index(arm), key[1], pred, elapsed))
     except csv.Error as exc:
         raise ParseError(str(exc), row_no + 1) from None
@@ -203,15 +205,16 @@ def cases(n: int, seed: int):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_parser_matches_row_by_row_oracle(seed):
+def test_parser_matches_row_by_row_oracle(seed, tokenizer_paths):
     kinds = {"ok": 0, "error": 0}
     for text in cases(400, seed):
         want = outcome(oracle_parse, text)
         got = outcome(lambda t: reader_columns(parse_readers(t)), text)
         assert got == want, text[:500]
         kinds[want[0]] += 1
-    # the mutations exercise both outcomes
+    # the mutations exercise both outcomes, and both tokenizers
     assert min(kinds.values()) > 50, kinds
+    assert min(tokenizer_paths.values()) >= 50, tokenizer_paths
 
 
 def test_cli_exits_0_or_1_with_the_oracle_message(tmp_path, capsys):
