@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import CLASS_ORDER, READER_CELLS, Dataset, Readers, _id_codes
 from .metrics import MetricReport, class_stats, compute_report, confusion_matrix
-from .stats import TestResult, bowker_test, delong_test, kappa_test
+from .stats import TestResult, bowker_test, kappa_test
 
 __all__ = [
     "PooledReaderPairs",

@@ -1,8 +1,12 @@
 """Command-line interface: evaluate, compare, readers, kfold, synth, fusion-demo.
 
 Exit codes: 0 success, 1 input error, 2 strict-mode metric degeneracy,
-3 training divergence, 4 failed self-check. All computation happens before
-any file is written, so failed runs leave no partial outputs. Outputs are
+3 training divergence, 4 failed self-check. Each subcommand computes
+everything before it writes a file, so a run that fails with exit 1, 2 or 3
+writes nothing. ``fusion-demo`` writes all its files before it checks the
+gradients, so a run that exits 4 keeps them for diagnosis. Files are written
+one at a time into ``--out``; a write that fails part-way leaves the files
+written before it, next to any files already in the directory. Outputs are
 byte-identical across reruns with the same config and inputs; ``--stamp``
 opts into an embedded timestamp (and therefore out of byte identity).
 """

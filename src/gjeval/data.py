@@ -655,7 +655,6 @@ class FoldSpec:
 
     k: int
     unit: str  # "patient" | "image"
-    seed: int
     assignments: dict[str, int]
 
     def fold_sizes(self) -> list[int]:
@@ -682,7 +681,7 @@ def kfold_split(ds: Dataset, k: int, unit: str = "patient", seed: int = 0) -> Fo
     order = rng.permutation(len(units))
     folds = np.repeat(np.arange(k), [chunk.size for chunk in np.array_split(order, k)])
     assignments = dict(zip(map(units.__getitem__, order.tolist()), folds.tolist()))
-    return FoldSpec(k=k, unit=unit, seed=seed, assignments=assignments)
+    return FoldSpec(k=k, unit=unit, assignments=assignments)
 
 
 def fold_datasets(ds: Dataset, spec: FoldSpec) -> list[Dataset]:
@@ -708,7 +707,6 @@ class SynthSpec:
     images_max: int = 20
     separation: float = 3.0
     seed: int = 0
-    demographics: bool = True
 
 
 _SYNTH_CENTERS = ("C1", "C2", "C3")
@@ -723,8 +721,8 @@ def synth_generate(spec: SynthSpec) -> Dataset:
     """
     if spec.images_min < 1 or spec.images_max < spec.images_min:
         raise ValueError("need 1 <= images_min <= images_max")
-    if spec.separation < 0:
-        raise ValueError("separation must be >= 0")
+    if not spec.separation >= 0:  # also false for NaN
+        raise ValueError(f"separation must be >= 0, got {spec.separation!r}")
     rng = np.random.default_rng(spec.seed)
     cols: dict[str, list] = {c: [] for c in ("image_id", "patient_id", "truth", "probs", *PRED_OPT_COLUMNS)}
     patient_no = 0
@@ -734,13 +732,9 @@ def synth_generate(spec: SynthSpec) -> Dataset:
             patient_no += 1
             pid = f"p{patient_no:04d}"
             n_img = int(rng.integers(spec.images_min, spec.images_max + 1))
-            if spec.demographics:
-                sex = str(rng.choice(["male", "female"]))
-                age = float(rng.integers(40, 86))
-                center = str(rng.choice(_SYNTH_CENTERS))
-            else:
-                sex = center = None
-                age = math.nan
+            sex = str(rng.choice(["male", "female"]))
+            age = float(rng.integers(40, 86))
+            center = str(rng.choice(_SYNTH_CENTERS))
             for _ in range(n_img):
                 image_no += 1
                 if math.isinf(spec.separation):
@@ -754,7 +748,7 @@ def synth_generate(spec: SynthSpec) -> Dataset:
                     probs = list(e / e.sum())
                 cols["image_id"].append(f"img{image_no:05d}")
                 cols["probs"].append(probs)
-                cols["modality"].append(str(rng.choice(_SYNTH_MODALITIES)) if spec.demographics else None)
+                cols["modality"].append(str(rng.choice(_SYNTH_MODALITIES)))
             for c, v in (("patient_id", pid), ("truth", int(cls)), ("center", center), ("sex", sex), ("age", age)):
                 cols[c].extend([v] * n_img)
     return Dataset.from_columns(

@@ -45,7 +45,6 @@ __all__ = [
     "AlignParams",
     "GatingParams",
     "HeadParams",
-    "HeadGrads",
     "FeatureBundle",
     "ForwardPass",
     "AdamState",
@@ -60,11 +59,14 @@ __all__ = [
     "make_synthetic_features",
     "train_toy",
     "params_to_json",
-    "params_from_json",
 ]
 
 LOSS_FLOOR = 1e-12
 HEAD_FORMAT = "gjeval-head-v1"
+# Adam moment decay rates and denominator guard (Kingma and Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 # grad_check halves a kink-straddling step at most this often (1e-5 -> ~1e-8)
 KINK_HALVINGS = 10
 
@@ -142,30 +144,6 @@ class HeadParams:
             ("cls_b", self.cls_b),
         ]
 
-    def copy(self) -> "HeadParams":
-        return HeadParams(
-            config=self.config,
-            align=AlignParams(self.align.w.copy(), self.align.b.copy()),
-            gating=GatingParams(
-                self.gating.w1.copy(), self.gating.b1.copy(),
-                self.gating.w2.copy(), self.gating.b2.copy(),
-                self.gating.w3.copy(), self.gating.b3.copy(),
-                self.gating.dropout,
-            ),
-            cls_w=self.cls_w.copy(),
-            cls_b=self.cls_b.copy(),
-        )
-
-
-@dataclass
-class HeadGrads:
-    """Gradients, one array per parameter, same shapes as HeadParams."""
-
-    arrays: dict[str, np.ndarray]
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
 
 @dataclass(frozen=True)
 class FeatureBundle:
@@ -177,10 +155,6 @@ class FeatureBundle:
     f_cls: np.ndarray
     f_grid_dino: np.ndarray
     f_grid_res: np.ndarray
-
-    @property
-    def batched(self) -> bool:
-        return self.f_cls.ndim == 2
 
 
 @dataclass(frozen=True)
@@ -312,7 +286,7 @@ def head_forward(
 def _loss_and_grads(
     params: HeadParams, fc, gd, gr, truths: np.ndarray,
     training: bool, rng_seed: int, reduction: str,
-) -> tuple[float, HeadGrads]:
+) -> tuple[float, dict[str, np.ndarray]]:
     """Batched analytic backward pass. ``reduction`` 'sum' or 'mean' sets how
     per-sample gradients combine; single samples with 'sum' give the plain
     per-sample gradient."""
@@ -364,20 +338,18 @@ def _loss_and_grads(
     g_align_w = c["pooled_r"].T @ g_fres
     g_align_b = g_fres.sum(axis=0)
 
-    grads = HeadGrads(
-        arrays={
-            "align_w": g_align_w,
-            "align_b": g_align_b,
-            "gate_w1": g_w1,
-            "gate_b1": g_b1,
-            "gate_w2": g_w2,
-            "gate_b2": g_b2,
-            "gate_w3": g_w3,
-            "gate_b3": g_b3,
-            "cls_w": g_cls_w,
-            "cls_b": g_cls_b,
-        }
-    )
+    grads = {
+        "align_w": g_align_w,
+        "align_b": g_align_b,
+        "gate_w1": g_w1,
+        "gate_b1": g_b1,
+        "gate_w2": g_w2,
+        "gate_b2": g_b2,
+        "gate_w3": g_w3,
+        "gate_b3": g_b3,
+        "cls_w": g_cls_w,
+        "cls_b": g_cls_b,
+    }
     return loss, grads
 
 
@@ -388,7 +360,7 @@ def backward(
     training: bool = False,
     rng_seed: int = 0,
     reduction: str = "sum",
-) -> HeadGrads:
+) -> dict[str, np.ndarray]:
     """Analytic gradients of the cross-entropy loss for every parameter.
 
     Recomputes the forward pass internally; with ``training=True`` the same
@@ -406,9 +378,6 @@ class AdamState:
     """Adam optimizer state: first/second moment buffers and the step counter."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -422,10 +391,12 @@ class AdamState:
         return state
 
 
-def adam_step(params: HeadParams, grads: HeadGrads, state: AdamState) -> tuple[HeadParams, AdamState]:
+def adam_step(
+    params: HeadParams, grads: dict[str, np.ndarray], state: AdamState
+) -> tuple[HeadParams, AdamState]:
     """One bias-corrected Adam update, in place on the parameter arrays."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for name, arr in params.param_items():
@@ -436,7 +407,7 @@ def adam_step(params: HeadParams, grads: HeadGrads, state: AdamState) -> tuple[H
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        arr -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        arr -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params, state
 
 
@@ -529,6 +500,14 @@ class TrainSpec:
     seed: int = 0
     holdout_frac: float = 0.25
     shuffle_labels: bool = False
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
 
 
 @dataclass(frozen=True)
@@ -663,36 +642,3 @@ def params_to_json(params: HeadParams) -> str:
         },
     }
     return json.dumps(doc, indent=2)
-
-
-def params_from_json(text: str) -> HeadParams:
-    doc = json.loads(text)
-    if doc.get("format") != HEAD_FORMAT:
-        raise ValueError(f"unsupported head format {doc.get('format')!r}")
-    cfg = doc["config"]
-    config = HeadConfig(
-        c_dino=cfg["c_dino"],
-        c_res=cfg["c_res"],
-        grid_dino=tuple(cfg["grid_dino"]),
-        grid_res=tuple(cfg["grid_res"]),
-        hidden=cfg["hidden"],
-        dropout=cfg["dropout"],
-        n_classes=cfg["n_classes"],
-    )
-
-    def arr(name: str) -> np.ndarray:
-        entry = doc["params"][name]
-        return np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-
-    return HeadParams(
-        config=config,
-        align=AlignParams(w=arr("align_w"), b=arr("align_b")),
-        gating=GatingParams(
-            w1=arr("gate_w1"), b1=arr("gate_b1"),
-            w2=arr("gate_w2"), b2=arr("gate_b2"),
-            w3=arr("gate_w3"), b3=arr("gate_b3"),
-            dropout=config.dropout,
-        ),
-        cls_w=arr("cls_w"),
-        cls_b=arr("cls_b"),
-    )

@@ -33,7 +33,6 @@ __all__ = [
     "CurveSeries",
     "MetricReport",
     "confusion_matrix",
-    "wald_ci",
     "rate_ci",
     "class_stats",
     "macro_stats",
@@ -41,25 +40,13 @@ __all__ = [
     "roc_points",
     "pr_points",
     "micro_curves",
+    "binary_scored",
     "ovr_scores",
     "repr_runs",
     "compute_report",
 ]
 
 Z_95 = 1.96
-
-
-def wald_ci(p: float, n: float) -> tuple[float, float]:
-    """95% Wald interval for a proportion, clipped to [0, 1].
-
-    n may be fractional (effective sample size of a weighted estimate).
-    """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    half = Z_95 * np.sqrt(p * (1.0 - p) / n)
-    return (max(0.0, p - half), min(1.0, p + half))
 
 
 @dataclass(frozen=True)
@@ -103,7 +90,7 @@ def rate_ci(num: float, den: float) -> RateCI:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """3x3 (truth x prediction) matrix in canonical class order.
 
@@ -121,18 +108,9 @@ class ConfusionMatrix:
             raise ValueError("confusion matrix entries must be finite and non-negative")
         object.__setattr__(self, "counts", c)
 
-    def __eq__(self, other):
-        return isinstance(other, ConfusionMatrix) and np.array_equal(self.counts, other.counts)
-
     @property
     def total(self) -> float:
         return float(self.counts.sum())
-
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    def col_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
 
     def as_lists(self) -> list[list[float]]:
         return [[float(v) for v in row] for row in self.counts]
@@ -359,15 +337,22 @@ def _grouped_sweep(
     return s[idx], cum_pos, cum_all
 
 
-def _validate_scored(scores, labels, weights):
-    s = np.asarray(scores, dtype=np.float64)
+def binary_scored(labels, *scores) -> tuple[np.ndarray, ...]:
+    """Each score vector, then the labels, as float64 arrays, once they are
+    checked: 1-D and of one length, finite scores, labels in {0, 1}."""
     y = np.asarray(labels, dtype=np.float64)
-    if s.shape != y.shape or s.ndim != 1:
+    arrays = [np.asarray(s, dtype=np.float64) for s in scores]
+    if y.ndim != 1 or any(s.shape != y.shape for s in arrays):
         raise ValueError("scores and labels must be 1-D and equal length")
-    if not np.all(np.isfinite(s)):
+    if not all(np.all(np.isfinite(s)) for s in arrays):
         raise ValueError("scores must be finite")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be binary 0/1")
+    return (*arrays, y)
+
+
+def _validate_scored(scores, labels, weights):
+    s, y = binary_scored(labels, scores)
     if weights is None:
         w = np.ones(s.size, dtype=np.float64)
     else:
@@ -462,13 +447,12 @@ class MetricReport:
     pr_per_class: dict[str, CurveSeries] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
     time_cost_s: float | None = None
-    tie_break: str = "severity"
 
     def as_dict(self) -> dict:
         out = {
             "level": self.level,
             "n": self.n,
-            "tie_break": self.tie_break,
+            "tie_break": "severity",
             "confusion_matrix": {
                 "classes": [c.display for c in CLASS_ORDER],
                 "counts": self.cm.as_lists(),

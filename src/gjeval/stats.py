@@ -26,18 +26,18 @@ from typing import Sequence
 
 import numpy as np
 
+from .metrics import binary_scored, confusion_matrix
+
 __all__ = [
     "TestResult",
     "DeLongCov",
     "std_normal_cdf",
     "chi2_sf",
     "midranks",
-    "delong_auc_variance",
     "delong_auc_cov",
     "delong_test",
     "bowker_test",
     "kappa_test",
-    "bootstrap_auc_variance",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -181,30 +181,6 @@ def _structural_components(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndar
     return auc, v10, v01
 
 
-def delong_auc_variance(scores, labels) -> tuple[float, float]:
-    """(AUC, DeLong variance) for a single score vector.
-
-    Variance is var(V10)/m + var(V01)/n over the structural components,
-    with sample variances (ddof=1). Requires >= 2 positives and negatives.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if s.shape != y.shape or y.ndim != 1:
-        raise ValueError("scores and labels must be 1-D and equal length")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scores must be finite")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("labels must be binary 0/1")
-    pos = y == 1
-    m = int(pos.sum())
-    n = int(y.size - m)
-    if m < 2 or n < 2:
-        raise ValueError(f"need >= 2 positives and >= 2 negatives, got {m} and {n}")
-    auc, v10, v01 = _structural_components(s[pos], s[~pos])
-    var = float(np.var(v10, ddof=1)) / m + float(np.var(v01, ddof=1)) / n
-    return float(auc), var
-
-
 def delong_auc_cov(scores_a, scores_b, labels) -> DeLongCov:
     """DeLong variance/covariance estimate for two correlated AUCs.
 
@@ -212,15 +188,7 @@ def delong_auc_cov(scores_a, scores_b, labels) -> DeLongCov:
     the shared binary ground-truth indicators. Requires at least two
     positives and two negatives (sample covariances use ddof=1).
     """
-    sa = np.asarray(scores_a, dtype=np.float64)
-    sb = np.asarray(scores_b, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if sa.shape != y.shape or sb.shape != y.shape or y.ndim != 1:
-        raise ValueError("scores and labels must be 1-D and equal length")
-    if not (np.all(np.isfinite(sa)) and np.all(np.isfinite(sb))):
-        raise ValueError("scores must be finite")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("labels must be binary 0/1")
+    sa, sb, y = binary_scored(labels, scores_a, scores_b)
     pos = y == 1
     m = int(pos.sum())
     n = int(y.size - m)
@@ -269,16 +237,6 @@ def delong_test(scores_a, scores_b, labels) -> TestResult:
     return TestResult(name="delong", statistic=z, p_value=p, detail=detail)
 
 
-def _cross_table(a: Sequence[int], b: Sequence[int]) -> np.ndarray:
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if np.any((a < 0) | (a > 2)) or np.any((b < 0) | (b > 2)):
-        raise ValueError("labels must be in {0, 1, 2}")
-    t = np.zeros((3, 3), dtype=np.float64)
-    np.add.at(t, (a, b), 1.0)
-    return t
-
-
 def bowker_test(pairs: Sequence[tuple[int, int]] | np.ndarray, all_pairs: bool = False) -> TestResult:
     """McNemar-Bowker test of symmetry on the cross-table of two prediction sets.
 
@@ -292,7 +250,7 @@ def bowker_test(pairs: Sequence[tuple[int, int]] | np.ndarray, all_pairs: bool =
     pairs = np.asarray(pairs, dtype=np.int64)
     if not pairs.size:
         raise ValueError("bowker_test requires at least one pair")
-    t = _cross_table(pairs[:, 0], pairs[:, 1])
+    t = confusion_matrix(pairs[:, 0], pairs[:, 1]).counts
     stat = 0.0
     df = 0
     dropped = 0
@@ -325,7 +283,7 @@ def kappa_test(labels_a: Sequence[int], labels_b: Sequence[int]) -> TestResult:
     b = np.asarray(labels_b, dtype=np.int64)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("label vectors must be 1-D, non-empty, equal length")
-    t = _cross_table(a, b)
+    t = confusion_matrix(a, b).counts
     n = float(t.sum())
     p = t / n
     p_o = float(np.trace(p))
@@ -360,34 +318,3 @@ def kappa_test(labels_a: Sequence[int], labels_b: Sequence[int]) -> TestResult:
         return TestResult(name="kappa", statistic=0.0, p_value=1.0, detail=detail)
     z = kappa / se0
     return TestResult(name="kappa", statistic=z, p_value=2.0 * std_normal_cdf(-abs(z)), detail=detail)
-
-
-def _auc_from_ranks(scores: np.ndarray, pos_mask: np.ndarray) -> float:
-    m = int(pos_mask.sum())
-    n = scores.size - m
-    ranks = midranks(scores)
-    return (ranks[pos_mask].sum() - m * (m + 1) / 2.0) / (m * n)
-
-
-def bootstrap_auc_variance(scores, labels, n_boot: int = 10000, seed: int = 0) -> float:
-    """Nonparametric bootstrap variance of a single AUC.
-
-    Each replicate gets its own child seed spawned from the root seed, so the
-    result does not depend on execution order or worker count. Replicates
-    that lose one of the classes are redrawn.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    n = s.size
-    children = np.random.SeedSequence(seed).spawn(n_boot)
-    aucs = np.empty(n_boot)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        while True:
-            idx = rng.integers(0, n, n)
-            ys = y[idx]
-            mp = int(ys.sum())
-            if 0 < mp < n:
-                break
-        aucs[i] = _auc_from_ranks(s[idx], ys == 1)
-    return float(np.var(aucs, ddof=1))

@@ -6,11 +6,14 @@ step sums) so they share no code path with the implementations under test.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 import gjeval.data
-from gjeval import Dataset, ParseError, Readers
+from gjeval import Dataset, HeadConfig, HeadParams, ParseError, Readers
+from gjeval.fusion import AlignParams, GatingParams
 
 # The class label tokens the input format accepts, matched case-insensitively
 # after stripping: display names, slugs and indices.
@@ -82,6 +85,35 @@ def brute_average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
         prev_recall = recall
         i = j
     return ap
+
+
+def params_from_json(text: str) -> HeadParams:
+    """Load the head parameters ``params_to_json`` writes, after checking its
+    format tag."""
+    doc = json.loads(text)
+    if doc.get("format") != "gjeval-head-v1":
+        raise ValueError(f"unsupported head format {doc.get('format')!r}")
+    cfg = doc["config"]
+    for grid in ("grid_dino", "grid_res"):
+        cfg[grid] = tuple(cfg[grid])
+    config = HeadConfig(**cfg)
+
+    def arr(name: str) -> np.ndarray:
+        entry = doc["params"][name]
+        return np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+
+    return HeadParams(
+        config=config,
+        align=AlignParams(w=arr("align_w"), b=arr("align_b")),
+        gating=GatingParams(
+            w1=arr("gate_w1"), b1=arr("gate_b1"),
+            w2=arr("gate_w2"), b2=arr("gate_b2"),
+            w3=arr("gate_w3"), b3=arr("gate_b3"),
+            dropout=config.dropout,
+        ),
+        cls_w=arr("cls_w"),
+        cls_b=arr("cls_b"),
+    )
 
 
 def make_dataset(truths, probs, patient_ids=None) -> Dataset:

@@ -20,7 +20,7 @@ from gjeval import (
     backward,
     compute_report,
     confusion_matrix,
-    delong_auc_variance,
+    delong_auc_cov,
     grad_check,
     head_forward,
     init_head,
@@ -28,7 +28,6 @@ from gjeval import (
     macro_stats,
     rate_ci,
     train_toy,
-    wald_ci,
 )
 from gjeval.cli import main as cli_main
 from gjeval.data import Dataset, ClassLabel, parse_predictions
@@ -56,9 +55,9 @@ def test_criterion_1_wald_interval_reproduction():
     ]
     worst = 0.0
     for (p, n), (lo, hi) in cases:
-        got_lo, got_hi = wald_ci(p, n)
-        worst = max(worst, abs(got_lo - lo), abs(got_hi - hi))
-    worst = max(worst, abs(wald_ci(0.9904, 209)[1] - 1.0000))
+        got = rate_ci(p * n, n)
+        worst = max(worst, abs(got.lo - lo), abs(got.hi - hi))
+    worst = max(worst, abs(rate_ci(0.9904 * 209, 209).hi - 1.0000))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-4 and elapsed < 1.0
     verdict(1, "wald interval reproduction", ok,
@@ -130,13 +129,13 @@ def test_criterion_4_delong_vs_oracles():
         while labels.sum() < 2 or labels.sum() > n - 2:
             labels = (gen.random(n) < 0.5).astype(float)
         scores = np.round(gen.normal(size=n), 1)  # coarse grid forces ties
-        auc, _ = delong_auc_variance(scores, labels)
+        auc = delong_auc_cov(scores, scores, labels).auc_a
         worst = max(worst, abs(auc - brute_pair_auc(scores, labels)))
 
     n = 200
     labels = (gen.random(n) < 0.5).astype(float)
     scores = np.round(gen.normal(size=n) + 1.1 * labels, 1)
-    _, var = delong_auc_variance(scores, labels)
+    var = delong_auc_cov(scores, scores, labels).var_a
     boot = np.empty(10_000)
     draws = gen.integers(0, n, size=(10_000, n))
     for b in range(10_000):

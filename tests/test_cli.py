@@ -13,9 +13,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from conftest import params_from_json
+
 from gjeval.cli import main
 from gjeval.data import parse_predictions, serialize_predictions
-from gjeval.fusion import params_from_json
 from gjeval.report import dump_json, load_report_schema
 
 
@@ -233,7 +234,7 @@ class TestExitCodes:
 
         def skewed_backward(*args, **kwargs):
             grads = correct(*args, **kwargs)
-            grads.arrays["gate_w2"] = grads["gate_w2"] * 1.01
+            grads["gate_w2"] = grads["gate_w2"] * 1.01
             return grads
 
         args = ["fusion-demo", "--dim", "8", "--hidden", "3", "--epochs", "1",
@@ -352,6 +353,12 @@ class TestSynth:
         assert s.patients == 9
         assert s.patients_by_class == {"A-EGJA": 3, "E-EGJA": 2, "control": 4}
 
+    def test_nan_separation_is_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("synth", "--sep", "nan", "--out", str(out)) == 1
+        assert not out.exists()
+        assert "separation must be >= 0, got nan" in capsys.readouterr().err
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("synth", "--patients", "3,3,3", "--seed", "9", "--out", str(a))
@@ -386,6 +393,18 @@ class TestFusionDemo:
         gc = json.loads((out / "report.json").read_text())["results"]["grad_check"]
         assert gc["tolerance"] == 1e-4
         assert gc["training_path"] < gc["tolerance"]
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--batch", "0", "batch_size must be >= 1, got 0"),
+        ("--epochs", "-1", "epochs must be >= 0, got -1"),
+        ("--lr", "-1", "lr must be finite and positive, got -1.0"),
+        ("--lr", "nan", "lr must be finite and positive, got nan"),
+    ], ids=["batch-0", "epochs-negative", "lr-negative", "lr-nan"])
+    def test_bad_training_option_is_1(self, tmp_path, capsys, option, value, message):
+        out = tmp_path / "fd"
+        assert run("fusion-demo", "--dim", "8", "--hidden", "3", option, value, "--out", str(out)) == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

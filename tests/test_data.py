@@ -547,6 +547,11 @@ class TestSynth:
         assert (ds.probs[np.arange(len(ds)), ds.truth] == 1.0).all()
         assert ds.pred.tolist() == ds.truth.tolist()
 
+    def test_nan_separation_rejected(self):
+        # NaN once passed a "< 0" check and wrote NaN probabilities
+        with pytest.raises(ValueError, match="separation must be >= 0, got nan"):
+            synth_generate(SynthSpec(patients_per_class=(1, 1, 1), separation=float("nan")))
+
     def test_separation_improves_accuracy(self):
         accs = []
         for sep in (0.5, 3.0):

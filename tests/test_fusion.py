@@ -11,6 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import params_from_json
+
 from gjeval import (
     AdamState,
     DivergenceError,
@@ -24,7 +26,6 @@ from gjeval import (
     grad_check,
     head_forward,
     init_head,
-    params_from_json,
     params_to_json,
     train_toy,
 )
@@ -449,7 +450,7 @@ class TestGradients:
 
         def skewed_backward(*args, **kwargs):
             grads = backward(*args, **kwargs)
-            grads.arrays[name] = grads[name] * 1.01
+            grads[name] = grads[name] * 1.01
             return grads
 
         params = jitter(init_head(TINY, seed=1), seed=601)
@@ -466,9 +467,7 @@ class TestAdam:
         before = params.cls_w.copy()
         g = {name: np.zeros_like(arr) for name, arr in params.param_items()}
         g["cls_w"] = np.ones_like(params.cls_w)
-        from gjeval.fusion import HeadGrads
-
-        adam_step(params, HeadGrads(g), state)
+        adam_step(params, g, state)
         delta = before - params.cls_w
         assert np.allclose(delta, 0.01, atol=1e-9)
         assert state.t == 1
@@ -478,15 +477,13 @@ class TestAdam:
         params = init_head(TINY, seed=0)
         state = AdamState.for_params(params, lr=0.1)
         w0 = float(params.cls_b[0])
-        from gjeval.fusion import HeadGrads
-
         zero = {name: np.zeros_like(arr) for name, arr in params.param_items()}
         g1 = {k: v.copy() for k, v in zero.items()}
         g1["cls_b"] = np.array([0.5, 0.0, 0.0])
         g2 = {k: v.copy() for k, v in zero.items()}
         g2["cls_b"] = np.array([-0.25, 0.0, 0.0])
-        adam_step(params, HeadGrads(g1), state)
-        adam_step(params, HeadGrads(g2), state)
+        adam_step(params, g1, state)
+        adam_step(params, g2, state)
         m = 0.9 * (0.1 * 0.5) + 0.1 * (-0.25)
         v = 0.999 * (0.001 * 0.25) + 0.001 * 0.0625
         m1 = 0.1 * 0.5
@@ -499,9 +496,7 @@ class TestAdam:
         params = init_head(TINY, seed=0)
         state = AdamState.for_params(params)
         before = [arr.copy() for _, arr in params.param_items()]
-        from gjeval.fusion import HeadGrads
-
-        zero = HeadGrads({name: np.zeros_like(arr) for name, arr in params.param_items()})
+        zero = {name: np.zeros_like(arr) for name, arr in params.param_items()}
         adam_step(params, zero, state)
         for (_, arr), prev in zip(params.param_items(), before):
             assert np.array_equal(arr, prev)

@@ -16,17 +16,54 @@ import scipy.stats
 from conftest import brute_auc
 
 from gjeval import (
-    bootstrap_auc_variance,
     bowker_test,
     chi2_sf,
     delong_auc_cov,
-    delong_auc_variance,
     delong_test,
     kappa_test,
     midranks,
     std_normal_cdf,
 )
 from gjeval.stats import TestResult as StatResult
+
+
+def delong_single(scores, labels) -> tuple[float, float]:
+    """(AUC, DeLong variance) of one score vector: the first diagonal entry
+    of its covariance with itself."""
+    cov = delong_auc_cov(scores, scores, labels)
+    return cov.auc_a, cov.var_a
+
+
+def _auc_from_ranks(scores: np.ndarray, pos_mask: np.ndarray) -> float:
+    m = int(pos_mask.sum())
+    n = scores.size - m
+    ranks = midranks(scores)
+    return (ranks[pos_mask].sum() - m * (m + 1) / 2.0) / (m * n)
+
+
+def bootstrap_auc_variance(scores, labels, n_boot: int = 10000, seed: int = 0) -> float:
+    """Nonparametric bootstrap variance of a single AUC, an oracle for the
+    DeLong variance.
+
+    Each replicate gets its own child seed spawned from the root seed, so the
+    result does not depend on execution order. Replicates that lose one of
+    the classes are redrawn.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    n = s.size
+    children = np.random.SeedSequence(seed).spawn(n_boot)
+    aucs = np.empty(n_boot)
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        while True:
+            idx = rng.integers(0, n, n)
+            ys = y[idx]
+            mp = int(ys.sum())
+            if 0 < mp < n:
+                break
+        aucs[i] = _auc_from_ranks(s[idx], ys == 1)
+    return float(np.var(aucs, ddof=1))
 
 
 def test_package_has_no_scipy_dependency():
@@ -119,16 +156,16 @@ class TestDeLong:
             if labels.sum() < 2 or labels.sum() > n - 2:
                 continue
             scores = rng.integers(0, 10, n) / 9.0
-            auc, _ = delong_auc_variance(scores, labels)
+            auc, _ = delong_single(scores, labels)
             assert auc == pytest.approx(brute_auc(scores, labels), abs=1e-12)
 
     def test_variance_positive_and_shrinks(self, rng):
         labels = np.array([1] * 50 + [0] * 50, float)
         s_small = np.concatenate([rng.normal(1, 1, 50), rng.normal(0, 1, 50)])
-        _, v_small = delong_auc_variance(s_small, labels)
+        _, v_small = delong_single(s_small, labels)
         labels_big = np.array([1] * 500 + [0] * 500, float)
         s_big = np.concatenate([rng.normal(1, 1, 500), rng.normal(0, 1, 500)])
-        _, v_big = delong_auc_variance(s_big, labels_big)
+        _, v_big = delong_single(s_big, labels_big)
         assert v_small > 0 and v_big > 0
         assert v_big < v_small
 
@@ -161,14 +198,15 @@ class TestDeLong:
 
     def test_requires_two_per_class(self):
         with pytest.raises(ValueError):
-            delong_auc_variance(np.array([0.1, 0.2, 0.3]), np.array([1.0, 0.0, 0.0]))
+            delong_single(np.array([0.1, 0.2, 0.3]), np.array([1.0, 0.0, 0.0]))
 
     def test_pairwise_var_matches_single(self, rng):
+        # model a's AUC and variance do not depend on the partner vector
         labels = np.array([1] * 25 + [0] * 25, float)
         a = rng.random(50)
         b = rng.random(50)
         cov = delong_auc_cov(a, b, labels)
-        auc_a, var_a = delong_auc_variance(a, labels)
+        auc_a, var_a = delong_single(a, labels)
         assert cov.auc_a == pytest.approx(auc_a, abs=1e-15)
         assert cov.var_a == pytest.approx(var_a, abs=1e-15)
 
@@ -188,7 +226,7 @@ class TestBootstrapVariance:
         labels[:2] = 1
         labels[-2:] = 0
         scores = np.where(labels == 1, rng.normal(0.8, 1, n), rng.normal(0, 1, n))
-        _, dl_var = delong_auc_variance(scores, labels)
+        _, dl_var = delong_single(scores, labels)
         bs_var = bootstrap_auc_variance(scores, labels, n_boot=2000, seed=7)
         assert bs_var == pytest.approx(dl_var, rel=0.25)
 
