@@ -220,7 +220,7 @@ def group_vs_group_kappa(pool_x: PooledReaderPairs, pool_y: PooledReaderPairs) -
     same image in the other cell. This pools inter-reader variability
     symmetrically without singling out any reader correspondence.
     """
-    codes = _id_codes(pool_x.image_ids + pool_y.image_ids)
+    codes = _id_codes(pool_x.image_ids + pool_y.image_ids, {})
     code_x, code_y = codes[: len(pool_x.image_ids)], codes[len(pool_x.image_ids) :]
     order = np.argsort(code_x, kind="stable")
     start = np.searchsorted(code_x[order], code_y, "left")

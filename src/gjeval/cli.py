@@ -1,22 +1,27 @@
 """Command-line interface: evaluate, compare, readers, kfold, synth, fusion-demo.
 
 Exit codes: 0 success, 1 input error, 2 strict-mode metric degeneracy,
-3 training divergence, 4 failed self-check. Each subcommand computes
-everything before it writes a file, so a run that fails with exit 1, 2 or 3
-writes nothing. ``fusion-demo`` writes all its files before it checks the
-gradients, so a run that exits 4 keeps them for diagnosis. Files are written
-one at a time into ``--out``; a write that fails part-way leaves the files
-written before it, next to any files already in the directory. Outputs are
-byte-identical across reruns with the same config and inputs; ``--stamp``
-opts into an embedded timestamp (and therefore out of byte identity).
+3 training divergence, 4 failed self-check. Each subcommand computes and
+checks everything before it opens a file, so a run that fails with exit 1, 2
+or 3 writes nothing. ``fusion-demo`` writes all its files before it checks
+the gradients, so a run that exits 4 keeps them for diagnosis. The curve
+CSVs are formatted as they are written, a block of rows at a time; every
+other file is written whole. A write that fails part-way leaves the files
+written before it, a truncated curve file, and any files already in
+``--out``. Outputs are byte-identical across reruns with the same config and
+inputs; ``--stamp`` opts into an embedded timestamp (and therefore out of
+byte identity).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -64,14 +69,28 @@ def _stamp(args) -> str | None:
     return None
 
 
-def _write_outputs(outdir: Path, files: dict[str, str]) -> None:
+def _write_outputs(outdir: Path, files: dict[str, str | Iterator[str]]) -> None:
+    """Write every file into ``outdir``: a text whole, an iterator of chunks
+    as it yields them. The chunked files are open together and take one
+    chunk each in turn, so a curve set's ROC and PR files advance in
+    lockstep."""
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (outdir / name).write_text(text, encoding="utf-8")
+    chunked = {}
+    for name, content in files.items():
+        if isinstance(content, str):
+            (outdir / name).write_text(content, encoding="utf-8")
+        else:
+            chunked[name] = content
+    with ExitStack() as stack:
+        writes = [map(stack.enter_context((outdir / name).open("w", encoding="utf-8")).write, chunks)
+                  for name, chunks in chunked.items()]
+        for _ in zip_longest(*writes):  # each chunk is written as soon as it is made
+            pass
+    for name in files:
         print(f"wrote {outdir / name}")
 
 
-def _report_files(mr: MetricReport, svg: bool = False) -> dict[str, str]:
+def _report_files(mr: MetricReport, svg: bool = False) -> dict[str, str | Iterator[str]]:
     files = {"cm.csv": rpt.cm_csv(mr)}
     files.update(rpt.curve_csvs(mr))
     if svg and mr.roc_micro is not None:
@@ -245,13 +264,14 @@ def cmd_kfold(args) -> int:
     pred_path = Path(args.pred)
     ds = parse_predictions(pred_path.read_text(encoding="utf-8"))
     spec = kfold_split(ds, k=args.k, unit=args.by, seed=args.seed)
+    sizes = spec.fold_sizes()
     per_fold = []
     for fold, test_ds in enumerate(fold_datasets(ds, spec)):
         summary = summarize(test_ds)
         per_fold.append(
             {
                 "fold": fold,
-                "units": spec.fold_sizes()[fold],
+                "units": sizes[fold],
                 "patients": summary.patients,
                 "images": summary.images,
                 "images_by_class": summary.images_by_class,
@@ -269,7 +289,7 @@ def cmd_kfold(args) -> int:
     results = {
         "unit": spec.unit,
         "k": spec.k,
-        "fold_sizes": spec.fold_sizes(),
+        "fold_sizes": sizes,
         "per_fold": per_fold,
     }
     doc = rpt.build_report_doc(

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import csv
 import gc
-import io
 import math
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import compress, repeat
-from typing import Callable, Iterable, Sequence
+from itertools import compress, count, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +49,11 @@ READER_GROUPS = ("trainee", "competent", "expert")
 READER_ARMS = ("A", "B")
 READER_CELLS = tuple((g, a) for g in READER_GROUPS for a in READER_ARMS)  # by cell code
 _BOM = "\ufeff"  # a byte order mark, as spreadsheet exports write it
-# columns by header name, the blank lines skipped, the first bad row's (line, message)
+_BLOCK_ROWS = 8192  # data lines (or csv records) tokenized and validated at a time
+# a line as io.StringIO(newline="") reads it: up to and including \n, \r or \r\n
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+# one block of data rows: columns by header name, the blank lines skipped,
+# the bad row's (line, message) that ends the block
 _Rows = tuple[dict[str, list[str]], list[int], tuple[int, str] | None]
 
 
@@ -265,10 +270,11 @@ def _codes(col: list[str], table: dict[str, int], fold: Callable[[str], str] = s
     return np.fromiter(map(codes.__getitem__, col), np.int64, len(col))
 
 
-def _id_codes(ids: Sequence[str]) -> np.ndarray:
-    """Per row, a code shared by equal ids: the row of the id's last occurrence."""
-    last = dict(zip(ids, range(len(ids))))
-    return np.fromiter(map(last.__getitem__, ids), np.int64, len(ids))
+def _id_codes(ids: Sequence[str], codes: dict[str, int]) -> np.ndarray:
+    """Per row, a code shared by equal ids: their entry in ``codes``, where
+    ids new to it are added. Pass one dict to several calls to share codes."""
+    codes.update(zip([v for v in dict.fromkeys(ids) if v not in codes], count(len(codes))))
+    return np.fromiter(map(codes.__getitem__, ids), np.int64, len(ids))
 
 
 def _repeats(key: np.ndarray) -> np.ndarray:
@@ -299,101 +305,121 @@ class _FirstFailure:
             if "" in col:
                 self.check(np.fromiter(map(len, col), np.int64, len(col)) == 0, lambda i, name=name: f"empty {name}")
 
-    def raise_first(self, blanks: list[int], bad_row: tuple[int, str] | None) -> None:
-        """Raise the first failing row's error: a checked fault, else the bad row."""
+    def raise_first(self, offset: int, blanks: list[int], bad_row: tuple[int, str] | None) -> None:
+        """Raise the first failing row's error: a checked fault, else the bad
+        row. The checks ran on a block whose first row is data row ``offset``."""
         if self.index is not None:
-            raise ParseError(self.message, _line_of(self.index, blanks))
+            raise ParseError(self.message, _line_of(offset + self.index, blanks))
         if bad_row is not None:
             raise ParseError(bad_row[1], bad_row[0])
 
 
-def _table(source: str) -> tuple[list[str], Callable[[], _Rows]]:
-    """The stripped header fields, and a function that reads the data rows
-    into ``_data_rows``'s columns, blank lines and bad row. A leading byte
-    order mark is ignored.
+@contextmanager
+def _gc_paused():
+    """Pause cyclic garbage collection, then restore the caller's state.
 
-    Plain text (see ``_plain_split``) is split on newlines and commas; any
-    other file is read by ``csv``. Both give the same fields and errors."""
-    text = source.removeprefix(_BOM)
-    plain = _plain_split(text)
-    if plain is not None:
-        head, body = plain
-        header = [h.strip() for h in head.split(",")]
-        return header, lambda: (_split_columns(body, header), [], None)
-    reader = csv.reader(io.StringIO(text, newline=""))
+    The parsers read their blocks under it: a block allocates a list per
+    ``csv`` row and per column, and collecting as they come and go is wasted
+    work, since they hold only strings."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _table(source: str) -> tuple[list[str], Iterator[_Rows]]:
+    """The stripped header fields, and the data rows in blocks of at most
+    ``_BLOCK_ROWS`` lines. A leading byte order mark is ignored.
+
+    When the text has no quote, CR or NUL (a CR ends a line for ``csv``;
+    Python 3.10's ``csv`` rejects NUL) and its header line has a comma and
+    fits ``csv.field_size_limit()``, every line is one record; each block of
+    lines is then split on newlines and commas when ``csv`` would read it as
+    plain fields (see ``_plain_blocks``), and read by ``csv`` otherwise. Any
+    other file is read by ``csv`` throughout. Both give the same fields and
+    errors. The text is read by offset, never copied whole."""
+    start = len(_BOM) if source.startswith(_BOM) else 0
+    if not ('"' in source or "\r" in source or "\0" in source):
+        end = source.find("\n", start)
+        head = source[start:end]
+        if end >= 0 and "," in head and len(head) <= csv.field_size_limit():
+            header = [h.strip() for h in head.split(",")]
+            return header, _plain_blocks(source, end + 1, header)
+    reader = csv.reader(map(re.Match.group, _LINE.finditer(source, start)))
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise ParseError("empty file") from None
     except csv.Error as exc:
         raise ParseError(str(exc), 1) from None
-    return header, lambda: _data_rows(reader, header)
+    return header, _data_rows(reader, header, 2)
 
 
-def _plain_split(text: str) -> tuple[str, str] | None:
-    """The header line and the data lines (without the final newline) of
-    text that ``csv`` would read as plain comma-separated fields, else None.
+def _plain_blocks(source: str, pos: int, header: list[str]) -> Iterator[_Rows]:
+    """The data lines of plain text from offset ``pos`` on (a final newline
+    ends the last line), ``_BLOCK_ROWS`` at a time.
 
-    Text is plain when it has no quote, CR or NUL (a CR ends a line for
-    ``csv``; Python 3.10's ``csv`` rejects NUL), at least two columns and one
-    data line, the header's comma count on every data line, and no line
-    longer than ``csv.field_size_limit()``. Blank lines, ragged rows and
-    fields ``csv`` may reject are left to ``csv``, so their row numbers and
-    messages stay its own."""
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    head, _, body = text.partition("\n")
-    body = body.removesuffix("\n")
-    commas = head.count(",")
+    A block whose lines all have the header's comma count, none longer than
+    ``csv.field_size_limit()``, is split on newlines and commas. Any other
+    block (blank lines, ragged rows, fields ``csv`` may reject) is read by
+    ``csv``, so its row numbers and messages stay ``csv``'s own."""
+    commas = len(header) - 1
     limit = csv.field_size_limit()
-    if not body or not commas or len(head) > limit:
-        return None
-    lines = body.split("\n")
-    if set(map(str.count, lines, repeat(","))) != {commas} or max(map(len, lines)) > limit:
-        return None
-    return head, body
+    end = len(source) - source.endswith("\n")
+    lines_ahead = re.compile(f"(?:[^\\n]*\\n){{0,{_BLOCK_ROWS - 1}}}[^\\n]*")  # a block without its last newline
+    line = 2
+    while pos < len(source):
+        stop = lines_ahead.match(source, pos, end).end()
+        lines = source[pos:stop].split("\n")
+        first, line, pos = line, line + len(lines), stop + 1
+        if set(map(str.count, lines, repeat(","))) == {commas} and max(map(len, lines)) <= limit:
+            yield _split_columns(lines, header), [], None
+        else:
+            yield from _data_rows(csv.reader(lines), header, first)
+        del lines  # before the next block's lines are made
 
 
-def _split_columns(body: str, header: list[str]) -> dict[str, list[str]]:
+def _split_columns(lines: list[str], header: list[str]) -> dict[str, list[str]]:
     """The stripped columns of plain data lines, one per header name."""
-    fields = body.replace("\n", ",").split(",")
+    fields = ",".join(lines).split(",")
     k = len(header)
     return {name: list(map(str.strip, fields[j::k])) for j, name in enumerate(header)}
 
 
-def _data_rows(reader, header: list[str]) -> _Rows:
-    """The data rows up to the first bad one as stripped columns, one per
-    header name; the file lines of the blank lines skipped among them; and
-    the bad row's (line, message). A row is bad when its field count is wrong
-    or ``csv`` rejects it, e.g. for a field over ``csv.field_size_limit()``.
-
-    Cyclic garbage collection is paused while the rows are read and turned
-    into columns: the row lists and their iterators hold only strings, and
-    collecting as they pile up is wasted work. The caller's collector state
-    is restored afterwards."""
-    collecting = gc.isenabled()
-    gc.disable()
+def _data_rows(reader, header: list[str], line: int) -> Iterator[_Rows]:
+    """The records of a ``csv`` reader, the first on file line ``line``, in
+    blocks of at most ``_BLOCK_ROWS`` up to the first bad one. Each block
+    holds its rows as stripped columns, one per header name, and the file
+    lines of the blank lines skipped among them; the last block ends at the
+    bad row's (line, message). A row is bad when its field count is wrong or
+    ``csv`` rejects it, e.g. for a field over ``csv.field_size_limit()``."""
+    rows, blanks, bad_row = [], [], None
+    row_no = line - 1
     try:
-        rows, blanks, bad_row = [], [], None
-        row_no = 1
-        try:
-            for row_no, raw in enumerate(reader, start=2):
-                if len(raw) == len(header):
-                    rows.append(raw)
-                elif not raw or (len(raw) == 1 and not raw[0].strip()):
-                    blanks.append(row_no)
-                else:
-                    bad_row = (row_no, f"expected {len(header)} fields, got {len(raw)}")
-                    break
-        except csv.Error as exc:
-            bad_row = (row_no + 1, str(exc))
-        if not rows and bad_row is None:
-            raise ParseError("no data rows")
-        columns = zip(*rows) if rows else [()] * len(header)
-        return {name: list(map(str.strip, col)) for name, col in zip(header, columns)}, blanks, bad_row
-    finally:
-        if collecting:
-            gc.enable()
+        for row_no, raw in enumerate(reader, start=line):
+            if len(raw) == len(header):
+                rows.append(raw)
+            elif not raw or (len(raw) == 1 and not raw[0].strip()):
+                blanks.append(row_no)
+            else:
+                bad_row = (row_no, f"expected {len(header)} fields, got {len(raw)}")
+                break
+            if len(rows) + len(blanks) == _BLOCK_ROWS:
+                yield _columns(rows, header), blanks, None
+                rows, blanks = [], []
+    except csv.Error as exc:
+        bad_row = (row_no + 1, str(exc))
+    if rows or blanks or bad_row:
+        yield _columns(rows, header), blanks, bad_row
+
+
+def _columns(rows: list[list[str]], header: list[str]) -> dict[str, list[str]]:
+    """The stripped columns of ``csv`` rows, one per header name."""
+    columns = zip(*rows) if rows else [()] * len(header)
+    return {name: list(map(str.strip, col)) for name, col in zip(header, columns)}
 
 
 def _line_of(index: int, blanks: list[int]) -> int:
@@ -406,33 +432,11 @@ def _line_of(index: int, blanks: list[int]) -> int:
     return line
 
 
-def parse_predictions(source: str, strict: bool = False) -> Dataset:
-    """Parse a predictions CSV into a validated Dataset.
-
-    In strict mode the three probabilities must sum to 1 within 1e-6. Otherwise
-    deviations up to 1e-3 are renormalized and tallied on ``Dataset.renormalized``;
-    larger deviations are errors in both modes. LF and CRLF line endings are
-    accepted, and so is a leading UTF-8 byte order mark. The first bad row is
-    reported, with the first of its faults in the order: field count (or a
-    field ``csv`` rejects), empty ``image_id``/``patient_id``, label, each
-    probability (number, range), sum, age. When every row passes, a
-    duplicated ``image_id`` or a patient with two true labels is reported at
-    the line that repeats it; the earlier line wins, and on one line the
-    duplicate.
-    """
-    header, read_rows = _table(source)
-    if tuple(header[: len(PRED_BASE_COLUMNS)]) != PRED_BASE_COLUMNS:
-        raise ParseError(
-            f"header must start with {','.join(PRED_BASE_COLUMNS)}; got {','.join(header)}"
-        )
-    extras = header[len(PRED_BASE_COLUMNS) :]
-    for pos, col in enumerate(extras):
-        if col not in PRED_OPT_COLUMNS:
-            raise ParseError(f"unknown column {col!r}")
-        if col in extras[:pos]:
-            raise ParseError(f"duplicate column {col!r}")
-    cols, blanks, bad_row = read_rows()
-    n = len(cols[header[0]])
+def _prediction_block(cols: dict[str, list[str]], strict: bool) -> tuple[_FirstFailure, dict[str, np.ndarray]]:
+    """The first failing row of one block of prediction columns, and the
+    block's true labels, probabilities (renormalized where the sum drifts
+    within tolerance), ages (when the file has them) and renormalized rows."""
+    n = len(cols["image_id"])
     fail = _FirstFailure()
     fail.empty(cols, ("image_id", "patient_id"))
     tokens = cols["true_label"]
@@ -453,30 +457,77 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
         dev > tol,
         lambda i: f"probabilities sum to {float(total[i])!r}, deviation {float(dev[i]):.3g} exceeds tolerance {tol:g}",
     )
-    age = None
+    renorm = (dev > PROB_SUM_TOL_STRICT) & (dev <= tol)
+    probs[renorm] /= total[renorm, None]
+    arrays = {"truth": truth, "probs": probs, "renormalized": renorm}
     if "age" in cols:
         raw = cols["age"]
         age, non_numeric, given = _blank_as_nan(raw)
         fail.check(non_numeric, lambda i: f"non-numeric age {raw[i]!r}")
         fail.check(given & (~np.isfinite(age) | (age < 0)), lambda i: f"age must be finite and non-negative, got {raw[i]!r}")
-    fail.raise_first(blanks, bad_row)
-    renorm = dev > PROB_SUM_TOL_STRICT
-    probs[renorm] /= total[renorm, None]
+        arrays["age"] = age
+    return fail, arrays
 
-    def optional(name: str) -> list[str | None] | None:
-        return [v or None for v in cols[name]] if name in cols else None
 
+def parse_predictions(source: str, strict: bool = False) -> Dataset:
+    """Parse a predictions CSV into a validated Dataset.
+
+    In strict mode the three probabilities must sum to 1 within 1e-6. Otherwise
+    deviations up to 1e-3 are renormalized and tallied on ``Dataset.renormalized``;
+    larger deviations are errors in both modes. LF and CRLF line endings are
+    accepted, and so is a leading UTF-8 byte order mark. The first bad row is
+    reported, with the first of its faults in the order: field count (or a
+    field ``csv`` rejects), empty ``image_id``/``patient_id``, label, each
+    probability (number, range), sum, age. When every row passes, a
+    duplicated ``image_id`` or a patient with two true labels is reported at
+    the line that repeats it; the earlier line wins, and on one line the
+    duplicate.
+
+    Rows are read and checked ``_BLOCK_ROWS`` at a time, and only the columns
+    the Dataset keeps outlive a block. Equal patient ids and equal values of
+    an optional text column share one string object.
+    """
+    header, blocks = _table(source)
+    if tuple(header[: len(PRED_BASE_COLUMNS)]) != PRED_BASE_COLUMNS:
+        raise ParseError(
+            f"header must start with {','.join(PRED_BASE_COLUMNS)}; got {','.join(header)}"
+        )
+    extras = header[len(PRED_BASE_COLUMNS) :]
+    for pos, col in enumerate(extras):
+        if col not in PRED_OPT_COLUMNS:
+            raise ParseError(f"unknown column {col!r}")
+        if col in extras[:pos]:
+            raise ParseError(f"duplicate column {col!r}")
+    image_ids: list[str] = []
+    texts: dict[str, list] = {c: [] for c in ("patient_id", "center", "modality", "sex") if c in header}
+    shared: dict[str, str | None] = {"": None}  # each distinct text once; a blank is None
+    arrays: dict[str, list[np.ndarray]] = {}
+    blanks: list[int] = []
+    with _gc_paused():
+        for cols, block_blanks, bad_row in blocks:
+            blanks += block_blanks
+            fail, block = _prediction_block(cols, strict)
+            fail.raise_first(len(image_ids), blanks, bad_row)
+            for name, arr in block.items():
+                arrays.setdefault(name, []).append(arr)
+            image_ids += cols["image_id"]
+            for name, col in texts.items():
+                col += map(shared.setdefault, cols[name], cols[name])
+            del cols  # before the next block is split
+    if not image_ids:
+        raise ParseError("no data rows")
+    columns = {name: np.concatenate(arrays.pop(name)) for name in list(arrays)}  # each block list freed in turn
     try:
         return Dataset.from_columns(
-            cols["image_id"],
-            cols["patient_id"],
-            truth,
-            probs,
-            center=optional("center"),
-            modality=optional("modality"),
-            sex=optional("sex"),
-            age=age,
-            renormalized=int(renorm.sum()),
+            image_ids,
+            texts["patient_id"],
+            columns["truth"],
+            columns["probs"],
+            center=texts.get("center"),
+            modality=texts.get("modality"),
+            sex=texts.get("sex"),
+            age=columns.get("age"),
+            renormalized=int(columns["renormalized"].sum()),
         )
     except _CrossRowFault as exc:
         raise ParseError(str(exc), _line_of(exc.index, blanks)) from None
@@ -537,6 +588,42 @@ class Readers:
         return 2 * self.group + self.arm
 
 
+def _reader_block(
+    cols: dict[str, list[str]], shared: dict[str, str], codes: dict[str, int], pairs: set[int]
+) -> tuple[_FirstFailure, list[str], list[str], dict[str, np.ndarray]]:
+    """The first failing row of one block of reader columns; its reader and
+    image ids, each distinct id as the one object ``shared`` holds; and its
+    group, arm, label and time columns. A (reader_id, image_id) pair repeats
+    when it is in ``pairs`` (by the ``codes`` of its two ids) or earlier in the
+    block; the block's pairs are added to ``pairs``."""
+    fail = _FirstFailure()
+    fail.empty(cols, ("reader_id", "image_id"))
+    groups, arms = cols["group"], cols["arm"]
+    group = _codes(groups, {g: k for k, g in enumerate(READER_GROUPS)})
+    fail.check(group < 0, lambda i: f"unknown reader group {groups[i]!r}")
+    arm = _codes(arms, {a: k for k, a in enumerate(READER_ARMS)}, str.upper)
+    fail.check(arm < 0, lambda i: f"unknown study arm {arms[i]!r}")
+    rids = list(map(shared.setdefault, cols["reader_id"], cols["reader_id"]))
+    iids = list(map(shared.setdefault, cols["image_id"], cols["image_id"]))
+    pair = _id_codes(rids, codes) << 32 | _id_codes(iids, codes)
+    keys = pair.tolist()
+    seen = np.fromiter(map(pairs.__contains__, keys), bool, len(keys))
+    fail.check(seen | _repeats(pair), lambda i: f"duplicate (reader_id, image_id) pair {(rids[i], iids[i])!r}")
+    pairs.update(keys)
+    arrays = {"group": group, "arm": arm}
+    if "elapsed_s" in cols:
+        raw = cols["elapsed_s"]
+        elapsed, non_numeric, given = _blank_as_nan(raw)
+        fail.check(non_numeric, lambda i: f"non-numeric elapsed_s {raw[i]!r}")
+        bad = given & (~np.isfinite(elapsed) | (elapsed < 0))
+        fail.check(bad, lambda i: f"elapsed_s out of range: {float(elapsed[i])!r}")
+        arrays["elapsed_s"] = elapsed
+    labels = cols["pred_label"]
+    arrays["pred"] = pred = _codes(labels, _LABEL_ALIASES)
+    fail.check(pred < 0, lambda i: f"unknown class label {labels[i]!r}")
+    return fail, rids, iids, arrays
+
+
 def parse_readers(source: str) -> Readers:
     """Parse a reader-study CSV into a Readers table.
 
@@ -546,40 +633,38 @@ def parse_readers(source: str) -> Readers:
     its faults in the order: field count (or a field ``csv`` rejects), empty
     ``reader_id``/``image_id``, group, arm, duplicate pair, ``elapsed_s``
     (number, range), label.
+
+    Rows are read and checked ``_BLOCK_ROWS`` at a time. Equal reader ids
+    and equal image ids share one string object.
     """
-    header, read_rows = _table(source)
+    header, blocks = _table(source)
     if tuple(header[: len(READER_BASE_COLUMNS)]) != READER_BASE_COLUMNS:
         raise ParseError(
             f"header must start with {','.join(READER_BASE_COLUMNS)}; got {','.join(header)}"
         )
     if header[len(READER_BASE_COLUMNS) :] not in ([], ["elapsed_s"]):
         raise ParseError(f"unexpected trailing columns {header[len(READER_BASE_COLUMNS):]}")
-    cols, blanks, bad_row = read_rows()
-    n = len(cols[header[0]])
-    fail = _FirstFailure()
-    fail.empty(cols, ("reader_id", "image_id"))
-    groups, arms = cols["group"], cols["arm"]
-    group = _codes(groups, {g: k for k, g in enumerate(READER_GROUPS)})
-    fail.check(group < 0, lambda i: f"unknown reader group {groups[i]!r}")
-    arm = _codes(arms, {a: k for k, a in enumerate(READER_ARMS)}, str.upper)
-    fail.check(arm < 0, lambda i: f"unknown study arm {arms[i]!r}")
-    reader_ids, image_ids = cols["reader_id"], cols["image_id"]
-    fail.check(
-        _repeats(_id_codes(reader_ids) * n + _id_codes(image_ids)),
-        lambda i: f"duplicate (reader_id, image_id) pair {(reader_ids[i], image_ids[i])!r}",
-    )
-    elapsed = None
-    if "elapsed_s" in cols:
-        raw = cols["elapsed_s"]
-        elapsed, non_numeric, given = _blank_as_nan(raw)
-        fail.check(non_numeric, lambda i: f"non-numeric elapsed_s {raw[i]!r}")
-        bad = given & (~np.isfinite(elapsed) | (elapsed < 0))
-        fail.check(bad, lambda i: f"elapsed_s out of range: {float(elapsed[i])!r}")
-    labels = cols["pred_label"]
-    pred = _codes(labels, _LABEL_ALIASES)
-    fail.check(pred < 0, lambda i: f"unknown class label {labels[i]!r}")
-    fail.raise_first(blanks, bad_row)
-    return Readers(tuple(reader_ids), tuple(image_ids), group, arm, pred, elapsed)
+    reader_ids: list[str] = []
+    image_ids: list[str] = []
+    arrays: dict[str, list[np.ndarray]] = {"group": [], "arm": [], "pred": [], "elapsed_s": []}
+    shared: dict[str, str] = {}  # each distinct id once
+    codes: dict[str, int] = {}  # a code per distinct id
+    pairs: set[int] = set()  # the (reader_id, image_id) pairs read so far, by code
+    blanks: list[int] = []
+    with _gc_paused():
+        for cols, block_blanks, bad_row in blocks:
+            blanks += block_blanks
+            fail, rids, iids, block = _reader_block(cols, shared, codes, pairs)
+            fail.raise_first(len(reader_ids), blanks, bad_row)
+            for name, arr in block.items():
+                arrays[name].append(arr)
+            reader_ids += rids
+            image_ids += iids
+            del cols  # before the next block is split
+    if not reader_ids:
+        raise ParseError("no data rows")
+    columns = {name: np.concatenate(arrs) if arrs else None for name, arrs in arrays.items()}
+    return Readers(tuple(reader_ids), tuple(image_ids), **columns)
 
 
 @dataclass(frozen=True)

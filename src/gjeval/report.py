@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +37,8 @@ __all__ = [
 ]
 
 REPORT_SCHEMA_ID = "gjeval-report-v1"
+_HASH_BLOCK = 1 << 20  # bytes of an input file hashed at a time
+_CURVE_BLOCK_ROWS = 8192  # curve points formatted at a time
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -42,7 +46,11 @@ def sha256_bytes(data: bytes) -> str:
 
 
 def sha256_file(path: str | Path) -> str:
-    return sha256_bytes(Path(path).read_bytes())
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def config_hash(config: dict) -> str:
@@ -91,26 +99,59 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _curve_pair_csvs(name: str, roc: CurveSeries, pr: CurveSeries) -> tuple[str, str]:
-    """The ROC and PR CSVs of one curve set, sharing formatted columns: PR
-    recall and thresholds are the ROC TPR and thresholds without the origin."""
+def _curve_pair_csvs(name: str, roc: CurveSeries, pr: CurveSeries) -> tuple[Iterator[str], Iterator[str]]:
+    """The ROC and PR CSVs of one curve set, as chunks of at most
+    ``_CURVE_BLOCK_ROWS`` rows formatted as they are read. They share
+    formatted columns: PR recall and thresholds are the ROC TPR and
+    thresholds without the origin, so PR row i is formatted with ROC row
+    i + 1. Both iterators draw on one pass over the blocks (see ``_unzip``).
+    """
     if not (_same_bits(pr.x, roc.y[1:]) and _same_bits(pr.thresholds, roc.thresholds[1:])):
         raise ValueError(f"{name} PR recall and thresholds are not the ROC TPR and thresholds")
-    fpr, tpr, thresholds = repr_runs(roc.x), repr_runs(roc.y), repr_runs(roc.thresholds)
-    roc_csv = roc.to_csv((fpr, tpr, thresholds))
-    del fpr  # the PR file does not use it; free it before formatting precision
-    return roc_csv, pr.to_csv((tpr[1:], repr_runs(pr.y), thresholds[1:]))
+
+    def blocks() -> Iterator[tuple[str, str]]:
+        for a in range(0, roc.x.size, _CURVE_BLOCK_ROWS):
+            b = a + _CURVE_BLOCK_ROWS
+            tpr, thresholds = repr_runs(roc.y[a:b]), repr_runs(roc.thresholds[a:b])
+            cut = int(a == 0)  # the PR file has no row for the ROC origin
+            yield (
+                roc.to_csv((repr_runs(roc.x[a:b]), tpr, thresholds), head=a == 0),
+                pr.to_csv((tpr[cut:], repr_runs(pr.y[a - 1 + cut : b - 1]), thresholds[cut:]), head=a == 0),
+            )
+
+    return _unzip(blocks())
 
 
-def curve_csvs(report: MetricReport) -> dict[str, str]:
-    """CSV text of every curve by output file name, in canonical emission order."""
+def _unzip(pairs: Iterator[tuple[str, str]]) -> tuple[Iterator[str], Iterator[str]]:
+    """Iterators over the first and over the second items of ``pairs``. Each
+    draws the next pair when it has run out, and an item is dropped once
+    read, so two readers in lockstep hold no item between reads."""
+    queues: tuple[deque[str], deque[str]] = (deque(), deque())
+
+    def pull() -> bool:
+        pair = next(pairs, None)
+        for queue, item in zip(queues, pair or ()):
+            queue.append(item)
+        return pair is not None
+
+    def side(queue: deque[str]) -> Iterator[str]:
+        while queue or pull():
+            yield queue.popleft()
+
+    return side(queues[0]), side(queues[1])
+
+
+def curve_csvs(report: MetricReport) -> dict[str, Iterator[str]]:
+    """CSV text of every curve by output file name, in canonical emission
+    order, each as an iterator of chunks (see ``_curve_pair_csvs``). Every
+    curve set is checked before this returns."""
     pairs = [("micro", report.roc_micro, report.pr_micro)] if report.roc_micro is not None else []
     pairs += [
         (c.slug, report.roc_per_class[c.slug], report.pr_per_class[c.slug])
         for c in CLASS_ORDER
         if c.slug in report.roc_per_class
     ]
-    out: dict[str, str] = {}
+    out: dict[str, Iterator[str]] = {}
     for name, roc, pr in pairs:
         out[f"roc_{name}.csv"], out[f"pr_{name}.csv"] = _curve_pair_csvs(name, roc, pr)
     return out

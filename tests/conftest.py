@@ -160,17 +160,24 @@ def reader_columns(readers: Readers) -> dict:
 
 @pytest.fixture
 def tokenizer_paths(monkeypatch):
-    """Counts, per parse, the texts split as plain CSV and those read by ``csv``."""
-    counts = {"plain": 0, "csv": 0}
-    plain_split = gjeval.data._plain_split
+    """The tokenizer of each block of data rows the parsers read, in order:
+    "plain" for a block split on newlines and commas, "csv" for one read by
+    ``csv``. Clear it to start counting afresh."""
+    log: list[str] = []
+    split_columns, data_rows = gjeval.data._split_columns, gjeval.data._data_rows
 
-    def counted(text):
-        found = plain_split(text)
-        counts["csv" if found is None else "plain"] += 1
-        return found
+    def plain(*args):
+        log.append("plain")
+        return split_columns(*args)
 
-    monkeypatch.setattr(gjeval.data, "_plain_split", counted)
-    return counts
+    def by_csv(*args):
+        for block in data_rows(*args):
+            log.append("csv")
+            yield block
+
+    monkeypatch.setattr(gjeval.data, "_split_columns", plain)
+    monkeypatch.setattr(gjeval.data, "_data_rows", by_csv)
+    return log
 
 
 @pytest.fixture

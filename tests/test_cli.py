@@ -15,9 +15,9 @@ import pytest
 
 from conftest import params_from_json
 
-from gjeval.cli import main
-from gjeval.data import parse_predictions, serialize_predictions
-from gjeval.report import dump_json, load_report_schema
+from gjeval.cli import _write_outputs, main
+from gjeval.data import FoldSpec, parse_predictions, serialize_predictions
+from gjeval.report import _HASH_BLOCK, dump_json, load_report_schema, sha256_file
 
 
 def run(*argv: str) -> int:
@@ -148,6 +148,15 @@ class TestEvaluate:
         want = hashlib.sha256(pred_csv.read_bytes()).hexdigest()
         assert doc["inputs"]["pred"]["sha256"] == want
 
+    @pytest.mark.parametrize("size", [0, _HASH_BLOCK, _HASH_BLOCK + 1])
+    def test_input_hashed_in_blocks(self, tmp_path, size):
+        import hashlib
+
+        path = tmp_path / "input.bin"
+        data = bytes(range(256)) * (size // 256) + bytes(size % 256)
+        path.write_bytes(data)
+        assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+
 
 class TestExitCodes:
     def test_missing_file_is_1(self, tmp_path, capsys):
@@ -174,6 +183,16 @@ class TestExitCodes:
         assert run("evaluate", "--pred", str(pred), "--out", str(out)) == 1
         assert not out.exists()
         assert "row 2: age must be finite" in capsys.readouterr().err
+
+    def test_curve_check_runs_before_any_file_is_written(self, pred_csv, tmp_path, capsys, monkeypatch):
+        # the curve files are formatted while they are written; their check is not
+        import gjeval.report as report_mod
+
+        monkeypatch.setattr(report_mod, "_same_bits", lambda a, b: False)
+        out = tmp_path / "o"
+        assert run("evaluate", "--pred", str(pred_csv), "--out", str(out)) == 1
+        assert not out.exists()
+        assert "micro PR recall and thresholds are not the ROC" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_dump_json_rejects_non_finite(self, value):
@@ -245,6 +264,32 @@ class TestExitCodes:
         assert run(*args, "--out", str(out)) == 4
         gc = json.loads((out / "report.json").read_text())["results"]["grad_check"]
         assert gc["max_relative_error"] >= gc["tolerance"]
+
+
+class TestWriteOutputs:
+    def test_chunked_files_are_written_in_lockstep(self, tmp_path, capsys):
+        order = []
+
+        def chunks(name, n):
+            for k in range(n):
+                order.append(f"{name}{k}")
+                yield f"{name}{k}\n"
+
+        out = tmp_path / "o"
+        files = {"a.txt": "whole\n", "b.csv": chunks("b", 3), "c.csv": chunks("c", 1), "d.csv": chunks("d", 0)}
+        _write_outputs(out, files)
+        assert order == ["b0", "c0", "b1", "b2"]
+        assert tree(out) == {"a.txt": b"whole\n", "b.csv": b"b0\nb1\nb2\n", "c.csv": b"c0\n", "d.csv": b""}
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out / name}" for name in files]
+
+    def test_failed_chunk_leaves_a_truncated_file(self, tmp_path):
+        def chunks():
+            yield "first\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _write_outputs(tmp_path, {"a.csv": chunks()})
+        assert (tmp_path / "a.csv").read_text() == "first\n"
 
 
 class TestCompare:
@@ -338,6 +383,21 @@ class TestKfold:
         doc = json.loads((out / "report.json").read_text())
         n_images = sum(doc["results"]["fold_sizes"])
         assert n_images == len(parse_predictions(pred_csv.read_text()))
+
+    def test_fold_sizes_counted_once(self, pred_csv, tmp_path, monkeypatch):
+        calls = []
+        fold_sizes = FoldSpec.fold_sizes
+
+        def counted(self):
+            calls.append(self.k)
+            return fold_sizes(self)
+
+        monkeypatch.setattr(FoldSpec, "fold_sizes", counted)
+        out = tmp_path / "kf"
+        assert run("kfold", "--pred", str(pred_csv), "--k", "5", "--by", "image", "--out", str(out)) == 0
+        doc = json.loads((out / "report.json").read_text())["results"]
+        assert calls == [5]
+        assert [f["units"] for f in doc["per_fold"]] == doc["fold_sizes"]
 
 
 class TestSynth:

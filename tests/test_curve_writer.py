@@ -2,24 +2,43 @@
 
 ``report.curve_csvs`` formats each curve set's shared columns once: PR
 recall and thresholds reuse the ROC TPR and threshold texts, and a run of
-bit-identical values is formatted once. The oracle is the row-by-row
-``CurveSeries.to_csv`` that the writer replaced, applied to each curve on
-its own in the old file order. Both must give the same text for every curve
-file at every analysis level.
+bit-identical values is formatted once. It hands out every file as chunks of
+row blocks, two rows a block here (one to five in one test), so every curve
+spans several blocks. The oracle is the row-by-row ``CurveSeries.to_csv``
+that the writer replaced, applied to each curve on its own in the old file
+order. The joined chunks must give the same text for every curve file at
+every analysis level.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 
+import gjeval.report
 from gjeval import Dataset, SynthSpec, evaluate, serialize_predictions, synth_generate
 from gjeval.cli import main
 from gjeval.data import CLASS_ORDER
 from gjeval.metrics import CurveSeries, compute_report, repr_runs, roc_points
 from gjeval.report import curve_csvs
+
+
+@pytest.fixture(autouse=True)
+def two_row_blocks(monkeypatch):
+    monkeypatch.setattr(gjeval.report, "_CURVE_BLOCK_ROWS", 2)
+
+
+def joined(files) -> dict[str, str]:
+    """The text of each chunked file, read in lockstep as the CLI writes them."""
+    texts = {name: [] for name in files}
+    for chunks in zip_longest(*files.values()):
+        for parts, chunk in zip(texts.values(), chunks):
+            if chunk is not None:
+                parts.append(chunk)
+    return {name: "".join(parts) for name, parts in texts.items()}
 
 
 def oracle_to_csv(series: CurveSeries) -> str:
@@ -64,12 +83,23 @@ def tied_dataset(seed: int) -> Dataset:
 @pytest.mark.parametrize("seed", range(3))
 def test_writer_matches_row_by_row_to_csv(level, seed):
     report = evaluate(tied_dataset(seed), level=level)
-    got = curve_csvs(report)
+    got = joined(curve_csvs(report))
     want = oracle_curve_files(report)
     assert list(got) == list(want)
     assert got == want
+    assert min(len(text.splitlines()) for text in got.values()) > 2 + 2 * 2  # three blocks or more
+    # one file read to its end before the other gives the same text
+    files = curve_csvs(report)
+    assert {name: "".join(files[name]) for name in reversed(files)} == want
     if level != "patient":  # a patient mean of -0.0 images is +0.0
         assert any(",-0.0\n" in text for text in got.values())
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 4, 5])
+def test_any_block_size_gives_the_same_text(block_rows, monkeypatch):
+    report = evaluate(tied_dataset(4), level="patient")
+    monkeypatch.setattr(gjeval.report, "_CURVE_BLOCK_ROWS", block_rows)
+    assert joined(curve_csvs(report)) == oracle_curve_files(report)
 
 
 def test_cli_curve_files_match_row_by_row_to_csv(tmp_path):
@@ -131,4 +161,27 @@ def test_to_csv_without_columns_formats_its_own():
     roc = roc_points(np.array([0.9, 0.9, -0.0, 0.0, 0.1]), np.array([1, 0, 1, 0, 0], float))
     assert roc.to_csv() == oracle_to_csv(roc)
     report = compute_report([0, 1, 2, 0], [0, 1, 2, 1], np.eye(3)[[0, 1, 2, 1]])
-    assert curve_csvs(report)["pr_micro.csv"] == report.pr_micro.to_csv()
+    assert "".join(curve_csvs(report)["pr_micro.csv"]) == report.pr_micro.to_csv()
+
+
+def test_lockstep_read_holds_one_block(monkeypatch):
+    """Read in lockstep, a curve set's ROC and PR chunks are formatted one
+    block at a time, each block once, as the ROC file reaches it."""
+    formatted = []
+    to_csv = CurveSeries.to_csv
+
+    def counted(self, columns=None, head=True):
+        formatted.append(self.kind)
+        return to_csv(self, columns, head)
+
+    monkeypatch.setattr(CurveSeries, "to_csv", counted)
+    report = evaluate(tied_dataset(3), level="image")
+    files = curve_csvs(report)
+    roc, pr = files["roc_micro.csv"], files["pr_micro.csv"]
+    blocks = -(-report.roc_micro.x.size // 2)
+    for k in range(blocks):
+        next(roc)
+        assert formatted[-2:] == ["ROC", "PR"] and len(formatted) == 2 * (k + 1)
+        next(pr)
+        assert len(formatted) == 2 * (k + 1)
+    assert next(roc, None) is None and next(pr, None) is None

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import gjeval.data
 from conftest import dataset_columns, make_dataset, reader_columns
 
 from gjeval import (
@@ -25,7 +26,7 @@ from gjeval import (
     synth_generate,
 )
 from gjeval.aggregate import patient_mean_aggregate
-from gjeval.data import READER_ARMS, READER_CELLS, READER_GROUPS, _data_rows, age_band
+from gjeval.data import READER_ARMS, READER_CELLS, READER_GROUPS, age_band
 
 HEADER = "image_id,patient_id,true_label,p_aegja,p_eegja,p_control"
 
@@ -211,7 +212,7 @@ class TestParsePredictions:
             parse("abad", "pqrq", labels[:3] + ("nope",))
 
     @pytest.mark.parametrize("collecting", [True, False])
-    def test_gc_state_restored_after_failed_parse(self, collecting):
+    def test_gc_state_restored_after_failed_parse(self, collecting, monkeypatch):
         before = gc.isenabled()
         (gc.enable if collecting else gc.disable)()
         try:
@@ -226,13 +227,13 @@ class TestParsePredictions:
                 assert gc.isenabled() is collecting
             seen = []
 
-            def rows():
-                yield ["a", "b"]
+            def failing_floats(col):
                 seen.append(gc.isenabled())
-                raise RuntimeError("reader failed")
+                raise RuntimeError("conversion failed")
 
+            monkeypatch.setattr(gjeval.data, "_floats", failing_floats)
             with pytest.raises(RuntimeError):
-                _data_rows(rows(), ["x", "y"])
+                parse_predictions(csv_text("i1,p1,A-EGJA,1,0,0"))
             assert seen == [False] and gc.isenabled() is collecting
         finally:
             (gc.enable if before else gc.disable)()
@@ -370,31 +371,37 @@ def _text(header: str, rows, newline: str = "\n", end: str = "\n", bom: bool = F
     return "\ufeff" * bom + newline.join((header, *rows)) + end
 
 
-# (id, parser, text, the tokenizer that reads the text as given)
+# (id, parser, text, the tokenizer of each block of two data lines as given)
 TOKENIZER_CASES = [
-    ("quoted-field", parse_predictions, _text(HEADER, ROWS), "plain"),
-    ("crlf", parse_predictions, _text(HEADER, ROWS, newline="\r\n", end="\r\n"), "csv"),
-    ("cr", parse_predictions, _text(HEADER, ROWS, newline="\r", end="\r"), "csv"),
-    ("blank-line", parse_predictions, _text(HEADER, (ROWS[0], "", ROWS[1], " \t", ROWS[2])), "csv"),
-    ("trailing-blank-line", parse_predictions, _text(HEADER, ROWS, end="\n\n"), "csv"),
-    ("header-only", parse_predictions, _text(HEADER, ()), "csv"),
-    ("no-final-newline", parse_predictions, _text(HEADER, ROWS, end=""), "plain"),
+    ("quoted-field", parse_predictions, _text(HEADER, ROWS), "plain plain"),
+    ("crlf", parse_predictions, _text(HEADER, ROWS, newline="\r\n", end="\r\n"), "csv csv"),
+    ("cr", parse_predictions, _text(HEADER, ROWS, newline="\r", end="\r"), "csv csv"),
+    ("blank-line", parse_predictions, _text(HEADER, (ROWS[0], "", ROWS[1], " \t", ROWS[2])), "csv csv plain"),
+    ("trailing-blank-line", parse_predictions, _text(HEADER, ROWS, end="\n\n"), "plain csv"),
+    ("header-only", parse_predictions, _text(HEADER, ()), ""),
+    ("no-final-newline", parse_predictions, _text(HEADER, ROWS, end=""), "plain plain"),
     ("ragged-short", parse_predictions, _text(HEADER, (ROWS[0], "i2,p1,A-EGJA,0.2,0.5", ROWS[2])), "csv"),
     ("ragged-long", parse_predictions, _text(HEADER, (ROWS[0], ROWS[1] + ",x", ROWS[2])), "csv"),
-    ("over-long-header", parse_predictions, _text(OVER + "," + HEADER, ROWS), "csv"),
+    ("ragged-late", parse_predictions, _text(HEADER, (*ROWS, "i4,p3,control,0,0", "i5,p3,control,0,0,1")), "plain csv"),
+    ("blank-line-late", parse_predictions, _text(HEADER, (*ROWS[:2], "", ROWS[2], "i4,p3,control,0,0,1")), "plain csv plain"),
+    ("over-long-header", parse_predictions, _text(OVER + "," + HEADER, ROWS), ""),
     ("over-long-field", parse_predictions, _text(HEADER, (ROWS[0], OVER + ROWS[1], ROWS[2])), "csv"),
     ("long-line-short-fields", parse_predictions, _text(HEADER, (ROWS[0], f"{LONG},{LONG}p,A-EGJA,1,0,0")), "csv"),
-    ("nul", parse_predictions, _text(HEADER, (ROWS[0], "i\x002" + ROWS[1][2:], ROWS[2])), "csv"),
+    ("nul", parse_predictions, _text(HEADER, (ROWS[0], "i\x002" + ROWS[1][2:], ROWS[2])), "csv csv"),
     ("x85", parse_predictions, _text(HEADER, ("i\x851,\x85p1\x85" + ROWS[0][5:], ROWS[1])), "plain"),
     ("u2028", parse_predictions, _text(HEADER, ("i\u20281,p1\u2028" + ROWS[0][5:], ROWS[1])), "plain"),
     ("x0b", parse_predictions, _text(HEADER, ("i1\x0b,\x0bp1" + ROWS[0][5:], ROWS[1])), "plain"),
     ("padded", parse_predictions,
      _text(" image_id ,patient_id\t," + HEADER[20:], (" i1 ,\tp1\t, A-EGJA ,0.8 ,\t0.15, 0.05 ", ROWS[1])), "plain"),
-    ("bom", parse_predictions, _text(HEADER, ROWS, bom=True), "plain"),
+    ("bom", parse_predictions, _text(HEADER, ROWS, bom=True), "plain plain"),
     ("bad-label", parse_predictions, _text(HEADER, (ROWS[0], "i2,p1,nope,0.2,0.5,0.3")), "plain"),
-    ("readers-padded-bom", parse_readers, _text(READER_HEADER, (" r1 , Trainee ,a, i1 ,\t0",) + READER_ROWS[1:], bom=True), "plain"),
+    ("bad-label-late", parse_predictions, _text(HEADER, (*ROWS, "i4,p3,nope,0,0,1", ROWS[0])), "plain plain"),
+    ("duplicate-image-across-blocks", parse_predictions, _text(HEADER, (*ROWS, "i1,p3,control,0,0,1")), "plain plain"),
+    ("label-conflict-across-blocks", parse_predictions, _text(HEADER, (*ROWS, "i4,p1,control,0,0,1")), "plain plain"),
+    ("readers-padded-bom", parse_readers, _text(READER_HEADER, (" r1 , Trainee ,a, i1 ,\t0",) + READER_ROWS[1:], bom=True), "plain plain"),
     ("readers-ragged", parse_readers, _text(READER_HEADER, (READER_ROWS[0], READER_ROWS[1] + ",", READER_ROWS[2])), "csv"),
-    ("readers-crlf", parse_readers, _text(READER_HEADER, READER_ROWS, newline="\r\n", end="\r\n"), "csv"),
+    ("readers-crlf", parse_readers, _text(READER_HEADER, READER_ROWS, newline="\r\n", end="\r\n"), "csv csv"),
+    ("readers-duplicate-across-blocks", parse_readers, _text(READER_HEADER, (*READER_ROWS, READER_ROWS[1])), "plain plain"),
 ]
 
 
@@ -418,13 +425,15 @@ class TestTokenizerPaths:
             return "error", str(exc)
         return "ok", dataset_columns(ds) if isinstance(ds, Dataset) else reader_columns(ds)
 
-    @pytest.mark.parametrize(("parse", "text", "path"), [c[1:] for c in TOKENIZER_CASES],
+    @pytest.mark.parametrize(("parse", "text", "paths"), [c[1:] for c in TOKENIZER_CASES],
                              ids=[c[0] for c in TOKENIZER_CASES])
-    def test_both_tokenizers_agree(self, parse, text, path, tokenizer_paths):
+    def test_both_tokenizers_agree(self, parse, text, paths, tokenizer_paths, monkeypatch):
+        monkeypatch.setattr(gjeval.data, "_BLOCK_ROWS", 2)
         got = self._outcome(parse, text)
-        assert tokenizer_paths == {"plain": path == "plain", "csv": path == "csv"}
+        assert tokenizer_paths == paths.split()
+        tokenizer_paths.clear()
         assert self._outcome(parse, _quote_first_field(text)) == got
-        assert tokenizer_paths["csv"] == 1 + (path == "csv")
+        assert tokenizer_paths == ["csv"] * len(paths.split())
 
     def test_plain_fields_are_stripped_like_csv_fields(self):
         ds = parse_predictions(_text(HEADER, ("i\x851,\x85p1\x85" + ROWS[0][5:], ROWS[1])))
@@ -438,13 +447,64 @@ class TestTokenizerPaths:
         try:
             with pytest.raises(ParseError, match=r"^row 2: field larger than field limit \(20\)$"):
                 parse_predictions(_text(HEADER, ("i1,p1,A-EGJA,0.8,0.15,0.050000000000000000000",)))
-            assert tokenizer_paths["csv"] == 1
+            assert tokenizer_paths == ["csv"]
             cols = dataset_columns(parse_predictions(text))
         finally:
             csv.field_size_limit(old)
-        assert tokenizer_paths["csv"] == 2
+        assert tokenizer_paths == ["csv", "csv"]
         assert cols == dataset_columns(parse_predictions(text))
-        assert tokenizer_paths["plain"] == 1
+        assert tokenizer_paths == ["csv", "csv", "plain"]
+
+
+class TestBlocks:
+    """Rows are read and checked in blocks, two data lines each here: a fault
+    in a later block, or between rows of two blocks, keeps its row number and
+    message, and a block the plain split cannot read goes to ``csv`` alone."""
+
+    @pytest.fixture(autouse=True)
+    def two_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(gjeval.data, "_BLOCK_ROWS", 2)
+
+    def test_bad_row_in_a_later_block(self, tokenizer_paths):
+        with pytest.raises(ParseError, match=r"^row 5: unknown class label 'nope'$"):
+            parse_predictions(csv_text(*ROWS, "i4,p3,nope,0,0,1", "i5,p3,control,0,0,1"))
+        assert tokenizer_paths == ["plain", "plain"]  # the block after it is never read
+        with pytest.raises(ParseError, match=r"^row 5: unknown reader group 'nope'$"):
+            parse_readers(_text(READER_HEADER, (*READER_ROWS, "r3,nope,A,i1,0")))
+
+    def test_ragged_row_sends_only_its_block_to_csv(self, tokenizer_paths):
+        with pytest.raises(ParseError, match=r"^row 5: expected 6 fields, got 5$"):
+            parse_predictions(csv_text(*ROWS, "i4,p3,control,0,0", "i5,p3,control,0,0,1"))
+        assert tokenizer_paths == ["plain", "csv"]
+
+    def test_blank_line_sends_only_its_block_to_csv(self, tokenizer_paths):
+        rows = (*ROWS, "i4,p3,control,0,0,1", "i5,p3,control,0,0,1")
+        ds = parse_predictions(csv_text(rows[0], rows[1], "", *rows[2:]))
+        assert tokenizer_paths == ["plain", "csv", "plain"]
+        assert dataset_columns(ds) == dataset_columns(parse_predictions(csv_text(*rows)))
+        # a later row's line counts the blank line
+        with pytest.raises(ParseError, match=r"^row 7: unknown class label 'nope'$"):
+            parse_predictions(csv_text(rows[0], rows[1], "", *rows[2:4], "i5,p3,nope,0,0,1"))
+
+    def test_cross_row_faults_across_blocks(self):
+        with pytest.raises(ParseError, match=r"^row 5: duplicate image_id 'i1'$"):
+            parse_predictions(csv_text(*ROWS, "i1,p3,control,0,0,1"))
+        with pytest.raises(ParseError, match=r"^row 5: conflicting true labels for patient 'p1'$"):
+            parse_predictions(csv_text(*ROWS, "i4,p1,control,0,0,1"))
+        with pytest.raises(ParseError, match=r"^row 5: duplicate \(reader_id, image_id\) pair \('r1', 'i2'\)$"):
+            parse_readers(_text(READER_HEADER, (*READER_ROWS, READER_ROWS[1])))
+        # a fault within a row of a later block wins over a later cross-row fault
+        with pytest.raises(ParseError, match=r"^row 5: unknown class label 'nope'$"):
+            parse_predictions(csv_text(*ROWS, "i4,p3,nope,0,0,1", "i1,p3,control,0,0,1"))
+
+    def test_equal_values_share_one_string(self):
+        ds = parse_predictions(serialize_predictions(synth_generate(SynthSpec((5, 3, 6), images_max=4, seed=3))))
+        for col in (ds.center, ds.modality, ds.sex):
+            assert len(set(map(id, col))) == len(set(col)) < len(col)
+        lines = [f"r{k % 3},trainee,A,{image},0" for k, image in enumerate(ds.image_ids[:9])]
+        readers = parse_readers(_text(READER_HEADER, lines + [f"r4,expert,B,{image},1" for image in ds.image_ids[:5]]))
+        for col in (readers.reader_ids, readers.image_ids):
+            assert len(set(map(id, col))) == len(set(col)) < len(col)
 
 
 class TestSummarize:

@@ -1,0 +1,63 @@
+"""Memory regression tests: the parser and the curve writer hold a block of
+rows at a time, not the whole file.
+
+Each test traces the allocations of one step with ``tracemalloc`` on a
+synthetic predictions file of about 11.6k images, and again on one with four
+times as many. What the step needs beyond what it returns may grow by at most
+half, where a step that holds the whole file would need about four times as
+much.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import pytest
+
+from gjeval import SynthSpec, evaluate, parse_predictions, serialize_predictions, synth_generate
+from gjeval.cli import _write_outputs
+from gjeval.report import curve_csvs
+
+GROWTH = 4
+BOUND = 1.5
+
+
+@pytest.fixture(scope="module")
+def texts() -> dict[int, str]:
+    """Predictions CSV text by scale: 1 and GROWTH times (440, 180, 500) patients."""
+    return {
+        scale: serialize_predictions(synth_generate(SynthSpec((440 * scale, 180 * scale, 500 * scale), seed=scale)))
+        for scale in (1, GROWTH)
+    }
+
+
+def traced(fn, *args):
+    """``fn(*args)``, the peak of the memory it allocated, and how much of
+    that it still holds when it returns."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
+
+
+def test_parse_transient_memory_does_not_grow_with_rows(texts):
+    rows, transient = {}, {}
+    for scale, text in texts.items():
+        ds, peak, kept = traced(parse_predictions, text)
+        rows[scale], transient[scale] = len(ds), peak - kept
+    assert rows[GROWTH] > 3.5 * rows[1]
+    assert transient[GROWTH] <= BOUND * transient[1], transient
+
+
+def test_curve_writer_peak_does_not_grow_with_points(texts, tmp_path):
+    points, peaks = {}, {}
+    for scale, text in texts.items():
+        report = evaluate(parse_predictions(text), level="image")
+        out = tmp_path / str(scale)
+        _, peaks[scale], _ = traced(lambda: _write_outputs(out, curve_csvs(report)))
+        points[scale] = report.roc_micro.x.size
+    assert points[GROWTH] > 3.5 * points[1]
+    assert peaks[GROWTH] <= BOUND * peaks[1], peaks

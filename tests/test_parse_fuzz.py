@@ -7,8 +7,10 @@ leading byte order mark is ignored, and a duplicated ``image_id`` or a
 patient's second true label names the file line that repeats it. Both parsers read seeded mutations of
 valid CSVs and must raise the same message or return the same columns.
 Through the CLI, every mutation must end in exit 0, or in exit 1 with the
-oracle's message. Each seed sends at least 50 texts through each of the
-parser's two tokenizers: the plain split and ``csv``.
+oracle's message. The parser reads three data lines at a time here, so
+most texts span several blocks. Each seed sends at least 50 texts through
+each of the parser's two tokenizers, the plain split and ``csv``; a text
+counts for each tokenizer that reads one of its blocks.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+import gjeval.data
 from conftest import dataset_columns, oracle_label
 
 from gjeval.cli import main
@@ -231,17 +234,27 @@ def cases(n: int, seed: int):
         yield mutate(valid_rows(gen), gen)
 
 
+@pytest.fixture(autouse=True)
+def three_row_blocks(monkeypatch):
+    """Read in blocks of three data lines, so most texts span several blocks."""
+    monkeypatch.setattr(gjeval.data, "_BLOCK_ROWS", 3)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_parser_matches_row_by_row_oracle(seed, tokenizer_paths):
     kinds = {"ok": 0, "error": 0}
+    texts = {"plain": 0, "csv": 0}
     for text, strict in cases(400, seed):
+        tokenizer_paths.clear()
         want = outcome(oracle_parse, text, strict)
         got = outcome(lambda t, s: dataset_columns(parse_predictions(t, s)), text, strict)
         assert got == want, text
         kinds[want[0]] += 1
+        for path in set(tokenizer_paths):
+            texts[path] += 1
     # the mutations exercise both outcomes, and both tokenizers
     assert min(kinds.values()) > 50, kinds
-    assert min(tokenizer_paths.values()) >= 50, tokenizer_paths
+    assert min(texts.values()) >= 50, texts
 
 
 def test_cli_exits_0_or_1_with_the_oracle_message(tmp_path, capsys):
