@@ -16,6 +16,8 @@ byte identity).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
@@ -90,22 +92,23 @@ def _write_outputs(outdir: Path, files: dict[str, str | Iterator[str]]) -> None:
         print(f"wrote {outdir / name}")
 
 
+def _csv_text(rows) -> str:
+    """Rows as CSV text with LF line ends; a field holding a comma, a quote
+    or LF is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _report_files(mr: MetricReport, svg: bool = False) -> dict[str, str | Iterator[str]]:
     files = {"cm.csv": rpt.cm_csv(mr)}
     files.update(rpt.curve_csvs(mr))
-    if svg and mr.roc_micro is not None:
-        roc_list = [("micro", mr.roc_micro)] + [
-            (c.display, mr.roc_per_class[c.slug])
-            for c in CLASS_ORDER
-            if c.slug in mr.roc_per_class
-        ]
-        pr_list = [("micro", mr.pr_micro)] + [
-            (c.display, mr.pr_per_class[c.slug])
-            for c in CLASS_ORDER
-            if c.slug in mr.pr_per_class
-        ]
-        files["roc.svg"] = rpt.curves_svg("ROC", roc_list)
-        files["pr.svg"] = rpt.curves_svg("Precision-Recall", pr_list)
+    if svg and "micro" in mr.curves:
+        display = {c.slug: c.display for c in CLASS_ORDER}
+        labels = [display.get(name, name) for name in mr.curves]
+        rocs, prs = zip(*mr.curves.values())
+        files["roc.svg"] = rpt.curves_svg("ROC", list(zip(labels, rocs)))
+        files["pr.svg"] = rpt.curves_svg("Precision-Recall", list(zip(labels, prs)))
     return files
 
 
@@ -227,12 +230,12 @@ def cmd_readers(args) -> int:
                 continue
             group_vs_group[key] = res.detail.get("kappa")
     scatter = aggregate.per_reader_points(readers, model, rows)
-    scatter_lines = ["reader_id,group,arm,class,sensitivity,specificity,ppv"]
+    scatter_rows = [("reader_id", "group", "arm", "class", "sensitivity", "specificity", "ppv")]
     for row in scatter:
-        vals = [
-            row["reader_id"], row["group"], row["arm"], row["class"],
-        ] + ["" if row[k] is None else repr(row[k]) for k in ("sensitivity", "specificity", "ppv")]
-        scatter_lines.append(",".join(vals))
+        scatter_rows.append(
+            [row["reader_id"], row["group"], row["arm"], row["class"]]
+            + ["" if row[k] is None else repr(row[k]) for k in ("sensitivity", "specificity", "ppv")]
+        )
     config = {
         "subcommand": "readers",
         "pred": str(pred_path),
@@ -254,7 +257,7 @@ def cmd_readers(args) -> int:
     )
     files = {
         "report.json": rpt.dump_json(doc),
-        "reader_points.csv": "\n".join(scatter_lines) + "\n",
+        "reader_points.csv": _csv_text(scatter_rows),
     }
     _write_outputs(Path(args.out), files)
     return 0
@@ -278,7 +281,7 @@ def cmd_kfold(args) -> int:
             }
         )
     order = ds.patient_ids if spec.unit == "patient" else ds.image_ids
-    assign_lines = ["unit_id,fold"] + [f"{u},{spec.assignments[u]}" for u in order]
+    assign_rows = [("unit_id", "fold"), *((u, spec.assignments[u]) for u in order)]
     config = {
         "subcommand": "kfold",
         "pred": str(pred_path),
@@ -301,7 +304,7 @@ def cmd_kfold(args) -> int:
     )
     files = {
         "report.json": rpt.dump_json(doc),
-        "assignments.csv": "\n".join(assign_lines) + "\n",
+        "assignments.csv": _csv_text(assign_rows),
     }
     _write_outputs(Path(args.out), files)
     return 0
@@ -486,7 +489,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _err(str(exc))
         return 1
-    except (FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _err(f"input error: {exc}")
         return 1
 

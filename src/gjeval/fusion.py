@@ -108,7 +108,8 @@ class AlignParams:
 
 @dataclass
 class GatingParams:
-    """Three pointwise conv layers (2->h, h->h, h->2) and the dropout rate."""
+    """Three pointwise conv layers (2->h, h->h, h->2); the dropout rate is
+    ``HeadConfig.dropout``."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -116,7 +117,6 @@ class GatingParams:
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
-    dropout: float = 0.1
 
 
 @dataclass
@@ -199,7 +199,6 @@ def init_head(config: HeadConfig, seed: int = 0) -> HeadParams:
         b2=np.zeros(h),
         w3=_uniform_fan_in(rng, (2, h), h),
         b3=np.zeros(2),
-        dropout=config.dropout,
     )
     cls_w = _uniform_fan_in(rng, (config.c_dino, config.n_classes), config.c_dino)
     cls_b = np.zeros(config.n_classes)
@@ -214,11 +213,11 @@ def _dropout_masks(rng_seed: int, shape: tuple[int, ...], rate: float) -> tuple[
     return masks[0], masks[1]
 
 
-def _gate_core(x: np.ndarray, g: GatingParams, training: bool, rng_seed: int) -> dict:
+def _gate_core(x: np.ndarray, g: GatingParams, dropout: float, training: bool, rng_seed: int) -> dict:
     """Gating network on a batched 2-channel sequence x of shape (N, 2, C)."""
     n, _, c = x.shape
-    if training and g.dropout > 0.0:
-        m1, m2 = _dropout_masks(rng_seed, (n, g.b1.size, c), g.dropout)
+    if training and dropout > 0.0:
+        m1, m2 = _dropout_masks(rng_seed, (n, g.b1.size, c), dropout)
     else:
         m1 = m2 = None
     h1 = g.w1 @ x
@@ -254,7 +253,7 @@ def _forward(params: HeadParams, fc, gd, gr, training: bool, rng_seed: int) -> d
     f_dino = fc + gd.mean(axis=(1, 2))
     f_res = pooled_r @ params.align.w + params.align.b
     x = np.stack([f_dino, f_res], axis=1)
-    cache = _gate_core(x, params.gating, training, rng_seed)
+    cache = _gate_core(x, params.gating, params.config.dropout, training, rng_seed)
     s = cache["s"]
     a_dino, a_res = s[:, 0, :], s[:, 1, :]
     f_fus = a_dino * f_dino + a_res * f_res
@@ -600,7 +599,7 @@ def train_toy(spec: TrainSpec) -> TrainResult:
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, grads = _loss_and_grads(
                     params, fc, gd, gr, y_train[idx],
-                    training=params.gating.dropout > 0, rng_seed=step_seed, reduction="mean",
+                    training=params.config.dropout > 0, rng_seed=step_seed, reduction="mean",
                 )
             if not math.isfinite(loss):
                 raise DivergenceError(global_step, loss)

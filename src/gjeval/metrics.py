@@ -41,7 +41,6 @@ __all__ = [
     "pr_points",
     "micro_curves",
     "binary_scored",
-    "ovr_scores",
     "repr_runs",
     "compute_report",
 ]
@@ -395,15 +394,6 @@ def pr_points(scores, labels, weights=None) -> CurveSeries:
     return CurveSeries(kind="PR", x=recall, y=precision, thresholds=thr, area=area)
 
 
-def ovr_scores(
-    probs: np.ndarray, truths: np.ndarray, cls: ClassLabel
-) -> tuple[np.ndarray, np.ndarray]:
-    """(scores, binary labels) for one-vs-rest evaluation of a single class."""
-    p = np.asarray(probs, dtype=np.float64)
-    t = np.asarray(truths, dtype=np.int64)
-    return p[:, int(cls)], (t == int(cls)).astype(np.float64)
-
-
 def micro_curves(
     probs: np.ndarray, truths: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[CurveSeries, CurveSeries]:
@@ -431,7 +421,12 @@ def micro_curves(
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Full evaluation bundle at one analysis level."""
+    """Full evaluation bundle at one analysis level.
+
+    ``curves`` maps ``"micro"``, then each class slug in ``CLASS_ORDER``, to
+    that set's (ROC, PR) pair; a set whose sweep raised is absent. The
+    ``auc`` and ``ap`` blocks of ``as_dict`` are the areas of these curves.
+    """
 
     level: str
     n: float
@@ -439,14 +434,7 @@ class MetricReport:
     per_class: tuple[BinaryStats, BinaryStats, BinaryStats]
     overall: OverallStats
     kappa: float
-    auc_micro: float | None = None
-    ap_micro: float | None = None
-    auc_per_class: dict[str, float] | None = None
-    ap_per_class: dict[str, float] | None = None
-    roc_micro: CurveSeries | None = None
-    pr_micro: CurveSeries | None = None
-    roc_per_class: dict[str, CurveSeries] = field(default_factory=dict)
-    pr_per_class: dict[str, CurveSeries] = field(default_factory=dict)
+    curves: dict[str, tuple[CurveSeries, CurveSeries]] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
     time_cost_s: float | None = None
 
@@ -463,9 +451,10 @@ class MetricReport:
             "overall": self.overall.as_dict(),
             "kappa": None if np.isnan(self.kappa) else self.kappa,
         }
-        if self.auc_micro is not None:
-            out["auc"] = {"micro": self.auc_micro, "per_class": dict(self.auc_per_class or {})}
-            out["ap"] = {"micro": self.ap_micro, "per_class": dict(self.ap_per_class or {})}
+        if "micro" in self.curves:
+            for key, k in (("auc", 0), ("ap", 1)):
+                areas = {name: pair[k].area for name, pair in self.curves.items()}
+                out[key] = {"micro": areas.pop("micro"), "per_class": areas}
         if self.time_cost_s is not None:
             out["time_cost_s"] = self.time_cost_s
         out["warnings"] = list(self.warnings)
@@ -497,47 +486,18 @@ def compute_report(
     n_eff = cm.total
     warnings = list(extra_warnings) + list(overall.warnings)
 
-    curve_fields: dict = dict(
-        auc_micro=None,
-        ap_micro=None,
-        auc_per_class=None,
-        ap_per_class=None,
-        roc_micro=None,
-        pr_micro=None,
-        roc_per_class={},
-        pr_per_class={},
-    )
+    curves: dict[str, tuple[CurveSeries, CurveSeries]] = {}
     if probs is not None:
         p = np.asarray(probs, dtype=np.float64)
-        roc_pc: dict[str, CurveSeries] = {}
-        pr_pc: dict[str, CurveSeries] = {}
-        auc_pc: dict[str, float] = {}
-        ap_pc: dict[str, float] = {}
-        for name, cls in [("micro", None)] + [(c.slug, c) for c in CLASS_ORDER]:
+        for name, k in [("micro", None)] + [(c.slug, int(c)) for c in CLASS_ORDER]:
             try:
-                if cls is None:
-                    roc, prc = micro_curves(p, t, w)
+                if k is None:
+                    curves[name] = micro_curves(p, t, w)
                 else:
-                    s, y = ovr_scores(p, t, cls)
-                    roc, prc = roc_points(s, y, w), pr_points(s, y, w)
+                    y = (t == k).astype(np.float64)
+                    curves[name] = roc_points(p[:, k], y, w), pr_points(p[:, k], y, w)
             except ValueError as exc:
                 warnings.append(f"curves for {name} skipped: {exc}")
-                continue
-            if name == "micro":
-                curve_fields.update(
-                    auc_micro=roc.area, ap_micro=prc.area, roc_micro=roc, pr_micro=prc
-                )
-            else:
-                roc_pc[name] = roc
-                pr_pc[name] = prc
-                auc_pc[name] = roc.area
-                ap_pc[name] = prc.area
-        curve_fields.update(
-            roc_per_class=roc_pc,
-            pr_per_class=pr_pc,
-            auc_per_class=auc_pc or None,
-            ap_per_class=ap_pc or None,
-        )
 
     return MetricReport(
         level=level,
@@ -546,7 +506,7 @@ def compute_report(
         per_class=per_class,  # type: ignore[arg-type]
         overall=overall,
         kappa=kappa,
+        curves=curves,
         warnings=tuple(warnings),
         time_cost_s=time_cost_s,
-        **curve_fields,
     )

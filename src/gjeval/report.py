@@ -142,17 +142,11 @@ def _unzip(pairs: Iterator[tuple[str, str]]) -> tuple[Iterator[str], Iterator[st
 
 
 def curve_csvs(report: MetricReport) -> dict[str, Iterator[str]]:
-    """CSV text of every curve by output file name, in canonical emission
-    order, each as an iterator of chunks (see ``_curve_pair_csvs``). Every
-    curve set is checked before this returns."""
-    pairs = [("micro", report.roc_micro, report.pr_micro)] if report.roc_micro is not None else []
-    pairs += [
-        (c.slug, report.roc_per_class[c.slug], report.pr_per_class[c.slug])
-        for c in CLASS_ORDER
-        if c.slug in report.roc_per_class
-    ]
+    """CSV text of every curve by output file name, in the order of
+    ``report.curves``, each as an iterator of chunks (see
+    ``_curve_pair_csvs``). Every curve set is checked before this returns."""
     out: dict[str, Iterator[str]] = {}
-    for name, roc, pr in pairs:
+    for name, (roc, pr) in report.curves.items():
         out[f"roc_{name}.csv"], out[f"pr_{name}.csv"] = _curve_pair_csvs(name, roc, pr)
     return out
 

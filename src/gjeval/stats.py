@@ -5,8 +5,8 @@ Implemented tests
 -----------------
 * McNemar-Bowker symmetry test on the 3x3 cross-table of two sets of hard
   predictions. Off-diagonal pairs with zero disagreements in both directions
-  contribute no information; by default they are dropped and the degrees of
-  freedom reduced accordingly (``all_pairs=True`` keeps the textbook df of 3).
+  contribute no information; they are dropped and the degrees of freedom
+  reduced accordingly.
 * DeLong's test for correlated AUCs, via midranks and the structural
   components of the Mann-Whitney statistic (the fast O(n log n) form).
 * A kappa consistency z-test using the null-hypothesis standard error; the
@@ -237,15 +237,14 @@ def delong_test(scores_a, scores_b, labels) -> TestResult:
     return TestResult(name="delong", statistic=z, p_value=p, detail=detail)
 
 
-def bowker_test(pairs: Sequence[tuple[int, int]] | np.ndarray, all_pairs: bool = False) -> TestResult:
+def bowker_test(pairs: Sequence[tuple[int, int]] | np.ndarray) -> TestResult:
     """McNemar-Bowker test of symmetry on the cross-table of two prediction sets.
 
     ``pairs`` holds (pred_a, pred_b) label pairs: a sequence of pairs or an
     (n, 2) array. statistic = sum over class pairs (i, j),
     i < j, of (T[i,j] - T[j,i])^2 / (T[i,j] + T[j,i]). Pairs with
-    T[i,j] + T[j,i] == 0 are dropped and df reduced, unless ``all_pairs``
-    keeps df = 3 (the zero-sum pairs still contribute 0 to the statistic).
-    A table with no informative pairs returns statistic 0, p = 1.
+    T[i,j] + T[j,i] == 0 are dropped and df reduced. A table with no
+    informative pairs returns statistic 0, p = 1.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     if not pairs.size:
@@ -262,9 +261,7 @@ def bowker_test(pairs: Sequence[tuple[int, int]] | np.ndarray, all_pairs: bool =
                 df += 1
             else:
                 dropped += 1
-    if all_pairs:
-        df = 3
-    detail = {"dropped_pairs": dropped, "all_pairs": all_pairs}
+    detail = {"dropped_pairs": dropped, "all_pairs": False}
     if df == 0:
         return TestResult(name="bowker", statistic=0.0, p_value=1.0, df=0, detail=detail)
     return TestResult(name="bowker", statistic=stat, p_value=chi2_sf(stat, df), df=df, detail=detail)

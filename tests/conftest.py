@@ -109,7 +109,6 @@ def params_from_json(text: str) -> HeadParams:
             w1=arr("gate_w1"), b1=arr("gate_b1"),
             w2=arr("gate_w2"), b2=arr("gate_b2"),
             w3=arr("gate_w3"), b3=arr("gate_b3"),
-            dropout=config.dropout,
         ),
         cls_w=arr("cls_w"),
         cls_b=arr("cls_b"),

@@ -137,7 +137,7 @@ class TestEvaluateLevels:
         r_wtd = evaluate(ds, "weighted")
         assert np.array_equal(r_img.cm.counts, r_pat.cm.counts)
         assert r_img.overall.accuracy.value == pytest.approx(r_wtd.overall.accuracy.value)
-        assert r_img.auc_micro == pytest.approx(r_pat.auc_micro, abs=1e-12)
+        assert r_img.curves["micro"][0].area == pytest.approx(r_pat.curves["micro"][0].area, abs=1e-12)
 
 
 class TestJoinPredictions:
@@ -258,7 +258,8 @@ class TestReaderReports:
     def test_group_report_no_curves(self, small_dataset):
         pool = pooled(reader_fixture(small_dataset), small_dataset, "expert", "B")
         rep = reader_group_report(pool)
-        assert rep.auc_micro is None
+        assert rep.curves == {}
+        assert "auc" not in rep.as_dict()
         assert rep.level == "readers:expert:B"
         assert rep.time_cost_s == pytest.approx(5.0)
         # e1 reproduces truth exactly

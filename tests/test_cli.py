@@ -3,6 +3,7 @@ report JSON contract (validated against the packaged schema)."""
 
 from __future__ import annotations
 
+import csv
 import importlib.metadata
 import json
 import shutil
@@ -194,6 +195,26 @@ class TestExitCodes:
         assert not out.exists()
         assert "micro PR recall and thresholds are not the ROC" in capsys.readouterr().err
 
+    # synth --out names the file it writes, so only a path under a file fails
+    @pytest.mark.parametrize("command, under_file", [
+        ("evaluate", "afile"), ("evaluate", "afile/sub"),
+        ("kfold", "afile"), ("kfold", "afile/sub"), ("synth", "afile/sub"),
+    ])
+    def test_out_at_or_under_a_regular_file_is_1(self, command, under_file, pred_csv, tmp_path, capsys):
+        # a FileExistsError or NotADirectoryError from mkdir once escaped as a traceback
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        argv = {
+            "evaluate": ["evaluate", "--pred", str(pred_csv)],
+            "kfold": ["kfold", "--pred", str(pred_csv), "--k", "3"],
+            "synth": ["synth", "--patients", "2,2,2"],
+        }[command]
+        assert run(*argv, "--out", str(tmp_path / under_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gjeval: input error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert afile.read_text() == "keep\n"
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_dump_json_rejects_non_finite(self, value):
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -352,6 +373,59 @@ class TestReaders:
         assert run("readers", "--pred", str(pred_csv), "--readers", str(readers_csv),
                    "--out", str(tmp_path / "rd")) == 0
         assert len(calls) == 1
+
+
+class TestQuotedIds:
+    """Ids holding a comma, a quote or a newline come back from the written
+    CSV files under ``csv.reader``; plain ids keep the plain bytes."""
+
+    IMAGES = ["img,1", 'img"2', "img\n3", "img4", "img5", "img6"]
+    PATIENTS = ["p,1", 'p"2', "p\n3", "p4", "p5", "p6"]
+    READERS = ["r,1", 'r"2', "r\n3"]
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        probs = ["0.7,0.2,0.1", "0.2,0.7,0.1", "0.1,0.2,0.7", "0.6,0.3,0.1", "0.3,0.6,0.1", "0.1,0.3,0.6"]
+        truths = ["A-EGJA", "E-EGJA", "control"] * 2
+        pred = tmp_path / "pred.csv"
+        with pred.open("w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["image_id", "patient_id", "true_label", "p_aegja", "p_eegja", "p_control"])
+            for row in zip(self.IMAGES, self.PATIENTS, truths, probs):
+                w.writerow([*row[:3], *row[3].split(",")])
+        readers = tmp_path / "readers.csv"
+        with readers.open("w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["reader_id", "group", "arm", "image_id", "pred_label", "elapsed_s"])
+            for rid, group in zip(self.READERS, ("trainee", "competent", "expert")):
+                for k, image_id in enumerate(self.IMAGES):
+                    w.writerow([rid, group, "A", image_id, k % 3, 10 + k])
+        return pred, readers
+
+    @staticmethod
+    def read_rows(path: Path) -> list[list[str]]:
+        with path.open(newline="") as fh:
+            return list(csv.reader(fh))
+
+    @pytest.mark.parametrize("by", ["patient", "image"])
+    def test_assignments_read_back(self, inputs, by, tmp_path):
+        out = tmp_path / "kf"
+        assert run("kfold", "--pred", str(inputs[0]), "--k", "2", "--by", by, "--out", str(out)) == 0
+        rows = self.read_rows(out / "assignments.csv")
+        assert rows[0] == ["unit_id", "fold"]
+        assert [r[0] for r in rows[1:]] == (self.PATIENTS if by == "patient" else self.IMAGES)
+        assert all(len(r) == 2 for r in rows)
+        plain = (self.PATIENTS if by == "patient" else self.IMAGES)[3:]
+        lines = (out / "assignments.csv").read_text().splitlines()
+        assert lines[-3:] == [f"{u},{r[1]}" for u, r in zip(plain, rows[-3:])]
+
+    def test_reader_points_read_back(self, inputs, tmp_path):
+        out = tmp_path / "rd"
+        assert run("readers", "--pred", str(inputs[0]), "--readers", str(inputs[1]), "--out", str(out)) == 0
+        rows = self.read_rows(out / "reader_points.csv")
+        assert rows[0] == ["reader_id", "group", "arm", "class", "sensitivity", "specificity", "ppv"]
+        assert all(len(r) == 7 for r in rows)
+        assert list(dict.fromkeys(r[0] for r in rows[1:])) == self.READERS
 
 
 class TestKfold:

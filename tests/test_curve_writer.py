@@ -49,15 +49,14 @@ def oracle_to_csv(series: CurveSeries) -> str:
 
 
 def oracle_curve_files(report) -> dict[str, str]:
-    """Every curve file, each curve formatted on its own, in emission order."""
+    """Every curve file, each curve formatted on its own, in emission order:
+    micro, then the classes in ``CLASS_ORDER``."""
     out = {}
-    if report.roc_micro is not None:
-        out["roc_micro.csv"] = oracle_to_csv(report.roc_micro)
-        out["pr_micro.csv"] = oracle_to_csv(report.pr_micro)
-    for c in CLASS_ORDER:
-        if c.slug in report.roc_per_class:
-            out[f"roc_{c.slug}.csv"] = oracle_to_csv(report.roc_per_class[c.slug])
-            out[f"pr_{c.slug}.csv"] = oracle_to_csv(report.pr_per_class[c.slug])
+    for name in ["micro"] + [c.slug for c in CLASS_ORDER]:
+        if name in report.curves:
+            roc, pr = report.curves[name]
+            out[f"roc_{name}.csv"] = oracle_to_csv(roc)
+            out[f"pr_{name}.csv"] = oracle_to_csv(pr)
     return out
 
 
@@ -124,30 +123,34 @@ def test_repr_runs_equals_repr_of_each_value(rng):
     assert repr_runs(np.empty(0)) == []
 
 
-def _with_pr_micro(report, **changes):
-    return dataclasses.replace(report, pr_micro=dataclasses.replace(report.pr_micro, **changes))
+def _with_micro_pr(report, **changes):
+    roc, pr = report.curves["micro"]
+    curves = {**report.curves, "micro": (roc, dataclasses.replace(pr, **changes))}
+    return dataclasses.replace(report, curves=curves)
 
 
 def test_writer_rejects_pr_columns_not_from_the_roc():
     report = evaluate(tied_dataset(1), level="image")
-    x = report.pr_micro.x.copy()
+    micro_pr = report.curves["micro"][1]
+    x = micro_pr.x.copy()
     x[len(x) // 2] = np.nextafter(x[len(x) // 2], 2.0)
     with pytest.raises(ValueError, match="micro PR recall and thresholds are not the ROC"):
-        curve_csvs(_with_pr_micro(report, x=x))
+        curve_csvs(_with_micro_pr(report, x=x))
     with pytest.raises(ValueError, match="micro PR recall"):
-        curve_csvs(_with_pr_micro(report, x=report.pr_micro.x[:-1]))
+        curve_csvs(_with_micro_pr(report, x=micro_pr.x[:-1]))
     # equal as numbers but not as bits: 0.0 in place of a -0.0 threshold
-    thresholds = report.pr_micro.thresholds.copy()
+    thresholds = micro_pr.thresholds.copy()
     negative_zero = np.flatnonzero(np.signbit(thresholds) & (thresholds == 0.0))
     assert negative_zero.size
     thresholds[negative_zero] = 0.0
     with pytest.raises(ValueError, match="micro PR recall"):
-        curve_csvs(_with_pr_micro(report, thresholds=thresholds))
+        curve_csvs(_with_micro_pr(report, thresholds=thresholds))
 
 
 def test_curve_arrays_are_read_only_float64():
     report = evaluate(tied_dataset(2), level="weighted")
-    series = [report.roc_micro, report.pr_micro, *report.roc_per_class.values(), *report.pr_per_class.values()]
+    assert list(report.curves) == ["micro", "aegja", "eegja", "control"]
+    series = [s for pair in report.curves.values() for s in pair]
     assert len(series) == 8
     for s in series:
         for arr in (s.x, s.y, s.thresholds):
@@ -161,7 +164,7 @@ def test_to_csv_without_columns_formats_its_own():
     roc = roc_points(np.array([0.9, 0.9, -0.0, 0.0, 0.1]), np.array([1, 0, 1, 0, 0], float))
     assert roc.to_csv() == oracle_to_csv(roc)
     report = compute_report([0, 1, 2, 0], [0, 1, 2, 1], np.eye(3)[[0, 1, 2, 1]])
-    assert "".join(curve_csvs(report)["pr_micro.csv"]) == report.pr_micro.to_csv()
+    assert "".join(curve_csvs(report)["pr_micro.csv"]) == report.curves["micro"][1].to_csv()
 
 
 def test_lockstep_read_holds_one_block(monkeypatch):
@@ -178,7 +181,7 @@ def test_lockstep_read_holds_one_block(monkeypatch):
     report = evaluate(tied_dataset(3), level="image")
     files = curve_csvs(report)
     roc, pr = files["roc_micro.csv"], files["pr_micro.csv"]
-    blocks = -(-report.roc_micro.x.size // 2)
+    blocks = -(-report.curves["micro"][0].x.size // 2)
     for k in range(blocks):
         next(roc)
         assert formatted[-2:] == ["ROC", "PR"] and len(formatted) == 2 * (k + 1)

@@ -89,7 +89,7 @@ def oracle_forward(params: HeadParams, fb: FeatureBundle, training: bool, rng_se
     g = params.gating
     n, _, c = x.shape
     h1 = np.einsum("ac,ncx->nax", g.w1, x) + g.b1[None, :, None]
-    m1, m2 = oracle_masks(rng_seed, (n, g.b1.size, c), g.dropout) if training else (None, None)
+    m1, m2 = oracle_masks(rng_seed, (n, g.b1.size, c), params.config.dropout) if training else (None, None)
     a1d = np.maximum(h1, 0.0) if m1 is None else np.maximum(h1, 0.0) * m1
     h2 = np.einsum("ab,nbx->nax", g.w2, a1d) + g.b2[None, :, None]
     a2d = np.maximum(h2, 0.0) if m2 is None else np.maximum(h2, 0.0) * m2

@@ -58,6 +58,6 @@ def test_curve_writer_peak_does_not_grow_with_points(texts, tmp_path):
         report = evaluate(parse_predictions(text), level="image")
         out = tmp_path / str(scale)
         _, peaks[scale], _ = traced(lambda: _write_outputs(out, curve_csvs(report)))
-        points[scale] = report.roc_micro.x.size
+        points[scale] = report.curves["micro"][0].x.size
     assert points[GROWTH] > 3.5 * points[1]
     assert peaks[GROWTH] <= BOUND * peaks[1], peaks

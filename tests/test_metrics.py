@@ -27,7 +27,7 @@ from gjeval import (
     rate_ci,
     roc_points,
 )
-from gjeval.metrics import ConfusionMatrix, ovr_scores
+from gjeval.metrics import ConfusionMatrix
 
 
 class TestWaldCI:
@@ -312,12 +312,15 @@ class TestMicroCurves:
         expect_pr = pr_points(np.array(flat_scores), np.array(flat_labels))
         assert pr.area == pytest.approx(expect_pr.area, abs=1e-12)
 
-    def test_ovr_scores_shape(self, rng):
+    def test_class_curves_are_one_vs_rest(self, rng):
         probs = rng.dirichlet(np.ones(3), 10)
-        truths = rng.integers(0, 3, 10)
-        scores, labels = ovr_scores(probs, truths, ClassLabel.EEGJA)
-        assert np.array_equal(scores, probs[:, 1])
-        assert np.array_equal(labels, (truths == 1).astype(float))
+        truths = np.array([0, 1, 2] * 3 + [1])
+        rep = compute_report(truths, probs.argmax(axis=1), probs=probs)
+        roc, pr = rep.curves[ClassLabel.EEGJA.slug]
+        labels = (truths == 1).astype(float)
+        for got, want in ((roc, roc_points(probs[:, 1], labels)), (pr, pr_points(probs[:, 1], labels))):
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+            assert np.array_equal(got.thresholds, want.thresholds) and got.area == want.area
 
 
 class TestComputeReport:
@@ -334,6 +337,9 @@ class TestComputeReport:
         assert d["tie_break"] == "severity"
         assert set(d["auc"]) == {"micro", "per_class"}
         assert list(d["auc"]["per_class"]) == ["aegja", "eegja", "control"]
+        for key, k in (("auc", 0), ("ap", 1)):
+            areas = {name: pair[k].area for name, pair in rep.curves.items()}
+            assert d[key] == {"micro": areas["micro"], "per_class": {c.slug: areas[c.slug] for c in CLASS_ORDER}}
 
     def test_weighted_equals_unweighted_under_unit_weights(self, rng):
         n = 50
@@ -346,14 +352,14 @@ class TestComputeReport:
         )
         assert np.array_equal(r1.cm.counts, r2.cm.counts)
         assert r1.overall.accuracy.value == pytest.approx(r2.overall.accuracy.value)
-        assert r1.auc_micro == pytest.approx(r2.auc_micro, abs=1e-12)
+        assert r1.curves["micro"][0].area == pytest.approx(r2.curves["micro"][0].area, abs=1e-12)
 
     def test_without_probs_no_curves(self, rng):
         truths = rng.integers(0, 3, 30)
         preds = rng.integers(0, 3, 30)
         rep = compute_report(truths, preds, level="image")
-        assert rep.auc_micro is None
-        assert "auc" not in rep.as_dict()
+        assert rep.curves == {}
+        assert "auc" not in rep.as_dict() and "ap" not in rep.as_dict()
 
     def test_missing_class_curves_skipped_with_warning(self, rng):
         # no control rows at all: the control one-vs-rest curve is undefined
@@ -361,9 +367,9 @@ class TestComputeReport:
         probs = rng.dirichlet(np.ones(3), 30)
         preds = probs.argmax(axis=1)
         rep = compute_report(truths, preds, probs=probs, level="image")
-        assert "control" not in rep.roc_per_class
+        assert list(rep.curves) == ["micro", "aegja", "eegja"]
         assert any("control" in w for w in rep.warnings)
-        assert rep.auc_micro is not None
+        assert list(rep.as_dict()["auc"]["per_class"]) == ["aegja", "eegja"]
 
     def test_kappa_matches_direct(self, rng):
         truths = rng.integers(0, 3, 40)

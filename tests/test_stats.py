@@ -264,12 +264,6 @@ class TestBowker:
         res = bowker_test([(0, 0), (1, 1), (2, 2)])
         assert res.statistic == 0.0 and res.df == 0 and res.p_value == 1.0
 
-    def test_all_pairs_keeps_df3(self):
-        res = bowker_test([(0, 1)] * 4, all_pairs=True)
-        assert res.df == 3
-        assert res.statistic == 4.0
-        assert res.p_value == pytest.approx(float(scipy.stats.chi2.sf(4.0, 3)), abs=1e-10)
-
     def test_accepts_paired_predictions(self):
         res = bowker_test(np.array([[0, 1], [1, 1], [2, 2]]))
         assert res.df == 1
