@@ -16,8 +16,7 @@ byte identity).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import re
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
@@ -31,7 +30,9 @@ from . import aggregate, fusion, report as rpt
 from .data import (
     CLASS_ORDER,
     READER_CELLS,
+    ParseError,
     SynthSpec,
+    csv_text,
     fold_datasets,
     kfold_split,
     parse_predictions,
@@ -92,12 +93,14 @@ def _write_outputs(outdir: Path, files: dict[str, str | Iterator[str]]) -> None:
         print(f"wrote {outdir / name}")
 
 
-def _csv_text(rows) -> str:
-    """Rows as CSV text with LF line ends; a field holding a comma, a quote
-    or LF is quoted."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+def _read_text(path: Path) -> str:
+    """An input file's UTF-8 text, with CRLF and lone CR read as LF. Bytes
+    that are not UTF-8 raise a ParseError naming their line."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = 1 + len(re.findall(rb"\r\n?|\n", exc.object[: exc.start]))
+        raise ParseError(str(exc), line) from None
 
 
 def _report_files(mr: MetricReport, svg: bool = False) -> dict[str, str | Iterator[str]]:
@@ -123,7 +126,7 @@ def _has_undefined(mr: MetricReport) -> bool:
 
 def cmd_evaluate(args) -> int:
     pred_path = Path(args.pred)
-    ds = parse_predictions(pred_path.read_text(encoding="utf-8"), strict=args.strict)
+    ds = parse_predictions(_read_text(pred_path), strict=args.strict)
     mr = aggregate.evaluate(ds, level=args.level)
     if args.strict and _has_undefined(mr):
         _err("metric degeneracy (zero-denominator ratio) in strict mode")
@@ -151,8 +154,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     path_a, path_b = Path(args.pred_a), Path(args.pred_b)
-    ds_a = parse_predictions(path_a.read_text(encoding="utf-8"))
-    ds_b = parse_predictions(path_b.read_text(encoding="utf-8"))
+    ds_a = parse_predictions(_read_text(path_a))
+    ds_b = parse_predictions(_read_text(path_b))
     joined = aggregate.join_predictions(ds_a, ds_b)
     tests = [
         bowker_test(np.stack((joined.preds_a, joined.preds_b), axis=1)),
@@ -196,8 +199,8 @@ def cmd_compare(args) -> int:
 
 def cmd_readers(args) -> int:
     pred_path, readers_path = Path(args.pred), Path(args.readers)
-    model = parse_predictions(pred_path.read_text(encoding="utf-8"))
-    readers = parse_readers(readers_path.read_text(encoding="utf-8"))
+    model = parse_predictions(_read_text(pred_path))
+    readers = parse_readers(_read_text(readers_path))
     cells = [READER_CELLS[c] for c in np.flatnonzero(np.bincount(readers.cells())).tolist()]
     rows = aggregate.reader_rows(readers, model)
     pooled = {cell: aggregate.pool_readers(readers, model, *cell, rows) for cell in cells}
@@ -257,7 +260,7 @@ def cmd_readers(args) -> int:
     )
     files = {
         "report.json": rpt.dump_json(doc),
-        "reader_points.csv": _csv_text(scatter_rows),
+        "reader_points.csv": csv_text(scatter_rows),
     }
     _write_outputs(Path(args.out), files)
     return 0
@@ -265,7 +268,7 @@ def cmd_readers(args) -> int:
 
 def cmd_kfold(args) -> int:
     pred_path = Path(args.pred)
-    ds = parse_predictions(pred_path.read_text(encoding="utf-8"))
+    ds = parse_predictions(_read_text(pred_path))
     spec = kfold_split(ds, k=args.k, unit=args.by, seed=args.seed)
     sizes = spec.fold_sizes()
     per_fold = []
@@ -281,7 +284,7 @@ def cmd_kfold(args) -> int:
             }
         )
     order = ds.patient_ids if spec.unit == "patient" else ds.image_ids
-    assign_rows = [("unit_id", "fold"), *((u, spec.assignments[u]) for u in order)]
+    assign_rows = [("unit_id", "fold"), *((u, str(spec.assignments[u])) for u in order)]
     config = {
         "subcommand": "kfold",
         "pred": str(pred_path),
@@ -304,7 +307,7 @@ def cmd_kfold(args) -> int:
     )
     files = {
         "report.json": rpt.dump_json(doc),
-        "assignments.csv": _csv_text(assign_rows),
+        "assignments.csv": csv_text(assign_rows),
     }
     _write_outputs(Path(args.out), files)
     return 0

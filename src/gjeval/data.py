@@ -16,7 +16,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
     "SynthSpec",
     "parse_predictions",
     "serialize_predictions",
+    "csv_text",
     "parse_readers",
     "summarize",
     "kfold_split",
@@ -52,6 +53,7 @@ _BOM = "\ufeff"  # a byte order mark, as spreadsheet exports write it
 _BLOCK_ROWS = 8192  # data lines (or csv records) tokenized and validated at a time
 # a line as io.StringIO(newline="") reads it: up to and including \n, \r or \r\n
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search  # a written field holding one of these is quoted
 # one block of data rows: columns by header name, the blank lines skipped,
 # the bad row's (line, message) that ends the block
 _Rows = tuple[dict[str, list[str]], list[int], tuple[int, str] | None]
@@ -538,7 +540,7 @@ def _fmt(v: float) -> str:
 
 
 def serialize_predictions(ds: Dataset) -> str:
-    """Serialize a Dataset to CSV text (LF line endings, shortest-repr floats)."""
+    """Serialize a Dataset to CSV text (``csv_text``, shortest-repr floats)."""
     names = [c.display for c in CLASS_ORDER]
     cols = [
         ds.image_ids,
@@ -552,9 +554,21 @@ def serialize_predictions(ds: Dataset) -> str:
             cols.append(["" if math.isnan(v) else _fmt(v) for v in ds.age.tolist()])
         else:
             cols.append(["" if v is None else v for v in getattr(ds, c)])
-    lines = [",".join(PRED_BASE_COLUMNS + tuple(opt_cols))]
-    lines.extend(map(",".join, zip(*cols)))
-    return "\n".join(lines) + "\n"
+    return csv_text(chain([PRED_BASE_COLUMNS + tuple(opt_cols)], zip(*cols)))
+
+
+def _csv_field(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
+def csv_text(rows: Iterable[Iterable[str]]) -> str:
+    """Rows of text fields as CSV with LF line ends (RFC 4180): a field
+    holding a comma, a quote, CR or LF is quoted and its quotes doubled; any
+    other field, an empty one too, is written as it is. Every text table
+    gjeval writes goes through it but the curve CSVs, whose fields are float
+    reprs that never need quoting and whose formatting is the hot path
+    (``report._curve_pair_csvs``); keep the two writers apart."""
+    return "".join([",".join(map(_csv_field, row)) + "\n" for row in rows])
 
 
 @dataclass(frozen=True, eq=False)

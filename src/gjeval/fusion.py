@@ -41,7 +41,6 @@ from .metrics import MetricReport, compute_report
 
 __all__ = [
     "HeadConfig",
-    "FULL_SCALE_SHAPE",
     "AlignParams",
     "GatingParams",
     "HeadParams",
@@ -75,9 +74,9 @@ KINK_HALVINGS = 10
 class HeadConfig:
     """Dimensions and regularization of the head.
 
-    Defaults are a compact shape for experimentation; ``FULL_SCALE_SHAPE`` holds
-    the full-scale preset (ViT-S/14 token width 384, ResNet-50 stage-5 width
-    2048 with their grids at 448x448 input).
+    Defaults are a compact shape for experimentation. At full scale the
+    widths are those of a ViT-S/14 token (384, on a 32x32 grid) and a
+    ResNet-50 stage-5 map (2048, on a 14x14 grid) at 448x448 input.
     """
 
     c_dino: int = 64
@@ -93,9 +92,6 @@ class HeadConfig:
             raise ValueError("all widths must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-
-
-FULL_SCALE_SHAPE = HeadConfig(c_dino=384, c_res=2048, grid_dino=(32, 32), grid_res=(14, 14))
 
 
 @dataclass

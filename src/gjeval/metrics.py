@@ -307,14 +307,14 @@ class CurveSeries:
         for arr in (self.x, self.y, self.thresholds):
             arr.flags.writeable = False
 
-    def to_csv(self, columns: tuple[list[str], list[str], list[str]] | None = None, head: bool = True) -> str:
+    def to_csv(self, columns: tuple[list[str], list[str], list[str]], head: bool = True) -> str:
         """The curve as CSV: a ``# kind= area=`` line, a header, one row per point.
 
         ``columns`` holds the x, y and threshold texts (``repr_runs`` of each
-        array) when the caller has formatted them already; they may be those
-        of a block of rows. ``head=False`` leaves out the two header lines.
+        array, see ``report.curve_csvs``), of all rows or of a block of them.
+        ``head=False`` leaves out the two header lines.
         """
-        x, y, t = columns or (repr_runs(self.x), repr_runs(self.y), repr_runs(self.thresholds))
+        x, y, t = columns
         comma = repeat(",")
         rows = chain.from_iterable(zip(x, comma, y, comma, t, repeat("\n")))
         lines = (f"# kind={self.kind} area={self.area!r}\nx,y,threshold\n",) if head else ()

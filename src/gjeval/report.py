@@ -13,13 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .data import CLASS_ORDER
+from .data import CLASS_ORDER, csv_text
 from .metrics import CurveSeries, MetricReport, repr_runs
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "cm_csv",
     "curves_svg",
     "training_log_csv",
-    "load_report_schema",
     "curve_csvs",
 ]
 
@@ -88,11 +86,8 @@ def dump_json(doc: dict) -> str:
 
 
 def cm_csv(report: MetricReport) -> str:
-    names = [c.display for c in CLASS_ORDER]
-    lines = ["truth\\pred," + ",".join(names)]
-    for c, row in zip(CLASS_ORDER, report.cm.counts):
-        lines.append(c.display + "," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = ([c.display, *map(repr, row)] for c, row in zip(CLASS_ORDER, report.cm.as_lists()))
+    return csv_text([["truth\\pred", *(c.display for c in CLASS_ORDER)], *rows])
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -198,15 +193,5 @@ def curves_svg(title: str, named_series: list[tuple[str, CurveSeries]]) -> str:
 
 
 def training_log_csv(log: tuple[dict, ...]) -> str:
-    lines = ["epoch,train_loss,train_acc,holdout_acc"]
-    for entry in log:
-        lines.append(
-            f"{entry['epoch']},{entry['train_loss']!r},{entry['train_acc']!r},{entry['holdout_acc']!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def load_report_schema() -> dict:
-    """The versioned JSON schema shipped with the package."""
-    text = resources.files("gjeval").joinpath("schemas/report-v1.json").read_text(encoding="utf-8")
-    return json.loads(text)
+    keys = ("epoch", "train_loss", "train_acc", "holdout_acc")
+    return csv_text([keys, *([repr(entry[k]) for k in keys] for entry in log)])

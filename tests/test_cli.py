@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import importlib.metadata
+import importlib.resources
 import json
 import shutil
 import subprocess
@@ -18,7 +19,13 @@ from conftest import params_from_json
 
 from gjeval.cli import _write_outputs, main
 from gjeval.data import FoldSpec, parse_predictions, serialize_predictions
-from gjeval.report import _HASH_BLOCK, dump_json, load_report_schema, sha256_file
+from gjeval.report import _HASH_BLOCK, dump_json, sha256_file
+
+
+def report_schema() -> dict:
+    """The report schema shipped with the package."""
+    schema = importlib.resources.files("gjeval").joinpath("schemas/report-v1.json")
+    return json.loads(schema.read_text(encoding="utf-8"))
 
 
 def run(*argv: str) -> int:
@@ -90,7 +97,7 @@ class TestEvaluate:
         assert "report.json" in names and "cm.csv" in names
         assert {"roc_micro.csv", "pr_micro.csv"} <= names
         doc = json.loads((out / "report.json").read_text())
-        jsonschema.validate(doc, load_report_schema())
+        jsonschema.validate(doc, report_schema())
         assert doc["schema"] == "gjeval-report-v1"
         assert doc["kind"] == "evaluate"
         assert "config_sha256" in doc and "generated_at" not in doc
@@ -184,6 +191,24 @@ class TestExitCodes:
         assert run("evaluate", "--pred", str(pred), "--out", str(out)) == 1
         assert not out.exists()
         assert "row 2: age must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("subcommand", ["evaluate", "readers"])
+    def test_invalid_utf8_names_its_row(self, subcommand, newline, pred_csv, readers_csv, tmp_path, capsys):
+        # the decoder's own message once came without a row
+        bad = tmp_path / "bad.csv"
+        good = (pred_csv if subcommand == "evaluate" else readers_csv).read_bytes()
+        lines = good.decode("utf-8").splitlines(keepends=True)
+        lines[2] = lines[2][:3] + "\udcff" + lines[2][3:]
+        bad.write_bytes("".join(lines).replace("\n", newline).encode("utf-8", "surrogateescape"))
+        argv = {"evaluate": ["--pred", str(bad)],
+                "readers": ["--pred", str(pred_csv), "--readers", str(bad)]}[subcommand]
+        out = tmp_path / "o"
+        assert run(subcommand, *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gjeval: input error: row 3: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_curve_check_runs_before_any_file_is_written(self, pred_csv, tmp_path, capsys, monkeypatch):
         # the curve files are formatted while they are written; their check is not
@@ -319,7 +344,7 @@ class TestCompare:
         assert run("compare", "--pred-a", str(pred_csv), "--pred-b", str(pred_csv_b),
                    "--out", str(out)) == 0
         doc = json.loads((out / "report.json").read_text())
-        jsonschema.validate(doc, load_report_schema())
+        jsonschema.validate(doc, report_schema())
         names = [t["name"] for t in doc["results"]["tests"]]
         assert names[:2] == ["bowker", "kappa"]
         assert {"delong:aegja", "delong:eegja", "delong:control"} <= set(names)
@@ -347,7 +372,7 @@ class TestReaders:
         assert run("readers", "--pred", str(pred_csv), "--readers", str(readers_csv),
                    "--out", str(out)) == 0
         doc = json.loads((out / "report.json").read_text())
-        jsonschema.validate(doc, load_report_schema())
+        jsonschema.validate(doc, report_schema())
         cells = {(g["group"], g["arm"]) for g in doc["results"]["groups"]}
         assert cells == {("trainee", "A"), ("trainee", "B"), ("competent", "A"), ("expert", "B")}
         assert set(doc["results"]["model_vs_group_kappa"]) == {
@@ -377,7 +402,10 @@ class TestReaders:
 
 class TestQuotedIds:
     """Ids holding a comma, a quote or a newline come back from the written
-    CSV files under ``csv.reader``; plain ids keep the plain bytes."""
+    CSV files under ``csv.reader``; plain ids keep the plain bytes. A lone
+    CR cannot reach an id through the command line, which reads input files
+    with CR and CRLF turned into LF; ``data.csv_text`` quotes one all the
+    same (see ``tests/test_data.py``)."""
 
     IMAGES = ["img,1", 'img"2', "img\n3", "img4", "img5", "img6"]
     PATIENTS = ["p,1", 'p"2', "p\n3", "p4", "p5", "p6"]
@@ -433,7 +461,7 @@ class TestKfold:
         out = tmp_path / "kf"
         assert run("kfold", "--pred", str(pred_csv), "--k", "5", "--out", str(out)) == 0
         doc = json.loads((out / "report.json").read_text())
-        jsonschema.validate(doc, load_report_schema())
+        jsonschema.validate(doc, report_schema())
         assert doc["results"]["k"] == 5 and doc["results"]["unit"] == "patient"
         assert sum(doc["results"]["fold_sizes"]) == 23  # 8+6+9 patients
         lines = (out / "assignments.csv").read_text().splitlines()
@@ -508,7 +536,7 @@ class TestFusionDemo:
                    "--grad-check", "--out", str(out))
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
-        jsonschema.validate(doc, load_report_schema())
+        jsonschema.validate(doc, report_schema())
         assert doc["results"]["train"]["epochs_run"] == 5
         gc = doc["results"]["grad_check"]
         assert gc["max_relative_error"] < gc["tolerance"]

@@ -4,10 +4,9 @@
 recall and thresholds reuse the ROC TPR and threshold texts, and a run of
 bit-identical values is formatted once. It hands out every file as chunks of
 row blocks, two rows a block here (one to five in one test), so every curve
-spans several blocks. The oracle is the row-by-row ``CurveSeries.to_csv``
-that the writer replaced, applied to each curve on its own in the old file
-order. The joined chunks must give the same text for every curve file at
-every analysis level.
+spans several blocks. The oracle, ``oracle_to_csv``, formats each curve on
+its own, row by row, in the old file order. The joined chunks must give the
+same text for every curve file at every analysis level.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import gjeval.report
 from gjeval import Dataset, SynthSpec, evaluate, serialize_predictions, synth_generate
 from gjeval.cli import main
 from gjeval.data import CLASS_ORDER
-from gjeval.metrics import CurveSeries, compute_report, repr_runs, roc_points
+from gjeval.metrics import CurveSeries, repr_runs
 from gjeval.report import curve_csvs
 
 
@@ -160,20 +159,13 @@ def test_curve_arrays_are_read_only_float64():
                 arr[0] = 0.5
 
 
-def test_to_csv_without_columns_formats_its_own():
-    roc = roc_points(np.array([0.9, 0.9, -0.0, 0.0, 0.1]), np.array([1, 0, 1, 0, 0], float))
-    assert roc.to_csv() == oracle_to_csv(roc)
-    report = compute_report([0, 1, 2, 0], [0, 1, 2, 1], np.eye(3)[[0, 1, 2, 1]])
-    assert "".join(curve_csvs(report)["pr_micro.csv"]) == report.curves["micro"][1].to_csv()
-
-
 def test_lockstep_read_holds_one_block(monkeypatch):
     """Read in lockstep, a curve set's ROC and PR chunks are formatted one
     block at a time, each block once, as the ROC file reaches it."""
     formatted = []
     to_csv = CurveSeries.to_csv
 
-    def counted(self, columns=None, head=True):
+    def counted(self, columns, head=True):
         formatted.append(self.kind)
         return to_csv(self, columns, head)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import math
 
 import numpy as np
@@ -624,3 +625,38 @@ class TestSynth:
         ds = synth_generate(SynthSpec(patients_per_class=(2, 2, 2), seed=3))
         assert ds.sex[0] in ("male", "female") and 40 <= ds.age[0] <= 85
         assert ds.center[0] is not None and ds.modality[0] is not None
+
+
+class TestCsvText:
+    """``data.csv_text``, the writer of every text table, against ``csv``."""
+
+    @staticmethod
+    def read_back(text: str) -> list[list[str]]:
+        return list(csv.reader(io.StringIO(text, newline="")))
+
+    @staticmethod
+    def csv_writer(rows) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+
+    def test_lone_cr_is_quoted(self):
+        rows = [["a\rb", "c"]]
+        text = gjeval.data.csv_text(rows)
+        assert text == '"a\rb",c\n'
+        assert self.read_back(text) == rows
+        # csv.writer leaves it bare, and csv.reader splits the row in two
+        assert self.read_back(self.csv_writer(rows)) == [["a"], ["b", "c"]]
+
+    def test_quotes_are_doubled(self):
+        rows = [['say "hi"', "x"], ['"', "a,b"], ["line\nbreak", "crlf\r\nend"]]
+        text = gjeval.data.csv_text(rows)
+        assert text.splitlines()[0] == '"say ""hi""",x'
+        assert text == self.csv_writer(rows)
+        assert self.read_back(text) == rows
+
+    def test_empty_field_stays_unquoted(self):
+        rows = [["", "b", ""], ["a", "", "c"]]
+        text = gjeval.data.csv_text(rows)
+        assert text == ",b,\na,,c\n" == self.csv_writer(rows)
+        assert self.read_back(text) == rows

@@ -19,7 +19,6 @@ from gjeval import (
     FeatureBundle,
     HeadConfig,
     HeadParams,
-    FULL_SCALE_SHAPE,
     TrainSpec,
     adam_step,
     backward,
@@ -192,10 +191,6 @@ class TestConfig:
         cfg = HeadConfig()
         assert cfg.c_dino == 64 and cfg.c_res == 96
         assert cfg.hidden == 8 and cfg.dropout == 0.1 and cfg.n_classes == 3
-
-    def test_paper_shape(self):
-        assert FULL_SCALE_SHAPE.c_dino == 384 and FULL_SCALE_SHAPE.c_res == 2048
-        assert FULL_SCALE_SHAPE.grid_dino == (32, 32) and FULL_SCALE_SHAPE.grid_res == (14, 14)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from gjeval import (
     roc_points,
 )
 from gjeval.metrics import ConfusionMatrix
+from gjeval.report import curve_csvs
 
 
 class TestWaldCI:
@@ -382,9 +383,10 @@ class TestComputeReport:
 
 class TestCurveCSV:
     def test_header_and_rows(self):
-        roc = roc_points(np.array([0.9, 0.1]), np.array([1, 0], float))
-        text = roc.to_csv()
-        lines = text.splitlines()
-        assert lines[0].startswith("# kind=ROC area=")
+        report = compute_report([0, 1, 2], [0, 1, 2], np.eye(3))
+        roc = report.curves["micro"][0]
+        lines = "".join(curve_csvs(report)["roc_micro.csv"]).splitlines()
+        assert lines[0] == f"# kind=ROC area={roc.area!r}"
         assert lines[1] == "x,y,threshold"
-        assert len(lines) == 2 + len(roc.x)
+        rows = zip(roc.x.tolist(), roc.y.tolist(), roc.thresholds.tolist())
+        assert lines[2:] == [f"{x!r},{y!r},{t!r}" for x, y, t in rows]

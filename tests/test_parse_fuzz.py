@@ -26,7 +26,7 @@ import gjeval.data
 from conftest import dataset_columns, oracle_label
 
 from gjeval.cli import main
-from gjeval.data import ParseError, parse_predictions
+from gjeval.data import ParseError, parse_predictions, serialize_predictions
 
 BASE = ("image_id", "patient_id", "true_label", "p_aegja", "p_eegja", "p_control")
 OPTIONAL = ("center", "modality", "sex", "age")
@@ -255,6 +255,24 @@ def test_parser_matches_row_by_row_oracle(seed, tokenizer_paths):
     # the mutations exercise both outcomes, and both tokenizers
     assert min(kinds.values()) > 50, kinds
     assert min(texts.values()) >= 50, texts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_serialized_dataset_reads_back(seed):
+    """Every text the parser accepts gives a Dataset whose serialized CSV
+    parses to the same columns, bar ``renormalized``: it counts parse-time
+    fixes, and the written probabilities need none."""
+    accepted = 0
+    for text, strict in cases(400, seed):
+        try:
+            ds = parse_predictions(text, strict)
+        except ParseError:
+            continue
+        again = parse_predictions(serialize_predictions(ds), strict)
+        assert again.renormalized == 0, text
+        assert {**dataset_columns(again), "renormalized": ds.renormalized} == dataset_columns(ds), text
+        accepted += 1
+    assert accepted > 50
 
 
 def test_cli_exits_0_or_1_with_the_oracle_message(tmp_path, capsys):
