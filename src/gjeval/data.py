@@ -561,14 +561,17 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
 
 
-def csv_text(rows: Iterable[Iterable[str]]) -> str:
+def csv_text(rows: Iterable[Sequence[str]]) -> str:
     """Rows of text fields as CSV with LF line ends (RFC 4180): a field
     holding a comma, a quote, CR or LF is quoted and its quotes doubled; any
-    other field, an empty one too, is written as it is. Every text table
-    gjeval writes goes through it but the curve CSVs, whose fields are float
-    reprs that never need quoting and whose formatting is the hot path
+    other field, an empty one too, is written as it is, except an empty
+    field that is its row's only one: that is written ``""``, as
+    ``csv.writer`` writes it, because an empty line reads back as no row.
+    Every text table gjeval writes goes
+    through it but the curve CSVs, whose fields are float reprs that never
+    need quoting and whose formatting is the hot path
     (``report._curve_pair_csvs``); keep the two writers apart."""
-    return "".join([",".join(map(_csv_field, row)) + "\n" for row in rows])
+    return "".join([(",".join(map(_csv_field, row)) or ('""' if len(row) == 1 else "")) + "\n" for row in rows])
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,10 +7,12 @@ step sums) so they share no code path with the implementations under test.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+import gjeval.cli
 import gjeval.data
 from gjeval import Dataset, HeadConfig, HeadParams, ParseError, Readers
 from gjeval.fusion import AlignParams, GatingParams
@@ -180,6 +182,26 @@ def tokenizer_paths(monkeypatch):
 
 
 @pytest.fixture
+def forked_writes(monkeypatch) -> list[int]:
+    """Force the forked curve writer: every report with a micro curve set has
+    that set written by a child process, whatever its size and however many
+    CPUs the host has. The list holds the pid of each child forked."""
+    monkeypatch.setattr(gjeval.cli, "FORK_MIN_POINTS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids: list[int] = []
+    fork = os.fork
+
+    def counted() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240)
 
@@ -201,3 +223,16 @@ def small_dataset():
     ]
     pids = ["pa", "pa", "pa", "pb", "pb", "pc", "pd", "pd", "pe"]
     return make_dataset(truths, probs, pids)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail any test after which this process has a child, still running or
+    not yet reaped: a forked curve writer must be waited for on every path."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = "still running" if pid == 0 else f"pid {pid} ended with status {status} and was not reaped"
+    pytest.fail(f"the test left a child process behind: {state}")

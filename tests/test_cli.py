@@ -240,6 +240,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert afile.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare", "readers", "kfold", "synth", "fusion-demo"])
+    def test_empty_out_is_1(self, command, pred_csv, readers_csv, tmp_path, monkeypatch, capsys):
+        # Path("") is the working directory, which evaluate once filled with its files
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        argv = {
+            "evaluate": ["evaluate", "--pred", str(pred_csv)],
+            "compare": ["compare", "--pred-a", str(pred_csv), "--pred-b", str(pred_csv)],
+            "readers": ["readers", "--pred", str(pred_csv), "--readers", str(readers_csv)],
+            "kfold": ["kfold", "--pred", str(pred_csv), "--k", "3"],
+            "synth": ["synth", "--patients", "2,2,2"],
+            "fusion-demo": ["fusion-demo", "--dim", "8", "--hidden", "3", "--epochs", "1"],
+        }[command]
+        assert run(*argv, "--out", "") == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"gjeval: gjeval {command}: argument --out: must not be empty\n"
+        assert captured.out == ""
+        assert list(cwd.iterdir()) == []
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_dump_json_rejects_non_finite(self, value):
         with pytest.raises(ValueError, match="not JSON compliant"):

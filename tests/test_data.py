@@ -660,3 +660,10 @@ class TestCsvText:
         text = gjeval.data.csv_text(rows)
         assert text == ",b,\na,,c\n" == self.csv_writer(rows)
         assert self.read_back(text) == rows
+
+    def test_lone_empty_field_is_quoted(self):
+        # an empty line would be read back as no row at all
+        rows = [["h"], [""], ["x"], ("",)]
+        text = gjeval.data.csv_text(rows)
+        assert text == 'h\n""\nx\n""\n' == self.csv_writer(rows)
+        assert self.read_back(text) == [list(row) for row in rows]

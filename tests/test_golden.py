@@ -13,6 +13,7 @@ one working directory, because reports record their input paths.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import os
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gjeval.cli
 from gjeval.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -180,9 +182,9 @@ def argv_of(case: str, out: str) -> list[str]:
     return [a.format(f=fixture) for a in RUNS[run]] + ["--out", out]
 
 
-def run_case(workdir: Path, case: str) -> dict[str, str]:
-    """Exit status and sha256 of every file the case writes."""
-    out = f"out/{case}"
+def run_case(workdir: Path, case: str, root: str = "out") -> dict[str, str]:
+    """Exit status and sha256 of every file the case writes into ``root``."""
+    out = f"{root}/{case}"
     with inside(workdir), contextlib.redirect_stdout(None):
         code = main(argv_of(case, out))
         files = sorted(Path(out).iterdir()) if Path(out).is_dir() else []
@@ -209,6 +211,42 @@ def test_digest_file_covers_every_case(golden):
 @pytest.mark.parametrize("case", CASES)
 def test_output_bytes_match_golden(workdir, golden, case):
     assert run_case(workdir, case) == golden[case]
+
+
+
+# every evaluate run on two fixtures, and the one fusion-demo run
+FORKED_CASES = [f"{f}.{run}" for f in ("default", "grid") for run in RUNS if run.startswith("evaluate")]
+FORKED_CASES.append("fusion_demo")
+
+
+@pytest.mark.parametrize("case", FORKED_CASES)
+def test_forked_writer_matches_golden(workdir, golden, case, forked_writes):
+    """The micro curve files a child process writes have the same bytes."""
+    assert run_case(workdir, case, "out-forked") == golden[case]
+    assert len(forked_writes) == 1
+
+
+@pytest.mark.parametrize("host", ["one_cpu", "no_affinity", "fork_fails"])
+@pytest.mark.parametrize("case", ["default.evaluate_image", "fusion_demo"])
+def test_serial_writer_where_no_child_helps(workdir, golden, case, host, monkeypatch):
+    """With the threshold at 0, one process still writes every file on one
+    CPU, on a platform without ``os.sched_getaffinity`` and where the fork
+    fails, and the bytes are the same."""
+    monkeypatch.setattr(gjeval.cli, "FORK_MIN_POINTS", 0)
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, "no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork)
+    if host == "no_affinity":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        cpus = {0} if host == "one_cpu" else {0, 1}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert run_case(workdir, case, f"out-{host}") == golden[case]
+    assert len(forks) == (host == "fork_fails")
 
 
 if __name__ == "__main__":
