@@ -9,9 +9,12 @@ CSVs are formatted as they are written, a block of rows at a time; every
 other file is written whole. On Linux with two CPUs or more, a report whose
 curve sets hold at least ``FORK_MIN_POINTS`` ROC points has its micro set
 (``roc_micro.csv``, ``pr_micro.csv``) written by a forked second process
-while this one writes the other files; the bytes are the same, and an error
-in either process gives the same single ``gjeval: input error: …`` line and
-exit 1 as one process would. A write that fails part-way leaves the files
+while this one writes the other files, and a predictions file of at least
+``data.FORK_MIN_CHARS`` characters without quotes or CRs has the second half
+of its rows parsed by one while this one parses the first. The bytes and
+exit codes are the same, and an error in either process gives the same
+single ``gjeval: input error: …`` line and exit 1 as one process would; so
+does a second process that dies. A write that fails part-way leaves the files
 written before it, a truncated curve file, and any files already in
 ``--out``. Outputs are byte-identical across reruns with the same config and
 inputs; ``--stamp`` opts into an embedded timestamp (and therefore out of
@@ -21,8 +24,6 @@ byte identity).
 from __future__ import annotations
 
 import argparse
-import os
-import pickle
 import re
 import sys
 from contextlib import ExitStack
@@ -33,7 +34,7 @@ from typing import Collection, Iterator
 
 import numpy as np
 
-from . import aggregate, fusion, report as rpt
+from . import aggregate, forking, fusion, report as rpt
 from .data import (
     CLASS_ORDER,
     READER_CELLS,
@@ -100,8 +101,8 @@ def _write_outputs(outdir: Path, files: dict[str, str | Iterator[str]], forked: 
     as it yields them. The chunked files are open together and take one
     chunk each in turn, so a curve set's ROC and PR files advance in
     lockstep. The chunked files named in ``forked`` are written by a child
-    process (``_fork_writer``) while this one writes the others; an error in
-    the child is raised here once both are done."""
+    process (``forking.run_forked``) while this one writes the others; an
+    error in the child is raised here once both are done."""
     outdir.mkdir(parents=True, exist_ok=True)
     chunked = {}
     for name, content in files.items():
@@ -110,13 +111,10 @@ def _write_outputs(outdir: Path, files: dict[str, str | Iterator[str]], forked: 
         else:
             chunked[name] = content
     share = {name: chunked.pop(name) for name in forked}
-    child = _fork_writer(outdir, share) if share else None
-    try:
-        _write_chunked(outdir, chunked if child else share | chunked)
-    finally:
-        error = _reap(*child) if child else None
-    if error is not None:
-        raise error
+    # a failure here waits for the child, so the files it writes are whole
+    if not share or forking.run_forked(lambda: _write_chunked(outdir, chunked),
+                                       lambda: _write_chunked(outdir, share), kill_on_error=False) is None:
+        _write_chunked(outdir, share | chunked)
     for name in files:
         print(f"wrote {outdir / name}")
 
@@ -129,58 +127,15 @@ def _write_chunked(outdir: Path, chunked: dict[str, Iterator[str]]) -> None:
             pass
 
 
-def _fork_writer(outdir: Path, chunked: dict[str, Iterator[str]]) -> tuple[int, int] | None:
-    """Fork a child that writes ``chunked`` into ``outdir``. Return its pid
-    and the read end of a pipe that carries its exception, pickled, or None
-    if no process can be forked. The child only formats and writes: it
-    prints nothing and calls no BLAS (numpy's OpenBLAS threads are not
-    copied into it). It always leaves by ``os._exit``, so it never flushes
-    the stdout buffer it inherited, runs no ``atexit`` handler and never
-    returns into ``main``."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # out of processes or memory: the caller writes them itself
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            _write_chunked(outdir, chunked)
-            status = 0
-        except BaseException as exc:
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(exc))
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _reap(pid: int, read_fd: int) -> BaseException | None:
-    """Wait for the child of ``_fork_writer``; return the exception it raised,
-    or an OSError if it failed without sending one."""
-    with os.fdopen(read_fd, "rb") as pipe:
-        payload = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    if payload:
-        return pickle.loads(payload)
-    if status:
-        return OSError(f"the curve writer process ended with exit code {os.waitstatus_to_exitcode(status)}")
-    return None
-
-
 def _forked_files(mr: MetricReport) -> tuple[str, ...]:
     """The files a second process writes: the micro curve set's, when this
-    process may run on more than one CPU and the report's curves hold at
-    least FORK_MIN_POINTS ROC points; none otherwise. Without
-    ``os.sched_getaffinity`` (any platform but Linux) nothing is forked."""
-    if "micro" not in mr.curves or not hasattr(os, "sched_getaffinity"):
+    process may run on more than one CPU (``forking.spare_cpu``) and the
+    report's curves hold at least FORK_MIN_POINTS ROC points; none
+    otherwise."""
+    if "micro" not in mr.curves:
         return ()
     points = sum(roc.x.size for roc, _ in mr.curves.values())
-    if points < FORK_MIN_POINTS or len(os.sched_getaffinity(0)) < 2:
+    if points < FORK_MIN_POINTS or not forking.spare_cpu():
         return ()
     return ("roc_micro.csv", "pr_micro.csv")
 

@@ -17,9 +17,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, compress, count, repeat
+from operator import is_not
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from . import forking
 
 __all__ = [
     "ClassLabel",
@@ -51,12 +54,26 @@ READER_ARMS = ("A", "B")
 READER_CELLS = tuple((g, a) for g in READER_GROUPS for a in READER_ARMS)  # by cell code
 _BOM = "\ufeff"  # a byte order mark, as spreadsheet exports write it
 _BLOCK_ROWS = 8192  # data lines (or csv records) tokenized and validated at a time
+# A plain predictions text of at least this many characters is parsed in two
+# processes (``parse_predictions``): a fork costs a few ms that a small text
+# does not win back. In-process medians over 15 alternating pairs on a 2-core
+# VM (two CPU-bound processes took 1.0-2.1x as long as one), serial ->
+# forked: 5.1 -> 10.9 ms at 0.12M characters (1.2k rows), 14.0 -> 19.6 ms at
+# 0.41M (forking won 1 of 15 pairs), 29.8 -> 31.2 ms at 0.82M (8 of 15),
+# 52.0 -> 44.0 ms at 1.2M (13 of 15), 69.3 -> 57.9 ms at 1.6M (13 of 15) and
+# 558 -> 342 ms at 12M (15 of 15). The crossover is near 0.8M characters, so
+# 2**21 leaves a margin of 2.6.
+FORK_MIN_CHARS = 1 << 21
 # a line as io.StringIO(newline="") reads it: up to and including \n, \r or \r\n
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]').search  # a written field holding one of these is quoted
-# one block of data rows: columns by header name, the blank lines skipped,
-# the bad row's (line, message) that ends the block
-_Rows = tuple[dict[str, list[str]], list[int], tuple[int, str] | None]
+# the ASCII characters str.strip removes but CR and LF, which no plain field holds
+_ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+# one block of data rows: the file line of its first row, columns by header
+# name, the blank lines skipped, the bad row's (line, message) that ends it
+_Rows = tuple[int, dict[str, list[str]], list[int], tuple[int, str] | None]
+# what a run of blocks of prediction rows gives (``_prediction_rows``)
+_PredictionRows = tuple[list[str], dict[str, list], dict[str, list[np.ndarray]], list[int]]
 
 
 class ClassLabel(IntEnum):
@@ -159,16 +176,18 @@ class Dataset:
 
         Image ids must be unique and a patient's images must share one true
         label; otherwise the first row that breaks either rule is reported.
+        An int64 ``truth`` or a float64 ``probs`` or ``age`` array is kept
+        without a copy, behind a read-only view: do not write to it later.
         """
         image_ids = tuple(image_ids)
         row_patients = tuple(patient_ids)
         n = len(image_ids)
         patients = tuple(dict.fromkeys(row_patients))
-        position = {pid: k for k, pid in enumerate(patients)}
+        position = dict(zip(patients, count()))
         codes = np.fromiter(map(position.__getitem__, row_patients), np.int64, n)
         first_row = np.unique(codes, return_index=True)[1].astype(np.int64)
-        truth = np.array(truth, dtype=np.int64).reshape(n)
-        probs = np.array(probs, dtype=np.float64).reshape(n, 3)
+        truth = np.asarray(truth, dtype=np.int64).reshape(n)
+        probs = np.asarray(probs, dtype=np.float64).reshape(n, 3)
         conflicts = np.flatnonzero(truth != truth[first_row][codes])
         if len(set(image_ids)) < n or conflicts.size:
             dup = _first_repeat(image_ids)
@@ -177,7 +196,7 @@ class Dataset:
             bad = int(conflicts[0])
             raise _CrossRowFault(f"conflicting true labels for patient {row_patients[bad]!r}", bad)
         if age is not None:
-            age = np.array(age, dtype=np.float64).reshape(n)
+            age = np.asarray(age, dtype=np.float64).reshape(n)
             if np.isnan(age).all():
                 age = None
         columns = dict(
@@ -231,7 +250,7 @@ def _optional(col: Iterable[str | None] | None) -> tuple[str | None, ...] | None
     if col is None:
         return None
     col = tuple(col)
-    return None if col.count(None) == len(col) else col
+    return col if any(map(is_not, col, repeat(None))) else None
 
 
 def _first_repeat(values: Sequence[str]) -> int | None:
@@ -307,11 +326,12 @@ class _FirstFailure:
             if "" in col:
                 self.check(np.fromiter(map(len, col), np.int64, len(col)) == 0, lambda i, name=name: f"empty {name}")
 
-    def raise_first(self, offset: int, blanks: list[int], bad_row: tuple[int, str] | None) -> None:
+    def raise_first(self, first: int, blanks: list[int], bad_row: tuple[int, str] | None) -> None:
         """Raise the first failing row's error: a checked fault, else the bad
-        row. The checks ran on a block whose first row is data row ``offset``."""
+        row. The checks ran on a block that starts on file line ``first`` and
+        skipped the blank lines ``blanks``."""
         if self.index is not None:
-            raise ParseError(self.message, _line_of(offset + self.index, blanks))
+            raise ParseError(self.message, _line_of(self.index, blanks, first))
         if bad_row is not None:
             raise ParseError(bad_row[1], bad_row[0])
 
@@ -332,9 +352,11 @@ def _gc_paused():
             gc.enable()
 
 
-def _table(source: str) -> tuple[list[str], Iterator[_Rows]]:
-    """The stripped header fields, and the data rows in blocks of at most
-    ``_BLOCK_ROWS`` lines. A leading byte order mark is ignored.
+def _table(source: str) -> tuple[list[str], int | None, Iterator[_Rows]]:
+    """The stripped header fields; the offset of the first data line when
+    the text is plain (see below), None otherwise; and the data rows in
+    blocks of at most ``_BLOCK_ROWS`` lines. A leading byte order mark is
+    ignored.
 
     When the text has no quote, CR or NUL (a CR ends a line for ``csv``;
     Python 3.10's ``csv`` rejects NUL) and its header line has a comma and
@@ -349,7 +371,7 @@ def _table(source: str) -> tuple[list[str], Iterator[_Rows]]:
         head = source[start:end]
         if end >= 0 and "," in head and len(head) <= csv.field_size_limit():
             header = [h.strip() for h in head.split(",")]
-            return header, _plain_blocks(source, end + 1, header)
+            return header, end + 1, _plain_blocks(source, end + 1, len(source), 2, header)
     reader = csv.reader(map(re.Match.group, _LINE.finditer(source, start)))
     try:
         header = [h.strip() for h in next(reader)]
@@ -357,12 +379,13 @@ def _table(source: str) -> tuple[list[str], Iterator[_Rows]]:
         raise ParseError("empty file") from None
     except csv.Error as exc:
         raise ParseError(str(exc), 1) from None
-    return header, _data_rows(reader, header, 2)
+    return header, None, _data_rows(reader, header, 2)
 
 
-def _plain_blocks(source: str, pos: int, header: list[str]) -> Iterator[_Rows]:
-    """The data lines of plain text from offset ``pos`` on (a final newline
-    ends the last line), ``_BLOCK_ROWS`` at a time.
+def _plain_blocks(source: str, pos: int, stop: int, line: int, header: list[str]) -> Iterator[_Rows]:
+    """The lines of plain text in ``source[pos:stop]``, the first on file
+    line ``line`` (a final newline ends the last line), ``_BLOCK_ROWS`` at a
+    time.
 
     A block whose lines all have the header's comma count, none longer than
     ``csv.field_size_limit()``, is split on newlines and commas. Any other
@@ -370,34 +393,42 @@ def _plain_blocks(source: str, pos: int, header: list[str]) -> Iterator[_Rows]:
     ``csv``, so its row numbers and messages stay ``csv``'s own."""
     commas = len(header) - 1
     limit = csv.field_size_limit()
-    end = len(source) - source.endswith("\n")
+    end = stop - source.endswith("\n", pos, stop)
+    # A text of fewer than _BLOCK_ROWS lines is one block, found by a count
+    # that costs less than the scan; it is not counted when its lines would
+    # average over 128 characters, so a long text is not walked for nothing.
+    one_block = end - pos < 128 * _BLOCK_ROWS and source.count("\n", pos, end) < _BLOCK_ROWS
     lines_ahead = re.compile(f"(?:[^\\n]*\\n){{0,{_BLOCK_ROWS - 1}}}[^\\n]*")  # a block without its last newline
-    line = 2
-    while pos < len(source):
-        stop = lines_ahead.match(source, pos, end).end()
-        lines = source[pos:stop].split("\n")
-        first, line, pos = line, line + len(lines), stop + 1
+    while pos < stop:
+        block_end = end if one_block else lines_ahead.match(source, pos, end).end()
+        lines = source[pos:block_end].split("\n")
+        first, line, pos = line, line + len(lines), block_end + 1
         if set(map(str.count, lines, repeat(","))) == {commas} and max(map(len, lines)) <= limit:
-            yield _split_columns(lines, header), [], None
+            yield first, _split_columns(lines, header), [], None
         else:
             yield from _data_rows(csv.reader(lines), header, first)
         del lines  # before the next block's lines are made
 
 
 def _split_columns(lines: list[str], header: list[str]) -> dict[str, list[str]]:
-    """The stripped columns of plain data lines, one per header name."""
-    fields = ",".join(lines).split(",")
+    """The stripped columns of plain data lines, one per header name. A block
+    with no character ``str.strip`` removes is not stripped field by field."""
+    text = ",".join(lines)
+    fields = text.split(",")
     k = len(header)
+    if text.isascii() and not any(c in text for c in _ASCII_SPACE):
+        return {name: fields[j::k] for j, name in enumerate(header)}
     return {name: list(map(str.strip, fields[j::k])) for j, name in enumerate(header)}
 
 
 def _data_rows(reader, header: list[str], line: int) -> Iterator[_Rows]:
     """The records of a ``csv`` reader, the first on file line ``line``, in
     blocks of at most ``_BLOCK_ROWS`` up to the first bad one. Each block
-    holds its rows as stripped columns, one per header name, and the file
-    lines of the blank lines skipped among them; the last block ends at the
-    bad row's (line, message). A row is bad when its field count is wrong or
-    ``csv`` rejects it, e.g. for a field over ``csv.field_size_limit()``."""
+    holds the file line of its first record, its rows as stripped columns,
+    one per header name, and the file lines of the blank lines skipped among
+    them; the last block ends at the bad row's (line, message). A row is bad
+    when its field count is wrong or ``csv`` rejects it, e.g. for a field
+    over ``csv.field_size_limit()``."""
     rows, blanks, bad_row = [], [], None
     row_no = line - 1
     try:
@@ -410,12 +441,12 @@ def _data_rows(reader, header: list[str], line: int) -> Iterator[_Rows]:
                 bad_row = (row_no, f"expected {len(header)} fields, got {len(raw)}")
                 break
             if len(rows) + len(blanks) == _BLOCK_ROWS:
-                yield _columns(rows, header), blanks, None
-                rows, blanks = [], []
+                yield line, _columns(rows, header), blanks, None
+                rows, blanks, line = [], [], row_no + 1
     except csv.Error as exc:
         bad_row = (row_no + 1, str(exc))
     if rows or blanks or bad_row:
-        yield _columns(rows, header), blanks, bad_row
+        yield line, _columns(rows, header), blanks, bad_row
 
 
 def _columns(rows: list[list[str]], header: list[str]) -> dict[str, list[str]]:
@@ -424,9 +455,10 @@ def _columns(rows: list[list[str]], header: list[str]) -> dict[str, list[str]]:
     return {name: list(map(str.strip, col)) for name, col in zip(header, columns)}
 
 
-def _line_of(index: int, blanks: list[int]) -> int:
-    """File line of data row ``index``, given the (sorted) blank lines."""
-    line = index + 2
+def _line_of(index: int, blanks: list[int], first: int = 2) -> int:
+    """File line of data row ``index`` of rows that start on line ``first``,
+    given the (sorted) blank lines among them."""
+    line = index + first
     for blank in blanks:
         if blank > line:
             break
@@ -471,6 +503,30 @@ def _prediction_block(cols: dict[str, list[str]], strict: bool) -> tuple[_FirstF
     return fail, arrays
 
 
+def _prediction_rows(blocks: Iterable[_Rows], names: tuple[str, ...], strict: bool) -> _PredictionRows:
+    """Check blocks of prediction rows in order, and gather what the Dataset
+    keeps of them: the image ids; the text columns ``names``, with one
+    string object for each distinct value and None for a blank; each
+    block's arrays from ``_prediction_block``; and the blank lines. The
+    first bad row raises its ParseError."""
+    image_ids: list[str] = []
+    texts: dict[str, list] = {name: [] for name in names}
+    arrays: dict[str, list[np.ndarray]] = {}
+    blanks: list[int] = []
+    shared: dict[str, str | None] = {"": None}
+    for first, cols, block_blanks, bad_row in blocks:
+        fail, block = _prediction_block(cols, strict)
+        fail.raise_first(first, block_blanks, bad_row)
+        blanks += block_blanks
+        for name, arr in block.items():
+            arrays.setdefault(name, []).append(arr)
+        image_ids += cols["image_id"]
+        for name, col in texts.items():
+            col += map(shared.setdefault, cols[name], cols[name])
+        del cols  # before the next block is split
+    return image_ids, texts, arrays, blanks
+
+
 def parse_predictions(source: str, strict: bool = False) -> Dataset:
     """Parse a predictions CSV into a validated Dataset.
 
@@ -486,10 +542,15 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     duplicate.
 
     Rows are read and checked ``_BLOCK_ROWS`` at a time, and only the columns
-    the Dataset keeps outlive a block. Equal patient ids and equal values of
-    an optional text column share one string object.
+    the Dataset keeps outlive a block. Equal values of an optional text
+    column share one string object. Plain text (see ``_table``) of at least
+    ``FORK_MIN_CHARS`` characters is split at the first line that starts
+    past its middle when this process may run on more than one CPU: a forked
+    child reads the second half while this process reads the first, and
+    each half has its own string objects. Rows, errors and their order are
+    those of reading the text in one process.
     """
-    header, blocks = _table(source)
+    header, body, blocks = _table(source)
     if tuple(header[: len(PRED_BASE_COLUMNS)]) != PRED_BASE_COLUMNS:
         raise ParseError(
             f"header must start with {','.join(PRED_BASE_COLUMNS)}; got {','.join(header)}"
@@ -500,22 +561,31 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
             raise ParseError(f"unknown column {col!r}")
         if col in extras[:pos]:
             raise ParseError(f"duplicate column {col!r}")
-    image_ids: list[str] = []
-    texts: dict[str, list] = {c: [] for c in ("patient_id", "center", "modality", "sex") if c in header}
-    shared: dict[str, str | None] = {"": None}  # each distinct text once; a blank is None
-    arrays: dict[str, list[np.ndarray]] = {}
-    blanks: list[int] = []
+    names = tuple(c for c in ("patient_id", "center", "modality", "sex") if c in header)
+
+    def rows(pos: int, stop: int, line: int) -> _PredictionRows:
+        return _prediction_rows(_plain_blocks(source, pos, stop, line, header), names, strict)
+
+    halves = None
     with _gc_paused():
-        for cols, block_blanks, bad_row in blocks:
-            blanks += block_blanks
-            fail, block = _prediction_block(cols, strict)
-            fail.raise_first(len(image_ids), blanks, bad_row)
-            for name, arr in block.items():
-                arrays.setdefault(name, []).append(arr)
-            image_ids += cols["image_id"]
+        if body is not None and len(source) >= FORK_MIN_CHARS and forking.spare_cpu():
+            mid = source.find("\n", (body + len(source)) // 2) + 1  # the second half's first line
+            if 0 < mid < len(source):
+                # the child counts the lines before its half; a row fault in
+                # the first half wins, so the child is killed then
+                halves = forking.run_forked(lambda: rows(body, mid, 2),
+                                            lambda: rows(mid, len(source), 2 + source.count("\n", body, mid)),
+                                            kill_on_error=True)
+        if halves is None:
+            image_ids, texts, arrays, blanks = _prediction_rows(blocks, names, strict)
+        else:
+            (image_ids, texts, arrays, blanks), (more_ids, more_texts, more_arrays, more_blanks) = halves
+            image_ids += more_ids
             for name, col in texts.items():
-                col += map(shared.setdefault, cols[name], cols[name])
-            del cols  # before the next block is split
+                col += more_texts[name]
+            for name, arrs in arrays.items():
+                arrs += more_arrays[name]
+            blanks += more_blanks
     if not image_ids:
         raise ParseError("no data rows")
     columns = {name: np.concatenate(arrays.pop(name)) for name in list(arrays)}  # each block list freed in turn
@@ -654,7 +724,7 @@ def parse_readers(source: str) -> Readers:
     Rows are read and checked ``_BLOCK_ROWS`` at a time. Equal reader ids
     and equal image ids share one string object.
     """
-    header, blocks = _table(source)
+    header, _, blocks = _table(source)
     if tuple(header[: len(READER_BASE_COLUMNS)]) != READER_BASE_COLUMNS:
         raise ParseError(
             f"header must start with {','.join(READER_BASE_COLUMNS)}; got {','.join(header)}"
@@ -667,12 +737,10 @@ def parse_readers(source: str) -> Readers:
     shared: dict[str, str] = {}  # each distinct id once
     codes: dict[str, int] = {}  # a code per distinct id
     pairs: set[int] = set()  # the (reader_id, image_id) pairs read so far, by code
-    blanks: list[int] = []
     with _gc_paused():
-        for cols, block_blanks, bad_row in blocks:
-            blanks += block_blanks
+        for first, cols, blanks, bad_row in blocks:
             fail, rids, iids, block = _reader_block(cols, shared, codes, pairs)
-            fail.raise_first(len(reader_ids), blanks, bad_row)
+            fail.raise_first(first, blanks, bad_row)
             for name, arr in block.items():
                 arrays[name].append(arr)
             reader_ids += rids

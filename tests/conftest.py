@@ -181,12 +181,8 @@ def tokenizer_paths(monkeypatch):
     return log
 
 
-@pytest.fixture
-def forked_writes(monkeypatch) -> list[int]:
-    """Force the forked curve writer: every report with a micro curve set has
-    that set written by a child process, whatever its size and however many
-    CPUs the host has. The list holds the pid of each child forked."""
-    monkeypatch.setattr(gjeval.cli, "FORK_MIN_POINTS", 0)
+def _counted_forks(monkeypatch) -> list[int]:
+    """Claim two usable CPUs, and record the pid of each child ``os.fork`` makes."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pids: list[int] = []
     fork = os.fork
@@ -199,6 +195,26 @@ def forked_writes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(os, "fork", counted)
     return pids
+
+
+@pytest.fixture
+def forked_writes(monkeypatch) -> list[int]:
+    """Force the forked curve writer: every report with a micro curve set has
+    that set written by a child process, whatever its size and however many
+    CPUs the host has. The list holds the pid of each child forked."""
+    monkeypatch.setattr(gjeval.cli, "FORK_MIN_POINTS", 0)
+    return _counted_forks(monkeypatch)
+
+
+@pytest.fixture
+def forked_parse(monkeypatch) -> list[int]:
+    """Force the forked predictions parser: every plain text with a line past
+    its middle has its second half read by a child process, in blocks of
+    three data lines, whatever its size and however many CPUs the host has.
+    The list holds the pid of each child forked."""
+    monkeypatch.setattr(gjeval.data, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(gjeval.data, "FORK_MIN_CHARS", 0)
+    return _counted_forks(monkeypatch)
 
 
 @pytest.fixture
@@ -228,7 +244,8 @@ def small_dataset():
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail any test after which this process has a child, still running or
-    not yet reaped: a forked curve writer must be waited for on every path."""
+    not yet reaped: a forked curve writer or parser must be waited for on
+    every path."""
     yield
     try:
         pid, status = os.waitpid(-1, os.WNOHANG)

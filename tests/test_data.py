@@ -442,6 +442,27 @@ class TestTokenizerPaths:
         ds = parse_predictions(_text(" image_id ,patient_id\t," + HEADER[20:], (" i1 ,\tp1\t, A-EGJA ,0.8 ,\t0.15, 0.05 ",)))
         assert ds.image_ids == ("i1",) and ds.probs.tolist() == [[0.8, 0.15, 0.05]]
 
+    @pytest.mark.parametrize("pad", [" ", "\t", "\x1f", "\xa0", "\u3000"], ids=["space", "tab", "x1f", "xa0", "u3000"])
+    def test_padded_fields_are_stripped_on_both_paths(self, pad, tokenizer_paths, monkeypatch):
+        """A block whose fields carry no character ``str.strip`` removes is
+        taken as split; a padded field in the next block is still stripped,
+        on the plain split and by ``csv`` alike."""
+        monkeypatch.setattr(gjeval.data, "_BLOCK_ROWS", 2)
+        header = HEADER + ",center,modality,sex,age"
+        plain = ("i1,p1,A-EGJA,0.8,0.15,0.05,C1,WLI,F,44", "i2,p1,A-EGJA,0.2,0.5,0.3,C1,NBI,F,44")
+        padded = f"{pad}i3,p2{pad},{pad}control{pad},0.1,{pad}0.2,0.7{pad},{pad}C2{pad},{pad}WLI,F{pad},{pad}51{pad}"
+        text = _text(header, (*plain, padded))
+        fields = [f.strip() for f in padded.split(",")]
+        ds = parse_predictions(text)
+        assert tokenizer_paths == ["plain", "plain"]
+        assert ds.image_ids == ("i1", "i2", fields[0]) and ds.patient_ids == ("p1", fields[1])
+        assert ds.center == ("C1", "C1", fields[6]) and ds.modality == ("WLI", "NBI", fields[7])
+        assert ds.sex == ("F", "F", fields[8]) and ds.age.tolist() == [44, 44, 51]
+        assert ds.truth.tolist() == [0, 0, 2] and ds.probs[2].tolist() == [0.1, 0.2, 0.7]
+        tokenizer_paths.clear()
+        assert dataset_columns(parse_predictions(_quote_first_field(text))) == dataset_columns(ds)
+        assert tokenizer_paths == ["csv", "csv"]
+
     def test_field_size_limit_read_at_call_time(self, tokenizer_paths):
         text = _text(HEADER, ROWS)
         old = csv.field_size_limit(20)

@@ -226,6 +226,18 @@ def test_forked_writer_matches_golden(workdir, golden, case, forked_writes):
     assert len(forked_writes) == 1
 
 
+# every run that parses a predictions file, on two fixtures
+PARSE_CASES = [f"{f}.{run}" for f in ("default", "grid") for run in RUNS]
+
+
+@pytest.mark.parametrize("case", PARSE_CASES)
+def test_forked_parse_matches_golden(workdir, golden, case, forked_parse):
+    """Every file has the same bytes when each predictions file's second
+    half is parsed by a child process."""
+    assert run_case(workdir, case, "out-forked-parse") == golden[case]
+    assert len(forked_parse) == (2 if case.endswith(".compare") else 1)
+
+
 @pytest.mark.parametrize("host", ["one_cpu", "no_affinity", "fork_fails"])
 @pytest.mark.parametrize("case", ["default.evaluate_image", "fusion_demo"])
 def test_serial_writer_where_no_child_helps(workdir, golden, case, host, monkeypatch):

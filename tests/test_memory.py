@@ -5,17 +5,22 @@ Each test traces the allocations of one step with ``tracemalloc`` on a
 synthetic predictions file of about 11.6k images, and again on one with four
 times as many. What the step needs beyond what it returns may grow by at most
 half, where a step that holds the whole file would need about four times as
-much. ``tracemalloc`` sees one process only, so the curve writer is traced on
-its serial path, all four curve sets formatted in this process: a large
-report's micro set is otherwise written by a forked child (``cli.FORK_MIN_POINTS``).
+much. ``tracemalloc`` sees one process only, so both steps are traced on
+their serial paths: the parser reads every block in this process, where a
+large text's second half is otherwise read by a forked child
+(``data.FORK_MIN_CHARS``), and the curve writer formats all four curve sets
+here, where a large report's micro set is otherwise written by a forked
+child (``cli.FORK_MIN_POINTS``).
 """
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import pytest
 
+import gjeval.data
 from gjeval import SynthSpec, evaluate, parse_predictions, serialize_predictions, synth_generate
 from gjeval.cli import _write_outputs
 from gjeval.report import curve_csvs
@@ -45,7 +50,8 @@ def traced(fn, *args):
     return result, peak, held
 
 
-def test_parse_transient_memory_does_not_grow_with_rows(texts):
+def test_parse_transient_memory_does_not_grow_with_rows(texts, monkeypatch):
+    monkeypatch.setattr(gjeval.data, "FORK_MIN_CHARS", math.inf)  # every block parsed here
     rows, transient = {}, {}
     for scale, text in texts.items():
         ds, peak, kept = traced(parse_predictions, text)

@@ -10,7 +10,9 @@ Through the CLI, every mutation must end in exit 0, or in exit 1 with the
 oracle's message. The parser reads three data lines at a time here, so
 most texts span several blocks. Each seed sends at least 50 texts through
 each of the parser's two tokenizers, the plain split and ``csv``; a text
-counts for each tokenizer that reads one of its blocks.
+counts for each tokenizer that reads one of its blocks. The same texts,
+read with their second half in a forked child process, give the same
+columns or errors as the serial parse.
 """
 
 from __future__ import annotations
@@ -273,6 +275,29 @@ def test_serialized_dataset_reads_back(seed):
         assert {**dataset_columns(again), "renormalized": ds.renormalized} == dataset_columns(ds), text
         accepted += 1
     assert accepted > 50
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_forked_parse_matches_serial(seed, forked_parse, monkeypatch):
+    """Each text read with its second half in a child process gives the
+    columns of the serial parse, or its error: the same message and row."""
+
+    def parsed(text: str, strict: bool, min_chars: float):
+        monkeypatch.setattr(gjeval.data, "FORK_MIN_CHARS", min_chars)
+        try:
+            return "ok", dataset_columns(parse_predictions(text, strict))
+        except ParseError as exc:
+            return "error", str(exc), exc.row
+
+    kinds = {"ok": 0, "error": 0}
+    for text, strict in cases(400, seed):
+        serial = parsed(text, strict, math.inf)
+        forks = len(forked_parse)
+        assert parsed(text, strict, 0) == serial, text
+        if len(forked_parse) > forks:
+            kinds[serial[0]] += 1
+    # most texts are split, with both outcomes
+    assert min(kinds.values()) > 30 and sum(kinds.values()) > 200, kinds
 
 
 def test_cli_exits_0_or_1_with_the_oracle_message(tmp_path, capsys):
