@@ -6,7 +6,8 @@ unchanged. A change that moves bytes on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says which digests moved and why. Every run uses relative paths inside
+which first prints each ``case/file`` whose digest moved, appeared or
+vanished, and says in CHANGES.md which digests moved and why. Every run uses relative paths inside
 one working directory, because reports record their input paths.
 """
 
@@ -261,11 +262,42 @@ def test_serial_writer_where_no_child_helps(workdir, golden, case, host, monkeyp
     assert len(forks) == (host == "fork_fails")
 
 
+def digest_changes(old: dict, new: dict) -> list[str]:
+    """One line per ``case/file`` whose digest moved, appeared or vanished
+    from ``old`` to ``new``, and per case whose exit status changed."""
+    lines = []
+    for case in sorted(old.keys() | new.keys()):
+        before, after = old.get(case, {}), new.get(case, {})
+        if before.get("exit") != after.get("exit"):
+            lines.append(f"exit {case}: {before.get('exit')} -> {after.get('exit')}")
+        a, b = before.get("files", {}), after.get("files", {})
+        for name in sorted(a.keys() | b.keys()):
+            if name not in b:
+                lines.append(f"vanished {case}/{name}")
+            elif name not in a:
+                lines.append(f"appeared {case}/{name}")
+            elif a[name] != b[name]:
+                lines.append(f"moved {case}/{name}")
+    return lines
+
+
+def test_digest_changes_name_each_file():
+    old = {"a.x": {"exit": 0, "files": {"f": "1", "g": "2"}}, "b.y": {"exit": 0, "files": {}}}
+    new = {"a.x": {"exit": 0, "files": {"f": "1", "g": "3", "h": "4"}}, "c.z": {"exit": 1, "files": {}}}
+    assert digest_changes(old, new) == [
+        "moved a.x/g", "appeared a.x/h", "exit b.y: 0 -> None", "exit c.z: None -> 1",
+    ]
+    assert digest_changes(new, new) == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     with tempfile.TemporaryDirectory() as tmp:
         make_inputs(Path(tmp))
         doc = {case: run_case(Path(tmp), case) for case in CASES}
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    changes = digest_changes(old, doc)
+    print("\n".join(changes) if changes else "no digest moved")
     DIGESTS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS} ({len(doc)} cases)")
