@@ -149,8 +149,47 @@ def curve_csvs(report: MetricReport) -> dict[str, Iterator[str]]:
 _SVG_COLORS = ("#1f5fa8", "#c44f4f", "#4f9a58", "#8a6fb8")
 
 
+def _hundredths(v: np.ndarray) -> np.ndarray | None:
+    """``int(f"{c:.2f}".replace(".", ""))`` for every pixel coordinate ``c``
+    of ``v``, as int64, or None when one is non-finite or outside [10, 1000).
+
+    In that range ``floor(100 c + 0.5)`` is off from the exact product by
+    far less than 1e-9, so it is the rounded text except where ``100 c``
+    lies within 1e-9 of a half: ``.2f`` rounds the exact binary value, and
+    an exact half to even, so there the text itself decides.
+    """
+    if not ((v >= 10.0) & (v < 1000.0)).all():
+        return None
+    s = v * 100.0
+    h = np.floor(s + 0.5).astype(np.int64)
+    for i in np.flatnonzero(np.abs(s - np.floor(s) - 0.5) < 1e-9).tolist():
+        h[i] = int(f"{v[i]:.2f}".replace(".", ""))
+    return h
+
+
+def _drawn_points(hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
+    """Indices of the points, given in hundredths of a pixel, that change the
+    drawn line: a point that repeats its predecessor goes, then each interior
+    point where the line runs straight on (the segments in and out are
+    parallel and point the same way). The first point is always kept, and
+    the last is kept or repeated by the last kept point."""
+    moved = np.ones(hx.size, dtype=bool)
+    moved[1:] = (hx[1:] != hx[:-1]) | (hy[1:] != hy[:-1])
+    idx = np.flatnonzero(moved)
+    dx, dy = np.diff(hx[idx]), np.diff(hy[idx])
+    turns = np.ones(idx.size, dtype=bool)
+    turns[1:-1] = (dx[:-1] * dy[1:] != dy[:-1] * dx[1:]) | (dx[:-1] * dx[1:] + dy[:-1] * dy[1:] <= 0)
+    return idx[turns]
+
+
 def curves_svg(title: str, named_series: list[tuple[str, CurveSeries]]) -> str:
-    """Minimal standalone SVG: unit-square axes plus one polyline per curve."""
+    """Minimal standalone SVG: unit-square axes plus one polyline per curve.
+
+    Each polyline is drawn at the file's resolution of 0.01 pixel: points
+    that do not change the drawn line (see ``_drawn_points``) are left out,
+    and every point kept has the text it would have with all points drawn.
+    Where a coordinate is non-finite or off the page, every point is drawn.
+    """
     size, margin = 420, 50
     plot = size - 2 * margin
 
@@ -180,7 +219,12 @@ def curves_svg(title: str, named_series: list[tuple[str, CurveSeries]]) -> str:
         )
     for i, (label, series) in enumerate(named_series):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(series.x.tolist(), series.y.tolist()))
+        xs, ys = margin + series.x * plot, size - margin - series.y * plot
+        hx, hy = _hundredths(xs), _hundredths(ys)
+        if hx is not None and hy is not None:
+            kept = _drawn_points(hx, hy)
+            xs, ys = xs[kept], ys[kept]
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -89,6 +89,42 @@ def brute_average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     return ap
 
 
+def assert_same_path(full: list[str], kept: list[str]) -> None:
+    """Check that the polyline ``kept`` draws the path of ``full``. Both are
+    lists of ``x,y`` point texts with two decimals, ``full`` holding every
+    point. The first and last texts are kept; ``kept`` is a subsequence of
+    ``full``; and each point left out repeats its predecessor's text or lies
+    on the segment between the kept points around it, counted in hundredths,
+    never further back along that segment than the points before it."""
+    assert kept[:1] == full[:1] and kept[-1:] == full[-1:], "first or last point dropped"
+
+    def grid(token: str) -> tuple[int, int]:
+        x, y = token.split(",")
+        return int(x.replace(".", "")), int(y.replace(".", ""))
+
+    at, j = [], 0  # the index in ``full`` of each kept text
+    for token in kept:
+        while j < len(full) and full[j] != token:
+            j += 1
+        assert j < len(full), f"kept point {token} is not in the full polyline, or out of order"
+        at.append(j)
+        j += 1
+    for a, b in zip(at, at[1:] + [len(full)]):
+        (ax, ay), (bx, by) = grid(full[a]), grid(full[min(b, len(full) - 1)])
+        reach = 0
+        for i in range(a + 1, b):
+            if full[i] == full[i - 1]:
+                continue
+            assert b < len(full), f"dropped point {full[i]} after the last kept point"
+            px, py = grid(full[i])
+            on_line = (px - ax) * (by - ay) == (py - ay) * (bx - ax)
+            inside = min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+            assert on_line and inside, f"dropped point {full[i]} is off the segment {full[a]} -> {full[b]}"
+            along = (px - ax) * (bx - ax) + (py - ay) * (by - ay)
+            assert along >= reach, f"dropped point {full[i]} goes back along {full[a]} -> {full[b]}"
+            reach = along
+
+
 def params_from_json(text: str) -> HeadParams:
     """Load the head parameters ``params_to_json`` writes, after checking its
     format tag."""
