@@ -109,13 +109,13 @@ def assert_same_path(full: list[str], kept: list[str]) -> None:
         assert j < len(full), f"kept point {token} is not in the full polyline, or out of order"
         at.append(j)
         j += 1
-    for a, b in zip(at, at[1:] + [len(full)]):
-        (ax, ay), (bx, by) = grid(full[a]), grid(full[min(b, len(full) - 1)])
+    assert not at or set(full[at[-1]:]) == {kept[-1]}, "a point after the last kept one moves"
+    for a, b in zip(at, at[1:]):
+        (ax, ay), (bx, by) = grid(full[a]), grid(full[b])
         reach = 0
         for i in range(a + 1, b):
             if full[i] == full[i - 1]:
                 continue
-            assert b < len(full), f"dropped point {full[i]} after the last kept point"
             px, py = grid(full[i])
             on_line = (px - ax) * (by - ay) == (py - ay) * (bx - ax)
             inside = min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)

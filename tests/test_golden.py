@@ -7,8 +7,9 @@ unchanged. A change that moves bytes on purpose regenerates the file with
     PYTHONPATH=src python tests/test_golden.py --write
 
 which first prints each ``case/file`` whose digest moved, appeared or
-vanished, and says in CHANGES.md which digests moved and why. Every run uses relative paths inside
-one working directory, because reports record their input paths.
+vanished; the change says which digests moved and why. Every run uses
+relative paths inside one working directory, because reports record their
+input paths.
 """
 
 from __future__ import annotations

@@ -88,10 +88,6 @@ def test_hundredths_equal_the_text(values):
     assert _hundredths(values).tolist() == text_hundredths(values)
 
 
-def test_halves_round_to_even():
-    assert _hundredths(np.array([50.125, 123.375])).tolist() == [5012, 12338]
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 9.99, 1000.0, -50.0])
 def test_unsafe_coordinate_draws_every_point(bad):
     assert _hundredths(np.array([50.0, bad, 60.0])) is None
