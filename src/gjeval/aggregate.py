@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import CLASS_ORDER, READER_CELLS, Dataset, Readers, _id_codes
+from .data import CLASS_ORDER, READER_CELLS, Dataset, Readers
 from .metrics import MetricReport, class_stats, compute_report, confusion_matrix
 from .stats import TestResult, bowker_test, kappa_test
 
@@ -132,12 +132,14 @@ class PooledReaderPairs:
     One row per reader-image observation, in file order: the model's
     prediction is replicated once per reader observation of that image, so
     reader and model see identical observation counts in pooled comparisons.
+    ``rows`` holds each observation's row in the model's dataset, so equal
+    rows mean the same image.
     """
 
     group: str
     arm: str
     reader_ids: tuple[str, ...]
-    image_ids: tuple[str, ...]
+    rows: np.ndarray
     truths: np.ndarray
     reader_preds: np.ndarray
     model_preds: np.ndarray
@@ -166,28 +168,29 @@ def pool_readers(readers: Readers, model: Dataset, group: str, arm: str, rows: n
     """
     code = READER_CELLS.index((group, arm)) if (group, arm) in READER_CELLS else -1
     in_cell = readers.cells() == code
-    image_ids = tuple(compress(readers.image_ids, in_cell.tolist()))
-    if not image_ids:
+    calls = np.flatnonzero(in_cell)
+    if not calls.size:
         raise ValueError(f"no reader records for group={group!r} arm={arm!r}")
-    rows = rows[in_cell]
-    elapsed = None if readers.elapsed_s is None else readers.elapsed_s[in_cell]
+    rows = rows[calls]
+    elapsed = None if readers.elapsed_s is None else readers.elapsed_s[calls]
     if elapsed is not None and np.isnan(elapsed).all():
         elapsed = None
     unknown = rows < 0
     bad = np.flatnonzero(unknown if elapsed is None else unknown | np.isnan(elapsed))
     if bad.size:
         i = int(bad[0])
+        image_id = readers.image_ids[int(calls[i])]
         if unknown[i]:
-            raise ValueError(f"reader record references unknown image {image_ids[i]!r}")
-        reader_id = readers.reader_ids[int(np.flatnonzero(in_cell)[i])]
-        raise ValueError(f"missing elapsed_s for reader {reader_id!r} image {image_ids[i]!r}")
+            raise ValueError(f"reader record references unknown image {image_id!r}")
+        reader_id = readers.reader_ids[int(calls[i])]
+        raise ValueError(f"missing elapsed_s for reader {reader_id!r} image {image_id!r}")
     return PooledReaderPairs(
         group=group,
         arm=arm,
         reader_ids=tuple(sorted(set(compress(readers.reader_ids, in_cell.tolist())))),
-        image_ids=image_ids,
+        rows=rows,
         truths=model.truth[rows],
-        reader_preds=readers.pred[in_cell],
+        reader_preds=readers.pred[calls],
         model_preds=model.pred[rows],
         elapsed_s=elapsed,
     )
@@ -220,11 +223,10 @@ def group_vs_group_kappa(pool_x: PooledReaderPairs, pool_y: PooledReaderPairs) -
     same image in the other cell. This pools inter-reader variability
     symmetrically without singling out any reader correspondence.
     """
-    codes = _id_codes(pool_x.image_ids + pool_y.image_ids, {})
-    code_x, code_y = codes[: len(pool_x.image_ids)], codes[len(pool_x.image_ids) :]
-    order = np.argsort(code_x, kind="stable")
-    start = np.searchsorted(code_x[order], code_y, "left")
-    counts = np.searchsorted(code_x[order], code_y, "right") - start
+    order = np.argsort(pool_x.rows, kind="stable")
+    rows_x = pool_x.rows[order]
+    start = np.searchsorted(rows_x, pool_y.rows, "left")
+    counts = np.searchsorted(rows_x, pool_y.rows, "right") - start
     n_pairs = int(counts.sum())
     if not n_pairs:
         raise ValueError(

@@ -412,12 +412,9 @@ def cmd_fusion_demo(args) -> int:
         probe_fb, probe_labels = fusion.make_synthetic_features(
             config, 1, spec.separation, seed=args.seed
         )
-        single = fusion.FeatureBundle(
-            probe_fb.f_cls[0], probe_fb.f_grid_dino[0], probe_fb.f_grid_res[0]
-        )
-        err_eval = fusion.grad_check(result.params, single, int(probe_labels[0]))
+        err_eval = fusion.grad_check(result.params, probe_fb, probe_labels)
         err_train = fusion.grad_check(
-            result.params, single, int(probe_labels[0]), rng_seed=args.seed, training=True
+            result.params, probe_fb, probe_labels, rng_seed=args.seed, training=True
         )
         max_rel = max(err_eval, err_train)
         grad_result = {

@@ -18,8 +18,9 @@ the same width) with a convolutional branch (a wider spatial grid):
 Everything is float64 numpy. ``head_forward`` is the one forward pass;
 ``backward`` recomputes it under the same dropout seed, so gradients always
 belong to the forward pass they differentiate, and derives every parameter's
-gradient analytically (no autodiff). Both accept a single sample (no leading
-axis) or a batch (leading axis N).
+gradient analytically (no autodiff). Both take a batch (leading axis N); a
+single sample is a batch of one. ``backward`` returns the loss with the
+gradients, so training and the gradient check share one function.
 
 The pointwise convolutions are batched matrix products on (N, channels, C)
 arrays: ``w @ x`` forward, ``w.T @ g`` for input gradients, and
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,8 +42,6 @@ from .metrics import MetricReport, compute_report
 
 __all__ = [
     "HeadConfig",
-    "AlignParams",
-    "GatingParams",
     "HeadParams",
     "FeatureBundle",
     "ForwardPass",
@@ -61,6 +60,8 @@ __all__ = [
 ]
 
 LOSS_FLOOR = 1e-12
+# the head classifies into the three classes of CLASS_ORDER
+N_CLASSES = 3
 HEAD_FORMAT = "gjeval-head-v1"
 # Adam moment decay rates and denominator guard (Kingma and Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -85,7 +86,6 @@ class HeadConfig:
     grid_res: tuple[int, int] = (2, 2)
     hidden: int = 8
     dropout: float = 0.1
-    n_classes: int = 3
 
     def __post_init__(self):
         if min(self.c_dino, self.c_res, self.hidden) < 1:
@@ -95,57 +95,38 @@ class HeadConfig:
 
 
 @dataclass
-class AlignParams:
-    """Pool-then-project parameters for the conv branch: (C_res, C) weight + C bias."""
-
-    w: np.ndarray
-    b: np.ndarray
-
-
-@dataclass
-class GatingParams:
-    """Three pointwise conv layers (2->h, h->h, h->2); the dropout rate is
-    ``HeadConfig.dropout``."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-
-
-@dataclass
 class HeadParams:
-    """All trainable parameters of the head."""
+    """All trainable parameters of the head.
+
+    ``align_w`` (C_res, C) and ``align_b`` (C) project the pooled conv branch;
+    ``gate_w1`` .. ``gate_b3`` are the three pointwise conv layers of the
+    gating network (2->h, h->h, h->2), whose dropout rate is
+    ``HeadConfig.dropout``; ``cls_w`` (C, 3) and ``cls_b`` (3) classify.
+    """
 
     config: HeadConfig
-    align: AlignParams
-    gating: GatingParams
+    align_w: np.ndarray
+    align_b: np.ndarray
+    gate_w1: np.ndarray
+    gate_b1: np.ndarray
+    gate_w2: np.ndarray
+    gate_b2: np.ndarray
+    gate_w3: np.ndarray
+    gate_b3: np.ndarray
     cls_w: np.ndarray
     cls_b: np.ndarray
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """Stable (name, array) ordering shared by Adam and the gradient check."""
-        return [
-            ("align_w", self.align.w),
-            ("align_b", self.align.b),
-            ("gate_w1", self.gating.w1),
-            ("gate_b1", self.gating.b1),
-            ("gate_w2", self.gating.w2),
-            ("gate_b2", self.gating.b2),
-            ("gate_w3", self.gating.w3),
-            ("gate_b3", self.gating.b3),
-            ("cls_w", self.cls_w),
-            ("cls_b", self.cls_b),
-        ]
+        """(name, array) of every field after ``config``, in field order;
+        shared by Adam, the gradient check and ``params_to_json``."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)[1:]]
 
 
 @dataclass(frozen=True)
 class FeatureBundle:
-    """Input features for one sample (or a batch, with a leading axis).
+    """Input features for a batch of N samples (N = 1 for one sample).
 
-    f_cls: (..., C); f_grid_dino: (..., H, W, C); f_grid_res: (..., H2, W2, C_res).
+    f_cls: (N, C); f_grid_dino: (N, H, W, C); f_grid_res: (N, H2, W2, C_res).
     """
 
     f_cls: np.ndarray
@@ -155,7 +136,7 @@ class FeatureBundle:
 
 @dataclass(frozen=True)
 class ForwardPass:
-    """Forward activations of interest; shapes follow the input batching."""
+    """Forward activations of interest, each with the batch axis first."""
 
     f_dino: np.ndarray
     f_res: np.ndarray
@@ -184,21 +165,20 @@ def init_head(config: HeadConfig, seed: int = 0) -> HeadParams:
     """Seeded initialization: weights uniform in +-sqrt(1/fan_in), biases zero."""
     rng = np.random.default_rng(seed)
     h = config.hidden
-    align = AlignParams(
-        w=_uniform_fan_in(rng, (config.c_res, config.c_dino), config.c_res),
-        b=np.zeros(config.c_dino),
+    # keyword arguments evaluate in order, so the weights draw in field order
+    return HeadParams(
+        config=config,
+        align_w=_uniform_fan_in(rng, (config.c_res, config.c_dino), config.c_res),
+        align_b=np.zeros(config.c_dino),
+        gate_w1=_uniform_fan_in(rng, (h, 2), 2),
+        gate_b1=np.zeros(h),
+        gate_w2=_uniform_fan_in(rng, (h, h), h),
+        gate_b2=np.zeros(h),
+        gate_w3=_uniform_fan_in(rng, (2, h), h),
+        gate_b3=np.zeros(2),
+        cls_w=_uniform_fan_in(rng, (config.c_dino, N_CLASSES), config.c_dino),
+        cls_b=np.zeros(N_CLASSES),
     )
-    gating = GatingParams(
-        w1=_uniform_fan_in(rng, (h, 2), 2),
-        b1=np.zeros(h),
-        w2=_uniform_fan_in(rng, (h, h), h),
-        b2=np.zeros(h),
-        w3=_uniform_fan_in(rng, (2, h), h),
-        b3=np.zeros(2),
-    )
-    cls_w = _uniform_fan_in(rng, (config.c_dino, config.n_classes), config.c_dino)
-    cls_b = np.zeros(config.n_classes)
-    return HeadParams(config=config, align=align, gating=gating, cls_w=cls_w, cls_b=cls_b)
 
 
 def _dropout_masks(rng_seed: int, shape: tuple[int, ...], rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -209,47 +189,41 @@ def _dropout_masks(rng_seed: int, shape: tuple[int, ...], rate: float) -> tuple[
     return masks[0], masks[1]
 
 
-def _gate_core(x: np.ndarray, g: GatingParams, dropout: float, training: bool, rng_seed: int) -> dict:
+def _gate_core(x: np.ndarray, p: HeadParams, training: bool, rng_seed: int) -> dict:
     """Gating network on a batched 2-channel sequence x of shape (N, 2, C)."""
     n, _, c = x.shape
+    dropout = p.config.dropout
     if training and dropout > 0.0:
-        m1, m2 = _dropout_masks(rng_seed, (n, g.b1.size, c), dropout)
+        m1, m2 = _dropout_masks(rng_seed, (n, p.gate_b1.size, c), dropout)
     else:
         m1 = m2 = None
-    h1 = g.w1 @ x
-    h1 += g.b1[:, None]
+    h1 = p.gate_w1 @ x
+    h1 += p.gate_b1[:, None]
     a1d = np.maximum(h1, 0.0)
     if m1 is not None:
         a1d *= m1
-    h2 = g.w2 @ a1d
-    h2 += g.b2[:, None]
+    h2 = p.gate_w2 @ a1d
+    h2 += p.gate_b2[:, None]
     a2d = np.maximum(h2, 0.0)
     if m2 is not None:
         a2d *= m2
-    s = g.w3 @ a2d
-    s += g.b3[:, None]
+    s = p.gate_w3 @ a2d
+    s += p.gate_b3[:, None]
     s -= s.max(axis=1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=1, keepdims=True)
     return {"x": x, "h1": h1, "a1d": a1d, "m1": m1, "h2": h2, "a2d": a2d, "m2": m2, "s": s}
 
 
-def _as_batch(bundle: FeatureBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+def _forward(params: HeadParams, bundle: FeatureBundle, training: bool, rng_seed: int) -> dict:
     fc = np.asarray(bundle.f_cls, dtype=np.float64)
-    gd = np.asarray(bundle.f_grid_dino, dtype=np.float64)
-    gr = np.asarray(bundle.f_grid_res, dtype=np.float64)
-    single = fc.ndim == 1
-    if single:
-        fc, gd, gr = fc[None], gd[None], gr[None]
-    return fc, gd, gr, single
-
-
-def _forward(params: HeadParams, fc, gd, gr, training: bool, rng_seed: int) -> dict:
-    pooled_r = gr.mean(axis=(1, 2))
-    f_dino = fc + gd.mean(axis=(1, 2))
-    f_res = pooled_r @ params.align.w + params.align.b
+    if fc.ndim != 2:
+        raise ValueError(f"f_cls must be an (N, C) batch, got shape {fc.shape}")
+    pooled_r = np.asarray(bundle.f_grid_res, dtype=np.float64).mean(axis=(1, 2))
+    f_dino = fc + np.asarray(bundle.f_grid_dino, dtype=np.float64).mean(axis=(1, 2))
+    f_res = pooled_r @ params.align_w + params.align_b
     x = np.stack([f_dino, f_res], axis=1)
-    cache = _gate_core(x, params.gating, params.config.dropout, training, rng_seed)
+    cache = _gate_core(x, params, training, rng_seed)
     s = cache["s"]
     a_dino, a_res = s[:, 0, :], s[:, 1, :]
     f_fus = a_dino * f_dino + a_res * f_res
@@ -267,27 +241,36 @@ def _forward(params: HeadParams, fc, gd, gr, training: bool, rng_seed: int) -> d
 def head_forward(
     params: HeadParams, bundle: FeatureBundle, training: bool = False, rng_seed: int = 0
 ) -> ForwardPass:
-    """Full forward pass; single samples come back without the batch axis."""
-    fc, gd, gr, single = _as_batch(bundle)
-    c = _forward(params, fc, gd, gr, training, rng_seed)
-    pick = (lambda a: a[0]) if single else (lambda a: a)
+    """Full forward pass over a batch; raises ValueError unless ``f_cls`` is 2-D."""
+    c = _forward(params, bundle, training, rng_seed)
     return ForwardPass(
-        f_dino=pick(c["f_dino"]), f_res=pick(c["f_res"]),
-        a_dino=pick(c["a_dino"]), a_res=pick(c["a_res"]),
-        f_fus=pick(c["f_fus"]), logits=pick(c["logits"]), probs=pick(c["probs"]),
+        f_dino=c["f_dino"], f_res=c["f_res"], a_dino=c["a_dino"], a_res=c["a_res"],
+        f_fus=c["f_fus"], logits=c["logits"], probs=c["probs"],
     )
 
 
-def _loss_and_grads(
-    params: HeadParams, fc, gd, gr, truths: np.ndarray,
-    training: bool, rng_seed: int, reduction: str,
+def backward(
+    bundle: FeatureBundle,
+    truths,
+    params: HeadParams,
+    training: bool = False,
+    rng_seed: int = 0,
+    reduction: str = "sum",
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Batched analytic backward pass. ``reduction`` 'sum' or 'mean' sets how
-    per-sample gradients combine; single samples with 'sum' give the plain
-    per-sample gradient."""
-    n = fc.shape[0]
-    c = _forward(params, fc, gd, gr, training, rng_seed)
+    """Cross-entropy loss of a batch and its analytic gradient for every parameter.
+
+    ``truths`` holds one label per row of ``bundle``; any other shape raises
+    ValueError rather than broadcasting. ``reduction`` 'sum' or 'mean' sets how the per-sample losses and gradients
+    combine. Recomputes the forward pass internally; with ``training=True``
+    the same ``rng_seed`` reproduces the dropout masks, so gradients always
+    match the forward pass they belong to.
+    """
+    truths = np.asarray(truths, dtype=np.int64)
+    c = _forward(params, bundle, training, rng_seed)
     probs = c["probs"]
+    n = probs.shape[0]
+    if truths.shape != (n,):
+        raise ValueError(f"truths must hold one label per row: {n} rows, truths of shape {truths.shape}")
     losses = -np.log(np.maximum(probs[np.arange(n), truths], LOSS_FLOOR))
     loss = float(losses.mean() if reduction == "mean" else losses.sum())
 
@@ -301,34 +284,31 @@ def _loss_and_grads(
     g_cls_b = g_logits.sum(axis=0)
     g_ffus = g_logits @ params.cls_w.T
 
-    f_dino, f_res = c["f_dino"], c["f_res"]
-    a_dino, a_res, s = c["a_dino"], c["a_res"], c["s"]
-
     # Fusion product: gradient reaches the gates and, directly, both branches.
-    g_z = np.stack([g_ffus * f_dino, g_ffus * f_res], axis=1)
+    g_z = np.stack([g_ffus * c["f_dino"], g_ffus * c["f_res"]], axis=1)
     # Softmax across the 2-channel axis: dL/dz = s * (g - sum_c g_c s_c).
+    s = c["s"]
     g_z -= (g_z * s).sum(axis=1, keepdims=True)
     g_z *= s
 
-    gt = params.gating
     g_b3 = g_z.sum(axis=(0, 2))
     g_w3 = (g_z @ c["a2d"].transpose(0, 2, 1)).sum(axis=0)
-    g_h2 = gt.w3.T @ g_z
+    g_h2 = params.gate_w3.T @ g_z
     if c["m2"] is not None:
         g_h2 *= c["m2"]
     g_h2 *= c["h2"] > 0
     g_b2 = g_h2.sum(axis=(0, 2))
     g_w2 = (g_h2 @ c["a1d"].transpose(0, 2, 1)).sum(axis=0)
-    g_h1 = gt.w2.T @ g_h2
+    g_h1 = params.gate_w2.T @ g_h2
     if c["m1"] is not None:
         g_h1 *= c["m1"]
     g_h1 *= c["h1"] > 0
     g_b1 = g_h1.sum(axis=(0, 2))
     g_w1 = (g_h1 @ c["x"].transpose(0, 2, 1)).sum(axis=0)
-    g_x = gt.w1.T @ g_h1
+    g_x = params.gate_w1.T @ g_h1
 
-    g_fdino = g_ffus * a_dino + g_x[:, 0, :]
-    g_fres = g_ffus * a_res + g_x[:, 1, :]
+    # f_dino has no parameters upstream, so only the conv branch carries on
+    g_fres = g_ffus * c["a_res"] + g_x[:, 1, :]
 
     g_align_w = c["pooled_r"].T @ g_fres
     g_align_b = g_fres.sum(axis=0)
@@ -346,26 +326,6 @@ def _loss_and_grads(
         "cls_b": g_cls_b,
     }
     return loss, grads
-
-
-def backward(
-    bundle: FeatureBundle,
-    truth,
-    params: HeadParams,
-    training: bool = False,
-    rng_seed: int = 0,
-    reduction: str = "sum",
-) -> dict[str, np.ndarray]:
-    """Analytic gradients of the cross-entropy loss for every parameter.
-
-    Recomputes the forward pass internally; with ``training=True`` the same
-    ``rng_seed`` reproduces the dropout masks, so gradients always match the
-    forward pass they belong to.
-    """
-    fc, gd, gr, single = _as_batch(bundle)
-    truths = np.atleast_1d(np.asarray(truth, dtype=np.int64))
-    _, grads = _loss_and_grads(params, fc, gd, gr, truths, training, rng_seed, reduction)
-    return grads
 
 
 @dataclass
@@ -409,13 +369,13 @@ def adam_step(
 def grad_check(
     params: HeadParams,
     bundle: FeatureBundle,
-    truth: int,
+    truths,
     step: float = 1e-5,
     rng_seed: int = 0,
     training: bool = False,
 ) -> float:
     """Max relative error between analytic and central finite-difference
-    gradients over every parameter entry.
+    gradients of the summed loss of a batch over every parameter entry.
 
     Relative error uses max(|analytic| + |numeric|, 1e-6) in the denominator
     so vanishing gradients compare on an absolute scale.
@@ -434,14 +394,13 @@ def grad_check(
     whose step crosses no kink use the central difference at ``step``
     unchanged.
     """
-    fc, gd, gr, _ = _as_batch(bundle)
-    truths = np.atleast_1d(np.asarray(truth, dtype=np.int64))
+    truths = np.asarray(truths, dtype=np.int64)
 
     def probe() -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         """Loss at the current params and the ReLU pattern of h1 and h2."""
-        c = _forward(params, fc, gd, gr, training, rng_seed)
+        c = _forward(params, bundle, training, rng_seed)
         probs = c["probs"]
-        loss = float(-np.log(np.maximum(probs[np.arange(fc.shape[0]), truths], LOSS_FLOOR)).sum())
+        loss = float(-np.log(np.maximum(probs[np.arange(truths.size), truths], LOSS_FLOOR)).sum())
         return loss, (c["h1"] > 0, c["h2"] > 0)
 
     def keeps(pattern: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -468,7 +427,7 @@ def grad_check(
         finally:
             arr[ix] = orig
 
-    grads = backward(bundle, truth, params, training=training, rng_seed=rng_seed, reduction="sum")
+    _, grads = backward(bundle, truths, params, training=training, rng_seed=rng_seed, reduction="sum")
     loss0, base = probe()
     min_step = step / 2.0**KINK_HALVINGS
     worst = 0.0
@@ -586,15 +545,13 @@ def train_toy(spec: TrainSpec) -> TrainResult:
         epoch_loss = 0.0
         for start in range(0, n_train, spec.batch_size):
             idx = order[start : start + spec.batch_size]
-            fc = train_fb.f_cls[idx]
-            gd = train_fb.f_grid_dino[idx]
-            gr = train_fb.f_grid_res[idx]
+            batch = FeatureBundle(train_fb.f_cls[idx], train_fb.f_grid_dino[idx], train_fb.f_grid_res[idx])
             step_seed = (dropout_seed + 1000003 * global_step) % (2**63)
             # Divergence is detected by the explicit finiteness check below;
             # silence numpy's intermediate warnings from non-finite arithmetic.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = _loss_and_grads(
-                    params, fc, gd, gr, y_train[idx],
+                loss, grads = backward(
+                    batch, y_train[idx], params,
                     training=params.config.dropout > 0, rng_seed=step_seed, reduction="mean",
                 )
             if not math.isfinite(loss):
@@ -629,7 +586,7 @@ def params_to_json(params: HeadParams) -> str:
             "grid_res": list(params.config.grid_res),
             "hidden": params.config.hidden,
             "dropout": params.config.dropout,
-            "n_classes": params.config.n_classes,
+            "n_classes": N_CLASSES,
         },
         "params": {
             name: {"shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}

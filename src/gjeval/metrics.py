@@ -61,7 +61,6 @@ class RateCI:
     hi: float | None = None
     raw_lo: float | None = None
     raw_hi: float | None = None
-    n: float | None = None
 
     @property
     def defined(self) -> bool:
@@ -85,7 +84,6 @@ def rate_ci(num: float, den: float) -> RateCI:
         hi=min(1.0, p + half),
         raw_lo=p - half,
         raw_hi=p + half,
-        n=den,
     )
 
 

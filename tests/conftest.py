@@ -15,7 +15,7 @@ import pytest
 import gjeval.cli
 import gjeval.data
 from gjeval import Dataset, HeadConfig, HeadParams, ParseError, Readers
-from gjeval.fusion import AlignParams, GatingParams
+from gjeval.fusion import N_CLASSES
 
 # The class label tokens the input format accepts, matched case-insensitively
 # after stripping: display names, slugs and indices.
@@ -132,25 +132,15 @@ def params_from_json(text: str) -> HeadParams:
     if doc.get("format") != "gjeval-head-v1":
         raise ValueError(f"unsupported head format {doc.get('format')!r}")
     cfg = doc["config"]
+    if cfg.pop("n_classes") != N_CLASSES:
+        raise ValueError(f"the head has {N_CLASSES} classes")
     for grid in ("grid_dino", "grid_res"):
         cfg[grid] = tuple(cfg[grid])
-    config = HeadConfig(**cfg)
-
-    def arr(name: str) -> np.ndarray:
-        entry = doc["params"][name]
-        return np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-
-    return HeadParams(
-        config=config,
-        align=AlignParams(w=arr("align_w"), b=arr("align_b")),
-        gating=GatingParams(
-            w1=arr("gate_w1"), b1=arr("gate_b1"),
-            w2=arr("gate_w2"), b2=arr("gate_b2"),
-            w3=arr("gate_w3"), b3=arr("gate_b3"),
-        ),
-        cls_w=arr("cls_w"),
-        cls_b=arr("cls_b"),
-    )
+    params = {
+        name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        for name, entry in doc["params"].items()
+    }
+    return HeadParams(config=HeadConfig(**cfg), **params)
 
 
 def make_dataset(truths, probs, patient_ids=None) -> Dataset:

@@ -292,9 +292,7 @@ def test_criterion_7_fusion_head_verification():
         for _, arr in params.param_items():
             arr += gen.normal(scale=0.05, size=arr.shape)
         fb, labels = make_synthetic_features(cfg, 1, separation=2.0, seed=trial)
-        one = FeatureBundle(fb.f_cls[0], fb.f_grid_dino[0], fb.f_grid_res[0])
-        err = grad_check(params, one, int(labels[0]),
-                         rng_seed=trial, training=cfg.dropout > 0)
+        err = grad_check(params, fb, labels, rng_seed=trial, training=cfg.dropout > 0)
         worst_grad = max(worst_grad, err)
     ok_grad = worst_grad < 1e-4
 
@@ -307,7 +305,7 @@ def test_criterion_7_fusion_head_verification():
         nb = int(gen.integers(1, 9))
         fb, labels = make_synthetic_features(cfg, nb, separation=1.0, seed=trial)
         fp = head_forward(params, fb)
-        grads = backward(fb, labels, params, reduction="sum")
+        _, grads = backward(fb, labels, params, reduction="sum")
         onehot = np.zeros((nb, 3))
         onehot[np.arange(nb), labels] = 1.0
         expect = (fp.probs - onehot).sum(axis=0)

@@ -206,7 +206,9 @@ class TestReaderPooling:
         assert pool.truths.size == 2 * n  # two trainees
         assert sorted(set(pool.reader_ids)) == ["t1", "t2"]
         by_img = dict(zip(small_dataset.image_ids, small_dataset.pred.tolist()))
-        for img, mp in zip(pool.image_ids, pool.model_preds):
+        cell = [c[3] for c in reader_calls(small_dataset) if c[1] == "trainee"]
+        assert [small_dataset.image_ids[r] for r in pool.rows.tolist()] == cell
+        for img, mp in zip(cell, pool.model_preds):
             assert mp == int(by_img[img])
 
     def test_mean_elapsed(self, small_dataset):
@@ -250,7 +252,7 @@ class TestReaderPooling:
         calls = reader_calls(small_dataset)[::-1]
         pool = pooled(make_readers(calls), small_dataset, "trainee", "A")
         cell = [c for c in calls if c[1] == "trainee"]
-        assert pool.image_ids == tuple(c[3] for c in cell)
+        assert [small_dataset.image_ids[r] for r in pool.rows.tolist()] == [c[3] for c in cell]
         assert pool.reader_preds.tolist() == [c[4] for c in cell]
 
 
@@ -282,19 +284,20 @@ class TestReaderReports:
 
     def test_group_vs_group_matches_nested_loop(self, small_dataset, rng):
         ids = small_dataset.image_ids
+        cells = (("trainee", "A"), ("expert", "B"))
         for _ in range(50):
             calls = [
                 (f"r{int(rng.integers(0, 4))}{group}", group, arm, ids[int(rng.integers(0, 9))],
                  int(rng.integers(0, 3)), 1.0)
-                for group, arm in (("trainee", "A"), ("expert", "B"))
+                for group, arm in cells
                 for _ in range(int(rng.integers(1, 15)))
             ]
             calls = list({(c[0], c[3]): c for c in calls}.values())
-            x, y = (pooled(make_readers(calls), small_dataset, *cell)
-                    for cell in (("trainee", "A"), ("expert", "B")))
+            x, y = (pooled(make_readers(calls), small_dataset, *cell) for cell in cells)
+            calls_x, calls_y = ([c for c in calls if c[1:3] == cell] for cell in cells)
             a, b = [], []
-            for img_y, pred_y in zip(y.image_ids, y.reader_preds.tolist()):
-                for img_x, pred_x in zip(x.image_ids, x.reader_preds.tolist()):
+            for _, _, _, img_y, pred_y, _ in calls_y:
+                for _, _, _, img_x, pred_x, _ in calls_x:
                     if img_x == img_y:
                         a.append(pred_x)
                         b.append(pred_y)

@@ -1,10 +1,12 @@
-"""The exported API: every name an ``__all__`` lists is defined, and every
-name a library module exports has a caller in the package."""
+"""The exported API: every name an ``__all__`` lists is defined, every
+name a library module exports has a caller in the package, and every function
+the benchmark's tracer wraps exists."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -51,3 +53,19 @@ def test_every_export_is_used_in_the_package():
     assert len([names for names in exported.values() if names]) >= 6  # the six library modules
     unused = {f"{stem}.{name}" for stem, names in exported.items() for name in names if name not in loaded}
     assert unused == set()
+
+
+def test_traced_targets_resolve():
+    """Each target in ``perfbench/spans.py`` is a callable where it says, so a
+    rename fails here and not only in a traced benchmark run. The file is
+    loaded by path and left as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for module, attr, _, _ in spans.TARGETS:
+        owner, name = spans._owner(module, attr)
+        if not callable(vars(owner).get(name)):
+            missing.append(f"{module}.{attr}")
+    assert len(spans.TARGETS) > 0 and missing == []

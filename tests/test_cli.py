@@ -318,9 +318,9 @@ class TestExitCodes:
         correct = fusion_mod.backward
 
         def skewed_backward(*args, **kwargs):
-            grads = correct(*args, **kwargs)
+            loss, grads = correct(*args, **kwargs)
             grads["gate_w2"] = grads["gate_w2"] * 1.01
-            return grads
+            return loss, grads
 
         args = ["fusion-demo", "--dim", "8", "--hidden", "3", "--epochs", "1",
                 "--batch", "64", "--grad-check"]

@@ -28,7 +28,7 @@ from gjeval import (
     params_to_json,
     train_toy,
 )
-from gjeval.fusion import _accuracy, _loss_and_grads, make_synthetic_features
+from gjeval.fusion import N_CLASSES, _accuracy, make_synthetic_features
 
 TINY = HeadConfig(c_dino=6, c_res=5, grid_dino=(2, 2), grid_res=(3, 2), hidden=4, dropout=0.0)
 
@@ -52,17 +52,19 @@ def jitter(params: HeadParams, seed: int) -> HeadParams:
 
 
 def single(fb: FeatureBundle, i: int) -> FeatureBundle:
-    return FeatureBundle(fb.f_cls[i], fb.f_grid_dino[i], fb.f_grid_res[i])
+    """Row ``i`` of ``fb`` as a batch of one."""
+    rows = slice(i, i + 1)
+    return FeatureBundle(fb.f_cls[rows], fb.f_grid_dino[rows], fb.f_grid_res[rows])
 
 
 def central_difference(params: HeadParams, one: FeatureBundle, label: int,
                        arr: np.ndarray, ix, step: float = 1e-5) -> float:
-    """Plain central difference of the single-sample loss in ``arr[ix]``."""
+    """Plain central difference of the loss of a one-sample batch in ``arr[ix]``."""
     orig = arr[ix]
     losses = []
     for value in (orig + step, orig - step):
         arr[ix] = value
-        losses.append(-math.log(head_forward(params, one).probs[label]))
+        losses.append(-math.log(head_forward(params, one).probs[0, label]))
     arr[ix] = orig
     return (losses[0] - losses[1]) / (2.0 * step)
 
@@ -83,16 +85,15 @@ def oracle_forward(params: HeadParams, fb: FeatureBundle, training: bool, rng_se
     fc, gd, gr = (np.asarray(a, dtype=np.float64) for a in (fb.f_cls, fb.f_grid_dino, fb.f_grid_res))
     pooled_r = gr.mean(axis=(1, 2))
     f_dino = fc + gd.mean(axis=(1, 2))
-    f_res = pooled_r @ params.align.w + params.align.b
+    f_res = pooled_r @ params.align_w + params.align_b
     x = np.stack([f_dino, f_res], axis=1)
-    g = params.gating
     n, _, c = x.shape
-    h1 = np.einsum("ac,ncx->nax", g.w1, x) + g.b1[None, :, None]
-    m1, m2 = oracle_masks(rng_seed, (n, g.b1.size, c), params.config.dropout) if training else (None, None)
+    h1 = np.einsum("ac,ncx->nax", params.gate_w1, x) + params.gate_b1[None, :, None]
+    m1, m2 = oracle_masks(rng_seed, (n, params.gate_b1.size, c), params.config.dropout) if training else (None, None)
     a1d = np.maximum(h1, 0.0) if m1 is None else np.maximum(h1, 0.0) * m1
-    h2 = np.einsum("ab,nbx->nax", g.w2, a1d) + g.b2[None, :, None]
+    h2 = np.einsum("ab,nbx->nax", params.gate_w2, a1d) + params.gate_b2[None, :, None]
     a2d = np.maximum(h2, 0.0) if m2 is None else np.maximum(h2, 0.0) * m2
-    z = np.einsum("ab,nbx->nax", g.w3, a2d) + g.b3[None, :, None]
+    z = np.einsum("ab,nbx->nax", params.gate_w3, a2d) + params.gate_b3[None, :, None]
     e = np.exp(z - z.max(axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
     a_dino, a_res = s[:, 0, :], s[:, 1, :]
@@ -117,16 +118,15 @@ def oracle_backward(params: HeadParams, fb: FeatureBundle, labels: np.ndarray,
     g_ffus = g_logits @ params.cls_w.T
     g_s = np.stack([g_ffus * c["f_dino"], g_ffus * c["f_res"]], axis=1)
     g_z = c["s"] * (g_s - (g_s * c["s"]).sum(axis=1, keepdims=True))
-    g = params.gating
-    g_a2 = np.einsum("ab,nax->nbx", g.w3, g_z)
+    g_a2 = np.einsum("ab,nax->nbx", params.gate_w3, g_z)
     if c["m2"] is not None:
         g_a2 = g_a2 * c["m2"]
     g_h2 = g_a2 * (c["h2"] > 0)
-    g_a1 = np.einsum("ab,nax->nbx", g.w2, g_h2)
+    g_a1 = np.einsum("ab,nax->nbx", params.gate_w2, g_h2)
     if c["m1"] is not None:
         g_a1 = g_a1 * c["m1"]
     g_h1 = g_a1 * (c["h1"] > 0)
-    g_x = np.einsum("ac,nax->ncx", g.w1, g_h1)
+    g_x = np.einsum("ac,nax->ncx", params.gate_w1, g_h1)
     g_fres = g_ffus * c["a_res"] + g_x[:, 1, :]
     return {
         "align_w": c["pooled_r"].T @ g_fres,
@@ -180,7 +180,7 @@ class TestEinsumOracle:
                 assert_close_to_oracle(getattr(fp, name), ref[name], name)
             for reduction in ("sum", "mean"):
                 ref_g = oracle_backward(params, fb, labels, training, seed, reduction)
-                grads = backward(fb, labels, params, training=training, rng_seed=seed, reduction=reduction)
+                _, grads = backward(fb, labels, params, training=training, rng_seed=seed, reduction=reduction)
                 for name, arr in params.param_items():
                     assert grads[name].shape == arr.shape
                     assert_close_to_oracle(grads[name], ref_g[name], name)
@@ -190,7 +190,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = HeadConfig()
         assert cfg.c_dino == 64 and cfg.c_res == 96
-        assert cfg.hidden == 8 and cfg.dropout == 0.1 and cfg.n_classes == 3
+        assert cfg.hidden == 8 and cfg.dropout == 0.1 and N_CLASSES == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -209,19 +209,19 @@ class TestInit:
     def test_bounds_and_zero_biases(self):
         params = init_head(TINY, seed=0)
         lim_align = math.sqrt(1.0 / TINY.c_res)
-        assert np.all(np.abs(params.align.w) <= lim_align)
-        assert np.all(params.align.b == 0)
+        assert np.all(np.abs(params.align_w) <= lim_align)
+        assert np.all(params.align_b == 0)
         assert np.all(params.cls_b == 0)
-        assert np.all(params.gating.b1 == 0)
+        assert np.all(params.gate_b1 == 0)
         lim_g1 = math.sqrt(1.0 / 2)
-        assert np.all(np.abs(params.gating.w1) <= lim_g1)
+        assert np.all(np.abs(params.gate_w1) <= lim_g1)
 
     def test_shapes(self):
         params = init_head(TINY, seed=0)
-        assert params.align.w.shape == (5, 6)
-        assert params.gating.w1.shape == (4, 2)
-        assert params.gating.w2.shape == (4, 4)
-        assert params.gating.w3.shape == (2, 4)
+        assert params.align_w.shape == (5, 6)
+        assert params.gate_w1.shape == (4, 2)
+        assert params.gate_w2.shape == (4, 4)
+        assert params.gate_w3.shape == (2, 4)
         assert params.cls_w.shape == (6, 3)
 
 
@@ -241,7 +241,7 @@ class TestForwardIdentities:
         gr = rng.normal(size=(4, 3, 2, 5))
         fp = head_forward(params, FeatureBundle(fc, gd, gr))
         pooled = gr.mean(axis=(1, 2))
-        assert np.allclose(fp.f_res, pooled @ params.align.w + params.align.b)
+        assert np.allclose(fp.f_res, pooled @ params.align_w + params.align_b)
         assert fp.f_res.shape == (4, 6)
 
     def test_gates_sum_to_one_and_fusion_between_inputs(self, rng):
@@ -259,15 +259,26 @@ class TestForwardIdentities:
             hi = np.maximum(fp.f_dino, fp.f_res)
             assert np.all(fp.f_fus >= lo - 1e-12) and np.all(fp.f_fus <= hi + 1e-12)
 
-    def test_single_sample_equals_batch_row(self, rng):
+    def test_sample_without_batch_axis_rejected(self):
         params = init_head(TINY, seed=3)
-        fb, labels = random_bundle(TINY, 4, seed=9)
-        batch = head_forward(params, fb)
-        for i in range(4):
-            one = head_forward(params, single(fb, i))
-            assert np.allclose(one.probs, batch.probs[i], atol=1e-14)
-            assert np.allclose(one.f_fus, batch.f_fus[i], atol=1e-14)
-            assert one.probs.ndim == 1
+        fb, labels = random_bundle(TINY, 1, seed=9)
+        one = FeatureBundle(fb.f_cls[0], fb.f_grid_dino[0], fb.f_grid_res[0])
+        for call in (
+            lambda: head_forward(params, one),
+            lambda: backward(one, labels, params),
+            lambda: grad_check(params, one, labels),
+        ):
+            with pytest.raises(ValueError, match="f_cls"):
+                call()
+
+    def test_truths_need_one_label_per_row(self):
+        params = init_head(TINY, seed=3)
+        fb, labels = random_bundle(TINY, 5, seed=9)
+        for truths in (labels[0], labels[:1], labels[:4], labels[:, None]):
+            with pytest.raises(ValueError, match="one label per row"):
+                backward(fb, truths, params)
+            with pytest.raises(ValueError, match="one label per row"):
+                grad_check(params, fb, truths)
 
     def test_probs_normalized(self, rng):
         params = init_head(TINY, seed=5)
@@ -291,31 +302,30 @@ class TestForwardIdentities:
         any convex gate returns it, and the classifier is the identity."""
         cfg = HeadConfig(c_dino=3, c_res=3, grid_dino=(1, 1), grid_res=(1, 1), hidden=2, dropout=0.0)
         params = init_head(cfg, seed=0)
-        params.align.w[:] = 0.0
-        params.align.b[:] = [1.0, 0.0, 0.0]
+        params.align_w[:] = 0.0
+        params.align_b[:] = [1.0, 0.0, 0.0]
         params.cls_w[:] = np.eye(3)
         params.cls_b[:] = 0.0
-        one = FeatureBundle(np.array([1.0, 0.0, 0.0]), np.zeros((1, 1, 3)), np.zeros((1, 1, 3)))
+        one = FeatureBundle(np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 1, 1, 3)), np.zeros((1, 1, 1, 3)))
         return params, one
 
     @staticmethod
     def loss(params: HeadParams, one: FeatureBundle, label: int) -> float:
-        fc, gd, gr = one.f_cls[None], one.f_grid_dino[None], one.f_grid_res[None]
-        return _loss_and_grads(params, fc, gd, gr, np.array([label]), False, 0, "sum")[0]
+        return backward(one, [label], params)[0]
 
     def test_softmax_hand_value(self):
         # softmax(1, 0, 0) and its cross entropy against class 1
         params, one = self.one_hot_head()
         fp = head_forward(params, one)
-        assert fp.f_fus == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
-        assert fp.probs == pytest.approx([0.5761, 0.2119, 0.2119], abs=1e-4)
+        assert fp.f_fus[0] == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+        assert fp.probs[0] == pytest.approx([0.5761, 0.2119, 0.2119], abs=1e-4)
         assert self.loss(params, one, 1) == pytest.approx(1.5514, abs=1e-4)
 
     def test_ce_loss_floor(self):
         # a true-class probability that underflows to 0 costs -log(1e-12)
         params, one = self.one_hot_head()
         params.cls_b[:] = [1000.0, 0.0, 0.0]
-        assert head_forward(params, one).probs[1] == 0.0
+        assert head_forward(params, one).probs[0, 1] == 0.0
         assert self.loss(params, one, 1) == pytest.approx(-math.log(1e-12))
 
     def test_dropout_zero_training_equals_eval(self):
@@ -358,10 +368,7 @@ class TestGradients:
             )
             params = jitter(init_head(cfg, seed=trial), seed=500 + trial)
             fb, labels = random_bundle(cfg, 1, seed=100 + trial)
-            err = grad_check(
-                params, single(fb, 0), int(labels[0]),
-                rng_seed=trial, training=cfg.dropout > 0,
-            )
+            err = grad_check(params, fb, labels, rng_seed=trial, training=cfg.dropout > 0)
             worst = max(worst, err)
         assert worst < 1e-4
 
@@ -375,7 +382,7 @@ class TestGradients:
         params = init_head(TINY, seed=3)
         fb, labels = random_bundle(TINY, 6, seed=4)
         fp = head_forward(params, fb)
-        grads = backward(fb, labels, params, reduction="sum")
+        _, grads = backward(fb, labels, params, reduction="sum")
         onehot = np.zeros((6, 3))
         onehot[np.arange(6), labels] = 1.0
         expect = (fp.probs - onehot).sum(axis=0)
@@ -384,18 +391,19 @@ class TestGradients:
     def test_mean_reduction_scales(self):
         params = init_head(TINY, seed=3)
         fb, labels = random_bundle(TINY, 4, seed=4)
-        g_sum = backward(fb, labels, params, reduction="sum")
-        g_mean = backward(fb, labels, params, reduction="mean")
+        loss_sum, g_sum = backward(fb, labels, params, reduction="sum")
+        loss_mean, g_mean = backward(fb, labels, params, reduction="mean")
+        assert loss_mean == pytest.approx(loss_sum / 4, rel=1e-12)
         for name, _ in params.param_items():
             assert np.allclose(g_mean[name], g_sum[name] / 4, atol=1e-12)
 
     def test_sum_over_singles_equals_batch(self):
         params = init_head(TINY, seed=6)
         fb, labels = random_bundle(TINY, 3, seed=7)
-        batch = backward(fb, labels, params, reduction="sum")
+        _, batch = backward(fb, labels, params, reduction="sum")
         total = {name: np.zeros_like(arr) for name, arr in params.param_items()}
         for i in range(3):
-            g = backward(single(fb, i), int(labels[i]), params, reduction="sum")
+            _, g = backward(single(fb, i), labels[i : i + 1], params, reduction="sum")
             for name in total:
                 total[name] += g[name]
         for name in total:
@@ -405,53 +413,50 @@ class TestGradients:
         cfg = HeadConfig(c_dino=5, c_res=4, hidden=3, dropout=0.5)
         params = jitter(init_head(cfg, seed=8), seed=608)
         fb, labels = random_bundle(cfg, 1, seed=9)
-        err = grad_check(params, single(fb, 0), int(labels[0]), rng_seed=21, training=True)
+        err = grad_check(params, fb, labels, rng_seed=21, training=True)
         assert err < 1e-4
 
     @pytest.mark.parametrize("bias", ["b1", "b2"])
     def test_step_straddling_relu_kink_is_shrunk(self, bias):
         params = jitter(init_head(TINY, seed=1), seed=601)
         fb, labels = random_bundle(TINY, 1, seed=2)
-        one, label = single(fb, 0), int(labels[0])
         # put pre-activation (unit 0, position 0) 4e-6 above its kink, so the
         # default step of 1e-5 on that unit's bias crosses it going down
-        fp = head_forward(params, one)
-        g = params.gating
-        h1 = g.w1 @ np.stack([fp.f_dino, fp.f_res]) + g.b1[:, None]
-        h2 = g.w2 @ np.maximum(h1, 0.0) + g.b2[:, None]
+        fp = head_forward(params, fb)
+        h1 = params.gate_w1 @ np.stack([fp.f_dino, fp.f_res], axis=1) + params.gate_b1[:, None]
+        h2 = params.gate_w2 @ np.maximum(h1, 0.0) + params.gate_b2[:, None]
         pre = h1 if bias == "b1" else h2
-        arr = getattr(g, bias)
-        arr[0] += 4e-6 - pre[0, 0]
-        naive = central_difference(params, one, label, arr, 0)
-        analytic = backward(one, label, params)[f"gate_{bias}"][0]
+        arr = getattr(params, f"gate_{bias}")
+        arr[0] += 4e-6 - pre[0, 0, 0]
+        naive = central_difference(params, fb, int(labels[0]), arr, 0)
+        analytic = backward(fb, labels, params)[1][f"gate_{bias}"][0]
         assert abs(naive - analytic) / (abs(naive) + abs(analytic)) > 1e-2
-        assert grad_check(params, one, label) < 1e-4
+        assert grad_check(params, fb, labels) < 1e-4
 
     def test_point_on_relu_kink_takes_the_side_of_the_analytic_slope(self):
         params = jitter(init_head(TINY, seed=1), seed=601)
         fb, labels = random_bundle(TINY, 1, seed=2)
-        one, label = single(fb, 0), int(labels[0])
         # a dead hidden unit with a zero bias: h2[0] is exactly 0 everywhere,
         # so a step up in b2[0] switches it on at any step size
-        params.gating.w2[0] = 0.0
-        params.gating.b2[0] = 0.0
-        assert backward(one, label, params)["gate_b2"][0] == 0.0
-        assert abs(central_difference(params, one, label, params.gating.b2, 0)) > 1e-3
-        assert grad_check(params, one, label) < 1e-4
+        params.gate_w2[0] = 0.0
+        params.gate_b2[0] = 0.0
+        assert backward(fb, labels, params)[1]["gate_b2"][0] == 0.0
+        assert abs(central_difference(params, fb, int(labels[0]), params.gate_b2, 0)) > 1e-3
+        assert grad_check(params, fb, labels) < 1e-4
 
     @pytest.mark.parametrize("name", [name for name, _ in init_head(TINY).param_items()])
     def test_wrong_gradient_exceeds_tolerance(self, name, monkeypatch):
         import gjeval.fusion as fusion_mod
 
         def skewed_backward(*args, **kwargs):
-            grads = backward(*args, **kwargs)
+            loss, grads = backward(*args, **kwargs)
             grads[name] = grads[name] * 1.01
-            return grads
+            return loss, grads
 
         params = jitter(init_head(TINY, seed=1), seed=601)
         fb, labels = random_bundle(TINY, 1, seed=2)
         monkeypatch.setattr(fusion_mod, "backward", skewed_backward)
-        assert grad_check(params, single(fb, 0), int(labels[0])) > 1e-4
+        assert grad_check(params, fb, labels) > 1e-4
 
 
 class TestAdam:
