@@ -140,14 +140,19 @@ def _forked_files(mr: MetricReport) -> tuple[str, ...]:
     return ("roc_micro.csv", "pr_micro.csv")
 
 
-def _read_text(path: Path) -> str:
-    """An input file's UTF-8 text, with CRLF and lone CR read as LF. Bytes
-    that are not UTF-8 raise a ParseError naming their line."""
+def _read_text(path: Path, name: str, inputs: dict[str, tuple[Path, str]]) -> str:
+    """An input file's UTF-8 text, with CRLF and lone CR read as LF. The file
+    is read once, so a pipe works too: ``inputs[name]`` is set to the path and
+    the sha256 of the bytes read. Bytes that are not UTF-8 raise a ParseError
+    naming their line."""
+    data = path.read_bytes()
+    inputs[name] = (path, rpt.sha256_bytes(data))
     try:
-        return path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = 1 + len(re.findall(rb"\r\n?|\n", exc.object[: exc.start]))
         raise ParseError(str(exc), line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _report_files(mr: MetricReport, svg: bool = False) -> dict[str, str | Iterator[str]]:
@@ -172,8 +177,8 @@ def _has_undefined(mr: MetricReport) -> bool:
 
 
 def cmd_evaluate(args) -> int:
-    pred_path = Path(args.pred)
-    ds = parse_predictions(_read_text(pred_path), strict=args.strict)
+    pred_path, inputs = Path(args.pred), {}
+    ds = parse_predictions(_read_text(pred_path, "pred", inputs), strict=args.strict)
     mr = aggregate.evaluate(ds, level=args.level)
     if args.strict and _has_undefined(mr):
         _err("metric degeneracy (zero-denominator ratio) in strict mode")
@@ -189,7 +194,7 @@ def cmd_evaluate(args) -> int:
     doc = rpt.build_report_doc(
         kind="evaluate",
         config=config,
-        inputs={"pred": pred_path},
+        inputs=inputs,
         results={"dataset": summarize(ds).as_dict(), "report": mr.as_dict()},
         stamp=_stamp(args),
     )
@@ -200,9 +205,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    path_a, path_b = Path(args.pred_a), Path(args.pred_b)
-    ds_a = parse_predictions(_read_text(path_a))
-    ds_b = parse_predictions(_read_text(path_b))
+    path_a, path_b, inputs = Path(args.pred_a), Path(args.pred_b), {}
+    ds_a = parse_predictions(_read_text(path_a, "pred_a", inputs))
+    ds_b = parse_predictions(_read_text(path_b, "pred_b", inputs))
     joined = aggregate.join_predictions(ds_a, ds_b)
     tests = [
         bowker_test(np.stack((joined.preds_a, joined.preds_b), axis=1)),
@@ -236,7 +241,7 @@ def cmd_compare(args) -> int:
     doc = rpt.build_report_doc(
         kind="compare",
         config=config,
-        inputs={"pred_a": path_a, "pred_b": path_b},
+        inputs=inputs,
         results=results,
         stamp=_stamp(args),
     )
@@ -245,9 +250,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_readers(args) -> int:
-    pred_path, readers_path = Path(args.pred), Path(args.readers)
-    model = parse_predictions(_read_text(pred_path))
-    readers = parse_readers(_read_text(readers_path))
+    pred_path, readers_path, inputs = Path(args.pred), Path(args.readers), {}
+    model = parse_predictions(_read_text(pred_path, "pred", inputs))
+    readers = parse_readers(_read_text(readers_path, "readers", inputs))
     cells = [READER_CELLS[c] for c in np.flatnonzero(np.bincount(readers.cells())).tolist()]
     rows = aggregate.reader_rows(readers, model)
     pooled = {cell: aggregate.pool_readers(readers, model, *cell, rows) for cell in cells}
@@ -301,7 +306,7 @@ def cmd_readers(args) -> int:
     doc = rpt.build_report_doc(
         kind="readers",
         config=config,
-        inputs={"pred": pred_path, "readers": readers_path},
+        inputs=inputs,
         results=results,
         stamp=_stamp(args),
     )
@@ -314,8 +319,8 @@ def cmd_readers(args) -> int:
 
 
 def cmd_kfold(args) -> int:
-    pred_path = Path(args.pred)
-    ds = parse_predictions(_read_text(pred_path))
+    pred_path, inputs = Path(args.pred), {}
+    ds = parse_predictions(_read_text(pred_path, "pred", inputs))
     spec = kfold_split(ds, k=args.k, unit=args.by, seed=args.seed)
     sizes = spec.fold_sizes()
     per_fold = []
@@ -348,7 +353,7 @@ def cmd_kfold(args) -> int:
     doc = rpt.build_report_doc(
         kind="kfold",
         config=config,
-        inputs={"pred": pred_path},
+        inputs=inputs,
         results=results,
         stamp=_stamp(args),
     )

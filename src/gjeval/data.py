@@ -182,9 +182,8 @@ class Dataset:
         image_ids = tuple(image_ids)
         row_patients = tuple(patient_ids)
         n = len(image_ids)
-        patients = tuple(dict.fromkeys(row_patients))
-        position = dict(zip(patients, count()))
-        codes = np.fromiter(map(position.__getitem__, row_patients), np.int64, n)
+        patients: dict[str, int] = {}
+        codes = _id_codes(row_patients, patients)
         first_row = np.unique(codes, return_index=True)[1].astype(np.int64)
         truth = np.asarray(truth, dtype=np.int64).reshape(n)
         probs = np.asarray(probs, dtype=np.float64).reshape(n, 3)
@@ -208,7 +207,7 @@ class Dataset:
                 arr.flags.writeable = False
         return cls(
             image_ids=image_ids,
-            patient_ids=patients,
+            patient_ids=tuple(patients),
             center=_optional(center),
             modality=_optional(modality),
             sex=_optional(sex),

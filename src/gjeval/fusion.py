@@ -67,7 +67,9 @@ HEAD_FORMAT = "gjeval-head-v1"
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# grad_check halves a kink-straddling step at most this often (1e-5 -> ~1e-8)
+# grad_check's finite-difference step, and how often it halves one that
+# straddles a kink (1e-5 -> ~1e-8)
+GRAD_CHECK_STEP = 1e-5
 KINK_HALVINGS = 10
 
 
@@ -370,7 +372,6 @@ def grad_check(
     params: HeadParams,
     bundle: FeatureBundle,
     truths,
-    step: float = 1e-5,
     rng_seed: int = 0,
     training: bool = False,
 ) -> float:
@@ -391,8 +392,8 @@ def grad_check(
     difference on that side (at the largest step that side kept), the side
     whose slope the analytic gradient (ReLU'(0) = 0) takes; if neither side
     ever kept it, with the central difference at the smallest step. Entries
-    whose step crosses no kink use the central difference at ``step``
-    unchanged.
+    whose step crosses no kink use the central difference at
+    ``GRAD_CHECK_STEP`` unchanged.
     """
     truths = np.asarray(truths, dtype=np.int64)
 
@@ -408,7 +409,7 @@ def grad_check(
 
     def numeric_at(arr: np.ndarray, ix: tuple) -> float:
         orig = arr[ix]
-        delta = step
+        delta = GRAD_CHECK_STEP
         one_sided = None
         try:
             while True:
@@ -421,7 +422,7 @@ def grad_check(
                     return (up - down) / (2.0 * delta)
                 if one_sided is None and (up_keeps or down_keeps):
                     one_sided = (up - loss0) / delta if up_keeps else (loss0 - down) / delta
-                if delta <= min_step:
+                if delta <= GRAD_CHECK_STEP / 2.0**KINK_HALVINGS:
                     return one_sided if one_sided is not None else (up - down) / (2.0 * delta)
                 delta /= 2.0
         finally:
@@ -429,7 +430,6 @@ def grad_check(
 
     _, grads = backward(bundle, truths, params, training=training, rng_seed=rng_seed, reduction="sum")
     loss0, base = probe()
-    min_step = step / 2.0**KINK_HALVINGS
     worst = 0.0
     for name, arr in params.param_items():
         g = grads[name]

@@ -37,8 +37,7 @@ __all__ = [
     "class_stats",
     "macro_stats",
     "cohen_kappa",
-    "roc_points",
-    "pr_points",
+    "curve_pair",
     "micro_curves",
     "binary_scored",
     "repr_runs",
@@ -365,14 +364,13 @@ def _validate_scored(scores, labels, weights):
     return s, y, w, pos, neg
 
 
-def roc_points(scores, labels, weights=None) -> CurveSeries:
-    """ROC curve with tie grouping and trapezoidal AUC.
-
-    The trapezoid over grouped ties makes the area equal the Mann-Whitney
-    statistic with half credit for ties.
-    """
-    s, y, w, pos, neg = _validate_scored(scores, labels, weights)
-    thr, cum_pos, cum_all = _grouped_sweep(s, y, w)
+# perfbench/spans.py wraps roc_points and pr_points by name: each runs once
+# per curve set, as the two derivations of the set's one sweep.
+def roc_points(sweep, pos: float, neg: float) -> CurveSeries:
+    """ROC curve of a ``_grouped_sweep`` over ``pos`` positive and ``neg``
+    negative mass, with trapezoidal AUC: over grouped ties it equals the
+    Mann-Whitney statistic with half credit for ties."""
+    thr, cum_pos, cum_all = sweep
     tpr = np.concatenate(([0.0], cum_pos / pos))
     fpr = np.concatenate(([0.0], (cum_all - cum_pos) / neg))
     thresholds = np.concatenate(([np.inf], thr))
@@ -380,16 +378,24 @@ def roc_points(scores, labels, weights=None) -> CurveSeries:
     return CurveSeries(kind="ROC", x=fpr, y=tpr, thresholds=thresholds, area=area)
 
 
-def pr_points(scores, labels, weights=None) -> CurveSeries:
-    """Precision-recall curve; area is non-interpolated average precision
-    (sum of precision times recall increment over tie groups)."""
-    s, y, w, pos, _ = _validate_scored(scores, labels, weights)
-    thr, cum_pos, cum_all = _grouped_sweep(s, y, w)
-    recall = cum_pos / pos
+def pr_points(sweep, roc: CurveSeries) -> CurveSeries:
+    """Precision-recall curve of the sweep that gave ``roc``; area is
+    non-interpolated average precision (sum of precision times recall
+    increment over tie groups). Recall and thresholds are views of the ROC
+    TPR and thresholds without the origin; only precision is a new array."""
+    _, cum_pos, cum_all = sweep
     precision = cum_pos / cum_all
-    d_recall = np.diff(np.concatenate(([0.0], recall)))
-    area = float(np.sum(precision * d_recall))
-    return CurveSeries(kind="PR", x=recall, y=precision, thresholds=thr, area=area)
+    area = float(np.sum(precision * np.diff(roc.y)))
+    return CurveSeries(kind="PR", x=roc.y[1:], y=precision, thresholds=roc.thresholds[1:], area=area)
+
+
+def curve_pair(scores, labels, weights=None) -> tuple[CurveSeries, CurveSeries]:
+    """ROC and PR curves of binary labels, from one validated sweep of the
+    scores (see ``roc_points`` and ``pr_points``)."""
+    s, y, w, pos, neg = _validate_scored(scores, labels, weights)
+    sweep = _grouped_sweep(s, y, w)
+    roc = roc_points(sweep, pos, neg)
+    return roc, pr_points(sweep, roc)
 
 
 def micro_curves(
@@ -414,7 +420,7 @@ def micro_curves(
         w = None
     else:
         w = np.repeat(np.asarray(weights, dtype=np.float64), 3)
-    return roc_points(scores, labels, w), pr_points(scores, labels, w)
+    return curve_pair(scores, labels, w)
 
 
 @dataclass(frozen=True)
@@ -493,7 +499,7 @@ def compute_report(
                     curves[name] = micro_curves(p, t, w)
                 else:
                     y = (t == k).astype(np.float64)
-                    curves[name] = roc_points(p[:, k], y, w), pr_points(p[:, k], y, w)
+                    curves[name] = curve_pair(p[:, k], y, w)
             except ValueError as exc:
                 warnings.append(f"curves for {name} skipped: {exc}")
 

@@ -24,7 +24,6 @@ from .metrics import CurveSeries, MetricReport, repr_runs
 __all__ = [
     "REPORT_SCHEMA_ID",
     "sha256_bytes",
-    "sha256_file",
     "config_hash",
     "build_report_doc",
     "dump_json",
@@ -35,20 +34,11 @@ __all__ = [
 ]
 
 REPORT_SCHEMA_ID = "gjeval-report-v1"
-_HASH_BLOCK = 1 << 20  # bytes of an input file hashed at a time
 _CURVE_BLOCK_ROWS = 8192  # curve points formatted at a time
 
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(_HASH_BLOCK), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def config_hash(config: dict) -> str:
@@ -59,19 +49,21 @@ def config_hash(config: dict) -> str:
 def build_report_doc(
     kind: str,
     config: dict,
-    inputs: dict[str, str | Path],
+    inputs: dict[str, tuple[str | Path, str]],
     results: dict,
     stamp: str | None = None,
 ) -> dict:
-    """Assemble the top-level report document in canonical key order."""
+    """Assemble the top-level report document in canonical key order.
+    ``inputs`` maps each input's name to its path and the sha256 of the
+    bytes that were read from it."""
     doc = {
         "schema": REPORT_SCHEMA_ID,
         "kind": kind,
         "config": config,
         "config_sha256": config_hash(config),
         "inputs": {
-            name: {"path": str(path), "sha256": sha256_file(path)}
-            for name, path in inputs.items()
+            name: {"path": str(path), "sha256": digest}
+            for name, (path, digest) in inputs.items()
         },
     }
     if stamp is not None:

@@ -198,7 +198,7 @@ def test_criterion_5_symmetry_test_and_special_functions():
 
 
 def test_criterion_6_metric_property_suite():
-    from gjeval import roc_points
+    from gjeval import curve_pair
 
     t0 = time.perf_counter()
     gen = np.random.default_rng(31)
@@ -232,11 +232,11 @@ def test_criterion_6_metric_property_suite():
         y = (truths == 0).astype(float)
         if 0 < y.sum() < n:
             scores = probs[:, 0]
-            base = roc_points(scores, y).area
-            mono = roc_points(np.exp(3.0 * scores), y).area
+            base = curve_pair(scores, y)[0].area
+            mono = curve_pair(np.exp(3.0 * scores), y)[0].area
             assert abs(base - mono) <= 1e-12, i
             perm = gen.permutation(n)
-            shuf = roc_points(scores[perm], y[perm]).area
+            shuf = curve_pair(scores[perm], y[perm])[0].area
             assert abs(base - shuf) <= 1e-12, i
 
         # p-values from the paired tests stay in [0, 1]

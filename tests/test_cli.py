@@ -7,9 +7,11 @@ import csv
 import importlib.metadata
 import importlib.resources
 import json
+import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -19,7 +21,7 @@ from conftest import params_from_json
 
 from gjeval.cli import _write_outputs, main
 from gjeval.data import FoldSpec, parse_predictions, serialize_predictions
-from gjeval.report import _HASH_BLOCK, dump_json, sha256_file
+from gjeval.report import dump_json
 
 
 def report_schema() -> dict:
@@ -156,14 +158,36 @@ class TestEvaluate:
         want = hashlib.sha256(pred_csv.read_bytes()).hexdigest()
         assert doc["inputs"]["pred"]["sha256"] == want
 
-    @pytest.mark.parametrize("size", [0, _HASH_BLOCK, _HASH_BLOCK + 1])
-    def test_input_hashed_in_blocks(self, tmp_path, size):
+    def test_fifo_input_is_read_and_hashed_once(self, pred_csv, tmp_path):
+        # a FIFO yields its bytes to one reader only: a second open for the
+        # digest would block for want of a writer
         import hashlib
 
-        path = tmp_path / "input.bin"
-        data = bytes(range(256)) * (size // 256) + bytes(size % 256)
-        path.write_bytes(data)
-        assert sha256_file(path) == hashlib.sha256(data).hexdigest()
+        data = pred_csv.read_bytes()
+        fifo, out = tmp_path / "pred.fifo", tmp_path / "ev"
+        os.mkfifo(fifo)
+        proc = subprocess.Popen([sys.executable, "-m", "gjeval", "evaluate", "--pred", str(fifo),
+                                 "--out", str(out)], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        deadline = time.monotonic() + 30
+        try:
+            while True:  # opening to write without blocking fails until the CLI opens to read
+                try:
+                    fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+                    break
+                except OSError:
+                    assert proc.poll() is None and time.monotonic() < deadline, "the CLI did not open the FIFO"
+                    time.sleep(0.01)
+            os.set_blocking(fd, True)
+            with open(fd, "wb") as fh:
+                fh.write(data)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["inputs"]["pred"] == {"path": str(fifo), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 class TestExitCodes:

@@ -21,12 +21,12 @@ from gjeval import (
     cohen_kappa,
     compute_report,
     confusion_matrix,
+    curve_pair,
     macro_stats,
     micro_curves,
-    pr_points,
     rate_ci,
-    roc_points,
 )
+from gjeval import metrics
 from gjeval.metrics import ConfusionMatrix
 from gjeval.report import curve_csvs
 
@@ -214,7 +214,7 @@ class TestCohenKappa:
 
 class TestROC:
     def test_known_points(self):
-        roc = roc_points(np.array([0.9, 0.8, 0.4, 0.2]), np.array([1, 1, 0, 1], float))
+        roc = curve_pair(np.array([0.9, 0.8, 0.4, 0.2]), np.array([1, 1, 0, 1], float))[0]
         assert roc.x[0] == 0.0 and roc.y[0] == 0.0
         assert roc.thresholds[0] == math.inf
         assert roc.x[-1] == 1.0 and roc.y[-1] == 1.0
@@ -228,7 +228,7 @@ class TestROC:
                 continue
             # coarse grid scores force ties
             scores = rng.integers(0, 6, n) / 5.0
-            roc = roc_points(scores, labels)
+            roc = curve_pair(scores, labels)[0]
             assert roc.area == pytest.approx(brute_auc(scores, labels), abs=1e-12)
 
     def test_monotone_transform_invariance(self, rng):
@@ -238,8 +238,8 @@ class TestROC:
             if labels.sum() in (0, n):
                 continue
             scores = rng.random(n)
-            a1 = roc_points(scores, labels).area
-            a2 = roc_points(np.exp(3 * scores) + 7, labels).area
+            a1 = curve_pair(scores, labels)[0].area
+            a2 = curve_pair(np.exp(3 * scores) + 7, labels)[0].area
             assert a1 == pytest.approx(a2, abs=1e-12)
 
     def test_permutation_invariance(self, rng):
@@ -248,8 +248,8 @@ class TestROC:
         labels[0] = 1
         labels[1] = 0
         perm = rng.permutation(25)
-        a1 = roc_points(scores, labels)
-        a2 = roc_points(scores[perm], labels[perm])
+        a1 = curve_pair(scores, labels)[0]
+        a2 = curve_pair(scores[perm], labels[perm])[0]
         assert a1.area == pytest.approx(a2.area, abs=1e-12)
         assert np.allclose(a1.x, a2.x) and np.allclose(a1.y, a2.y)
 
@@ -261,23 +261,23 @@ class TestROC:
                 continue
             scores = rng.integers(0, 4, n) / 3.0
             weights = rng.uniform(0.1, 3.0, n)
-            roc = roc_points(scores, labels, weights=weights)
+            roc = curve_pair(scores, labels, weights=weights)[0]
             assert roc.area == pytest.approx(
                 brute_weighted_auc(scores, labels, weights), abs=1e-10
             )
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            roc_points(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
+            curve_pair(np.array([0.1, 0.2]), np.array([1.0, 1.0]))[0]
 
     def test_all_tied_scores(self):
-        roc = roc_points(np.full(6, 0.5), np.array([1, 0, 1, 0, 1, 0], float))
+        roc = curve_pair(np.full(6, 0.5), np.array([1, 0, 1, 0, 1, 0], float))[0]
         assert roc.area == pytest.approx(0.5)
 
 
 class TestPR:
     def test_known_ap(self):
-        pr = pr_points(np.array([0.9, 0.8, 0.4, 0.2]), np.array([1, 1, 0, 1], float))
+        pr = curve_pair(np.array([0.9, 0.8, 0.4, 0.2]), np.array([1, 1, 0, 1], float))[1]
         # steps: recall 1/3 @ prec 1, 2/3 @ prec 1, 3/3 @ prec 3/4
         assert pr.area == pytest.approx(1 / 3 + 1 / 3 + 0.25)
 
@@ -288,13 +288,13 @@ class TestPR:
             if labels.sum() == 0:
                 continue
             scores = rng.integers(0, 6, n) / 5.0
-            pr = pr_points(scores, labels)
+            pr = curve_pair(scores, labels)[1]
             assert pr.area == pytest.approx(brute_average_precision(scores, labels), abs=1e-12)
 
     def test_perfect_ranking_ap_is_one(self):
         scores = np.array([0.9, 0.8, 0.2, 0.1])
         labels = np.array([1, 1, 0, 0], float)
-        assert pr_points(scores, labels).area == pytest.approx(1.0)
+        assert curve_pair(scores, labels)[1].area == pytest.approx(1.0)
 
 
 class TestMicroCurves:
@@ -308,9 +308,9 @@ class TestMicroCurves:
             for k in range(3):
                 flat_scores.append(probs[i, k])
                 flat_labels.append(1.0 if truths[i] == k else 0.0)
-        expect = roc_points(np.array(flat_scores), np.array(flat_labels))
+        expect = curve_pair(np.array(flat_scores), np.array(flat_labels))[0]
         assert roc.area == pytest.approx(expect.area, abs=1e-12)
-        expect_pr = pr_points(np.array(flat_scores), np.array(flat_labels))
+        expect_pr = curve_pair(np.array(flat_scores), np.array(flat_labels))[1]
         assert pr.area == pytest.approx(expect_pr.area, abs=1e-12)
 
     def test_class_curves_are_one_vs_rest(self, rng):
@@ -319,9 +319,45 @@ class TestMicroCurves:
         rep = compute_report(truths, probs.argmax(axis=1), probs=probs)
         roc, pr = rep.curves[ClassLabel.EEGJA.slug]
         labels = (truths == 1).astype(float)
-        for got, want in ((roc, roc_points(probs[:, 1], labels)), (pr, pr_points(probs[:, 1], labels))):
+        for got, want in ((roc, curve_pair(probs[:, 1], labels)[0]), (pr, curve_pair(probs[:, 1], labels)[1])):
             assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
             assert np.array_equal(got.thresholds, want.thresholds) and got.area == want.area
+
+
+class TestCurvePair:
+    @pytest.fixture
+    def calls(self, monkeypatch) -> dict[str, int]:
+        """Counts of the validation and sweep runs, by function name."""
+        counts = {"_validate_scored": 0, "_grouped_sweep": 0}
+        for name in counts:
+            original = getattr(metrics, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(metrics, name, counted)
+        return counts
+
+    def test_one_validation_and_one_sweep_per_set(self, rng, calls):
+        scores, labels = rng.random(30), (rng.random(30) < 0.4).astype(float)
+        labels[:2] = 1, 0
+        curve_pair(scores, labels)
+        assert calls == {"_validate_scored": 1, "_grouped_sweep": 1}
+        truths = np.array([0, 1, 2] * 10)
+        probs = rng.dirichlet(np.ones(3), truths.size)
+        compute_report(truths, probs.argmax(axis=1), probs=probs)
+        # the micro set and the three class sets
+        assert calls == {"_validate_scored": 1 + 4, "_grouped_sweep": 1 + 4}
+
+    def test_pr_recall_and_thresholds_are_roc_views(self, rng):
+        scores = rng.integers(0, 8, 40) / 7.0
+        labels = (rng.random(40) < 0.5).astype(float)
+        labels[:2] = 1, 0
+        roc, pr = curve_pair(scores, labels, weights=rng.uniform(0.5, 2.0, 40))
+        assert np.shares_memory(pr.x, roc.y) and np.shares_memory(pr.thresholds, roc.thresholds)
+        assert not np.shares_memory(pr.y, roc.y)
+        assert np.array_equal(pr.x, roc.y[1:]) and np.array_equal(pr.thresholds, roc.thresholds[1:])
 
 
 class TestComputeReport:
