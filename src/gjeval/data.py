@@ -53,7 +53,7 @@ READER_GROUPS = ("trainee", "competent", "expert")
 READER_ARMS = ("A", "B")
 READER_CELLS = tuple((g, a) for g in READER_GROUPS for a in READER_ARMS)  # by cell code
 _BOM = "\ufeff"  # a byte order mark, as spreadsheet exports write it
-_BLOCK_ROWS = 8192  # data lines (or csv records) tokenized and validated at a time
+_BLOCK_ROWS = 8192  # data lines (or csv records, blank ones too) tokenized and validated at a time
 # A plain predictions text of at least this many characters is parsed in two
 # processes (``parse_predictions``): a fork costs a few ms that a small text
 # does not win back. In-process medians over 15 alternating pairs on a 2-core
@@ -69,11 +69,12 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]').search  # a written field holding one of these is quoted
 # the ASCII characters str.strip removes but CR and LF, which no plain field holds
 _ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
-# one block of data rows: the file line of its first row, columns by header
-# name, the blank lines skipped, the bad row's (line, message) that ends it
-_Rows = tuple[int, dict[str, list[str]], list[int], tuple[int, str] | None]
-# what a run of blocks of prediction rows gives (``_prediction_rows``)
-_PredictionRows = tuple[list[str], dict[str, list], dict[str, list[np.ndarray]], list[int]]
+# one block of data rows: the file line each row starts on, columns by header name
+_Rows = tuple[Sequence[int], dict[str, list[str]]]
+# what one block's checks give: its first failing row, its text columns and its arrays
+_Checked = tuple["_FirstFailure", dict[str, Iterable[str]], dict[str, np.ndarray]]
+# what ``_read_rows`` gathers: text columns, each block's arrays, each block's row lines
+_Gathered = tuple[dict[str, list], dict[str, list[np.ndarray]], list[Sequence[int]]]
 
 
 class ClassLabel(IntEnum):
@@ -325,14 +326,11 @@ class _FirstFailure:
             if "" in col:
                 self.check(np.fromiter(map(len, col), np.int64, len(col)) == 0, lambda i, name=name: f"empty {name}")
 
-    def raise_first(self, first: int, blanks: list[int], bad_row: tuple[int, str] | None) -> None:
-        """Raise the first failing row's error: a checked fault, else the bad
-        row. The checks ran on a block that starts on file line ``first`` and
-        skipped the blank lines ``blanks``."""
+    def raise_first(self, lines: Sequence[int]) -> None:
+        """Raise the first failing row's error, if any, at its file line:
+        the checks ran on rows that start on file lines ``lines``."""
         if self.index is not None:
-            raise ParseError(self.message, _line_of(self.index, blanks, first))
-        if bad_row is not None:
-            raise ParseError(bad_row[1], bad_row[0])
+            raise ParseError(self.message, lines[self.index])
 
 
 @contextmanager
@@ -354,8 +352,8 @@ def _gc_paused():
 def _table(source: str) -> tuple[list[str], int | None, Iterator[_Rows]]:
     """The stripped header fields; the offset of the first data line when
     the text is plain (see below), None otherwise; and the data rows in
-    blocks of at most ``_BLOCK_ROWS`` lines. A leading byte order mark is
-    ignored.
+    blocks of at most ``_BLOCK_ROWS`` lines or ``csv`` records. A leading
+    byte order mark is ignored.
 
     When the text has no quote, CR or NUL (a CR ends a line for ``csv``;
     Python 3.10's ``csv`` rejects NUL) and its header line has a comma and
@@ -378,7 +376,7 @@ def _table(source: str) -> tuple[list[str], int | None, Iterator[_Rows]]:
         raise ParseError("empty file") from None
     except csv.Error as exc:
         raise ParseError(str(exc), 1) from None
-    return header, None, _data_rows(reader, header, 2)
+    return header, None, _data_rows(reader, header, 1)
 
 
 def _plain_blocks(source: str, pos: int, stop: int, line: int, header: list[str]) -> Iterator[_Rows]:
@@ -403,7 +401,7 @@ def _plain_blocks(source: str, pos: int, stop: int, line: int, header: list[str]
         lines = source[pos:block_end].split("\n")
         first, line, pos = line, line + len(lines), block_end + 1
         if set(map(str.count, lines, repeat(","))) == {commas} and max(map(len, lines)) <= limit:
-            yield first, _split_columns(lines, header), [], None
+            yield range(first, line), _split_columns(lines, header)
         else:
             yield from _data_rows(csv.reader(lines), header, first)
         del lines  # before the next block's lines are made
@@ -421,54 +419,64 @@ def _split_columns(lines: list[str], header: list[str]) -> dict[str, list[str]]:
 
 
 def _data_rows(reader, header: list[str], line: int) -> Iterator[_Rows]:
-    """The records of a ``csv`` reader, the first on file line ``line``, in
-    blocks of at most ``_BLOCK_ROWS`` up to the first bad one. Each block
-    holds the file line of its first record, its rows as stripped columns,
-    one per header name, and the file lines of the blank lines skipped among
-    them; the last block ends at the bad row's (line, message). A row is bad
-    when its field count is wrong or ``csv`` rejects it, e.g. for a field
-    over ``csv.field_size_limit()``."""
-    rows, blanks, bad_row = [], [], None
-    row_no = line - 1
+    """The records of a ``csv`` reader whose first line is file line
+    ``line``, in blocks of ``_BLOCK_ROWS`` records, blank ones counted but
+    skipped. Each block holds the file line each row starts on (a range when
+    they follow one another) and the rows as stripped columns, one per header
+    name. A bad record ends them: its field count is wrong or ``csv`` rejects
+    it, e.g. for a field over ``csv.field_size_limit()``. The block of rows
+    before it is yielded, then its ParseError raised at the line it starts on."""
+    rows: list[list[str]] = []
+    starts: list[int] = []
+    records = 0
+    bad = None
+    start = line + reader.line_num
     try:
-        for row_no, raw in enumerate(reader, start=line):
+        for raw in reader:
             if len(raw) == len(header):
                 rows.append(raw)
-            elif not raw or (len(raw) == 1 and not raw[0].strip()):
-                blanks.append(row_no)
-            else:
-                bad_row = (row_no, f"expected {len(header)} fields, got {len(raw)}")
+                starts.append(start)
+            elif raw and (len(raw) > 1 or raw[0].strip()):  # not a blank line
+                bad = ParseError(f"expected {len(header)} fields, got {len(raw)}", start)
                 break
-            if len(rows) + len(blanks) == _BLOCK_ROWS:
-                yield line, _columns(rows, header), blanks, None
-                rows, blanks, line = [], [], row_no + 1
+            records += 1
+            if records == _BLOCK_ROWS:
+                yield _csv_block(starts, rows, header)
+                rows, starts, records = [], [], 0
+            start = line + reader.line_num
     except csv.Error as exc:
-        bad_row = (row_no + 1, str(exc))
-    if rows or blanks or bad_row:
-        yield line, _columns(rows, header), blanks, bad_row
+        bad = ParseError(str(exc), start)
+    if records or bad is not None:
+        yield _csv_block(starts, rows, header)
+    if bad is not None:
+        raise bad
 
 
-def _columns(rows: list[list[str]], header: list[str]) -> dict[str, list[str]]:
-    """The stripped columns of ``csv`` rows, one per header name."""
+def _csv_block(starts: list[int], rows: list[list[str]], header: list[str]) -> _Rows:
+    """A block of ``csv`` rows that start on file lines ``starts``: those
+    lines, as a range when they follow one another, and the stripped
+    columns, one per header name."""
+    if starts and starts[-1] - starts[0] == len(starts) - 1:
+        starts = range(starts[0], starts[-1] + 1)
     columns = zip(*rows) if rows else [()] * len(header)
-    return {name: list(map(str.strip, col)) for name, col in zip(header, columns)}
+    return starts, {name: list(map(str.strip, col)) for name, col in zip(header, columns)}
 
 
-def _line_of(index: int, blanks: list[int], first: int = 2) -> int:
-    """File line of data row ``index`` of rows that start on line ``first``,
-    given the (sorted) blank lines among them."""
-    line = index + first
-    for blank in blanks:
-        if blank > line:
-            break
-        line += 1
-    return line
+def _check_header(header: list[str], base: tuple[str, ...]) -> list[str]:
+    """The columns of ``header`` after ``base``, which it must start with."""
+    if tuple(header[: len(base)]) != base:
+        raise ParseError(f"header must start with {','.join(base)}; got {','.join(header)}")
+    return header[len(base) :]
 
 
-def _prediction_block(cols: dict[str, list[str]], strict: bool) -> tuple[_FirstFailure, dict[str, np.ndarray]]:
-    """The first failing row of one block of prediction columns, and the
-    block's true labels, probabilities (renormalized where the sum drifts
-    within tolerance), ages (when the file has them) and renormalized rows."""
+def _prediction_block(
+    cols: dict[str, list[str]], strict: bool, names: tuple[str, ...], shared: dict[str, str | None]
+) -> _Checked:
+    """The first failing row of one block of prediction columns; its image
+    ids and its text columns ``names``, with each distinct value as the one
+    object ``shared`` holds (None for a blank); and its true labels,
+    probabilities (renormalized where the sum drifts within tolerance), ages
+    (when the file has them) and renormalized rows."""
     n = len(cols["image_id"])
     fail = _FirstFailure()
     fail.empty(cols, ("image_id", "patient_id"))
@@ -499,31 +507,27 @@ def _prediction_block(cols: dict[str, list[str]], strict: bool) -> tuple[_FirstF
         fail.check(non_numeric, lambda i: f"non-numeric age {raw[i]!r}")
         fail.check(given & (~np.isfinite(age) | (age < 0)), lambda i: f"age must be finite and non-negative, got {raw[i]!r}")
         arrays["age"] = age
-    return fail, arrays
+    texts = {name: map(shared.setdefault, cols[name], cols[name]) for name in names}
+    return fail, {"image_id": cols["image_id"], **texts}, arrays
 
 
-def _prediction_rows(blocks: Iterable[_Rows], names: tuple[str, ...], strict: bool) -> _PredictionRows:
-    """Check blocks of prediction rows in order, and gather what the Dataset
-    keeps of them: the image ids; the text columns ``names``, with one
-    string object for each distinct value and None for a blank; each
-    block's arrays from ``_prediction_block``; and the blank lines. The
-    first bad row raises its ParseError."""
-    image_ids: list[str] = []
-    texts: dict[str, list] = {name: [] for name in names}
+def _read_rows(blocks: Iterable[_Rows], check: Callable[[dict[str, list[str]]], _Checked]) -> _Gathered:
+    """Check blocks of data rows in order, and gather what the table keeps
+    of them: the text columns, each block's arrays and each block's row
+    lines. The first bad row raises its ParseError."""
+    texts: dict[str, list] = {}
     arrays: dict[str, list[np.ndarray]] = {}
-    blanks: list[int] = []
-    shared: dict[str, str | None] = {"": None}
-    for first, cols, block_blanks, bad_row in blocks:
-        fail, block = _prediction_block(cols, strict)
-        fail.raise_first(first, block_blanks, bad_row)
-        blanks += block_blanks
-        for name, arr in block.items():
+    lines: list[Sequence[int]] = []
+    for block_lines, cols in blocks:
+        fail, block_texts, block_arrays = check(cols)
+        fail.raise_first(block_lines)
+        for name, col in block_texts.items():
+            texts.setdefault(name, []).extend(col)
+        for name, arr in block_arrays.items():
             arrays.setdefault(name, []).append(arr)
-        image_ids += cols["image_id"]
-        for name, col in texts.items():
-            col += map(shared.setdefault, cols[name], cols[name])
-        del cols  # before the next block is split
-    return image_ids, texts, arrays, blanks
+        lines.append(block_lines)
+        del cols, block_texts  # before the next block is split
+    return texts, arrays, lines
 
 
 def parse_predictions(source: str, strict: bool = False) -> Dataset:
@@ -533,7 +537,8 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     deviations up to 1e-3 are renormalized and tallied on ``Dataset.renormalized``;
     larger deviations are errors in both modes. LF and CRLF line endings are
     accepted, and so is a leading UTF-8 byte order mark. The first bad row is
-    reported, with the first of its faults in the order: field count (or a
+    reported at the file line it starts on (a quoted field may hold a line
+    end), with the first of its faults in the order: field count (or a
     field ``csv`` rejects), empty ``image_id``/``patient_id``, label, each
     probability (number, range), sum, age. When every row passes, a
     duplicated ``image_id`` or a patient with two true labels is reported at
@@ -550,20 +555,20 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     those of reading the text in one process.
     """
     header, body, blocks = _table(source)
-    if tuple(header[: len(PRED_BASE_COLUMNS)]) != PRED_BASE_COLUMNS:
-        raise ParseError(
-            f"header must start with {','.join(PRED_BASE_COLUMNS)}; got {','.join(header)}"
-        )
-    extras = header[len(PRED_BASE_COLUMNS) :]
+    extras = _check_header(header, PRED_BASE_COLUMNS)
     for pos, col in enumerate(extras):
         if col not in PRED_OPT_COLUMNS:
             raise ParseError(f"unknown column {col!r}")
         if col in extras[:pos]:
             raise ParseError(f"duplicate column {col!r}")
     names = tuple(c for c in ("patient_id", "center", "modality", "sex") if c in header)
+    shared: dict[str, str | None] = {"": None}
 
-    def rows(pos: int, stop: int, line: int) -> _PredictionRows:
-        return _prediction_rows(_plain_blocks(source, pos, stop, line, header), names, strict)
+    def check(cols: dict[str, list[str]]) -> _Checked:
+        return _prediction_block(cols, strict, names, shared)
+
+    def rows(pos: int, stop: int, line: int) -> _Gathered:
+        return _read_rows(_plain_blocks(source, pos, stop, line, header), check)
 
     halves = None
     with _gc_paused():
@@ -576,21 +581,19 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
                                             lambda: rows(mid, len(source), 2 + source.count("\n", body, mid)),
                                             kill_on_error=True)
         if halves is None:
-            image_ids, texts, arrays, blanks = _prediction_rows(blocks, names, strict)
+            texts, arrays, lines = _read_rows(blocks, check)
         else:
-            (image_ids, texts, arrays, blanks), (more_ids, more_texts, more_arrays, more_blanks) = halves
-            image_ids += more_ids
-            for name, col in texts.items():
-                col += more_texts[name]
-            for name, arrs in arrays.items():
-                arrs += more_arrays[name]
-            blanks += more_blanks
-    if not image_ids:
+            (texts, arrays, lines), (more_texts, more_arrays, more_lines) = halves
+            for mine, theirs in ((texts, more_texts), (arrays, more_arrays)):
+                for name, items in theirs.items():
+                    mine.setdefault(name, []).extend(items)
+            lines += more_lines
+    if not texts.get("image_id"):
         raise ParseError("no data rows")
     columns = {name: np.concatenate(arrays.pop(name)) for name in list(arrays)}  # each block list freed in turn
     try:
         return Dataset.from_columns(
-            image_ids,
+            texts["image_id"],
             texts["patient_id"],
             columns["truth"],
             columns["probs"],
@@ -601,7 +604,7 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
             renormalized=int(columns["renormalized"].sum()),
         )
     except _CrossRowFault as exc:
-        raise ParseError(str(exc), _line_of(exc.index, blanks)) from None
+        raise ParseError(str(exc), list(chain.from_iterable(lines))[exc.index]) from None
 
 
 def _fmt(v: float) -> str:
@@ -676,7 +679,7 @@ class Readers:
 
 def _reader_block(
     cols: dict[str, list[str]], shared: dict[str, str], codes: dict[str, int], pairs: set[int]
-) -> tuple[_FirstFailure, list[str], list[str], dict[str, np.ndarray]]:
+) -> _Checked:
     """The first failing row of one block of reader columns; its reader and
     image ids, each distinct id as the one object ``shared`` holds; and its
     group, arm, label and time columns. A (reader_id, image_id) pair repeats
@@ -707,7 +710,7 @@ def _reader_block(
     labels = cols["pred_label"]
     arrays["pred"] = pred = _codes(labels, _LABEL_ALIASES)
     fail.check(pred < 0, lambda i: f"unknown class label {labels[i]!r}")
-    return fail, rids, iids, arrays
+    return fail, {"reader_id": rids, "image_id": iids}, arrays
 
 
 def parse_readers(source: str) -> Readers:
@@ -715,8 +718,9 @@ def parse_readers(source: str) -> Readers:
 
     Groups and arms are case-insensitive, and (reader_id, image_id) pairs must
     be unique. LF and CRLF line endings are accepted, and so is a leading
-    UTF-8 byte order mark. The first bad row is reported, with the first of
-    its faults in the order: field count (or a field ``csv`` rejects), empty
+    UTF-8 byte order mark. The first bad row is reported at the file line
+    it starts on (a quoted field may hold a line end), with the first of its
+    faults in the order: field count (or a field ``csv`` rejects), empty
     ``reader_id``/``image_id``, group, arm, duplicate pair, ``elapsed_s``
     (number, range), label.
 
@@ -724,31 +728,18 @@ def parse_readers(source: str) -> Readers:
     and equal image ids share one string object.
     """
     header, _, blocks = _table(source)
-    if tuple(header[: len(READER_BASE_COLUMNS)]) != READER_BASE_COLUMNS:
-        raise ParseError(
-            f"header must start with {','.join(READER_BASE_COLUMNS)}; got {','.join(header)}"
-        )
-    if header[len(READER_BASE_COLUMNS) :] not in ([], ["elapsed_s"]):
-        raise ParseError(f"unexpected trailing columns {header[len(READER_BASE_COLUMNS):]}")
-    reader_ids: list[str] = []
-    image_ids: list[str] = []
-    arrays: dict[str, list[np.ndarray]] = {"group": [], "arm": [], "pred": [], "elapsed_s": []}
+    extras = _check_header(header, READER_BASE_COLUMNS)
+    if extras not in ([], ["elapsed_s"]):
+        raise ParseError(f"unexpected trailing columns {extras}")
     shared: dict[str, str] = {}  # each distinct id once
     codes: dict[str, int] = {}  # a code per distinct id
     pairs: set[int] = set()  # the (reader_id, image_id) pairs read so far, by code
     with _gc_paused():
-        for first, cols, blanks, bad_row in blocks:
-            fail, rids, iids, block = _reader_block(cols, shared, codes, pairs)
-            fail.raise_first(first, blanks, bad_row)
-            for name, arr in block.items():
-                arrays[name].append(arr)
-            reader_ids += rids
-            image_ids += iids
-            del cols  # before the next block is split
-    if not reader_ids:
+        texts, arrays, _ = _read_rows(blocks, lambda cols: _reader_block(cols, shared, codes, pairs))
+    if not texts.get("reader_id"):
         raise ParseError("no data rows")
-    columns = {name: np.concatenate(arrs) if arrs else None for name, arrs in arrays.items()}
-    return Readers(tuple(reader_ids), tuple(image_ids), **columns)
+    columns = {name: np.concatenate(arrs) for name, arrs in arrays.items()}
+    return Readers(tuple(texts["reader_id"]), tuple(texts["image_id"]), **columns)
 
 
 @dataclass(frozen=True)

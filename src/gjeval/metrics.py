@@ -350,6 +350,9 @@ def binary_scored(labels, *scores) -> tuple[np.ndarray, ...]:
 
 
 def _validate_scored(scores, labels, weights):
+    """Checked float64 scores, labels and weights, without the samples of
+    zero weight (they move neither curve, and would give a precision of
+    0/0), and the positive and negative mass."""
     s, y = binary_scored(labels, scores)
     if weights is None:
         w = np.ones(s.size, dtype=np.float64)
@@ -357,6 +360,9 @@ def _validate_scored(scores, labels, weights):
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != s.shape or np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite, non-negative, and match scores")
+        if not w.all():
+            keep = w > 0
+            s, y, w = s[keep], y[keep], w[keep]
     pos = float((w * y).sum())
     neg = float(w.sum() - pos)
     if pos <= 0 or neg <= 0:
@@ -391,7 +397,8 @@ def pr_points(sweep, roc: CurveSeries) -> CurveSeries:
 
 def curve_pair(scores, labels, weights=None) -> tuple[CurveSeries, CurveSeries]:
     """ROC and PR curves of binary labels, from one validated sweep of the
-    scores (see ``roc_points`` and ``pr_points``)."""
+    scores (see ``roc_points`` and ``pr_points``). Samples of zero weight
+    are left out: the curves are those of the other samples."""
     s, y, w, pos, neg = _validate_scored(scores, labels, weights)
     sweep = _grouped_sweep(s, y, w)
     roc = roc_points(sweep, pos, neg)

@@ -6,6 +6,7 @@ step sums) so they share no code path with the implementations under test.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 
@@ -32,6 +33,21 @@ def oracle_label(token: str, row: int | None = None) -> int:
         return LABEL_CODES[token.strip().lower()]
     except KeyError:
         raise ParseError(f"unknown class label {token!r}", row) from None
+
+
+def numbered_records(reader):
+    """Each record of a ``csv`` reader and the file line it starts on (the
+    line after the previous record ends: a quoted field may hold a line
+    end). A record ``csv`` rejects is a ParseError at that line."""
+    while True:
+        line = reader.line_num + 1
+        try:
+            raw = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(str(exc), line) from None
+        yield line, raw
 
 
 def brute_auc(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -3,11 +3,13 @@ report JSON contract (validated against the packaged schema)."""
 
 from __future__ import annotations
 
+import argparse
 import csv
 import importlib.metadata
 import importlib.resources
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -19,9 +21,28 @@ import pytest
 
 from conftest import params_from_json
 
-from gjeval.cli import _write_outputs, main
+from gjeval.cli import _write_outputs, build_parser, main
 from gjeval.data import FoldSpec, parse_predictions, serialize_predictions
 from gjeval.report import dump_json
+
+
+def test_readme_synopsis_names_every_option():
+    """Each subcommand's lines of the README CLI block name each of its options."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    synopsis: dict[str, str] = {}
+    for line in block.splitlines():
+        if line.startswith("gjeval "):
+            command = line.split()[1]
+        if line.strip():
+            synopsis[command] = synopsis.get(command, "") + line + "\n"
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(synopsis)
+    for command, sub in commands.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                if option not in ("-h", "--help"):
+                    assert re.search(rf"(?<![\w-]){option}(?![\w-])", synopsis[command]), (command, option)
 
 
 def report_schema() -> dict:

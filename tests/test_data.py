@@ -36,6 +36,9 @@ def csv_text(*rows: str) -> str:
     return HEADER + "\n" + "\n".join(rows) + "\n"
 
 
+TWO_LINES = '"i\n1",p1,A-EGJA,0.8,0.15,0.05'  # a row whose quoted image_id holds a line end
+
+
 class TestLabels:
     def test_display_and_slug(self):
         assert ClassLabel.AEGJA.display == "A-EGJA"
@@ -212,6 +215,20 @@ class TestParsePredictions:
         with pytest.raises(ParseError, match="^row 7: unknown class label 'nope'$"):
             parse("abad", "pqrq", labels[:3] + ("nope",))
 
+    # the first row holds a line end in a quoted image_id, so it spans two lines
+    @pytest.mark.parametrize(("text", "message"), [
+        (csv_text(TWO_LINES, "i2,p2,nope,0.8,0.15,0.05"), "row 4: unknown class label 'nope'"),
+        (csv_text(TWO_LINES, "i2,p2,control,0.8,0.15"), "row 4: expected 6 fields, got 5"),
+        (csv_text(TWO_LINES, '"i\n1",p2,control,0.1,0.2,0.7'), "row 4: duplicate image_id 'i\\n1'"),
+        (csv_text("", TWO_LINES, "", '"i\n1",p2,control,0.1,0.2,0.7'), "row 6: duplicate image_id 'i\\n1'"),
+    ], ids=["label", "field_count", "duplicate", "duplicate_among_blank_lines"])
+    def test_row_numbers_count_line_ends_in_quoted_fields(self, text, message):
+        """A row is named by the file line it starts on: a line end inside
+        quotes moves every later row down a line."""
+        with pytest.raises(ParseError) as exc:
+            parse_predictions(text)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("collecting", [True, False])
     def test_gc_state_restored_after_failed_parse(self, collecting, monkeypatch):
         before = gc.isenabled()
@@ -355,6 +372,11 @@ class TestReaders:
     def test_leading_byte_order_mark_stripped(self):
         text = "reader_id,group,arm,image_id,pred_label\nr1,expert,B,i1,control\n"
         assert reader_columns(parse_readers("\ufeff" + text)) == reader_columns(parse_readers(text))
+
+    def test_row_numbers_count_line_ends_in_quoted_fields(self):
+        text = f'{READER_HEADER}\n"r\n1",expert,A,i1,A-EGJA\nr2,nope,A,i1,A-EGJA\n'
+        with pytest.raises(ParseError, match=r"^row 4: unknown reader group 'nope'$"):
+            parse_readers(text)
 
     def test_negative_elapsed_rejected(self):
         text = "reader_id,group,arm,image_id,pred_label,elapsed_s\nr1,trainee,A,i1,control,-1\n"
@@ -507,6 +529,20 @@ class TestBlocks:
         # a later row's line counts the blank line
         with pytest.raises(ParseError, match=r"^row 7: unknown class label 'nope'$"):
             parse_predictions(csv_text(rows[0], rows[1], "", *rows[2:4], "i5,p3,nope,0,0,1"))
+
+    def test_csv_block_lines_are_a_range_when_they_follow_one_another(self, monkeypatch):
+        """Rows read by ``csv`` carry the line each starts on, held as a
+        range unless a blank line or a quoted line end breaks the run."""
+        monkeypatch.setattr(gjeval.data, "_BLOCK_ROWS", 3)
+
+        def block_lines(text):
+            reader = csv.reader(io.StringIO(text, newline=""))
+            header = next(reader)
+            return [lines for lines, _ in gjeval.data._data_rows(reader, header, 1)]
+
+        assert block_lines(csv_text(*ROWS)) == [range(2, 5)]
+        assert block_lines(csv_text(ROWS[0], "", *ROWS[1:])) == [[2, 4], range(5, 6)]
+        assert block_lines(csv_text('"i\n1"' + ROWS[0][2:], *ROWS[1:])) == [[2, 4, 5]]
 
     def test_cross_row_faults_across_blocks(self):
         with pytest.raises(ParseError, match=r"^row 5: duplicate image_id 'i1'$"):

@@ -185,14 +185,14 @@ def test_parse_fork_needs_the_size_and_two_cpus(monkeypatch):
 def test_first_half_fault_wins_and_the_child_is_killed(forked_parse, monkeypatch):
     """With a bad row in each half, the first half's is raised at once: the
     child, held up here, is killed and reaped, not waited for."""
-    parent, rows_of = os.getpid(), gjeval.data._prediction_rows
+    parent, rows_of = os.getpid(), gjeval.data._read_rows
 
     def slow_in_child(*args):
         if os.getpid() != parent:
             time.sleep(30)
         return rows_of(*args)
 
-    monkeypatch.setattr(gjeval.data, "_prediction_rows", slow_in_child)
+    monkeypatch.setattr(gjeval.data, "_read_rows", slow_in_child)
     rows = list(ROWS)
     rows[1] = rows[1].replace("A-EGJA", "nope")
     rows[10] = rows[10].replace("control", "bad")
@@ -230,15 +230,28 @@ def test_cross_row_fault_between_the_halves(last, message, forked_parse, monkeyp
     assert serial_outcome(text, monkeypatch) == (f"row 15: {message}", 15)
 
 
+def test_first_half_of_blank_lines(forked_parse, monkeypatch):
+    """A first half that holds only blank lines leaves every row, and the
+    row numbers, to the second."""
+    text = PRED_HEADER + "\n" + (" " * 9 + "\n") * 200 + "\n".join(ROWS) + "\n"
+    assert text.index(ROWS[0]) > 0.8 * len(text)  # far past the middle, where the halves meet
+    assert dataset_columns(parse_predictions(text)) == serial_outcome(text, monkeypatch)
+    text = text.replace("i11,p5", "i00,p9")
+    with pytest.raises(ParseError, match=r"^row 213: duplicate image_id 'i00'$"):
+        parse_predictions(text)
+    assert len(forked_parse) == 2
+    assert serial_outcome(text, monkeypatch) == ("row 213: duplicate image_id 'i00'", 213)
+
+
 def test_parse_child_killed_by_a_signal_is_an_error(tmp_path, forked_parse, monkeypatch, capsys):
-    parent, rows_of = os.getpid(), gjeval.data._prediction_rows
+    parent, rows_of = os.getpid(), gjeval.data._read_rows
 
     def killed_in_child(*args):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
         return rows_of(*args)
 
-    monkeypatch.setattr(gjeval.data, "_prediction_rows", killed_in_child)
+    monkeypatch.setattr(gjeval.data, "_read_rows", killed_in_child)
     pred = tmp_path / "pred.csv"
     pred.write_text(pred_text(ROWS))
     assert main(["evaluate", "--pred", str(pred), "--out", str(tmp_path / "o")]) == 1

@@ -28,6 +28,7 @@ from gjeval import (
 )
 from gjeval import metrics
 from gjeval.metrics import ConfusionMatrix
+from gjeval.report import dump_json
 from gjeval.report import curve_csvs
 
 
@@ -349,6 +350,34 @@ class TestCurvePair:
         compute_report(truths, probs.argmax(axis=1), probs=probs)
         # the micro set and the three class sets
         assert calls == {"_validate_scored": 1 + 4, "_grouped_sweep": 1 + 4}
+
+    def test_zero_weight_samples_move_neither_curve(self, rng):
+        """Samples of zero weight carry no mass: the pair is the pair of the
+        other samples, bit for bit, and its precision is never 0/0."""
+        cases = [(np.array([0.9, 0.8, 0.3, 0.2]), np.array([1.0, 1, 0, 0]), np.array([0.0, 1, 1, 1]))]
+        for _ in range(20):
+            scores = rng.integers(0, 5, 30) / 4.0
+            labels = (rng.random(30) < 0.5).astype(float)
+            labels[:2] = 1, 0
+            cases.append((scores, labels, rng.uniform(0.5, 2.0, 30) * (rng.random(30) < 0.7)))
+        for scores, labels, weights in cases:
+            keep = weights > 0
+            pairs = zip(curve_pair(scores, labels, weights), curve_pair(scores[keep], labels[keep], weights[keep]))
+            for got, want in pairs:
+                assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+                assert got.thresholds.tobytes() == want.thresholds.tobytes() and got.area == want.area
+            roc, pr = curve_pair(scores, labels, weights)
+            assert math.isfinite(pr.area) and np.isfinite(pr.y).all()
+            assert roc.area == pytest.approx(brute_weighted_auc(scores, labels, weights), abs=1e-10)
+
+    def test_zero_weight_report_is_strict_json(self):
+        truths = np.array([0, 0, 1, 1, 2, 2])
+        probs = np.array([[0.9, 0.05, 0.05], [0.7, 0.2, 0.1], [0.1, 0.8, 0.1],
+                          [0.3, 0.6, 0.1], [0.1, 0.1, 0.8], [0.2, 0.2, 0.6]])
+        report = compute_report(truths, probs.argmax(axis=1), probs=probs, weights=[0, 1, 1, 1, 1, 1])
+        ap = report.as_dict()["ap"]
+        assert all(math.isfinite(v) for v in (ap["micro"], *ap["per_class"].values())), ap
+        dump_json(report.as_dict())
 
     def test_pr_recall_and_thresholds_are_roc_views(self, rng):
         scores = rng.integers(0, 8, 40) / 7.0

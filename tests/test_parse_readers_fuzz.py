@@ -1,11 +1,13 @@
 """Differential fuzz test of the reader-study parser.
 
 The oracle is the row-by-row parser that the columnar ``parse_readers``
-replaced, kept here with the two rules added since: an empty ``reader_id`` or
-``image_id`` is a row error, checked right after the field count, and a row
-that ``csv`` rejects (a field over its size limit) is a row error like a wrong
-field count. Both parsers read seeded mutations of valid CSVs and must raise
-the same message or return the same columns. Through the CLI, every mutation
+replaced, kept here with the rules added since: an empty ``reader_id`` or
+``image_id`` is a row error, checked right after the field count; a row that
+``csv`` rejects (a field over its size limit) is a row error like a wrong
+field count; and a row is numbered by the file line it starts on, so a row
+after a quoted field that holds a line end counts that line. Both parsers
+read seeded mutations of valid CSVs and must raise the same message or
+return the same columns. Through the CLI, every mutation
 must end in exit 0, or in exit 1 with the oracle's message or, for a file
 that parses, the message of the row-by-row pooling it replaced. The parser
 reads three data lines at a time here, so most texts span several blocks.
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 
 import gjeval.data
-from conftest import oracle_label, reader_columns
+from conftest import numbered_records, oracle_label, reader_columns
 
 from gjeval.cli import main
 from gjeval.data import ParseError, parse_readers
@@ -52,39 +54,35 @@ def oracle_parse(source: str) -> dict:
         raise ParseError(f"unexpected trailing columns {header[len(BASE):]}")
     calls = []
     seen: set[tuple[str, str]] = set()
-    row_no = 1
-    try:
-        for row_no, raw in enumerate(reader, start=2):
-            if not raw or (len(raw) == 1 and not raw[0].strip()):
-                continue
-            if len(raw) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(raw)}", row_no)
-            fields = dict(zip(header, (f.strip() for f in raw)))
-            for col in ("reader_id", "image_id"):
-                if not fields[col]:
-                    raise ParseError(f"empty {col}", row_no)
-            group = fields["group"].lower()
-            if group not in GROUPS:
-                raise ParseError(f"unknown reader group {fields['group']!r}", row_no)
-            arm = fields["arm"].upper()
-            if arm not in ARMS:
-                raise ParseError(f"unknown study arm {fields['arm']!r}", row_no)
-            key = (fields["reader_id"], fields["image_id"])
-            if key in seen:
-                raise ParseError(f"duplicate (reader_id, image_id) pair {key!r}", row_no)
-            seen.add(key)
-            elapsed = math.nan
-            if has_elapsed and fields.get("elapsed_s"):
-                try:
-                    elapsed = float(fields["elapsed_s"])
-                except ValueError:
-                    raise ParseError(f"non-numeric elapsed_s {fields['elapsed_s']!r}", row_no) from None
-                if not math.isfinite(elapsed) or elapsed < 0:
-                    raise ParseError(f"elapsed_s out of range: {elapsed!r}", row_no)
-            pred = oracle_label(fields["pred_label"], row_no)
-            calls.append((key[0], GROUPS.index(group), ARMS.index(arm), key[1], pred, elapsed))
-    except csv.Error as exc:
-        raise ParseError(str(exc), row_no + 1) from None
+    for row_no, raw in numbered_records(reader):
+        if not raw or (len(raw) == 1 and not raw[0].strip()):
+            continue
+        if len(raw) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(raw)}", row_no)
+        fields = dict(zip(header, (f.strip() for f in raw)))
+        for col in ("reader_id", "image_id"):
+            if not fields[col]:
+                raise ParseError(f"empty {col}", row_no)
+        group = fields["group"].lower()
+        if group not in GROUPS:
+            raise ParseError(f"unknown reader group {fields['group']!r}", row_no)
+        arm = fields["arm"].upper()
+        if arm not in ARMS:
+            raise ParseError(f"unknown study arm {fields['arm']!r}", row_no)
+        key = (fields["reader_id"], fields["image_id"])
+        if key in seen:
+            raise ParseError(f"duplicate (reader_id, image_id) pair {key!r}", row_no)
+        seen.add(key)
+        elapsed = math.nan
+        if has_elapsed and fields.get("elapsed_s"):
+            try:
+                elapsed = float(fields["elapsed_s"])
+            except ValueError:
+                raise ParseError(f"non-numeric elapsed_s {fields['elapsed_s']!r}", row_no) from None
+            if not math.isfinite(elapsed) or elapsed < 0:
+                raise ParseError(f"elapsed_s out of range: {elapsed!r}", row_no)
+        pred = oracle_label(fields["pred_label"], row_no)
+        calls.append((key[0], GROUPS.index(group), ARMS.index(arm), key[1], pred, elapsed))
     if not calls:
         raise ParseError("no data rows")
     return {
@@ -147,7 +145,7 @@ def mutate(rows: list[list[str]], gen: np.random.Generator) -> str:
     bom = False
     blank_lines = []
     for _ in range(int(gen.integers(1, 4))):
-        kind = int(gen.integers(0, 14))
+        kind = int(gen.integers(0, 15))
         i = int(gen.integers(1, len(rows))) if len(rows) > 1 else 0
         row = rows[i]
         if kind == 0 and i:  # drop a field
@@ -187,6 +185,9 @@ def mutate(rows: list[list[str]], gen: np.random.Generator) -> str:
         elif kind == 13 and len(rows) > 2:  # swap two rows
             j = int(gen.integers(1, len(rows)))
             rows[i], rows[j] = rows[j], rows[i]
+        elif kind == 14 and i:  # a quoted field with a line end in it
+            j = int(gen.integers(0, len(row)))
+            row[j] = '"' + row[j][:1] + "\n" + row[j][1:] + '"'
     lines = [",".join(r) for r in rows]
     for at in sorted(blank_lines, reverse=True):
         lines.insert(at, str(gen.choice(["", "  "])))
