@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-a", required=True)
     p.add_argument("--pred-b", required=True)
     p.add_argument("--out", type=_out_path, required=True)
-    p.add_argument("--class", dest="cls", choices=["aegja", "eegja", "control", "all"], default="all")
+    p.add_argument("--class", dest="cls", choices=[c.slug for c in CLASS_ORDER] + ["all"], default="all")
     p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=cmd_compare)
 

@@ -7,8 +7,9 @@ Implemented tests
   predictions. Off-diagonal pairs with zero disagreements in both directions
   contribute no information; they are dropped and the degrees of freedom
   reduced accordingly.
-* DeLong's test for correlated AUCs, via midranks and the structural
-  components of the Mann-Whitney statistic (the fast O(n log n) form).
+* DeLong's test for correlated AUCs, via the structural components of the
+  Mann-Whitney statistic, counted over the tie groups of the pooled scores
+  (the fast O(n log n) form).
 * A kappa consistency z-test using the null-hypothesis standard error; the
   large-sample (non-null) standard error is also reported for interval use.
 
@@ -30,11 +31,8 @@ from .metrics import binary_scored, confusion_matrix
 
 __all__ = [
     "TestResult",
-    "DeLongCov",
     "std_normal_cdf",
     "chi2_sf",
-    "midranks",
-    "delong_auc_cov",
     "delong_test",
     "bowker_test",
     "kappa_test",
@@ -141,52 +139,31 @@ def chi2_sf(x: float, df: int) -> float:
     return _gamma_q_contfrac(a, t)
 
 
-def midranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("values must be a non-empty 1-D sequence")
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    n = v.size
-    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-    ends = np.append(starts[1:], n)
-    avg = (starts + 1 + ends) / 2.0  # mean of integer ranks start+1 .. end
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(avg, ends - starts)
-    return ranks
-
-
-@dataclass(frozen=True)
-class DeLongCov:
-    """AUCs of two score vectors plus their DeLong (co)variances."""
-
-    auc_a: float
-    auc_b: float
-    var_a: float
-    var_b: float
-    cov: float
-
-
 def _structural_components(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """AUC and the per-observation structural components V10 (positives) and
-    V01 (negatives) of the Mann-Whitney statistic with half credit for ties."""
+    V01 (negatives) of the Mann-Whitney statistic with half credit for ties,
+    from one pass over the tie groups of the pooled scores (Sun and Xu 2014).
+    Each numerator is an exact count of half pairs, so each value is one
+    correctly rounded division."""
     m, n = x.size, y.size
-    tz = midranks(np.concatenate([x, y]))
-    tx = midranks(x)
-    ty = midranks(y)
-    v10 = (tz[:m] - tx) / n
-    v01 = 1.0 - (tz[m:] - ty) / m
-    auc = (tz[:m].sum() - m * (m + 1) / 2.0) / (m * n)
-    return auc, v10, v01
+    values, group = np.unique(np.concatenate([x, y]), return_inverse=True)
+    at_x = np.bincount(group[:m], minlength=values.size)
+    at_y = np.bincount(group[m:], minlength=values.size)
+    # 2 x (pairs an observation wins + half the pairs it ties), an exact count
+    twice_x = (2 * np.cumsum(at_y) - at_y)[group[:m]]
+    twice_y = (2 * np.cumsum(at_x) - at_x)[group[m:]]
+    return twice_x.sum() * 0.5 / (m * n), twice_x * 0.5 / n, 1.0 - twice_y * 0.5 / m
 
 
-def delong_auc_cov(scores_a, scores_b, labels) -> DeLongCov:
-    """DeLong variance/covariance estimate for two correlated AUCs.
+def delong_test(scores_a, scores_b, labels) -> TestResult:
+    """Two-sided DeLong z-test for equality of two correlated AUCs.
 
     Both score vectors must be evaluated on the same records; ``labels`` are
     the shared binary ground-truth indicators. Requires at least two
-    positives and two negatives (sample covariances use ddof=1).
+    positives and two negatives (sample covariances use ddof=1). When the
+    variance of the difference collapses below 1e-15 (typically identical
+    or perfectly separable scores) the comparison is flagged degenerate and
+    reported as z = 0, p = 1 rather than dividing by ~0.
     """
     sa, sb, y = binary_scored(labels, scores_a, scores_b)
     pos = y == 1
@@ -194,45 +171,16 @@ def delong_auc_cov(scores_a, scores_b, labels) -> DeLongCov:
     n = int(y.size - m)
     if m < 2 or n < 2:
         raise ValueError(f"need >= 2 positives and >= 2 negatives, got {m} and {n}")
-    aucs = []
-    v10 = np.empty((2, m))
-    v01 = np.empty((2, n))
-    for r, s in enumerate((sa, sb)):
-        auc, v10[r], v01[r] = _structural_components(s[pos], s[~pos])
-        aucs.append(auc)
-    s10 = np.cov(v10, ddof=1)
-    s01 = np.cov(v01, ddof=1)
-    s = s10 / m + s01 / n
-    return DeLongCov(
-        auc_a=float(aucs[0]),
-        auc_b=float(aucs[1]),
-        var_a=float(s[0, 0]),
-        var_b=float(s[1, 1]),
-        cov=float(s[0, 1]),
-    )
-
-
-def delong_test(scores_a, scores_b, labels) -> TestResult:
-    """Two-sided DeLong z-test for equality of two correlated AUCs.
-
-    When the variance of the difference collapses below 1e-15 (typically
-    identical or perfectly separable scores) the comparison is flagged
-    degenerate and reported as z = 0, p = 1 rather than dividing by ~0.
-    """
-    cov = delong_auc_cov(scores_a, scores_b, labels)
-    var_diff = cov.var_a + cov.var_b - 2.0 * cov.cov
-    detail = {
-        "auc_a": cov.auc_a,
-        "auc_b": cov.auc_b,
-        "var_a": cov.var_a,
-        "var_b": cov.var_b,
-        "cov": cov.cov,
-        "degenerate": False,
-    }
+    aucs, v10, v01 = zip(*(_structural_components(s[pos], s[~pos]) for s in (sa, sb)))
+    s = np.cov(v10, ddof=1) / m + np.cov(v01, ddof=1) / n
+    auc_a, auc_b = float(aucs[0]), float(aucs[1])
+    var_a, var_b, cov = float(s[0, 0]), float(s[1, 1]), float(s[0, 1])
+    detail = {"auc_a": auc_a, "auc_b": auc_b, "var_a": var_a, "var_b": var_b, "cov": cov, "degenerate": False}
+    var_diff = var_a + var_b - 2.0 * cov
     if var_diff < _DEGENERATE_VAR:
         detail["degenerate"] = True
         return TestResult(name="delong", statistic=0.0, p_value=1.0, detail=detail)
-    z = (cov.auc_a - cov.auc_b) / math.sqrt(var_diff)
+    z = (auc_a - auc_b) / math.sqrt(var_diff)
     p = 2.0 * std_normal_cdf(-abs(z))
     return TestResult(name="delong", statistic=z, p_value=p, detail=detail)
 
@@ -249,6 +197,8 @@ def bowker_test(pairs: Sequence[tuple[int, int]] | np.ndarray) -> TestResult:
     pairs = np.asarray(pairs, dtype=np.int64)
     if not pairs.size:
         raise ValueError("bowker_test requires at least one pair")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"pairs must have shape (n, 2), got {pairs.shape}")
     t = confusion_matrix(pairs[:, 0], pairs[:, 1]).counts
     stat = 0.0
     df = 0

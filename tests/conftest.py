@@ -64,6 +64,22 @@ def brute_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return total / (len(pos) * len(neg))
 
 
+def midranks(values) -> np.ndarray:
+    """1-based ranks with ties sharing their average rank."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("values must be a non-empty 1-D sequence")
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    n = v.size
+    starts = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
+    ends = np.append(starts[1:], n)
+    avg = (starts + 1 + ends) / 2.0  # mean of integer ranks start+1 .. end
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(avg, ends - starts)
+    return ranks
+
+
 def brute_weighted_auc(scores, labels, weights) -> float:
     """Pair-counting AUC with per-sample weights (pair weight = product)."""
     pos = [(s, w) for s, l, w in zip(scores, labels, weights) if l == 1]

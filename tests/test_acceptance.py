@@ -20,7 +20,7 @@ from gjeval import (
     backward,
     compute_report,
     confusion_matrix,
-    delong_auc_cov,
+    delong_test,
     grad_check,
     head_forward,
     init_head,
@@ -129,13 +129,13 @@ def test_criterion_4_delong_vs_oracles():
         while labels.sum() < 2 or labels.sum() > n - 2:
             labels = (gen.random(n) < 0.5).astype(float)
         scores = np.round(gen.normal(size=n), 1)  # coarse grid forces ties
-        auc = delong_auc_cov(scores, scores, labels).auc_a
+        auc = delong_test(scores, scores, labels).detail["auc_a"]
         worst = max(worst, abs(auc - brute_pair_auc(scores, labels)))
 
     n = 200
     labels = (gen.random(n) < 0.5).astype(float)
     scores = np.round(gen.normal(size=n) + 1.1 * labels, 1)
-    var = delong_auc_cov(scores, scores, labels).var_a
+    var = delong_test(scores, scores, labels).detail["var_a"]
     boot = np.empty(10_000)
     draws = gen.integers(0, n, size=(10_000, n))
     for b in range(10_000):

@@ -7,21 +7,20 @@ package itself must not import them.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import brute_auc
+from conftest import midranks
 
 from gjeval import (
     bowker_test,
     chi2_sf,
-    delong_auc_cov,
     delong_test,
     kappa_test,
-    midranks,
     std_normal_cdf,
 )
 from gjeval.stats import TestResult as StatResult
@@ -30,8 +29,47 @@ from gjeval.stats import TestResult as StatResult
 def delong_single(scores, labels) -> tuple[float, float]:
     """(AUC, DeLong variance) of one score vector: the first diagonal entry
     of its covariance with itself."""
-    cov = delong_auc_cov(scores, scores, labels)
-    return cov.auc_a, cov.var_a
+    detail = delong_test(scores, scores, labels).detail
+    return detail["auc_a"], detail["var_a"]
+
+
+DELONG_KEYS = ("auc_a", "auc_b", "var_a", "var_b", "cov")
+
+
+def delong_by_midranks(scores_a, scores_b, labels) -> dict:
+    """DeLong's AUCs and (co)variances from three midrank vectors per model:
+    of the pooled scores, of the positives and of the negatives. A
+    component is a pooled midrank less the midrank within its own class."""
+    pos = np.asarray(labels) == 1
+    m, n = int(pos.sum()), int((~pos).sum())
+    aucs, v10, v01 = [], [], []
+    for s in (np.asarray(scores_a, dtype=float), np.asarray(scores_b, dtype=float)):
+        x, y = s[pos], s[~pos]
+        tz, tx, ty = midranks(np.concatenate([x, y])), midranks(x), midranks(y)
+        aucs.append((tz[:m].sum() - m * (m + 1) / 2.0) / (m * n))
+        v10.append((tz[:m] - tx) / n)
+        v01.append(1.0 - (tz[m:] - ty) / m)
+    cov = np.cov(v10, ddof=1) / m + np.cov(v01, ddof=1) / n
+    return dict(zip(DELONG_KEYS, (aucs[0], aucs[1], cov[0, 0], cov[1, 1], cov[0, 1])))
+
+
+def tie_heavy_cases(rng, count: int):
+    """Seeded (scores_a, scores_b, labels) on coarse grids of signed values,
+    so that ties within and across the classes are common and 0.0 ties
+    -0.0; then hand cases: all-tied vectors and two positives or two
+    negatives."""
+    for _ in range(count):
+        size = int(rng.integers(4, 81))
+        labels = np.zeros(size)
+        labels[rng.permutation(size)[: int(rng.integers(2, size - 1))]] = 1.0
+        a, b = (np.copysign(rng.integers(0, k + 1, size) / k, rng.choice([-1.0, 1.0], size))
+                for k in rng.integers(1, 6, 2))
+        yield a, b, labels
+    labels = np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    signed_zeros = np.array([-0.0, 0.0, 0.0, -0.0, 0.0, -0.0])
+    yield np.full(6, 0.3), signed_zeros, labels
+    yield signed_zeros, np.array([0.5, -0.0, 0.0, 0.5, -0.0, 1.0]), 1.0 - labels
+    yield np.array([0.2, 0.9, 0.2, 0.4, 0.9, 0.1]), np.full(6, 0.0), labels
 
 
 def _auc_from_ranks(scores: np.ndarray, pos_mask: np.ndarray) -> float:
@@ -149,7 +187,9 @@ class TestMidranks:
 
 class TestDeLong:
     def test_auc_equals_pair_counting_1000_cases(self, rng):
-        # exhaustive oracle over many tied, small instances
+        # exhaustive oracle over many tied, small instances: 2U counts two
+        # per pair won and one per pair tied, and the AUC is 2U / 2mn
+        # rounded once
         for _ in range(1000):
             n = int(rng.integers(5, 51))
             labels = rng.integers(0, 2, n).astype(float)
@@ -157,7 +197,20 @@ class TestDeLong:
                 continue
             scores = rng.integers(0, 10, n) / 9.0
             auc, _ = delong_single(scores, labels)
-            assert auc == pytest.approx(brute_auc(scores, labels), abs=1e-12)
+            pos, neg = scores[labels == 1], scores[labels == 0]
+            twice_u = int(2 * np.sum(pos[:, None] > neg) + np.sum(pos[:, None] == neg))
+            assert auc == float(Fraction(twice_u, 2 * pos.size * neg.size))
+
+    def test_bits_equal_midrank_formula(self, rng):
+        # every float of the detail, bit for bit, on tie-heavy and signed-zero cases
+        cases = 0
+        for a, b, labels in tie_heavy_cases(rng, 1200):
+            detail = delong_test(a, b, labels).detail
+            ref = delong_by_midranks(a, b, labels)
+            ours = np.array([detail[k] for k in DELONG_KEYS]).view(np.int64)
+            assert np.array_equal(ours, np.array([ref[k] for k in DELONG_KEYS]).view(np.int64)), (a, b, labels)
+            cases += 1
+        assert cases > 1000
 
     def test_variance_positive_and_shrinks(self, rng):
         labels = np.array([1] * 50 + [0] * 50, float)
@@ -205,10 +258,10 @@ class TestDeLong:
         labels = np.array([1] * 25 + [0] * 25, float)
         a = rng.random(50)
         b = rng.random(50)
-        cov = delong_auc_cov(a, b, labels)
+        detail = delong_test(a, b, labels).detail
         auc_a, var_a = delong_single(a, labels)
-        assert cov.auc_a == pytest.approx(auc_a, abs=1e-15)
-        assert cov.var_a == pytest.approx(var_a, abs=1e-15)
+        assert detail["auc_a"] == pytest.approx(auc_a, abs=1e-15)
+        assert detail["var_a"] == pytest.approx(var_a, abs=1e-15)
 
     def test_detail_payload(self, rng):
         labels = np.array([1] * 20 + [0] * 20, float)
@@ -267,6 +320,13 @@ class TestBowker:
     def test_accepts_paired_predictions(self):
         res = bowker_test(np.array([[0, 1], [1, 1], [2, 2]]))
         assert res.df == 1
+
+    def test_rejects_pairs_not_shaped_n_by_2(self):
+        # a flat list would index out of range, and a third column go unread
+        with pytest.raises(ValueError, match=r"shape \(n, 2\), got \(2,\)"):
+            bowker_test([0, 1])
+        with pytest.raises(ValueError, match=r"shape \(n, 2\), got \(3, 3\)"):
+            bowker_test([[0, 1, 2], [1, 0, 2], [0, 1, 0]])
 
     def test_p_in_unit_interval_fuzz(self, rng):
         for _ in range(300):
