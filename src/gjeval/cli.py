@@ -37,6 +37,7 @@ import numpy as np
 from . import aggregate, forking, fusion, report as rpt
 from .data import (
     CLASS_ORDER,
+    FOLD_UNITS,
     READER_CELLS,
     ParseError,
     SynthSpec,
@@ -195,7 +196,7 @@ def cmd_evaluate(args) -> int:
         kind="evaluate",
         config=config,
         inputs=inputs,
-        results={"dataset": summarize(ds).as_dict(), "report": mr.as_dict()},
+        results={"dataset": summarize(ds), "report": mr.as_dict()},
         stamp=_stamp(args),
     )
     files = {"report.json": rpt.dump_json(doc)}
@@ -321,22 +322,10 @@ def cmd_readers(args) -> int:
 def cmd_kfold(args) -> int:
     pred_path, inputs = Path(args.pred), {}
     ds = parse_predictions(_read_text(pred_path, "pred", inputs))
-    spec = kfold_split(ds, k=args.k, unit=args.by, seed=args.seed)
-    sizes = spec.fold_sizes()
-    per_fold = []
-    for fold, test_ds in enumerate(fold_datasets(ds, spec)):
-        summary = summarize(test_ds)
-        per_fold.append(
-            {
-                "fold": fold,
-                "units": sizes[fold],
-                "patients": summary.patients,
-                "images": summary.images,
-                "images_by_class": summary.images_by_class,
-            }
-        )
-    order = ds.patient_ids if spec.unit == "patient" else ds.image_ids
-    assign_rows = [("unit_id", "fold"), *((u, str(spec.assignments[u])) for u in order)]
+    fold = kfold_split(ds, k=args.k, unit=args.by, seed=args.seed)
+    per_fold = fold_datasets(ds, fold, args.by)
+    units = ds.patient_ids if args.by == "patient" else ds.image_ids
+    assign_rows = [("unit_id", "fold"), *zip(units, map(str, fold.tolist()))]
     config = {
         "subcommand": "kfold",
         "pred": str(pred_path),
@@ -345,9 +334,9 @@ def cmd_kfold(args) -> int:
         "seed": args.seed,
     }
     results = {
-        "unit": spec.unit,
-        "k": spec.k,
-        "fold_sizes": sizes,
+        "unit": args.by,
+        "k": args.k,
+        "fold_sizes": [f["units"] for f in per_fold],
         "per_fold": per_fold,
     }
     doc = rpt.build_report_doc(
@@ -385,7 +374,7 @@ def cmd_synth(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(serialize_predictions(ds), encoding="utf-8")
     s = summarize(ds)
-    print(f"wrote {out} ({s.patients} patients, {s.images} images)")
+    print(f"wrote {out} ({s['patients']} patients, {s['images']} images)")
     return 0
 
 
@@ -493,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kfold", help="deterministic fold assignment")
     p.add_argument("--pred", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--by", choices=["patient", "image"], default="patient")
+    p.add_argument("--by", choices=FOLD_UNITS, default="patient")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", type=_out_path, required=True)
     p.add_argument("--stamp", action="store_true")

@@ -16,7 +16,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import chain, compress, count, repeat
+from itertools import chain, count, repeat
 from operator import is_not
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -30,8 +30,7 @@ __all__ = [
     "ParseError",
     "Readers",
     "Dataset",
-    "DatasetSummary",
-    "FoldSpec",
+    "FOLD_UNITS",
     "SynthSpec",
     "parse_predictions",
     "serialize_predictions",
@@ -226,24 +225,6 @@ class Dataset:
     def patient_counts(self) -> np.ndarray:
         """Images per patient, in ``patient_ids`` order."""
         return np.bincount(self.patient_codes, minlength=len(self.patient_ids))
-
-    def select(self, mask) -> "Dataset":
-        """The rows where ``mask`` is true, in order, re-indexed."""
-        mask = np.asarray(mask, dtype=bool)
-
-        def pick(col):
-            return None if col is None else compress(col, mask)
-
-        return Dataset.from_columns(
-            pick(self.image_ids),
-            self.row_patient_ids()[mask],
-            self.truth[mask],
-            self.probs[mask],
-            center=pick(self.center),
-            modality=pick(self.modality),
-            sex=pick(self.sex),
-            age=None if self.age is None else self.age[mask],
-        )
 
 
 def _optional(col: Iterable[str | None] | None) -> tuple[str | None, ...] | None:
@@ -742,32 +723,6 @@ def parse_readers(source: str) -> Readers:
     return Readers(tuple(texts["reader_id"]), tuple(texts["image_id"]), **columns)
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
-    """Composition counts for a dataset, patient- and image-level."""
-
-    patients: int
-    images: int
-    patients_by_class: dict[str, int]
-    images_by_class: dict[str, int]
-    patients_by_sex: dict[str, int]
-    age_mean: float | None
-    age_sd: float | None
-    age_bands: dict[str, int]
-
-    def as_dict(self) -> dict:
-        return {
-            "patients": self.patients,
-            "images": self.images,
-            "patients_by_class": dict(self.patients_by_class),
-            "images_by_class": dict(self.images_by_class),
-            "patients_by_sex": dict(self.patients_by_sex),
-            "age_mean": self.age_mean,
-            "age_sd": self.age_sd,
-            "age_bands": dict(self.age_bands),
-        }
-
-
 def age_band(age: float) -> str:
     """Band an age into lt60 / 60to69 / ge70. 60 lands in the middle band, 70 in the upper."""
     if age < 60:
@@ -777,8 +732,9 @@ def age_band(age: float) -> str:
     return "ge70"
 
 
-def summarize(ds: Dataset) -> DatasetSummary:
-    """Patient and image composition of a dataset, including demographics when present.
+def summarize(ds: Dataset) -> dict:
+    """Patient and image composition of a dataset, including demographics
+    when present: the report's ``results.dataset``.
 
     A patient's sex and age are those of its first image."""
     first = ds.patient_first_row
@@ -797,61 +753,67 @@ def summarize(ds: Dataset) -> DatasetSummary:
     bands = {"lt60": 0, "60to69": 0, "ge70": 0}
     for age in ages.tolist():
         bands[age_band(age)] += 1
-    return DatasetSummary(
-        patients=len(ds.patient_ids),
-        images=len(ds),
-        patients_by_class=by_class(ds.truth[first]),
-        images_by_class=by_class(ds.truth),
-        patients_by_sex=sex_counts,
-        age_mean=float(np.mean(ages)) if ages.size else None,
-        age_sd=float(np.std(ages, ddof=1)) if ages.size > 1 else None,
-        age_bands=bands,
-    )
+    return {
+        "patients": len(ds.patient_ids),
+        "images": len(ds),
+        "patients_by_class": by_class(ds.truth[first]),
+        "images_by_class": by_class(ds.truth),
+        "patients_by_sex": sex_counts,
+        "age_mean": float(np.mean(ages)) if ages.size else None,
+        "age_sd": float(np.std(ages, ddof=1)) if ages.size > 1 else None,
+        "age_bands": bands,
+    }
 
 
-@dataclass(frozen=True)
-class FoldSpec:
-    """A k-fold assignment of units (patients or images) to folds 0..k-1."""
-
-    k: int
-    unit: str  # "patient" | "image"
-    assignments: dict[str, int]
-
-    def fold_sizes(self) -> list[int]:
-        sizes = [0] * self.k
-        for f in self.assignments.values():
-            sizes[f] += 1
-        return sizes
+FOLD_UNITS = ("patient", "image")
 
 
-def kfold_split(ds: Dataset, k: int, unit: str = "patient", seed: int = 0) -> FoldSpec:
-    """Deterministic k-fold split over patients (default) or images.
+# perfbench/spans.py wraps kfold_split and fold_datasets by name, as data.kfold_s.
+def kfold_split(ds: Dataset, k: int, unit: str = "patient", seed: int = 0) -> np.ndarray:
+    """Deterministic k-fold split over patients (default) or images: the fold,
+    0..k-1, of each unit, as an int64 array in ``ds.patient_ids`` or
+    ``ds.image_ids`` order.
 
     Patient mode keeps all images of a patient in one fold. Fold sizes differ
     by at most one unit. The split is a pure function of (seed, dataset order).
     """
-    if unit not in ("patient", "image"):
+    if unit not in FOLD_UNITS:
         raise ValueError(f"unit must be 'patient' or 'image', got {unit!r}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    units = ds.patient_ids if unit == "patient" else ds.image_ids  # first-appearance order
-    if len(units) < k:
-        raise ValueError(f"cannot split {len(units)} {unit}s into {k} folds")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(units))
-    folds = np.repeat(np.arange(k), [chunk.size for chunk in np.array_split(order, k)])
-    assignments = dict(zip(map(units.__getitem__, order.tolist()), folds.tolist()))
-    return FoldSpec(k=k, unit=unit, assignments=assignments)
+    n = len(ds.patient_ids if unit == "patient" else ds.image_ids)
+    if n < k:
+        raise ValueError(f"cannot split {n} {unit}s into {k} folds")
+    order = np.random.default_rng(seed).permutation(n)
+    fold = np.empty(n, dtype=np.int64)
+    fold[order] = np.repeat(np.arange(k), [chunk.size for chunk in np.array_split(order, k)])
+    return fold
 
 
-def fold_datasets(ds: Dataset, spec: FoldSpec) -> list[Dataset]:
-    """The test dataset of every fold of a FoldSpec, in fold order. Each
-    row's fold is looked up once; a fold's training set is every other row."""
-    units = ds.patient_ids if spec.unit == "patient" else ds.image_ids
-    fold = np.fromiter(map(spec.assignments.__getitem__, units), np.int64, len(units))
-    if spec.unit == "patient":
-        fold = fold[ds.patient_codes]
-    return [ds.select(fold == k) for k in range(spec.k)]
+def fold_datasets(ds: Dataset, fold: np.ndarray, unit: str) -> list[dict]:
+    """The composition of every fold's test set, in fold order, from
+    ``kfold_split``'s array: its ``fold``, ``units``, ``patients``,
+    ``images`` and ``images_by_class`` (named as ``summarize`` names them).
+    A fold's training set is every other row."""
+    k = int(fold.max()) + 1
+    rows = fold[ds.patient_codes] if unit == "patient" else fold
+    n_patients = len(ds.patient_ids)
+    # each row's (fold, patient) pair as one int: the first of each run of equal
+    # sorted keys is one patient of that fold. A plain np.unique would import
+    # numpy.ma, about 1 MB more peak RSS in a fresh process.
+    keys = np.sort(rows * n_patients + ds.patient_codes)
+    patients = keys[np.diff(keys, prepend=-1) != 0] // n_patients
+    counts = zip(
+        np.bincount(fold, minlength=k).tolist(),
+        np.bincount(patients, minlength=k).tolist(),
+        np.bincount(rows, minlength=k).tolist(),
+        np.bincount(rows * 3 + ds.truth, minlength=3 * k).reshape(k, 3).tolist(),
+    )
+    names = [c.display for c in CLASS_ORDER]
+    return [
+        {"fold": f, "units": units, "patients": pats, "images": images, "images_by_class": dict(zip(names, by_class))}
+        for f, (units, pats, images, by_class) in enumerate(counts)
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """The exported API: every name an ``__all__`` lists is defined, every
 name a library module exports has a caller in the package, and every function
 the benchmark's tracer wraps exists; the curve functions it wraps are on
-the path an ``evaluate`` run takes."""
+the path an ``evaluate`` run takes, and the fold functions on a ``kfold``
+run's."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import importlib
 import importlib.util
 import pkgutil
 from pathlib import Path
+
+import pytest
 
 import gjeval
 from gjeval import cli, evaluate, serialize_predictions
@@ -98,3 +101,25 @@ def test_curve_targets_stay_on_the_traced_path(small_dataset, tmp_path):
     assert len(curves) == 8
     assert tracer.counts["metrics.curve_sweeps"] == 8
     assert tracer.counts["metrics.curve_points"] == sum(len(c.x) for c in curves)
+
+
+def test_kfold_targets_stay_on_the_traced_path(small_dataset, tmp_path):
+    """A kfold run under the benchmark's tracer passes through
+    ``kfold_split`` and ``fold_datasets`` once each, so ``data.kfold_s`` books
+    the split and the per-fold counts; no summary is taken per fold."""
+    spans = _spans()
+    pred = tmp_path / "pred.csv"
+    pred.write_text(serialize_predictions(small_dataset), encoding="utf-8")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for by in ("patient", "image"):
+            argv = ["kfold", "--pred", str(pred), "--k", "3", "--by", by, "--out", str(tmp_path / by)]
+            assert tracer.run_op(0, cli.main, argv) == 0
+    finally:
+        tracer.restore()
+    kfold = [s for s in tracer.spans if s["metric"] == "data.kfold_s"]
+    assert sorted(s["name"] for s in kfold) == ["gjeval.cli.fold_datasets"] * 2 + ["gjeval.cli.kfold_split"] * 2
+    assert "gjeval.cli.summarize" not in {s["name"] for s in tracer.spans}
+    booked = sum(s["end"] - s["start"] for s in kfold)
+    assert 0 < spans.self_times(tracer.spans)["data.kfold_s"] == pytest.approx(booked)

@@ -22,7 +22,7 @@ import pytest
 from conftest import params_from_json
 
 from gjeval.cli import _write_outputs, build_parser, main
-from gjeval.data import FoldSpec, parse_predictions, serialize_predictions
+from gjeval.data import parse_predictions, serialize_predictions
 from gjeval.report import dump_json
 
 
@@ -551,20 +551,17 @@ class TestKfold:
         n_images = sum(doc["results"]["fold_sizes"])
         assert n_images == len(parse_predictions(pred_csv.read_text()))
 
-    def test_fold_sizes_counted_once(self, pred_csv, tmp_path, monkeypatch):
-        calls = []
-        fold_sizes = FoldSpec.fold_sizes
-
-        def counted(self):
-            calls.append(self.k)
-            return fold_sizes(self)
-
-        monkeypatch.setattr(FoldSpec, "fold_sizes", counted)
-        out = tmp_path / "kf"
-        assert run("kfold", "--pred", str(pred_csv), "--k", "5", "--by", "image", "--out", str(out)) == 0
-        doc = json.loads((out / "report.json").read_text())["results"]
-        assert calls == [5]
-        assert [f["units"] for f in doc["per_fold"]] == doc["fold_sizes"]
+    def test_fold_sizes_counted_once(self, pred_csv, tmp_path):
+        """Each fold's size is counted once: ``fold_sizes[i]`` is
+        ``per_fold[i]["units"]``, and both are the number of units that
+        ``assignments.csv`` puts in fold i."""
+        for by in ("patient", "image"):
+            out = tmp_path / by
+            assert run("kfold", "--pred", str(pred_csv), "--k", "5", "--by", by, "--out", str(out)) == 0
+            doc = json.loads((out / "report.json").read_text())["results"]
+            folds = [int(row[1]) for row in TestQuotedIds.read_rows(out / "assignments.csv")[1:]]
+            assert [f["units"] for f in doc["per_fold"]] == doc["fold_sizes"]
+            assert doc["fold_sizes"] == [folds.count(fold) for fold in range(5)]
 
 
 class TestSynth:
@@ -577,8 +574,8 @@ class TestSynth:
         from gjeval.data import summarize
 
         s = summarize(ds)
-        assert s.patients == 9
-        assert s.patients_by_class == {"A-EGJA": 3, "E-EGJA": 2, "control": 4}
+        assert s["patients"] == 9
+        assert s["patients_by_class"] == {"A-EGJA": 3, "E-EGJA": 2, "control": 4}
 
     def test_nan_separation_is_1(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -27,7 +27,7 @@ from gjeval import (
     synth_generate,
 )
 from gjeval.aggregate import patient_mean_aggregate
-from gjeval.data import READER_ARMS, READER_CELLS, READER_GROUPS, age_band
+from gjeval.data import FOLD_UNITS, READER_ARMS, READER_CELLS, READER_GROUPS, age_band
 
 HEADER = "image_id,patient_id,true_label,p_aegja,p_eegja,p_control"
 
@@ -284,12 +284,6 @@ class TestDataset:
         # ... and in one row the duplicate is reported
         with pytest.raises(ParseError, match="^duplicate image_id 'b'$"):
             Dataset.from_columns(["a", "b", "b", "d"], ["p", "q", "q", "r"], [0, 0, 1, 1], probs)
-
-    def test_select_reindexes_patients(self, small_dataset):
-        sub = small_dataset.select(small_dataset.truth != 0)
-        assert sub.patient_ids == ("pb", "pc", "pd", "pe")
-        assert sub.patient_codes.tolist() == [0, 0, 1, 2, 2, 3]
-        assert sub.probs.tolist() == small_dataset.probs[3:].tolist()
 
 
 READER_HEADER = "reader_id,group,arm,image_id,pred_label"
@@ -575,13 +569,15 @@ class TestSummarize:
             "i4,p3,control,0,0,1,C2,WLI,M,80\n"
         )
         s = summarize(parse_predictions(text))
-        assert s.patients == 3 and s.images == 4
-        assert s.patients_by_class == {"A-EGJA": 1, "E-EGJA": 0, "control": 2}
-        assert s.images_by_class == {"A-EGJA": 2, "E-EGJA": 0, "control": 2}
-        assert s.patients_by_sex == {"F": 1, "M": 2}
-        assert s.age_mean == pytest.approx((59 + 65 + 80) / 3)
-        assert s.age_sd == pytest.approx(np.std([59, 65, 80], ddof=1))
-        assert s.age_bands == {"lt60": 1, "60to69": 1, "ge70": 1}
+        assert list(s) == ["patients", "images", "patients_by_class", "images_by_class",
+                           "patients_by_sex", "age_mean", "age_sd", "age_bands"]
+        assert s["patients"] == 3 and s["images"] == 4
+        assert s["patients_by_class"] == {"A-EGJA": 1, "E-EGJA": 0, "control": 2}
+        assert s["images_by_class"] == {"A-EGJA": 2, "E-EGJA": 0, "control": 2}
+        assert s["patients_by_sex"] == {"F": 1, "M": 2}
+        assert s["age_mean"] == pytest.approx((59 + 65 + 80) / 3)
+        assert s["age_sd"] == pytest.approx(np.std([59, 65, 80], ddof=1))
+        assert s["age_bands"] == {"lt60": 1, "60to69": 1, "ge70": 1}
 
     def test_age_band_edges(self):
         assert age_band(59.9) == "lt60"
@@ -602,39 +598,41 @@ class TestKFold:
 
     def test_assignment_partition(self):
         ds = self._dataset()
-        spec = kfold_split(ds, k=5, unit="patient", seed=3)
-        assert sorted(spec.assignments) == sorted(ds.patient_ids)
-        assert set(spec.assignments.values()) == set(range(5))
-        sizes = spec.fold_sizes()
-        assert sum(sizes) == 20
-        assert max(sizes) - min(sizes) <= 1
+        fold = kfold_split(ds, k=5, unit="patient", seed=3)
+        assert fold.dtype == np.int64 and fold.shape == (len(ds.patient_ids),)
+        assert set(fold.tolist()) == set(range(5))
+        sizes = np.bincount(fold)
+        assert sizes.sum() == 20
+        assert sizes.max() - sizes.min() <= 1
 
     def test_deterministic_per_seed(self):
         ds = self._dataset()
-        a = kfold_split(ds, k=4, unit="patient", seed=9).assignments
-        b = kfold_split(ds, k=4, unit="patient", seed=9).assignments
-        c = kfold_split(ds, k=4, unit="patient", seed=10).assignments
-        assert a == b
-        assert a != c
+        a = kfold_split(ds, k=4, unit="patient", seed=9)
+        b = kfold_split(ds, k=4, unit="patient", seed=9)
+        c = kfold_split(ds, k=4, unit="patient", seed=10)
+        assert a.tolist() == b.tolist()
+        assert a.tolist() != c.tolist()
 
     def test_patient_integrity(self):
         ds = self._dataset()
-        spec = kfold_split(ds, k=3, unit="patient", seed=0)
-        folds = fold_datasets(ds, spec)
-        assert len(folds) == 3
+        fold = kfold_split(ds, k=3, unit="patient", seed=0)
+        per_fold = fold_datasets(ds, fold, "patient")
+        assert [f["fold"] for f in per_fold] == [0, 1, 2]
         # the folds partition the images, and no patient is in two folds
-        assert sorted(i for test in folds for i in test.image_ids) == sorted(ds.image_ids)
-        patients = [p for test in folds for p in test.patient_ids]
-        assert len(set(patients)) == len(patients) == len(ds.patient_ids)
-        for fold, test in enumerate(folds):
-            assert len(test.patient_ids) == spec.fold_sizes()[fold]
-            assert {spec.assignments[p] for p in test.patient_ids} == {fold}
+        assert sum(f["images"] for f in per_fold) == len(ds)
+        assert [f["patients"] for f in per_fold] == [f["units"] for f in per_fold] == np.bincount(fold).tolist()
+        row_folds: dict[str, set[int]] = {}
+        for patient, f in zip(ds.row_patient_ids().tolist(), fold[ds.patient_codes].tolist()):
+            row_folds.setdefault(patient, set()).add(f)
+        assert sorted(row_folds) == sorted(ds.patient_ids)
+        assert all(len(folds) == 1 for folds in row_folds.values())
 
     def test_image_unit(self):
         ds = self._dataset(n_patients=4, images_each=5)
-        spec = kfold_split(ds, k=4, unit="image", seed=1)
-        assert sorted(spec.assignments) == sorted(ds.image_ids)
-        assert [len(test) for test in fold_datasets(ds, spec)] == spec.fold_sizes()
+        fold = kfold_split(ds, k=4, unit="image", seed=1)
+        assert fold.shape == (len(ds.image_ids),)
+        per_fold = fold_datasets(ds, fold, "image")
+        assert [f["images"] for f in per_fold] == [f["units"] for f in per_fold] == np.bincount(fold).tolist()
 
     def test_k_bounds(self):
         ds = self._dataset(n_patients=3, images_each=1)
@@ -642,6 +640,55 @@ class TestKFold:
             kfold_split(ds, k=1, unit="patient", seed=0)
         with pytest.raises(ValueError):
             kfold_split(ds, k=4, unit="patient", seed=0)
+        with pytest.raises(ValueError, match="^unit must be 'patient' or 'image', got 'center'$"):
+            kfold_split(ds, k=2, unit="center", seed=0)
+
+    def test_pinned_folds(self):
+        """The folds the split gave when it returned a dict from unit id to
+        fold, for one pinned seed: every unit keeps its fold."""
+        ds = synth_generate(SynthSpec(patients_per_class=(4, 3, 5), images_min=1, images_max=6, seed=8))
+        assert kfold_split(ds, k=4, unit="patient", seed=31).tolist() == [0, 2, 2, 3, 0, 2, 1, 0, 3, 1, 1, 3]
+        assert kfold_split(ds, k=5, unit="image", seed=31).tolist() == [
+            3, 3, 1, 1, 2, 0, 3, 1, 4, 3, 1, 2, 2, 0, 4, 1, 3, 0, 3, 4, 1, 4, 0, 0, 0,
+            0, 4, 0, 2, 2, 3, 4, 1, 1, 0, 4, 1, 2, 2, 3, 0, 4, 2, 3, 2, 2, 4, 1, 3,
+        ]
+
+
+def fold_oracle(ds: Dataset, fold: np.ndarray, unit: str) -> list[dict]:
+    """Each fold's composition by a loop over rows: the set of its patient
+    ids, its image count and its images per class."""
+    names = ["A-EGJA", "E-EGJA", "control"]
+    unit_fold = dict(zip(ds.patient_ids if unit == "patient" else ds.image_ids, fold.tolist()))
+    entries = [{"fold": f, "units": 0, "patients": set(), "images": 0, "images_by_class": dict.fromkeys(names, 0)}
+               for f in range(max(unit_fold.values()) + 1)]
+    for f in unit_fold.values():
+        entries[f]["units"] += 1
+    for image, patient, truth in zip(ds.image_ids, ds.row_patient_ids().tolist(), ds.truth.tolist()):
+        entry = entries[unit_fold[patient if unit == "patient" else image]]
+        entry["patients"].add(patient)
+        entry["images"] += 1
+        entry["images_by_class"][names[truth]] += 1
+    for entry in entries:
+        entry["patients"] = len(entry["patients"])
+    return entries
+
+
+class TestFoldDatasets:
+    @pytest.mark.parametrize("unit", FOLD_UNITS)
+    def test_matches_row_loop(self, small_dataset, unit):
+        synth = synth_generate(SynthSpec(patients_per_class=(5, 3, 6), images_min=1, images_max=6, seed=4))
+        for ds in (small_dataset, synth):
+            n_units = len(ds.patient_ids if unit == "patient" else ds.image_ids)
+            for seed in range(4):
+                for k in range(2, n_units + 1):
+                    fold = kfold_split(ds, k=k, unit=unit, seed=seed)
+                    got = fold_datasets(ds, fold, unit)
+                    assert got == fold_oracle(ds, fold, unit), (unit, seed, k)
+                    for entry in got:  # the report's key order and plain ints
+                        assert list(entry) == ["fold", "units", "patients", "images", "images_by_class"]
+                        assert list(entry["images_by_class"]) == ["A-EGJA", "E-EGJA", "control"]
+                        counts = [*list(entry.values())[:4], *entry["images_by_class"].values()]
+                        assert {type(v) for v in counts} == {int}
 
 
 class TestSynth:
