@@ -20,14 +20,25 @@ Everything is float64 numpy. ``head_forward`` is the one forward pass;
 belong to the forward pass they differentiate, and derives every parameter's
 gradient analytically (no autodiff). Both take a batch (leading axis N); a
 single sample is a batch of one. ``backward`` returns the loss with the
-gradients, so training and the gradient check share one function.
+gradients, so training and the gradient check share one computation.
 
-The pointwise convolutions are batched matrix products on (N, channels, C)
-arrays: ``w @ x`` forward, ``w.T @ g`` for input gradients, and
-``g @ a.transpose(0, 2, 1)`` summed over the batch for weight gradients.
-Bias adds, dropout and ReLU masks work in place. ``train_toy`` evaluates its
-per-epoch accuracies in slices of ``batch_size`` rows, the same size as a
-training step.
+The gating network runs channels-first: a batch's two branches form one
+(2, N*C) array, sample-major along each row, and the hidden layers are
+(h, N*C). Each pointwise convolution is then one GEMM over all N*C positions,
+``w @ X`` forward and ``w.T @ G`` for input gradients, and each bias add
+broadcasts one column along a row. Weight gradients are each sample's
+``g_i @ a_i.T``, and bias gradients each sample's sum over C, summed over the
+batch in order, so no sum depends on how a kernel blocks the N*C columns:
+every output has the bits of per-sample products on (N, channels, C) arrays.
+Shapes where one GEMM would round otherwise (a unit dimension, or more than
+``GEMM_MAX_CHANNELS`` channels) run per sample. Bias adds, dropout and ReLU
+masks work in place.
+
+The spatial means are fixed per sample. ``head_forward`` and ``backward``
+pool their bundle and run the same core as training. ``train_toy`` pools every
+sample once and gathers each training batch, and each accuracy slice of
+``batch_size`` rows, from the pooled rows; it calls ``head_forward`` once, for
+the final hold-out report.
 """
 
 from __future__ import annotations
@@ -71,6 +82,12 @@ ADAM_EPS = 1e-8
 # straddles a kink (1e-5 -> ~1e-8)
 GRAD_CHECK_STEP = 1e-5
 KINK_HALVINGS = 10
+# A pointwise convolution whose channel counts are both at most this runs as
+# one GEMM over the N*C positions of a batch. Such a GEMM rounds every entry
+# as one GEMM per sample does (measured with OpenBLAS 0.3.31 for 2-8
+# channels, C up to 2048 and batches up to 2000); with 16 input channels, or
+# about 60 output channels, some entries differ in the last bit.
+GEMM_MAX_CHANNELS = 8
 
 
 @dataclass(frozen=True)
@@ -92,6 +109,8 @@ class HeadConfig:
     def __post_init__(self):
         if min(self.c_dino, self.c_res, self.hidden) < 1:
             raise ValueError("all widths must be positive")
+        if min(*self.grid_dino, *self.grid_res) < 1:
+            raise ValueError(f"grid sides must be positive, got {self.grid_dino} and {self.grid_res}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -183,51 +202,100 @@ def init_head(config: HeadConfig, seed: int = 0) -> HeadParams:
     )
 
 
-def _dropout_masks(rng_seed: int, shape: tuple[int, ...], rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted-dropout masks for the two hidden layers: 0 or 1/keep per element."""
+def _dropout_masks(rng_seed: int, n: int, h: int, c: int, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Inverted-dropout masks for the two hidden layers, each (h, N*C): 0 or
+    1/keep per element.
+
+    The stream is drawn in (2, N, h, C) order, which fixes which units
+    every seed drops; the boolean draw is laid out channels-first before it
+    becomes float.
+    """
     keep = 1.0 - rate
-    masks = (np.random.default_rng(rng_seed).random((2, *shape)) < keep).astype(np.float64)
-    masks /= keep
-    return masks[0], masks[1]
+    kept = np.random.default_rng(rng_seed).random((2, n, h, c)) < keep
+    masks = np.empty((2, h, n, c))
+    # kept * (1.0 / keep) is 0.0 / keep or 1.0 / keep, bit for bit
+    np.multiply(kept.transpose(0, 2, 1, 3), 1.0 / keep, out=masks)
+    return masks[0].reshape(h, n * c), masks[1].reshape(h, n * c)
+
+
+def _by_sample(a: np.ndarray, n: int, c: int) -> np.ndarray:
+    """A channels-first (channels, N*C) array as a contiguous (N, channels, C) one."""
+    return np.ascontiguousarray(a.reshape(len(a), n, c).transpose(1, 0, 2))
+
+
+def _has_unit_dim(c: int, *arrays: np.ndarray) -> bool:
+    """Whether C or the channel count of one of the (channels, N*C) arrays is 1.
+
+    numpy sends a product with a unit dimension to gemv, dot or its own
+    loop, whose rounding can depend on the row length and the strides, and
+    it coalesces unit axes in a sum, so such shapes run per sample, on
+    batch-first copies.
+    """
+    return min(c, *map(len, arrays)) == 1
+
+
+def _pointwise(w: np.ndarray, x: np.ndarray, n: int, c: int) -> np.ndarray:
+    """``w @ x``: a pointwise convolution of a (channels, N*C) array.
+
+    One GEMM over all N*C columns when both channel counts are at most
+    ``GEMM_MAX_CHANNELS``; otherwise one GEMM per sample, on a batch-first
+    copy. Either way each entry has the bits of its sample's own product.
+    """
+    if max(w.shape) <= GEMM_MAX_CHANNELS and not _has_unit_dim(c, w, x):
+        return w @ x
+    return (w @ _by_sample(x, n, c)).transpose(1, 0, 2).reshape(len(w), n * c)
 
 
 def _gate_core(x: np.ndarray, p: HeadParams, training: bool, rng_seed: int) -> dict:
-    """Gating network on a batched 2-channel sequence x of shape (N, 2, C)."""
-    n, _, c = x.shape
+    """Gating network on the 2-channel sequences of a batch, x of shape (2, N, C).
+
+    Runs channels-first on (channels, N*C) arrays, sample-major along each
+    row (see ``_pointwise``).
+    """
+    _, n, c = x.shape
+    x = x.reshape(2, n * c)
     dropout = p.config.dropout
     if training and dropout > 0.0:
-        m1, m2 = _dropout_masks(rng_seed, (n, p.gate_b1.size, c), dropout)
+        m1, m2 = _dropout_masks(rng_seed, n, p.gate_b1.size, c, dropout)
     else:
         m1 = m2 = None
-    h1 = p.gate_w1 @ x
+    h1 = _pointwise(p.gate_w1, x, n, c)
     h1 += p.gate_b1[:, None]
     a1d = np.maximum(h1, 0.0)
     if m1 is not None:
         a1d *= m1
-    h2 = p.gate_w2 @ a1d
+    h2 = _pointwise(p.gate_w2, a1d, n, c)
     h2 += p.gate_b2[:, None]
     a2d = np.maximum(h2, 0.0)
     if m2 is not None:
         a2d *= m2
-    s = p.gate_w3 @ a2d
+    s = _pointwise(p.gate_w3, a2d, n, c)
     s += p.gate_b3[:, None]
-    s -= s.max(axis=1, keepdims=True)
+    # softmax across the two channels: max and sum of the two rows
+    s -= np.maximum(s[0], s[1])
     np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
+    s /= s[0] + s[1]
     return {"x": x, "h1": h1, "a1d": a1d, "m1": m1, "h2": h2, "a2d": a2d, "m2": m2, "s": s}
 
 
-def _forward(params: HeadParams, bundle: FeatureBundle, training: bool, rng_seed: int) -> dict:
+def _pool(bundle: FeatureBundle) -> tuple[np.ndarray, np.ndarray]:
+    """``f_dino`` and the pooled conv grid of a batch: the spatial means, fixed per sample."""
     fc = np.asarray(bundle.f_cls, dtype=np.float64)
     if fc.ndim != 2:
         raise ValueError(f"f_cls must be an (N, C) batch, got shape {fc.shape}")
-    pooled_r = np.asarray(bundle.f_grid_res, dtype=np.float64).mean(axis=(1, 2))
     f_dino = fc + np.asarray(bundle.f_grid_dino, dtype=np.float64).mean(axis=(1, 2))
+    return f_dino, np.asarray(bundle.f_grid_res, dtype=np.float64).mean(axis=(1, 2))
+
+
+def _forward(
+    params: HeadParams, f_dino: np.ndarray, pooled_r: np.ndarray, training: bool, rng_seed: int
+) -> dict:
+    """Forward pass from the pooled features of a batch (see ``_pool``)."""
+    n, c = f_dino.shape
     f_res = pooled_r @ params.align_w + params.align_b
-    x = np.stack([f_dino, f_res], axis=1)
-    cache = _gate_core(x, params, training, rng_seed)
+    cache = _gate_core(np.stack([f_dino, f_res]), params, training, rng_seed)
     s = cache["s"]
-    a_dino, a_res = s[:, 0, :], s[:, 1, :]
+    a_dino, a_res = s[0].reshape(n, c), s[1].reshape(n, c)
     f_fus = a_dino * f_dino + a_res * f_res
     logits = f_fus @ params.cls_w + params.cls_b
     z = logits - logits.max(axis=-1, keepdims=True)
@@ -244,11 +312,105 @@ def head_forward(
     params: HeadParams, bundle: FeatureBundle, training: bool = False, rng_seed: int = 0
 ) -> ForwardPass:
     """Full forward pass over a batch; raises ValueError unless ``f_cls`` is 2-D."""
-    c = _forward(params, bundle, training, rng_seed)
+    c = _forward(params, *_pool(bundle), training, rng_seed)
     return ForwardPass(
         f_dino=c["f_dino"], f_res=c["f_res"], a_dino=c["a_dino"], a_res=c["a_res"],
         f_fus=c["f_fus"], logits=c["logits"], probs=c["probs"],
     )
+
+
+def _weight_grad(g: np.ndarray, a: np.ndarray, n: int, c: int) -> np.ndarray:
+    """Weight gradient of a pointwise convolution from its output gradient
+    ``g`` (k, N*C) and input ``a`` (j, N*C): each sample's ``g_i @ a_i.T``,
+    summed over the batch in order. One (k, N*C) @ (N*C, j) product would
+    pair the terms differently and move the last bits."""
+    if _has_unit_dim(c, g, a):
+        return (_by_sample(g, n, c) @ _by_sample(a, n, c).transpose(0, 2, 1)).sum(axis=0)
+    g_i = g.reshape(len(g), n, c).transpose(1, 0, 2)
+    a_i_t = a.reshape(len(a), n, c).transpose(1, 2, 0)
+    return np.matmul(g_i, a_i_t).sum(axis=0)
+
+
+def _bias_grad(g: np.ndarray, n: int, c: int) -> np.ndarray:
+    """Bias gradient of a pointwise convolution: each sample's sum over C,
+    then the samples summed in order (a plain sum over N*C pairs the terms
+    differently)."""
+    if _has_unit_dim(c, g):
+        return _by_sample(g, n, c).sum(axis=(0, 2))
+    return np.ascontiguousarray(g.reshape(len(g), n, c).sum(axis=2).T).sum(axis=0)
+
+
+def _loss_and_grads(
+    f_dino: np.ndarray,
+    pooled_r: np.ndarray,
+    truths,
+    params: HeadParams,
+    training: bool,
+    rng_seed: int,
+    reduction: str,
+) -> tuple[float, dict[str, np.ndarray]]:
+    """``backward`` from the pooled features of a batch (see ``_pool``)."""
+    truths = np.asarray(truths, dtype=np.int64)
+    c = _forward(params, f_dino, pooled_r, training, rng_seed)
+    probs = c["probs"]
+    n, width = f_dino.shape
+    if truths.shape != (n,):
+        raise ValueError(f"truths must hold one label per row: {n} rows, truths of shape {truths.shape}")
+    losses = -np.log(np.maximum(probs[np.arange(n), truths], LOSS_FLOOR))
+    loss = float(losses.mean() if reduction == "mean" else losses.sum())
+
+    # Softmax + cross-entropy collapse to (probs - onehot) at the logits.
+    g_logits = probs.copy()
+    g_logits[np.arange(n), truths] -= 1.0
+    if reduction == "mean":
+        g_logits /= n
+
+    g_cls_w = c["f_fus"].T @ g_logits
+    g_cls_b = g_logits.sum(axis=0)
+    g_ffus = g_logits @ params.cls_w.T
+
+    # Fusion product: gradient reaches the gates and, directly, both branches.
+    g_z = np.stack([g_ffus * c["f_dino"], g_ffus * c["f_res"]]).reshape(2, n * width)
+    # Softmax across the 2-channel axis: dL/dz = s * (g - sum_c g_c s_c).
+    s = c["s"]
+    g_z -= (g_z * s).sum(axis=0)
+    g_z *= s
+
+    g_b3 = _bias_grad(g_z, n, width)
+    g_w3 = _weight_grad(g_z, c["a2d"], n, width)
+    g_h2 = _pointwise(params.gate_w3.T, g_z, n, width)
+    if c["m2"] is not None:
+        g_h2 *= c["m2"]
+    g_h2 *= c["h2"] > 0
+    g_b2 = _bias_grad(g_h2, n, width)
+    g_w2 = _weight_grad(g_h2, c["a1d"], n, width)
+    g_h1 = _pointwise(params.gate_w2.T, g_h2, n, width)
+    if c["m1"] is not None:
+        g_h1 *= c["m1"]
+    g_h1 *= c["h1"] > 0
+    g_b1 = _bias_grad(g_h1, n, width)
+    g_w1 = _weight_grad(g_h1, c["x"], n, width)
+    g_x = _pointwise(params.gate_w1.T, g_h1, n, width)
+
+    # f_dino has no parameters upstream, so only the conv branch carries on
+    g_fres = g_ffus * c["a_res"] + g_x[1].reshape(n, width)
+
+    g_align_w = c["pooled_r"].T @ g_fres
+    g_align_b = g_fres.sum(axis=0)
+
+    grads = {
+        "align_w": g_align_w,
+        "align_b": g_align_b,
+        "gate_w1": g_w1,
+        "gate_b1": g_b1,
+        "gate_w2": g_w2,
+        "gate_b2": g_b2,
+        "gate_w3": g_w3,
+        "gate_b3": g_b3,
+        "cls_w": g_cls_w,
+        "cls_b": g_cls_b,
+    }
+    return loss, grads
 
 
 def backward(
@@ -267,67 +429,7 @@ def backward(
     the same ``rng_seed`` reproduces the dropout masks, so gradients always
     match the forward pass they belong to.
     """
-    truths = np.asarray(truths, dtype=np.int64)
-    c = _forward(params, bundle, training, rng_seed)
-    probs = c["probs"]
-    n = probs.shape[0]
-    if truths.shape != (n,):
-        raise ValueError(f"truths must hold one label per row: {n} rows, truths of shape {truths.shape}")
-    losses = -np.log(np.maximum(probs[np.arange(n), truths], LOSS_FLOOR))
-    loss = float(losses.mean() if reduction == "mean" else losses.sum())
-
-    # Softmax + cross-entropy collapse to (probs - onehot) at the logits.
-    g_logits = probs.copy()
-    g_logits[np.arange(n), truths] -= 1.0
-    if reduction == "mean":
-        g_logits /= n
-
-    g_cls_w = c["f_fus"].T @ g_logits
-    g_cls_b = g_logits.sum(axis=0)
-    g_ffus = g_logits @ params.cls_w.T
-
-    # Fusion product: gradient reaches the gates and, directly, both branches.
-    g_z = np.stack([g_ffus * c["f_dino"], g_ffus * c["f_res"]], axis=1)
-    # Softmax across the 2-channel axis: dL/dz = s * (g - sum_c g_c s_c).
-    s = c["s"]
-    g_z -= (g_z * s).sum(axis=1, keepdims=True)
-    g_z *= s
-
-    g_b3 = g_z.sum(axis=(0, 2))
-    g_w3 = (g_z @ c["a2d"].transpose(0, 2, 1)).sum(axis=0)
-    g_h2 = params.gate_w3.T @ g_z
-    if c["m2"] is not None:
-        g_h2 *= c["m2"]
-    g_h2 *= c["h2"] > 0
-    g_b2 = g_h2.sum(axis=(0, 2))
-    g_w2 = (g_h2 @ c["a1d"].transpose(0, 2, 1)).sum(axis=0)
-    g_h1 = params.gate_w2.T @ g_h2
-    if c["m1"] is not None:
-        g_h1 *= c["m1"]
-    g_h1 *= c["h1"] > 0
-    g_b1 = g_h1.sum(axis=(0, 2))
-    g_w1 = (g_h1 @ c["x"].transpose(0, 2, 1)).sum(axis=0)
-    g_x = params.gate_w1.T @ g_h1
-
-    # f_dino has no parameters upstream, so only the conv branch carries on
-    g_fres = g_ffus * c["a_res"] + g_x[:, 1, :]
-
-    g_align_w = c["pooled_r"].T @ g_fres
-    g_align_b = g_fres.sum(axis=0)
-
-    grads = {
-        "align_w": g_align_w,
-        "align_b": g_align_b,
-        "gate_w1": g_w1,
-        "gate_b1": g_b1,
-        "gate_w2": g_w2,
-        "gate_b2": g_b2,
-        "gate_w3": g_w3,
-        "gate_b3": g_b3,
-        "cls_w": g_cls_w,
-        "cls_b": g_cls_b,
-    }
-    return loss, grads
+    return _loss_and_grads(*_pool(bundle), truths, params, training, rng_seed, reduction)
 
 
 @dataclass
@@ -396,10 +498,11 @@ def grad_check(
     ``GRAD_CHECK_STEP`` unchanged.
     """
     truths = np.asarray(truths, dtype=np.int64)
+    pooled = _pool(bundle)
 
     def probe() -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         """Loss at the current params and the ReLU pattern of h1 and h2."""
-        c = _forward(params, bundle, training, rng_seed)
+        c = _forward(params, *pooled, training, rng_seed)
         probs = c["probs"]
         loss = float(-np.log(np.maximum(probs[np.arange(truths.size), truths], LOSS_FLOOR)).sum())
         return loss, (c["h1"] > 0, c["h2"] > 0)
@@ -462,6 +565,18 @@ class TrainSpec:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
+        if not 0.0 <= self.holdout_frac < 1.0:
+            raise ValueError(f"holdout_frac must be in [0, 1), got {self.holdout_frac!r}")
+        if self.n_holdout >= self.n_samples:
+            raise ValueError(
+                f"n_samples={self.n_samples} with holdout_frac={self.holdout_frac} "
+                f"leaves no rows to train on"
+            )
+
+    @property
+    def n_holdout(self) -> int:
+        """Rows held out for evaluation: at least one."""
+        return max(1, int(round(self.n_samples * self.holdout_frac)))
 
 
 @dataclass(frozen=True)
@@ -508,13 +623,14 @@ def make_synthetic_features(
     return FeatureBundle(f_cls=f_cls, f_grid_dino=gd, f_grid_res=gr), labels
 
 
-def _accuracy(params: HeadParams, fb: FeatureBundle, labels: np.ndarray, batch_size: int) -> float:
-    """Argmax accuracy, evaluated ``batch_size`` rows at a time."""
+def _accuracy(params: HeadParams, f_dino: np.ndarray, pooled_r: np.ndarray, labels: np.ndarray,
+              batch_size: int) -> float:
+    """Argmax accuracy on pooled features, evaluated ``batch_size`` rows at a time."""
     hits = 0
     for start in range(0, labels.size, batch_size):
         rows = slice(start, start + batch_size)
-        fp = head_forward(params, FeatureBundle(fb.f_cls[rows], fb.f_grid_dino[rows], fb.f_grid_res[rows]))
-        hits += int(np.count_nonzero(fp.probs.argmax(axis=1) == labels[rows]))
+        probs = _forward(params, f_dino[rows], pooled_r[rows], False, 0)["probs"]
+        hits += int(np.count_nonzero(probs.argmax(axis=1) == labels[rows]))
     return hits / labels.size
 
 
@@ -529,11 +645,14 @@ def train_toy(spec: TrainSpec) -> TrainResult:
     fb, labels = make_synthetic_features(
         spec.config, spec.n_samples, spec.separation, data_seed, spec.shuffle_labels
     )
-    n_hold = max(1, int(round(spec.n_samples * spec.holdout_frac)))
-    n_train = spec.n_samples - n_hold
-    train_fb = FeatureBundle(fb.f_cls[:n_train], fb.f_grid_dino[:n_train], fb.f_grid_res[:n_train])
-    hold_fb = FeatureBundle(fb.f_cls[n_train:], fb.f_grid_dino[n_train:], fb.f_grid_res[n_train:])
-    y_train, y_hold = labels[:n_train], labels[n_train:]
+    n_train = spec.n_samples - spec.n_holdout
+    # The spatial means are fixed per sample: pool every row once and drop
+    # the grids, but a copy of the hold-out's for the final head_forward.
+    f_dino, pooled_r = _pool(fb)
+    hold_fb = FeatureBundle(*(a[n_train:].copy() for a in (fb.f_cls, fb.f_grid_dino, fb.f_grid_res)))
+    del fb
+    train_rows, hold_rows = slice(None, n_train), slice(n_train, None)
+    y_train, y_hold = labels[train_rows], labels[hold_rows]
 
     params = init_head(spec.config, init_seed)
     state = AdamState.for_params(params, lr=spec.lr)
@@ -545,13 +664,12 @@ def train_toy(spec: TrainSpec) -> TrainResult:
         epoch_loss = 0.0
         for start in range(0, n_train, spec.batch_size):
             idx = order[start : start + spec.batch_size]
-            batch = FeatureBundle(train_fb.f_cls[idx], train_fb.f_grid_dino[idx], train_fb.f_grid_res[idx])
             step_seed = (dropout_seed + 1000003 * global_step) % (2**63)
             # Divergence is detected by the explicit finiteness check below;
             # silence numpy's intermediate warnings from non-finite arithmetic.
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = backward(
-                    batch, y_train[idx], params,
+                loss, grads = _loss_and_grads(
+                    f_dino[idx], pooled_r[idx], y_train[idx], params,
                     training=params.config.dropout > 0, rng_seed=step_seed, reduction="mean",
                 )
             if not math.isfinite(loss):
@@ -563,8 +681,8 @@ def train_toy(spec: TrainSpec) -> TrainResult:
             {
                 "epoch": epoch + 1,
                 "train_loss": epoch_loss / n_train,
-                "train_acc": _accuracy(params, train_fb, y_train, spec.batch_size),
-                "holdout_acc": _accuracy(params, hold_fb, y_hold, spec.batch_size),
+                "train_acc": _accuracy(params, f_dino[train_rows], pooled_r[train_rows], y_train, spec.batch_size),
+                "holdout_acc": _accuracy(params, f_dino[hold_rows], pooled_r[hold_rows], y_hold, spec.batch_size),
             }
         )
 

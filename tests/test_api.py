@@ -1,21 +1,22 @@
 """The exported API: every name an ``__all__`` lists is defined, every
 name a library module exports has a caller in the package, and every function
 the benchmark's tracer wraps exists; the curve functions it wraps are on
-the path an ``evaluate`` run takes, and the fold functions on a ``kfold``
-run's."""
+the path an ``evaluate`` run takes, the fold functions on a ``kfold`` run's,
+and the fusion functions on a ``fusion-demo`` run's."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import math
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import gjeval
-from gjeval import cli, evaluate, serialize_predictions
+from gjeval import TrainSpec, cli, evaluate, serialize_predictions
 
 PACKAGE = Path(gjeval.__file__).parent
 
@@ -123,3 +124,27 @@ def test_kfold_targets_stay_on_the_traced_path(small_dataset, tmp_path):
     assert "gjeval.cli.summarize" not in {s["name"] for s in tracer.spans}
     booked = sum(s["end"] - s["start"] for s in kfold)
     assert 0 < spans.self_times(tracer.spans)["data.kfold_s"] == pytest.approx(booked)
+
+
+def test_fusion_targets_stay_on_the_traced_path(tmp_path):
+    """A fusion-demo run under the benchmark's tracer passes through
+    ``train_toy``, ``make_synthetic_features``, ``adam_step`` once per
+    optimisation step, and ``head_forward`` once, for the final hold-out
+    pass: the training steps and the per-epoch accuracies run on features
+    pooled once, inside ``train_toy``."""
+    spans = _spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        argv = ["fusion-demo", "--dim", "8", "--hidden", "3", "--epochs", "2", "--batch", "64",
+                "--out", str(tmp_path / "fd")]
+        assert tracer.run_op(0, cli.main, argv) == 0
+    finally:
+        tracer.restore()
+    traced = {s["name"] for s in tracer.spans}
+    fusion = {f"gjeval.fusion.{name}" for name in ("train_toy", "head_forward", "adam_step", "make_synthetic_features")}
+    assert fusion <= traced
+    spec = TrainSpec()
+    n_train = spec.n_samples - spec.n_holdout
+    assert tracer.counts["fusion.steps"] == 2 * math.ceil(n_train / 64)
+    assert tracer.counts["fusion.head_forward_calls"] == 1

@@ -1,5 +1,6 @@
 """Memory regression tests: the parser and the curve writer hold a block of
-rows at a time, not the whole file.
+rows at a time, not the whole file, and the fusion demo's training needs no
+more memory than drawing its features.
 
 Each test traces the allocations of one step with ``tracemalloc`` on a
 synthetic predictions file of about 11.6k images, and again on one with four
@@ -22,7 +23,8 @@ import tracemalloc
 import pytest
 
 import gjeval.data
-from gjeval import SynthSpec, evaluate, parse_predictions, serialize_predictions, synth_generate
+import gjeval.fusion
+from gjeval import SynthSpec, TrainSpec, evaluate, parse_predictions, serialize_predictions, synth_generate, train_toy
 from gjeval.cli import _write_outputs
 from gjeval.report import curve_csvs
 
@@ -79,3 +81,22 @@ def test_curve_writer_peak_does_not_grow_with_points(texts, tmp_path):
         points[scale] = report.curves["micro"][0].x.size
     assert points[GROWTH] > 3.5 * points[1]
     assert peaks[GROWTH] <= BOUND * peaks[1], peaks
+
+
+def test_training_peak_is_the_peak_of_drawing_the_features(monkeypatch):
+    """``train_toy`` at the default sizes (2000 samples, batch 128) pools the
+    feature grids once and drops them: no step after drawing the features
+    (pooling, training, the per-epoch accuracies, the hold-out report)
+    allocates past the peak of the draw itself."""
+    draw = gjeval.fusion.make_synthetic_features
+    peaks = []
+
+    def traced_draw(*args, **kwargs):
+        result = draw(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return result
+
+    monkeypatch.setattr(gjeval.fusion, "make_synthetic_features", traced_draw)
+    result, peak, _ = traced(train_toy, TrainSpec(epochs=2))
+    assert len(result.log) == 2 and len(peaks) == 1
+    assert peak == peaks[0], (peak, peaks[0])
