@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 input error, 2 strict-mode metric degeneracy,
 3 training divergence, 4 failed self-check. Each subcommand computes and
 checks everything before it opens a file, so a run that fails with exit 1, 2
-or 3 writes nothing. ``fusion-demo`` writes all its files before it checks
-the gradients, so a run that exits 4 keeps them for diagnosis. The curve
-CSVs are formatted as they are written, a block of rows at a time; every
+or 3 writes nothing. Every ``report.json`` is written by ``_publish``, with
+the subcommand's other files. ``fusion-demo`` writes all its files before it
+checks the gradients, so a run that exits 4 keeps them for diagnosis. The
+curve CSVs are formatted as they are written, a block of rows at a time; every
 other file is written whole. On Linux with two CPUs or more, a report whose
 curve sets hold at least ``FORK_MIN_POINTS`` ROC points has its micro set
 (``roc_micro.csv``, ``pr_micro.csv``) written by a forked second process
@@ -51,7 +52,7 @@ from .data import (
     synth_generate,
 )
 from .fusion import DivergenceError
-from .metrics import MetricReport
+from .metrics import METRIC_NAMES, MetricReport
 from .stats import delong_test, kappa_test, bowker_test
 
 DEFAULT_SEED = 20240  # fixed constant: runs are reproducible by default
@@ -89,14 +90,6 @@ def _err(message: str) -> None:
     print(f"gjeval: {message}", file=sys.stderr)
 
 
-def _stamp(args) -> str | None:
-    if getattr(args, "stamp", False):
-        from datetime import datetime, timezone
-
-        return datetime.now(timezone.utc).isoformat()
-    return None
-
-
 def _write_outputs(outdir: Path, files: dict[str, str | Iterator[str]], forked: Collection[str] = ()) -> None:
     """Write every file into ``outdir``: a text whole, an iterator of chunks
     as it yields them. The chunked files are open together and take one
@@ -118,6 +111,28 @@ def _write_outputs(outdir: Path, files: dict[str, str | Iterator[str]], forked: 
         _write_chunked(outdir, share | chunked)
     for name in files:
         print(f"wrote {outdir / name}")
+
+
+def _publish(args, config: dict, inputs: dict[str, tuple[Path, str]], results: dict,
+             files: dict[str, str | Iterator[str]] | None = None, forked: Collection[str] = ()) -> None:
+    """Write ``report.json`` and the subcommand's other ``files`` into
+    ``args.out``. The report's kind is the subcommand's name with ``_`` for
+    ``-``, its config starts with that name, and ``--stamp`` adds the UTC
+    time as ``generated_at``. ``forked`` is passed to ``_write_outputs``."""
+    stamp = None
+    if args.stamp:
+        from datetime import datetime, timezone
+
+        stamp = datetime.now(timezone.utc).isoformat()
+    doc = rpt.build_report_doc(
+        kind=args.subcommand.replace("-", "_"),
+        config={"subcommand": args.subcommand, **config},
+        inputs=inputs,
+        results=results,
+        stamp=stamp,
+    )
+    # positional: the benchmark's tracer reads the directory and the files from args
+    _write_outputs(args.out, {"report.json": rpt.dump_json(doc), **(files or {})}, forked)
 
 
 def _write_chunked(outdir: Path, chunked: dict[str, Iterator[str]]) -> None:
@@ -171,7 +186,7 @@ def _report_files(mr: MetricReport, svg: bool = False) -> dict[str, str | Iterat
 def _has_undefined(mr: MetricReport) -> bool:
     blocks = [s for s in mr.per_class] + [mr.overall]
     for block in blocks:
-        for name in ("accuracy", "sensitivity", "specificity", "ppv", "npv"):
+        for name in METRIC_NAMES:
             if not getattr(block, name).defined:
                 return True
     return False
@@ -187,21 +202,12 @@ def cmd_evaluate(args) -> int:
     # SVG emission is an execution detail, not semantic config: reports must
     # be byte-identical with and without it.
     config = {
-        "subcommand": "evaluate",
         "pred": str(pred_path),
         "level": args.level,
         "strict": args.strict,
     }
-    doc = rpt.build_report_doc(
-        kind="evaluate",
-        config=config,
-        inputs=inputs,
-        results={"dataset": summarize(ds), "report": mr.as_dict()},
-        stamp=_stamp(args),
-    )
-    files = {"report.json": rpt.dump_json(doc)}
-    files.update(_report_files(mr, svg=args.svg))
-    _write_outputs(args.out, files, _forked_files(mr))
+    results = {"dataset": summarize(ds), "report": mr.as_dict()}
+    _publish(args, config, inputs, results, _report_files(mr, svg=args.svg), _forked_files(mr))
     return 0
 
 
@@ -225,7 +231,6 @@ def cmd_compare(args) -> int:
             continue
         tests.append(replace(res, name=f"delong:{cls.slug}"))
     config = {
-        "subcommand": "compare",
         "pred_a": str(path_a),
         "pred_b": str(path_b),
         "class": args.cls,
@@ -239,14 +244,7 @@ def cmd_compare(args) -> int:
         "tests": [t.as_dict() for t in tests],
         "warnings": warnings,
     }
-    doc = rpt.build_report_doc(
-        kind="compare",
-        config=config,
-        inputs=inputs,
-        results=results,
-        stamp=_stamp(args),
-    )
-    _write_outputs(args.out, {"report.json": rpt.dump_json(doc)})
+    _publish(args, config, inputs, results)
     return 0
 
 
@@ -293,7 +291,6 @@ def cmd_readers(args) -> int:
             + ["" if row[k] is None else repr(row[k]) for k in ("sensitivity", "specificity", "ppv")]
         )
     config = {
-        "subcommand": "readers",
         "pred": str(pred_path),
         "readers": str(readers_path),
     }
@@ -304,18 +301,7 @@ def cmd_readers(args) -> int:
         "group_vs_group_kappa": group_vs_group,
         "notes": notes,
     }
-    doc = rpt.build_report_doc(
-        kind="readers",
-        config=config,
-        inputs=inputs,
-        results=results,
-        stamp=_stamp(args),
-    )
-    files = {
-        "report.json": rpt.dump_json(doc),
-        "reader_points.csv": csv_text(scatter_rows),
-    }
-    _write_outputs(args.out, files)
+    _publish(args, config, inputs, results, {"reader_points.csv": csv_text(scatter_rows)})
     return 0
 
 
@@ -327,7 +313,6 @@ def cmd_kfold(args) -> int:
     units = ds.patient_ids if args.by == "patient" else ds.image_ids
     assign_rows = [("unit_id", "fold"), *zip(units, map(str, fold.tolist()))]
     config = {
-        "subcommand": "kfold",
         "pred": str(pred_path),
         "k": args.k,
         "by": args.by,
@@ -339,18 +324,7 @@ def cmd_kfold(args) -> int:
         "fold_sizes": [f["units"] for f in per_fold],
         "per_fold": per_fold,
     }
-    doc = rpt.build_report_doc(
-        kind="kfold",
-        config=config,
-        inputs=inputs,
-        results=results,
-        stamp=_stamp(args),
-    )
-    files = {
-        "report.json": rpt.dump_json(doc),
-        "assignments.csv": csv_text(assign_rows),
-    }
-    _write_outputs(args.out, files)
+    _publish(args, config, inputs, results, {"assignments.csv": csv_text(assign_rows)})
     return 0
 
 
@@ -389,7 +363,6 @@ def cmd_fusion_demo(args) -> int:
     )
     result = fusion.train_toy(spec)
     run_config = {
-        "subcommand": "fusion-demo",
         "dim": args.dim,
         "hidden": args.hidden,
         "epochs": args.epochs,
@@ -428,20 +401,12 @@ def cmd_fusion_demo(args) -> int:
     }
     if grad_result is not None:
         results["grad_check"] = grad_result
-    doc = rpt.build_report_doc(
-        kind="fusion_demo",
-        config=run_config,
-        inputs={},
-        results=results,
-        stamp=_stamp(args),
-    )
     files = {
-        "report.json": rpt.dump_json(doc),
         "params.json": fusion.params_to_json(result.params) + "\n",
         "training_log.csv": rpt.training_log_csv(result.log),
     }
     files.update(_report_files(result.report))
-    _write_outputs(args.out, files, _forked_files(result.report))
+    _publish(args, run_config, {}, results, files, _forked_files(result.report))
     if grad_result is not None and grad_result["max_relative_error"] >= GRAD_CHECK_TOL:
         _err(
             f"gradient self-check failed: max relative error "

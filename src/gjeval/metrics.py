@@ -27,11 +27,11 @@ from .data import CLASS_ORDER, ClassLabel
 __all__ = [
     "Z_95",
     "RateCI",
-    "ConfusionMatrix",
     "BinaryStats",
     "OverallStats",
     "CurveSeries",
     "MetricReport",
+    "METRIC_NAMES",
     "confusion_matrix",
     "rate_ci",
     "class_stats",
@@ -86,36 +86,14 @@ def rate_ci(num: float, den: float) -> RateCI:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ConfusionMatrix:
-    """3x3 (truth x prediction) matrix in canonical class order.
-
-    Counts are float64 so the same type serves weighted matrices; unit-weight
-    accumulation stays exact because small integers are exact in binary floats.
-    """
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.float64)
-        if c.shape != (3, 3):
-            raise ValueError(f"confusion matrix must be 3x3, got {c.shape}")
-        if np.any(c < 0) or not np.all(np.isfinite(c)):
-            raise ValueError("confusion matrix entries must be finite and non-negative")
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-    def as_lists(self) -> list[list[float]]:
-        return [[float(v) for v in row] for row in self.counts]
-
-
 def confusion_matrix(
     truths: Sequence[int], preds: Sequence[int], weights: Sequence[float] | None = None
-) -> ConfusionMatrix:
-    """Accumulate a (possibly weighted) truth-by-prediction confusion matrix."""
+) -> np.ndarray:
+    """Accumulate a (possibly weighted) truth-by-prediction confusion matrix:
+    a read-only (3, 3) float64 array in canonical class order. Counts are
+    float64 so weighted and unit-weight matrices share one type; unit-weight
+    accumulation stays exact because small integers are exact in binary floats.
+    """
     t = np.asarray(truths, dtype=np.int64)
     p = np.asarray(preds, dtype=np.int64)
     if t.shape != p.shape:
@@ -134,7 +112,8 @@ def confusion_matrix(
             raise ValueError("weights must be finite and non-negative")
     counts = np.zeros((3, 3), dtype=np.float64)
     np.add.at(counts, (t, p), w)
-    return ConfusionMatrix(counts)
+    counts.flags.writeable = False
+    return counts
 
 
 @dataclass(frozen=True)
@@ -170,23 +149,24 @@ class BinaryStats:
         }
 
 
-_METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "ppv", "npv")
+METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "ppv", "npv")
 
 
-def class_stats(cm: ConfusionMatrix, cls: ClassLabel) -> BinaryStats:
+def class_stats(cm: np.ndarray, cls: ClassLabel) -> BinaryStats:
     """One-vs-rest accuracy/sensitivity/specificity/PPV/NPV for one class."""
     k = int(cls)
-    tp = float(cm.counts[k, k])
-    fn = float(cm.counts[k].sum() - tp)
-    fp = float(cm.counts[:, k].sum() - tp)
-    tn = float(cm.total - tp - fn - fp)
+    total = float(cm.sum())
+    tp = float(cm[k, k])
+    fn = float(cm[k].sum() - tp)
+    fp = float(cm[:, k].sum() - tp)
+    tn = float(total - tp - fn - fp)
     return BinaryStats(
         cls=cls,
         tp=tp,
         fp=fp,
         fn=fn,
         tn=tn,
-        accuracy=rate_ci(tp + tn, cm.total),
+        accuracy=rate_ci(tp + tn, total),
         sensitivity=rate_ci(tp, tp + fn),
         specificity=rate_ci(tn, tn + fp),
         ppv=rate_ci(tp, tp + fp),
@@ -212,7 +192,7 @@ class OverallStats:
     warnings: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name).as_dict() for name in _METRIC_NAMES}
+        return {name: getattr(self, name).as_dict() for name in METRIC_NAMES}
 
 
 def _macro_rate(stats: Sequence[BinaryStats], name: str, warnings: list[str]) -> RateCI:
@@ -234,11 +214,11 @@ def _macro_rate(stats: Sequence[BinaryStats], name: str, warnings: list[str]) ->
     )
 
 
-def macro_stats(per_class: Sequence[BinaryStats], cm: ConfusionMatrix) -> OverallStats:
+def macro_stats(per_class: Sequence[BinaryStats], cm: np.ndarray) -> OverallStats:
     """Overall metrics: macro means of the per-class stats, plus overall accuracy
     computed directly as trace/total with its own Wald interval."""
     warnings: list[str] = []
-    overall_acc = rate_ci(float(np.trace(cm.counts)), cm.total)
+    overall_acc = rate_ci(float(np.trace(cm)), float(cm.sum()))
     return OverallStats(
         accuracy=overall_acc,
         sensitivity=_macro_rate(per_class, "sensitivity", warnings),
@@ -249,14 +229,14 @@ def macro_stats(per_class: Sequence[BinaryStats], cm: ConfusionMatrix) -> Overal
     )
 
 
-def cohen_kappa(cm: ConfusionMatrix | np.ndarray) -> float:
+def cohen_kappa(cm: np.ndarray) -> float:
     """Cohen's kappa from a (possibly weighted) agreement matrix.
 
     Returns 1.0 for perfect agreement even when chance agreement is also
     perfect (single shared category); returns NaN for the degenerate case
     p_e == 1 with p_o < 1, which cannot arise from a real cross-table.
     """
-    counts = cm.counts if isinstance(cm, ConfusionMatrix) else np.asarray(cm, dtype=np.float64)
+    counts = np.asarray(cm, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise ValueError(f"agreement matrix must be square, got {counts.shape}")
     total = float(counts.sum())
@@ -430,7 +410,7 @@ def micro_curves(
     return curve_pair(scores, labels, w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricReport:
     """Full evaluation bundle at one analysis level.
 
@@ -441,7 +421,7 @@ class MetricReport:
 
     level: str
     n: float
-    cm: ConfusionMatrix
+    cm: np.ndarray
     per_class: tuple[BinaryStats, BinaryStats, BinaryStats]
     overall: OverallStats
     kappa: float
@@ -456,7 +436,7 @@ class MetricReport:
             "tie_break": "severity",
             "confusion_matrix": {
                 "classes": [c.display for c in CLASS_ORDER],
-                "counts": self.cm.as_lists(),
+                "counts": self.cm.tolist(),
             },
             "per_class": {s.cls.display: s.as_dict() for s in self.per_class},
             "overall": self.overall.as_dict(),
@@ -494,7 +474,7 @@ def compute_report(
     per_class = tuple(class_stats(cm, c) for c in CLASS_ORDER)
     overall = macro_stats(per_class, cm)
     kappa = cohen_kappa(cm)
-    n_eff = cm.total
+    n_eff = float(cm.sum())
     warnings = list(extra_warnings) + list(overall.warnings)
 
     curves: dict[str, tuple[CurveSeries, CurveSeries]] = {}

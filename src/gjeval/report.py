@@ -78,7 +78,7 @@ def dump_json(doc: dict) -> str:
 
 
 def cm_csv(report: MetricReport) -> str:
-    rows = ([c.display, *map(repr, row)] for c, row in zip(CLASS_ORDER, report.cm.as_lists()))
+    rows = ([c.display, *map(repr, row)] for c, row in zip(CLASS_ORDER, report.cm.tolist()))
     return csv_text([["truth\\pred", *(c.display for c in CLASS_ORDER)], *rows])
 
 

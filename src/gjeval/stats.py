@@ -199,7 +199,7 @@ def bowker_test(pairs: Sequence[tuple[int, int]] | np.ndarray) -> TestResult:
         raise ValueError("bowker_test requires at least one pair")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"pairs must have shape (n, 2), got {pairs.shape}")
-    t = confusion_matrix(pairs[:, 0], pairs[:, 1]).counts
+    t = confusion_matrix(pairs[:, 0], pairs[:, 1])
     stat = 0.0
     df = 0
     dropped = 0
@@ -230,7 +230,7 @@ def kappa_test(labels_a: Sequence[int], labels_b: Sequence[int]) -> TestResult:
     b = np.asarray(labels_b, dtype=np.int64)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("label vectors must be 1-D, non-empty, equal length")
-    t = confusion_matrix(a, b).counts
+    t = confusion_matrix(a, b)
     n = float(t.sum())
     p = t / n
     p_o = float(np.trace(p))

@@ -14,7 +14,6 @@ import pytest
 from scipy.stats import rankdata
 
 from gjeval import (
-    ConfusionMatrix,
     HeadConfig,
     TrainSpec,
     backward,

@@ -72,12 +72,12 @@ class TestPatientAggregation:
         ds = make_dataset(truths, probs, ["px", "px"])
         (pat,) = patient_mean_aggregate(ds)
         assert pat[1] == pat[2]
-        assert evaluate(ds, "patient").cm.counts[ClassLabel.EEGJA, ClassLabel.EEGJA] == 1
+        assert evaluate(ds, "patient").cm[ClassLabel.EEGJA, ClassLabel.EEGJA] == 1
 
     def test_preserves_truth(self):
         ds = two_patient_dataset()
         # pa is A-EGJA, pb control: one patient in each of those rows
-        assert evaluate(ds, "patient").cm.counts.sum(axis=1).tolist() == [1.0, 0.0, 1.0]
+        assert evaluate(ds, "patient").cm.sum(axis=1).tolist() == [1.0, 0.0, 1.0]
 
 
 class TestInverseCountWeights:
@@ -98,17 +98,17 @@ class TestEvaluateLevels:
         rep = evaluate(small_dataset, "image")
         assert rep.level == "image"
         assert rep.n == 9
-        assert rep.cm.total == 9
+        assert rep.cm.sum() == 9
 
     def test_patient_level_counts(self, small_dataset):
         rep = evaluate(small_dataset, "patient")
         assert rep.n == 5
-        assert rep.cm.total == 5
+        assert rep.cm.sum() == 5
 
     def test_weighted_level_effective_n(self, small_dataset):
         rep = evaluate(small_dataset, "weighted")
         assert rep.n == pytest.approx(5.0)  # total weight = patient count
-        assert rep.cm.total == pytest.approx(5.0)
+        assert rep.cm.sum() == pytest.approx(5.0)
 
     def test_unknown_level_rejected(self, small_dataset):
         with pytest.raises(ValueError):
@@ -135,7 +135,7 @@ class TestEvaluateLevels:
         r_img = evaluate(ds, "image")
         r_pat = evaluate(ds, "patient")
         r_wtd = evaluate(ds, "weighted")
-        assert np.array_equal(r_img.cm.counts, r_pat.cm.counts)
+        assert np.array_equal(r_img.cm, r_pat.cm)
         assert r_img.overall.accuracy.value == pytest.approx(r_wtd.overall.accuracy.value)
         assert r_img.curves["micro"][0].area == pytest.approx(r_pat.curves["micro"][0].area, abs=1e-12)
 

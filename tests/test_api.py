@@ -2,7 +2,8 @@
 name a library module exports has a caller in the package, and every function
 the benchmark's tracer wraps exists; the curve functions it wraps are on
 the path an ``evaluate`` run takes, the fold functions on a ``kfold`` run's,
-and the fusion functions on a ``fusion-demo`` run's."""
+the fusion functions on a ``fusion-demo`` run's, and the report assembly and
+write functions on every report-writing run's."""
 
 from __future__ import annotations
 
@@ -11,9 +12,12 @@ import importlib
 import importlib.util
 import math
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from conftest import make_dataset
 
 import gjeval
 from gjeval import TrainSpec, cli, evaluate, serialize_predictions
@@ -148,3 +152,41 @@ def test_fusion_targets_stay_on_the_traced_path(tmp_path):
     n_train = spec.n_samples - spec.n_holdout
     assert tracer.counts["fusion.steps"] == 2 * math.ceil(n_train / 64)
     assert tracer.counts["fusion.head_forward_calls"] == 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare", "readers", "kfold", "fusion-demo"])
+def test_publish_stays_on_the_traced_path(command, small_dataset, tmp_path):
+    """Each report-writing run under the benchmark's tracer assembles, dumps
+    and writes its report once, through ``_publish``, and the write counters
+    the tracer takes from ``_write_outputs``'s positional arguments name
+    every file in ``--out`` and its size."""
+    spans = _spans()
+    pred, pred_b, readers = tmp_path / "pred.csv", tmp_path / "pred_b.csv", tmp_path / "readers.csv"
+    pred.write_text(serialize_predictions(small_dataset), encoding="utf-8")
+    other = make_dataset(small_dataset.truth, small_dataset.probs[::-1], small_dataset.row_patient_ids())
+    pred_b.write_text(serialize_predictions(other), encoding="utf-8")
+    calls = [f"{rid},{group},{arm},{image},{truth if (i + k) % 3 else (truth + 1) % 3},12"
+             for k, (rid, group, arm) in enumerate([("r1", "trainee", "A"), ("r2", "expert", "B")])
+             for i, (image, truth) in enumerate(zip(small_dataset.image_ids, small_dataset.truth.tolist()))]
+    readers.write_text("\n".join(["reader_id,group,arm,image_id,pred_label,elapsed_s", *calls, ""]), encoding="utf-8")
+    argv = {
+        "evaluate": ["--pred", str(pred), "--svg"],
+        "compare": ["--pred-a", str(pred), "--pred-b", str(pred_b)],
+        "readers": ["--pred", str(pred), "--readers", str(readers)],
+        "kfold": ["--pred", str(pred), "--k", "3"],
+        "fusion-demo": ["--dim", "8", "--hidden", "3", "--epochs", "1", "--batch", "64"],
+    }[command]
+    out = tmp_path / "out"
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.run_op(0, cli.main, [command, *argv, "--out", str(out)]) == 0
+    finally:
+        tracer.restore()
+    names = Counter(s["name"] for s in tracer.spans)
+    for target in ("gjeval.cli._write_outputs", "gjeval.report.build_report_doc", "gjeval.report.dump_json"):
+        assert names[target] == 1, target
+    written = sorted(out.iterdir())
+    assert "report.json" in {p.name for p in written}
+    assert tracer.counts["cli.files_written"] == len(written)
+    assert tracer.counts["cli.bytes_written"] == sum(p.stat().st_size for p in written)

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import time
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import jsonschema
@@ -209,6 +210,31 @@ class TestEvaluate:
         assert proc.returncode == 0, err
         doc = json.loads((out / "report.json").read_text())
         assert doc["inputs"]["pred"] == {"path": str(fifo), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare", "readers", "kfold", "fusion-demo"])
+def test_stamp_adds_only_generated_at(command, pred_csv, pred_csv_b, readers_csv, tmp_path):
+    """``--stamp`` on each report-writing subcommand puts an ISO-8601 UTC
+    time right after ``inputs`` and changes no other byte of any file."""
+    argv = {
+        "evaluate": ["--pred", str(pred_csv)],
+        "compare": ["--pred-a", str(pred_csv), "--pred-b", str(pred_csv_b)],
+        "readers": ["--pred", str(pred_csv), "--readers", str(readers_csv)],
+        "kfold": ["--pred", str(pred_csv), "--k", "3"],
+        "fusion-demo": ["--dim", "8", "--hidden", "3", "--epochs", "1", "--batch", "64"],
+    }[command]
+    plain, stamped = tmp_path / "plain", tmp_path / "stamped"
+    assert run(command, *argv, "--out", str(plain)) == 0
+    assert run(command, *argv, "--out", str(stamped), "--stamp") == 0
+    doc = json.loads((stamped / "report.json").read_text(encoding="utf-8"))
+    keys = list(doc)
+    assert keys[keys.index("inputs") + 1] == "generated_at"
+    when = datetime.fromisoformat(doc.pop("generated_at"))
+    assert when.tzinfo is not None and when.utcoffset() == timedelta(0)
+    files, stamped_files = tree(plain), tree(stamped)
+    assert dump_json(doc).encode() == files.pop("report.json")
+    stamped_files.pop("report.json")
+    assert stamped_files == files
 
 
 class TestExitCodes:
