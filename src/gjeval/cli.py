@@ -60,11 +60,12 @@ GRAD_CHECK_TOL = 1e-4
 # A report whose curve sets hold at least this many ROC points in all has
 # its micro set written by a second process (``_forked_files``). A fork costs
 # the parent 8-10 ms that a small report does not win back. In-process
-# ``evaluate`` medians over 21 alternating pairs on a 2-core VM, serial ->
-# forked: 44 -> 54 ms at 7.3k points, 125 -> 143 ms at 21k, 189 -> 206 ms at
-# 35k; forking won 13 of 21 pairs at 42k points, 20 of 21 at 63k
-# (303 -> 210 ms) and 10 of 11 at 176k (914 -> 673 ms). The crossover is
-# near 40k points, so 2**17 leaves a margin of 3.
+# image-level ``evaluate`` medians over alternating pairs on a 2-core VM,
+# serial -> forked: 17 -> 26 ms at 7.1k points, 57 -> 69 ms at 21k and
+# 84 -> 104 ms at 42k (forking won 0-3 of 21 pairs); at 85k forking won 2
+# and 11 of 21 in two passes (133 -> 131 ms); 178 -> 146 ms at 106k and
+# 236 -> 184 ms at 127k (20 of 21), 761 -> 492 ms at 353k (11 of 11). The
+# crossover is near 85k points, so 2**17 forks only where forking won.
 FORK_MIN_POINTS = 1 << 17
 
 

@@ -622,8 +622,9 @@ def csv_text(rows: Iterable[Sequence[str]]) -> str:
     ``csv.writer`` writes it, because an empty line reads back as no row.
     Every text table gjeval writes goes
     through it but the curve CSVs, whose fields are float reprs that never
-    need quoting and whose formatting is the hot path
-    (``report._curve_pair_csvs``); keep the two writers apart."""
+    need quoting and are formatted in numpy, a block of rows at a time
+    (``metrics.repr_bytes``, ``report._curve_pair_csvs``); keep the two
+    writers apart."""
     return "".join([(",".join(map(_csv_field, row)) or ('""' if len(row) == 1 else "")) + "\n" for row in rows])
 
 

@@ -17,7 +17,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ __all__ = [
     "curve_pair",
     "micro_curves",
     "binary_scored",
-    "repr_runs",
+    "repr_bytes",
     "compute_report",
 ]
 
@@ -251,17 +250,132 @@ def cohen_kappa(cm: np.ndarray) -> float:
     return (p_o - p_e) / (1.0 - p_e)
 
 
-def repr_runs(values: np.ndarray) -> list[str]:
-    """``repr`` of each value of a float64 array, computed once per run of
-    bit-identical neighbours (so ``-0.0`` and ``0.0`` stay apart)."""
-    bits = values.view(np.int64)
-    new = np.empty(bits.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=new[1:])
-    texts = list(map(repr, values[new].tolist()))
-    if len(texts) == values.size:
-        return texts
-    return list(map(texts.__getitem__, (np.cumsum(new) - 1).tolist()))
+_U = np.uint64
+_POW5 = _U(5) ** np.arange(15, 22, dtype=_U)  # 5**k for k = 15..21, the k that _scaled sees
+_POW10 = _U(10) ** np.arange(5, dtype=_U)
+
+
+def _digit_words() -> np.ndarray:
+    """"0000" to "9999" as uint32 words of ASCII digits, first with their
+    trailing zeros as NUL bytes, then whole: index ``g + 10000`` reads ``g``
+    whole. Built by broadcasting, so that importing the module stays cheap."""
+    digits = np.arange(48, 58, dtype=np.uint8)
+    words = np.empty((2, 10, 10, 10, 10, 4), dtype=np.uint8)
+    for j, place in enumerate(np.ix_(digits, digits, digits, digits)):
+        words[1, ..., j] = place
+    kept = words[1] > 48  # a digit that is not 0, or has one after it
+    for j in (2, 1, 0):
+        kept[..., j] |= kept[..., j + 1]
+    words[0] = words[1] * kept
+    return words.view(np.uint32).ravel()
+
+
+_WORDS = _digit_words()
+_SPECIAL = np.array([b"0.0", b"-0.0", b"inf"]).view(np.uint8).reshape(3, 4)
+_SUB_CHUNK = 2048  # values formatted per vector pass: bounds the temporaries
+
+
+def _scaled(m: np.ndarray, q: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For ``v = m / 2**q`` and ``k = 16 - e``: ``floor(v * 10**k)``, the
+    remainder of ``m * 5**k`` below ``2**s`` with ``s = q - k``, ``s`` and
+    ``5**k``. ``m * 5**k`` (below 2**102) is taken in two uint64 limbs."""
+    k = 16 - e
+    p5 = _POW5[k - 15]
+    s = (q - k).astype(_U)
+    m_lo, m_hi = m & _U(0xFFFFFFFF), m >> _U(32)
+    p_lo, p_hi = p5 & _U(0xFFFFFFFF), p5 >> _U(32)
+    mid = m_lo * p_hi + m_hi * p_lo
+    low = m_lo * p_lo
+    lo = low + (mid << _U(32))  # modulo 2**64: it wrapped where lo < low
+    hi = m_hi * p_hi + (mid >> _U(32)) + (lo < low)
+    return (hi << (_U(64) - s)) | (lo >> s), lo & ((_U(1) << s) - _U(1)), s, p5
+
+
+def _shortest_fixed(v: np.ndarray) -> np.ndarray:
+    """``repr`` of each value of ``v``, all finite and in [1e-4, 10), as rows
+    of ASCII padded with NUL bytes: (len(v), 22) uint8.
+
+    With ``e = floor(log10 v)`` (``log10`` can be off by one next to a power
+    of ten, so it is checked against the 17-digit result), ``v * 10**(16 - e)``
+    is ``d17 + rem / 2**s`` exactly. For 15, 16 and 17 significant digits in
+    turn, the d-digit numbers just below and above ``v`` are tested against
+    ``v``'s rounding interval, half an ulp on each side; the first count with
+    one inside wins, the nearer of two, the even one on a tie. Three bounds
+    of the general method never act in [1e-4, 10): a candidate never lies on
+    an interval's end (an end has 50 or more decimals after the point, a
+    candidate at most 21), the narrower interval below a power of two never
+    decides (each power of two here has at most 15 significant digits, so
+    the 15-digit floor is ``v`` itself) and no candidate rounds up to a
+    power of ten (the double nearest each 10**j, j = -3..1, lies at or
+    above it).
+    """
+    bits = v.view(_U)
+    m = (bits & _U((1 << 52) - 1)) | _U(1 << 52)
+    q = 1075 - (bits >> _U(52)).astype(np.int64)
+    e = np.floor(np.log10(v)).astype(np.int64)
+    d17, rem, s, p5 = _scaled(m, q, e)
+    if (d17 - _U(10**16) >= _U(9 * 10**16)).any():  # some d17 not of 17 digits
+        e += (d17 >= _U(10**17)).astype(np.int64) - (d17 < _U(10**16))
+        d17, rem, s, p5 = _scaled(m, q, e)
+    # distances from v in units of 2**-(s + 2), where the half ulp is 2 * 5**k;
+    # the nearer of d17 and d17 + 1 is within it, the even one on a tie
+    unit, rem, half_ulp = _U(4) << s, rem << _U(2), p5 << _U(1)
+    digits = d17 + (unit - rem < (rem | (d17 & _U(1))))
+    for p in (_U(10), _U(100)):
+        floor = d17 // p
+        below = (d17 - floor * p) * unit + rem
+        above = p * unit - below
+        # up when it fits and is nearer, or as near and floor is odd (below is even)
+        up = (above < half_ulp) & (above < (below | (floor & _U(1))))
+        digits = np.where((below < half_ulp) | up, (floor + up) * p, digits)
+    # the 20 digits after the point, as 20-digit F = digits * 10**(4 + e)
+    # without the leading digit when e = 0; F is taken in 8-digit halves
+    lead = digits // _U(10**16)
+    frac = np.where(e == 0, digits - lead * _U(10**16), digits)
+    scale = _POW10[4 + e]
+    low = frac % _U(10**8) * scale
+    high = frac // _U(10**8) * scale + low // _U(10**8)
+    low %= _U(10**8)
+    groups = np.stack([high // _U(10**8), high // _U(10**4) % _U(10**4), high % _U(10**4),
+                       low // _U(10**4), low % _U(10**4)])
+    # a group is written whole when a later group is not 0000, else trimmed
+    whole = np.zeros(groups.shape, dtype=bool)
+    for t in range(3, -1, -1):
+        whole[t] = whole[t + 1] | (groups[t + 1] != 0)
+    out = np.empty((v.size, 24), dtype=np.uint8)
+    out[:, 2] = np.where(e == 0, lead, 0) + 48
+    out[:, 3] = 46  # "."
+    out[:, 4:].view(np.uint32)[...] = _WORDS[groups + whole * _U(10000)].T
+    np.maximum(out[:, 4], 48, out=out[:, 4])  # "d.0" keeps its 0
+    return out[:, 2:]
+
+
+def repr_bytes(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each value of a 1-D float64 array as the rows of a
+    (len(values), W) uint8 array: the ASCII text, padded with NUL bytes to
+    the longest. Values in [1e-4, 10) are formatted in numpy
+    (``_shortest_fixed``), zeros and ``inf`` from constants, and every other
+    value by ``repr``, in one batch."""
+    v = np.asarray(values, dtype=np.float64)
+    out = np.zeros((v.size, 24), dtype=np.uint8)
+    width = 0
+    fast = (v >= 1e-4) & (v < 10.0)
+    for a in range(0, v.size, _SUB_CHUNK):
+        b = a + _SUB_CHUNK
+        if fast[a:b].any():  # the other values take "1.0" here, then their own text
+            out[a:b, :22] = _shortest_fixed(np.where(fast[a:b], v[a:b], 1.0))
+            width = 22
+    special = (v == 0.0) | (v == np.inf)
+    if special.any():
+        chosen = v[special]
+        out[special, :4] = _SPECIAL[np.where(chosen == np.inf, 2, np.signbit(chosen))]
+        width = max(width, 4)
+    other = ~(fast | special)
+    if other.any():
+        texts = np.array(list(map(repr, v[other].tolist())), dtype=np.bytes_)
+        out[other, : texts.itemsize] = texts.view(np.uint8).reshape(texts.size, -1)
+        width = max(width, texts.itemsize)
+    return out[:, :width]
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,18 +398,18 @@ class CurveSeries:
         for arr in (self.x, self.y, self.thresholds):
             arr.flags.writeable = False
 
-    def to_csv(self, columns: tuple[list[str], list[str], list[str]], head: bool = True) -> str:
+    def to_csv(self, columns: tuple[np.ndarray, np.ndarray, np.ndarray], head: bool = True) -> str:
         """The curve as CSV: a ``# kind= area=`` line, a header, one row per point.
 
-        ``columns`` holds the x, y and threshold texts (``repr_runs`` of each
-        array, see ``report.curve_csvs``), of all rows or of a block of them.
+        ``columns`` holds the x, y and threshold texts as ``repr_bytes``
+        rows (see ``report.curve_csvs``), of all rows or of a block of them.
         ``head=False`` leaves out the two header lines.
         """
         x, y, t = columns
-        comma = repeat(",")
-        rows = chain.from_iterable(zip(x, comma, y, comma, t, repeat("\n")))
-        lines = (f"# kind={self.kind} area={self.area!r}\nx,y,threshold\n",) if head else ()
-        return "".join(chain(lines, rows))
+        comma, newline = (np.full((x.shape[0], 1), c, dtype=np.uint8) for c in b",\n")
+        rows = np.concatenate((x, comma, y, comma, t, newline), axis=1).ravel()
+        text = rows[rows != 0].tobytes().decode("ascii")
+        return f"# kind={self.kind} area={self.area!r}\nx,y,threshold\n{text}" if head else text
 
 
 def _grouped_sweep(

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .data import CLASS_ORDER, csv_text
-from .metrics import CurveSeries, MetricReport, repr_runs
+from .metrics import CurveSeries, MetricReport, repr_bytes
 
 __all__ = [
     "REPORT_SCHEMA_ID",
@@ -99,11 +99,14 @@ def _curve_pair_csvs(name: str, roc: CurveSeries, pr: CurveSeries) -> tuple[Iter
     def blocks() -> Iterator[tuple[str, str]]:
         for a in range(0, roc.x.size, _CURVE_BLOCK_ROWS):
             b = a + _CURVE_BLOCK_ROWS
-            tpr, thresholds = repr_runs(roc.y[a:b]), repr_runs(roc.thresholds[a:b])
             cut = int(a == 0)  # the PR file has no row for the ROC origin
+            columns = (roc.x[a:b], roc.y[a:b], roc.thresholds[a:b], pr.y[a - 1 + cut : b - 1])
+            # one call for the block: repr_bytes has a fixed cost per call
+            fpr, tpr, thresholds, precision = np.split(
+                repr_bytes(np.concatenate(columns)), np.cumsum([c.size for c in columns[:3]]))
             yield (
-                roc.to_csv((repr_runs(roc.x[a:b]), tpr, thresholds), head=a == 0),
-                pr.to_csv((tpr[cut:], repr_runs(pr.y[a - 1 + cut : b - 1]), thresholds[cut:]), head=a == 0),
+                roc.to_csv((fpr, tpr, thresholds), head=a == 0),
+                pr.to_csv((tpr[cut:], precision, thresholds[cut:]), head=a == 0),
             )
 
     return _unzip(blocks())

@@ -1,8 +1,8 @@
 """Differential test of the curve CSV writer.
 
 ``report.curve_csvs`` formats each curve set's shared columns once: PR
-recall and thresholds reuse the ROC TPR and threshold texts, and a run of
-bit-identical values is formatted once. It hands out every file as chunks of
+recall and thresholds reuse the ROC TPR and threshold texts, and each block's
+values are formatted by one ``repr_bytes`` call. It hands out every file as chunks of
 row blocks, two rows a block here (one to five in one test), so every curve
 spans several blocks. The oracle, ``oracle_to_csv``, formats each curve on
 its own, row by row, in the old file order. The joined chunks must give the
@@ -21,7 +21,7 @@ import gjeval.report
 from gjeval import Dataset, SynthSpec, evaluate, serialize_predictions, synth_generate
 from gjeval.cli import main
 from gjeval.data import CLASS_ORDER
-from gjeval.metrics import CurveSeries, repr_runs
+from gjeval.metrics import CurveSeries, repr_bytes
 from gjeval.report import curve_csvs
 
 
@@ -111,15 +111,20 @@ def test_cli_curve_files_match_row_by_row_to_csv(tmp_path):
         assert {name: (out / name).read_text() for name in want} == want
 
 
-def test_repr_runs_equals_repr_of_each_value(rng):
+def texts(rows: np.ndarray) -> list[str]:
+    """The text of each ``repr_bytes`` row, without its NUL padding."""
+    return [row.tobytes().rstrip(b"\0").decode("ascii") for row in rows]
+
+
+def test_repr_bytes_equals_repr_of_each_value(rng):
     pool = np.array([0.0, -0.0, np.inf, -np.inf, 0.5, 1 / 3, 5e-324, 1.0, np.nan])
     for _ in range(300):
         k = int(rng.integers(0, 12))
         values = np.repeat(rng.choice(pool, k), rng.integers(1, 5, k))
-        assert repr_runs(values) == list(map(repr, values.tolist()))
+        assert texts(repr_bytes(values)) == list(map(repr, values.tolist()))
     runs = np.array([0.0, -0.0, -0.0, 0.0, 0.0, np.inf, np.inf, 0.25, -0.0])
-    assert repr_runs(runs) == ["0.0", "-0.0", "-0.0", "0.0", "0.0", "inf", "inf", "0.25", "-0.0"]
-    assert repr_runs(np.empty(0)) == []
+    assert texts(repr_bytes(runs)) == ["0.0", "-0.0", "-0.0", "0.0", "0.0", "inf", "inf", "0.25", "-0.0"]
+    assert repr_bytes(np.empty(0)).shape[0] == 0
 
 
 def _with_micro_pr(report, **changes):

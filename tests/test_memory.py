@@ -1,10 +1,11 @@
 """Memory regression tests: the parser and the curve writer hold a block of
-rows at a time, not the whole file, and the fusion demo's training needs no
-more memory than drawing its features.
+rows at a time, not the whole file, the curve formatter works on part of a
+block at a time, and the fusion demo's training needs no more memory than
+drawing its features.
 
-Each test traces the allocations of one step with ``tracemalloc`` on a
-synthetic predictions file of about 11.6k images, and again on one with four
-times as many. What the step needs beyond what it returns may grow by at most
+The parser and writer tests trace the allocations of one step with
+``tracemalloc`` on a synthetic predictions file of about 11.6k images, and
+again on one with four times as many. What the step needs beyond what it returns may grow by at most
 half, where a step that holds the whole file would need about four times as
 much. ``tracemalloc`` sees one process only, so both steps are traced on
 their serial paths: the parser reads every block in this process, where a
@@ -20,13 +21,15 @@ import math
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import gjeval.data
 import gjeval.fusion
 from gjeval import SynthSpec, TrainSpec, evaluate, parse_predictions, serialize_predictions, synth_generate, train_toy
 from gjeval.cli import _write_outputs
-from gjeval.report import curve_csvs
+from gjeval.metrics import repr_bytes
+from gjeval.report import _CURVE_BLOCK_ROWS, curve_csvs
 
 GROWTH = 4
 BOUND = 1.5
@@ -81,6 +84,22 @@ def test_curve_writer_peak_does_not_grow_with_points(texts, tmp_path):
         points[scale] = report.curves["micro"][0].x.size
     assert points[GROWTH] > 3.5 * points[1]
     assert peaks[GROWTH] <= BOUND * peaks[1], peaks
+
+
+def test_formatter_peak_is_a_small_multiple_of_one_block_of_text(texts):
+    """``repr_bytes`` on one block as the writer calls it (the ROC x, y and
+    thresholds and the PR precision of 8192 rows) works on sub-chunks of
+    its values: its peak stays under three times the block's text, where
+    sub-chunks of 4096 values need 3.4 times it and the whole block at
+    once 17 times."""
+    roc, pr = evaluate(parse_predictions(texts[1]), level="image").curves["micro"]
+    a, b = _CURVE_BLOCK_ROWS, 2 * _CURVE_BLOCK_ROWS
+    assert roc.x.size > b
+    values = np.concatenate((roc.x[a:b], roc.y[a:b], roc.thresholds[a:b], pr.y[a - 1 : b - 1]))
+    text = sum(map(len, map(repr, values.tolist())))
+    rows, peak, _ = traced(repr_bytes, values)
+    assert rows.shape[0] == values.size
+    assert peak <= 3 * text, (peak, text)
 
 
 def test_training_peak_is_the_peak_of_drawing_the_features(monkeypatch):
