@@ -38,6 +38,7 @@ __all__ = [
     "reader_group_report",
     "model_vs_reader_tests",
     "group_vs_group_kappa",
+    "per_reader_points",
 ]
 
 LEVELS = ("image", "patient", "weighted")

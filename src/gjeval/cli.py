@@ -47,7 +47,6 @@ from .data import (
     kfold_split,
     parse_predictions,
     parse_readers,
-    serialize_predictions,
     summarize,
     synth_generate,
 )
@@ -344,12 +343,12 @@ def cmd_synth(args) -> int:
         separation=sep,
         seed=args.seed,
     )
-    ds = synth_generate(spec)
+    text = synth_generate(spec)
     out = args.out
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(serialize_predictions(ds), encoding="utf-8")
-    s = summarize(ds)
-    print(f"wrote {out} ({s['patients']} patients, {s['images']} images)")
+    out.write_text(text, encoding="utf-8")
+    images = text.count("\n") - 1  # every line but the header
+    print(f"wrote {out} ({sum(sizes)} patients, {images} images)")
     return 0
 
 

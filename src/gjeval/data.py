@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain, count, repeat
-from operator import is_not
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "FOLD_UNITS",
     "SynthSpec",
     "parse_predictions",
-    "serialize_predictions",
     "csv_text",
     "parse_readers",
     "summarize",
@@ -44,6 +42,10 @@ __all__ = [
 
 PROB_SUM_TOL_STRICT = 1e-6
 PROB_SUM_TOL_LAX = 1e-3
+# The largest accepted age (years) and reader time (seconds, one day): below
+# them no mean or SD the reports take can overflow.
+_AGE_MAX = 150
+_ELAPSED_MAX_S = 86400
 
 PRED_BASE_COLUMNS = ("image_id", "patient_id", "true_label", "p_aegja", "p_eegja", "p_control")
 PRED_OPT_COLUMNS = ("center", "modality", "sex", "age")
@@ -135,14 +137,16 @@ class _CrossRowFault(ParseError):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Image-level predictions as columns, one row per image.
+    """Image-level predictions as columns, one row per image, and the sex
+    and age of each patient.
 
     ``patient_ids`` lists every patient once, in first-appearance order;
     ``patient_codes[i]`` is the position there of row i's patient and
     ``patient_first_row[k]`` the row of patient k's first image. ``pred`` is
     the argmax of ``probs``: the first maximum wins, so ties go to the more
-    severe class. An optional column is None when no row has a value;
-    ``age`` is NaN on rows without one. Build with ``from_columns``.
+    severe class. ``sex`` and ``age`` have one entry per patient, in
+    ``patient_ids`` order: None and NaN where it has no value. Build with
+    ``from_columns``.
     """
 
     image_ids: tuple[str, ...]
@@ -152,10 +156,8 @@ class Dataset:
     truth: np.ndarray
     probs: np.ndarray
     pred: np.ndarray
-    center: tuple[str | None, ...] | None = None
-    modality: tuple[str | None, ...] | None = None
-    sex: tuple[str | None, ...] | None = None
-    age: np.ndarray | None = None
+    sex: tuple[str | None, ...]
+    age: np.ndarray
     renormalized: int = 0
 
     @classmethod
@@ -166,18 +168,18 @@ class Dataset:
         truth,
         probs,
         *,
-        center: Iterable[str | None] | None = None,
-        modality: Iterable[str | None] | None = None,
-        sex: Iterable[str | None] | None = None,
+        sex: Sequence[str | None] | None = None,
         age=None,
         renormalized: int = 0,
     ) -> "Dataset":
-        """Index per-row columns (``patient_ids`` has one entry per row).
+        """Index per-row columns (``patient_ids``, ``sex`` and ``age`` have
+        one entry per row; a ``sex`` or ``age`` of None is no value on any
+        row). A patient's sex and age are those of its first row.
 
         Image ids must be unique and a patient's images must share one true
         label; otherwise the first row that breaks either rule is reported.
-        An int64 ``truth`` or a float64 ``probs`` or ``age`` array is kept
-        without a copy, behind a read-only view: do not write to it later.
+        An int64 ``truth`` or a float64 ``probs`` array is kept without a
+        copy, behind a read-only view: do not write to it later.
         """
         image_ids = tuple(image_ids)
         row_patients = tuple(patient_ids)
@@ -194,23 +196,17 @@ class Dataset:
                 raise _CrossRowFault(f"duplicate image_id {image_ids[dup]!r}", dup)
             bad = int(conflicts[0])
             raise _CrossRowFault(f"conflicting true labels for patient {row_patients[bad]!r}", bad)
-        if age is not None:
-            age = np.asarray(age, dtype=np.float64).reshape(n)
-            if np.isnan(age).all():
-                age = None
+        age = np.full(len(patients), np.nan) if age is None else np.asarray(age, dtype=np.float64).reshape(n)[first_row]
         columns = dict(
             patient_codes=codes, patient_first_row=first_row,
             truth=truth, probs=probs, pred=probs.argmax(axis=1), age=age,
         )
         for arr in columns.values():
-            if arr is not None:
-                arr.flags.writeable = False
+            arr.flags.writeable = False
         return cls(
             image_ids=image_ids,
             patient_ids=tuple(patients),
-            center=_optional(center),
-            modality=_optional(modality),
-            sex=_optional(sex),
+            sex=(None,) * len(patients) if sex is None else tuple(map(sex.__getitem__, first_row.tolist())),
             renormalized=renormalized,
             **columns,
         )
@@ -225,13 +221,6 @@ class Dataset:
     def patient_counts(self) -> np.ndarray:
         """Images per patient, in ``patient_ids`` order."""
         return np.bincount(self.patient_codes, minlength=len(self.patient_ids))
-
-
-def _optional(col: Iterable[str | None] | None) -> tuple[str | None, ...] | None:
-    if col is None:
-        return None
-    col = tuple(col)
-    return col if any(map(is_not, col, repeat(None))) else None
 
 
 def _first_repeat(values: Sequence[str]) -> int | None:
@@ -486,7 +475,8 @@ def _prediction_block(
         raw = cols["age"]
         age, non_numeric, given = _blank_as_nan(raw)
         fail.check(non_numeric, lambda i: f"non-numeric age {raw[i]!r}")
-        fail.check(given & (~np.isfinite(age) | (age < 0)), lambda i: f"age must be finite and non-negative, got {raw[i]!r}")
+        bad = given & ~((age >= 0) & (age <= _AGE_MAX))
+        fail.check(bad, lambda i: f"age must be in [0, {_AGE_MAX}], got {raw[i]!r}")
         arrays["age"] = age
     texts = {name: map(shared.setdefault, cols[name], cols[name]) for name in names}
     return fail, {"image_id": cols["image_id"], **texts}, arrays
@@ -526,13 +516,18 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     the line that repeats it; the earlier line wins, and on one line the
     duplicate.
 
+    The optional columns ``center``, ``modality``, ``sex`` and ``age`` may
+    follow the base columns, each at most once. ``center`` and ``modality``
+    count toward each row's fields but are not kept; a patient's ``sex`` and
+    ``age`` are those of its first row.
+
     Rows are read and checked ``_BLOCK_ROWS`` at a time, and only the columns
-    the Dataset keeps outlive a block. Equal values of an optional text
-    column share one string object. Plain text (see ``_table``) of at least
-    ``FORK_MIN_CHARS`` characters is split at the first line that starts
-    past its middle when this process may run on more than one CPU: a forked
-    child reads the second half while this process reads the first, and
-    each half has its own string objects. Rows, errors and their order are
+    the Dataset keeps outlive a block. Equal ``sex`` values share one string
+    object. Plain text (see ``_table``) of at least ``FORK_MIN_CHARS``
+    characters is split at the first line that starts past its middle when
+    this process may run on more than one CPU: a forked child reads the
+    second half while this process reads the first, and each half has its
+    own string objects. Rows, errors and their order are
     those of reading the text in one process.
     """
     header, body, blocks = _table(source)
@@ -542,7 +537,7 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
             raise ParseError(f"unknown column {col!r}")
         if col in extras[:pos]:
             raise ParseError(f"duplicate column {col!r}")
-    names = tuple(c for c in ("patient_id", "center", "modality", "sex") if c in header)
+    names = tuple(c for c in ("patient_id", "sex") if c in header)
     shared: dict[str, str | None] = {"": None}
 
     def check(cols: dict[str, list[str]]) -> _Checked:
@@ -578,36 +573,12 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
             texts["patient_id"],
             columns["truth"],
             columns["probs"],
-            center=texts.get("center"),
-            modality=texts.get("modality"),
             sex=texts.get("sex"),
             age=columns.get("age"),
             renormalized=int(columns["renormalized"].sum()),
         )
     except _CrossRowFault as exc:
         raise ParseError(str(exc), list(chain.from_iterable(lines))[exc.index]) from None
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def serialize_predictions(ds: Dataset) -> str:
-    """Serialize a Dataset to CSV text (``csv_text``, shortest-repr floats)."""
-    names = [c.display for c in CLASS_ORDER]
-    cols = [
-        ds.image_ids,
-        ds.row_patient_ids(),
-        [names[t] for t in ds.truth.tolist()],
-        *(map(_fmt, ds.probs[:, j].tolist()) for j in range(3)),
-    ]
-    opt_cols = [c for c in PRED_OPT_COLUMNS if getattr(ds, c) is not None]
-    for c in opt_cols:
-        if c == "age":
-            cols.append(["" if math.isnan(v) else _fmt(v) for v in ds.age.tolist()])
-        else:
-            cols.append(["" if v is None else v for v in getattr(ds, c)])
-    return csv_text(chain([PRED_BASE_COLUMNS + tuple(opt_cols)], zip(*cols)))
 
 
 def _csv_field(text: str) -> str:
@@ -686,8 +657,8 @@ def _reader_block(
         raw = cols["elapsed_s"]
         elapsed, non_numeric, given = _blank_as_nan(raw)
         fail.check(non_numeric, lambda i: f"non-numeric elapsed_s {raw[i]!r}")
-        bad = given & (~np.isfinite(elapsed) | (elapsed < 0))
-        fail.check(bad, lambda i: f"elapsed_s out of range: {float(elapsed[i])!r}")
+        bad = given & ~((elapsed >= 0) & (elapsed <= _ELAPSED_MAX_S))
+        fail.check(bad, lambda i: f"elapsed_s must be in [0, {_ELAPSED_MAX_S}] seconds, got {raw[i]!r}")
         arrays["elapsed_s"] = elapsed
     labels = cols["pred_label"]
     arrays["pred"] = pred = _codes(labels, _LABEL_ALIASES)
@@ -735,9 +706,8 @@ def age_band(age: float) -> str:
 
 def summarize(ds: Dataset) -> dict:
     """Patient and image composition of a dataset, including demographics
-    when present: the report's ``results.dataset``.
-
-    A patient's sex and age are those of its first image."""
+    when present: the report's ``results.dataset``. Patients without a sex
+    or an age are left out of those counts."""
     first = ds.patient_first_row
     names = [c.display for c in CLASS_ORDER]
 
@@ -745,12 +715,10 @@ def summarize(ds: Dataset) -> dict:
         return dict(zip(names, np.bincount(truth, minlength=3).tolist()))
 
     sex_counts: dict[str, int] = {}
-    if ds.sex is not None:
-        for sex in map(ds.sex.__getitem__, first.tolist()):
-            if sex is not None:
-                sex_counts[sex] = sex_counts.get(sex, 0) + 1
-    ages = np.empty(0) if ds.age is None else ds.age[first]
-    ages = ages[~np.isnan(ages)]
+    for sex in ds.sex:
+        if sex is not None:
+            sex_counts[sex] = sex_counts.get(sex, 0) + 1
+    ages = ds.age[~np.isnan(ds.age)]
     bands = {"lt60": 0, "60to69": 0, "ge70": 0}
     for age in ages.tolist():
         bands[age_band(age)] += 1
@@ -836,18 +804,20 @@ _SYNTH_CENTERS = ("C1", "C2", "C3")
 _SYNTH_MODALITIES = ("WLI", "NBI")
 
 
-def synth_generate(spec: SynthSpec) -> Dataset:
-    """Generate a synthetic prediction dataset from logit-normal class clusters.
+def synth_generate(spec: SynthSpec) -> str:
+    """A synthetic predictions CSV from logit-normal class clusters, with
+    every optional column (``csv_text``, shortest-repr floats).
 
     Per image of class k, logits are N(0,1) draws plus ``separation`` on
-    coordinate k, pushed through softmax. Deterministic for a fixed spec.
+    coordinate k, pushed through softmax. Each patient has one sex, age and
+    center, each image its own modality. Deterministic for a fixed spec.
     """
     if spec.images_min < 1 or spec.images_max < spec.images_min:
         raise ValueError("need 1 <= images_min <= images_max")
     if not spec.separation >= 0:  # also false for NaN
         raise ValueError(f"separation must be >= 0, got {spec.separation!r}")
     rng = np.random.default_rng(spec.seed)
-    cols: dict[str, list] = {c: [] for c in ("image_id", "patient_id", "truth", "probs", *PRED_OPT_COLUMNS)}
+    rows: list[tuple[str, ...]] = []
     patient_no = 0
     image_no = 0
     for cls, n_pat in zip(CLASS_ORDER, spec.patients_per_class):
@@ -856,7 +826,7 @@ def synth_generate(spec: SynthSpec) -> Dataset:
             pid = f"p{patient_no:04d}"
             n_img = int(rng.integers(spec.images_min, spec.images_max + 1))
             sex = str(rng.choice(["male", "female"]))
-            age = float(rng.integers(40, 86))
+            age = repr(float(rng.integers(40, 86)))
             center = str(rng.choice(_SYNTH_CENTERS))
             for _ in range(n_img):
                 image_no += 1
@@ -868,19 +838,7 @@ def synth_generate(spec: SynthSpec) -> Dataset:
                     logits[cls] += spec.separation
                     z = logits - logits.max()
                     e = np.exp(z)
-                    probs = list(e / e.sum())
-                cols["image_id"].append(f"img{image_no:05d}")
-                cols["probs"].append(probs)
-                cols["modality"].append(str(rng.choice(_SYNTH_MODALITIES)))
-            for c, v in (("patient_id", pid), ("truth", int(cls)), ("center", center), ("sex", sex), ("age", age)):
-                cols[c].extend([v] * n_img)
-    return Dataset.from_columns(
-        cols["image_id"],
-        cols["patient_id"],
-        cols["truth"],
-        cols["probs"],
-        center=cols["center"],
-        modality=cols["modality"],
-        sex=cols["sex"],
-        age=cols["age"],
-    )
+                    probs = (e / e.sum()).tolist()
+                modality = str(rng.choice(_SYNTH_MODALITIES))
+                rows.append((f"img{image_no:05d}", pid, cls.display, *map(repr, probs), center, modality, sex, age))
+    return csv_text(chain([PRED_BASE_COLUMNS + PRED_OPT_COLUMNS], rows))

@@ -7,7 +7,9 @@ step sums) so they share no code path with the implementations under test.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -15,7 +17,8 @@ import pytest
 
 import gjeval.cli
 import gjeval.data
-from gjeval import Dataset, HeadConfig, HeadParams, ParseError, Readers
+from gjeval import CLASS_ORDER, Dataset, HeadConfig, HeadParams, ParseError, Readers
+from gjeval.data import PRED_BASE_COLUMNS, csv_text
 from gjeval.fusion import N_CLASSES
 
 # The class label tokens the input format accepts, matched case-insensitively
@@ -186,10 +189,28 @@ def make_dataset(truths, probs, patient_ids=None) -> Dataset:
     )
 
 
+def predictions_csv(ds: Dataset) -> str:
+    """A Dataset as a predictions CSV that parses back to its columns: the
+    base columns, then ``sex`` and ``age`` on every row, its patient's
+    (blank where it has none); floats as their shortest repr."""
+    names = [c.display for c in CLASS_ORDER]
+    ages = ["" if math.isnan(age) else repr(age) for age in ds.age.tolist()]
+    codes = ds.patient_codes.tolist()
+    rows = zip(
+        ds.image_ids,
+        ds.row_patient_ids().tolist(),
+        [names[t] for t in ds.truth.tolist()],
+        *(map(repr, ds.probs[:, j].tolist()) for j in range(3)),
+        [ds.sex[c] or "" for c in codes],
+        [ages[c] for c in codes],
+    )
+    return csv_text([(*PRED_BASE_COLUMNS, "sex", "age"), *rows])
+
+
 def dataset_columns(ds: Dataset) -> dict:
     """Every column of a Dataset in a form ``==`` compares exactly (floats by
     their bytes, so -0.0, NaN and the last bit all count)."""
-    return {
+    columns = {
         "image_ids": ds.image_ids,
         "patient_ids": ds.patient_ids,
         "patient_codes": ds.patient_codes.tolist(),
@@ -197,12 +218,12 @@ def dataset_columns(ds: Dataset) -> dict:
         "truth": ds.truth.tolist(),
         "probs": ds.probs.tobytes(),
         "pred": ds.pred.tolist(),
-        "center": ds.center,
-        "modality": ds.modality,
         "sex": ds.sex,
-        "age": None if ds.age is None else ds.age.tobytes(),
+        "age": ds.age.tobytes(),
         "renormalized": ds.renormalized,
     }
+    assert set(columns) == {field.name for field in dataclasses.fields(ds)}, "a Dataset field is left out"
+    return columns
 
 
 def reader_columns(readers: Readers) -> dict:

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_dataset
+from conftest import make_dataset, predictions_csv
 
 import gjeval
-from gjeval import TrainSpec, cli, evaluate, serialize_predictions
+from gjeval import TrainSpec, cli, evaluate
 
 PACKAGE = Path(gjeval.__file__).parent
 
@@ -36,6 +36,18 @@ def test_all_names_resolve():
     stale = {module.__name__: [name for name in module.__all__ if not hasattr(module, name)]
              for module in exported}
     assert {module: names for module, names in stale.items() if names} == {}
+
+
+def test_package_exports_are_their_modules_exports():
+    """Each name ``gjeval.__all__`` takes from a submodule is in that
+    submodule's ``__all__``."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name: node.module for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    assert len(imported) > 40
+    missing = sorted(f"{module}.{name}" for name, module in imported.items()
+                     if name in gjeval.__all__ and name not in importlib.import_module(f"gjeval.{module}").__all__)
+    assert missing == []
 
 
 def _exports(tree: ast.Module) -> list[str]:
@@ -92,7 +104,7 @@ def test_curve_targets_stay_on_the_traced_path(small_dataset, tmp_path):
     derivation per curve set, whose points are the report's points."""
     spans = _spans()
     pred = tmp_path / "pred.csv"
-    pred.write_text(serialize_predictions(small_dataset), encoding="utf-8")
+    pred.write_text(predictions_csv(small_dataset), encoding="utf-8")
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -114,7 +126,7 @@ def test_kfold_targets_stay_on_the_traced_path(small_dataset, tmp_path):
     the split and the per-fold counts; no summary is taken per fold."""
     spans = _spans()
     pred = tmp_path / "pred.csv"
-    pred.write_text(serialize_predictions(small_dataset), encoding="utf-8")
+    pred.write_text(predictions_csv(small_dataset), encoding="utf-8")
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -162,9 +174,9 @@ def test_publish_stays_on_the_traced_path(command, small_dataset, tmp_path):
     every file in ``--out`` and its size."""
     spans = _spans()
     pred, pred_b, readers = tmp_path / "pred.csv", tmp_path / "pred_b.csv", tmp_path / "readers.csv"
-    pred.write_text(serialize_predictions(small_dataset), encoding="utf-8")
+    pred.write_text(predictions_csv(small_dataset), encoding="utf-8")
     other = make_dataset(small_dataset.truth, small_dataset.probs[::-1], small_dataset.row_patient_ids())
-    pred_b.write_text(serialize_predictions(other), encoding="utf-8")
+    pred_b.write_text(predictions_csv(other), encoding="utf-8")
     calls = [f"{rid},{group},{arm},{image},{truth if (i + k) % 3 else (truth + 1) % 3},12"
              for k, (rid, group, arm) in enumerate([("r1", "trainee", "A"), ("r2", "expert", "B")])
              for i, (image, truth) in enumerate(zip(small_dataset.image_ids, small_dataset.truth.tolist()))]

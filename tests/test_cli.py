@@ -14,16 +14,17 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from conftest import params_from_json
+from conftest import params_from_json, predictions_csv
 
 from gjeval.cli import _write_outputs, build_parser, main
-from gjeval.data import parse_predictions, serialize_predictions
+from gjeval.data import parse_predictions
 from gjeval.report import dump_json
 
 
@@ -87,9 +88,9 @@ def pred_csv_b(tmp_path_factory, pred_csv) -> Path:
     noisy = ds.probs + np.random.default_rng(5).uniform(0, 0.4, size=ds.probs.shape)
     noisy /= noisy.sum(axis=1, keepdims=True)
     ds_b = Dataset.from_columns(ds.image_ids, ds.row_patient_ids(), ds.truth, noisy,
-                                center=ds.center, modality=ds.modality, sex=ds.sex, age=ds.age)
+                                sex=[ds.sex[c] for c in ds.patient_codes.tolist()], age=ds.age[ds.patient_codes])
     path = tmp_path_factory.mktemp("inputs-b") / "pred_b.csv"
-    path.write_text(serialize_predictions(ds_b))
+    path.write_text(predictions_csv(ds_b))
     return path
 
 
@@ -261,7 +262,37 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run("evaluate", "--pred", str(pred), "--out", str(out)) == 1
         assert not out.exists()
-        assert "row 2: age must be finite" in capsys.readouterr().err
+        assert "row 2: age must be in [0, 150], got 'inf'" in capsys.readouterr().err
+
+    def test_huge_age_is_1_with_its_row(self, tmp_path, capsys):
+        # ages of 1e308 once passed the parser, overflowed the age mean and SD
+        # with numpy warnings and failed the JSON dump without a row number
+        pred = tmp_path / "age.csv"
+        pred.write_text(
+            "image_id,patient_id,true_label,p_aegja,p_eegja,p_control,sex,age\n"
+            "i1,p1,A-EGJA,0.8,0.15,0.05,F,1e308\n"
+            "i2,p2,control,0.1,0.2,0.7,M,1e308\n"
+        )
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("evaluate", "--pred", str(pred), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "gjeval: input error: row 2: age must be in [0, 150], got '1e308'\n"
+        assert not out.exists()
+
+    def test_huge_elapsed_s_is_1_with_its_row(self, pred_csv, tmp_path, capsys):
+        # times of 1e308 once overflowed the time cost the same way
+        image_ids = parse_predictions(pred_csv.read_text()).image_ids[:2]
+        readers = tmp_path / "readers.csv"
+        readers.write_text("reader_id,group,arm,image_id,pred_label,elapsed_s\n" + "".join(
+            f"{rid},trainee,{arm},{image},0,1e308\n" for rid, arm in (("r1", "A"), ("r2", "B")) for image in image_ids))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("readers", "--pred", str(pred_csv), "--readers", str(readers), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "gjeval: input error: row 2: elapsed_s must be in [0, 86400] seconds, got '1e308'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("subcommand", ["evaluate", "readers"])
@@ -595,8 +626,8 @@ class TestSynth:
         path = tmp_path / "s.csv"
         assert run("synth", "--patients", "3,2,4", "--images-max", "2",
                    "--seed", "3", "--out", str(path)) == 0
-        assert "wrote" in capsys.readouterr().out
         ds = parse_predictions(path.read_text())
+        assert capsys.readouterr().out == f"wrote {path} (9 patients, {len(ds)} images)\n"
         from gjeval.data import summarize
 
         s = summarize(ds)

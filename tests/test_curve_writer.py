@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import gjeval.report
-from gjeval import Dataset, SynthSpec, evaluate, serialize_predictions, synth_generate
+from conftest import predictions_csv
+from gjeval import Dataset, SynthSpec, evaluate, parse_predictions, synth_generate
 from gjeval.cli import main
 from gjeval.data import CLASS_ORDER
 from gjeval.metrics import CurveSeries, repr_bytes
@@ -67,7 +68,8 @@ def tied_dataset(seed: int) -> Dataset:
     """A seeded synth dataset moved to the nearest triple of quarters (heavy
     ties), with some zeros negated so ``-0.0`` sits next to ``0.0``, the last
     zero of each column included."""
-    ds = synth_generate(SynthSpec(patients_per_class=(9, 4, 11), images_max=6, separation=1.0, seed=seed))
+    spec = SynthSpec(patients_per_class=(9, 4, 11), images_max=6, separation=1.0, seed=seed)
+    ds = parse_predictions(synth_generate(spec))
     probs = QUARTERS[np.abs(ds.probs[:, None, :] - QUARTERS).sum(axis=2).argmin(axis=1)]
     gen = np.random.default_rng(seed)
     for j in range(3):
@@ -103,7 +105,7 @@ def test_any_block_size_gives_the_same_text(block_rows, monkeypatch):
 def test_cli_curve_files_match_row_by_row_to_csv(tmp_path):
     ds = tied_dataset(7)
     pred = tmp_path / "pred.csv"
-    pred.write_text(serialize_predictions(ds))
+    pred.write_text(predictions_csv(ds))
     for level in ("image", "weighted"):
         out = tmp_path / level
         assert main(["evaluate", "--pred", str(pred), "--level", level, "--out", str(out)]) == 0

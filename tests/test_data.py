@@ -6,12 +6,13 @@ import csv
 import gc
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
 import gjeval.data
-from conftest import dataset_columns, make_dataset, reader_columns
+from conftest import dataset_columns, make_dataset, predictions_csv, reader_columns
 
 from gjeval import (
     ClassLabel,
@@ -22,7 +23,6 @@ from gjeval import (
     kfold_split,
     parse_predictions,
     parse_readers,
-    serialize_predictions,
     summarize,
     synth_generate,
 )
@@ -80,27 +80,41 @@ class TestParsePredictions:
         assert ds.pred[1] == ClassLabel.EEGJA
         assert ds.patient_ids == ("p1", "p2")
         assert ds.patient_codes.tolist() == [0, 0, 1]
-        out = serialize_predictions(ds)
+        out = predictions_csv(ds)
         assert dataset_columns(parse_predictions(out)) == dataset_columns(ds)
 
     def test_optional_columns(self):
+        """``sex`` and ``age`` are kept per patient, from its first row;
+        ``center`` and ``modality`` are read but not kept."""
         text = (
             HEADER + ",center,modality,sex,age\n"
             "i1,p1,A-EGJA,0.8,0.15,0.05,C1,WLI,F,63\n"
+            "i2,p2,control,0.1,0.2,0.7,C2,NBI,,\n"
+            "i3,p1,A-EGJA,0.7,0.2,0.1,C1,NBI,M,64\n"
         )
         ds = parse_predictions(text)
-        assert ds.center == ("C1",) and ds.modality == ("WLI",)
-        assert ds.sex == ("F",) and ds.age.tolist() == [63.0]
+        assert ds.sex == ("F", None) and ds.age[0] == 63.0 and np.isnan(ds.age[1])
+        assert not hasattr(ds, "center") and not hasattr(ds, "modality")
 
-    @pytest.mark.parametrize("age", ["inf", "nan", "-3"])
+    def test_center_and_modality_change_no_column(self):
+        rows = ("i1,p1,A-EGJA,0.8,0.15,0.05,{}F,63", "i2,p2,control,0.1,0.2,0.7,{}M,", "i3,p1,A-EGJA,0.7,0.2,0.1,{},")
+        with_both = parse_predictions(_text(HEADER + ",center,modality,sex,age", [r.format("C1,WLI,") for r in rows]))
+        without = parse_predictions(_text(HEADER + ",sex,age", [r.format("") for r in rows]))
+        assert dataset_columns(with_both) == dataset_columns(without)
+
+    @pytest.mark.parametrize("age", ["inf", "nan", "-3", "150.5", "1e308"])
     def test_impossible_age_rejected_with_row(self, age):
         text = (
             HEADER + ",center,modality,sex,age\n"
             "i1,p1,A-EGJA,0.8,0.15,0.05,C1,WLI,F,63\n"
             f"i2,p2,control,0.1,0.2,0.7,C1,WLI,M,{age}\n"
         )
-        with pytest.raises(ParseError, match=rf"row 3: age must be finite and non-negative, got '{age}'"):
+        with pytest.raises(ParseError, match=f"^{re.escape(f'row 3: age must be in [0, 150], got {age!r}')}$"):
             parse_predictions(text)
+
+    def test_age_bounds_are_accepted(self):
+        ds = parse_predictions(_text(HEADER + ",age", ("i1,p1,A-EGJA,1,0,0,0", "i2,p2,A-EGJA,1,0,0,150")))
+        assert ds.age.tolist() == [0.0, 150.0]
 
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header"):
@@ -347,7 +361,7 @@ class TestReaders:
             parse_readers(text)
         with pytest.raises(ParseError, match=r"^row 4: non-numeric elapsed_s 'x'$"):
             parse_readers(text.replace("b,i1,nope", "b,i3,nope"))
-        with pytest.raises(ParseError, match=r"^row 3: elapsed_s out of range: inf$"):
+        with pytest.raises(ParseError, match=r"^row 3: elapsed_s must be in \[0, 86400\] seconds, got 'inf'$"):
             parse_readers(text.replace("control,1", "zzz,inf"))
 
     def test_duplicate_observation_rejected(self):
@@ -472,8 +486,7 @@ class TestTokenizerPaths:
         ds = parse_predictions(text)
         assert tokenizer_paths == ["plain", "plain"]
         assert ds.image_ids == ("i1", "i2", fields[0]) and ds.patient_ids == ("p1", fields[1])
-        assert ds.center == ("C1", "C1", fields[6]) and ds.modality == ("WLI", "NBI", fields[7])
-        assert ds.sex == ("F", "F", fields[8]) and ds.age.tolist() == [44, 44, 51]
+        assert ds.sex == ("F", fields[8]) and ds.age.tolist() == [44, 51]
         assert ds.truth.tolist() == [0, 0, 2] and ds.probs[2].tolist() == [0.1, 0.2, 0.7]
         tokenizer_paths.clear()
         assert dataset_columns(parse_predictions(_quote_first_field(text))) == dataset_columns(ds)
@@ -550,9 +563,8 @@ class TestBlocks:
             parse_predictions(csv_text(*ROWS, "i4,p3,nope,0,0,1", "i1,p3,control,0,0,1"))
 
     def test_equal_values_share_one_string(self):
-        ds = parse_predictions(serialize_predictions(synth_generate(SynthSpec((5, 3, 6), images_max=4, seed=3))))
-        for col in (ds.center, ds.modality, ds.sex):
-            assert len(set(map(id, col))) == len(set(col)) < len(col)
+        ds = parse_predictions(synth_generate(SynthSpec((5, 3, 6), images_max=4, seed=3)))
+        assert len(set(map(id, ds.sex))) == len(set(ds.sex)) < len(ds.sex)
         lines = [f"r{k % 3},trainee,A,{image},0" for k, image in enumerate(ds.image_ids[:9])]
         readers = parse_readers(_text(READER_HEADER, lines + [f"r4,expert,B,{image},1" for image in ds.image_ids[:5]]))
         for col in (readers.reader_ids, readers.image_ids):
@@ -578,6 +590,20 @@ class TestSummarize:
         assert s["age_mean"] == pytest.approx((59 + 65 + 80) / 3)
         assert s["age_sd"] == pytest.approx(np.std([59, 65, 80], ddof=1))
         assert s["age_bands"] == {"lt60": 1, "60to69": 1, "ge70": 1}
+
+    def test_sex_counts_in_order_of_patients(self):
+        """Sexes are counted at each patient's first row, in patient order;
+        a value on a later row of a patient neither counts nor sets the
+        order."""
+        rows = ("i1,p1,control,0,0,1,F", "i2,p1,control,0,0,1,X", "i3,p2,control,0,0,1,M", "i4,p3,control,0,0,1,X")
+        s = summarize(parse_predictions(_text(HEADER + ",sex", rows)))
+        assert list(s["patients_by_sex"].items()) == [("F", 1), ("M", 1), ("X", 1)]
+
+    def test_age_blank_on_the_first_row_is_no_age(self):
+        ds = parse_predictions(_text(HEADER + ",age", ("i1,p1,control,0,0,1,", "i2,p1,control,0,0,1,50")))
+        s = summarize(ds)
+        assert np.isnan(ds.age).tolist() == [True]
+        assert s["age_mean"] is None and s["age_sd"] is None and s["age_bands"] == {"lt60": 0, "60to69": 0, "ge70": 0}
 
     def test_age_band_edges(self):
         assert age_band(59.9) == "lt60"
@@ -646,7 +672,7 @@ class TestKFold:
     def test_pinned_folds(self):
         """The folds the split gave when it returned a dict from unit id to
         fold, for one pinned seed: every unit keeps its fold."""
-        ds = synth_generate(SynthSpec(patients_per_class=(4, 3, 5), images_min=1, images_max=6, seed=8))
+        ds = parse_predictions(synth_generate(SynthSpec(patients_per_class=(4, 3, 5), images_max=6, seed=8)))
         assert kfold_split(ds, k=4, unit="patient", seed=31).tolist() == [0, 2, 2, 3, 0, 2, 1, 0, 3, 1, 1, 3]
         assert kfold_split(ds, k=5, unit="image", seed=31).tolist() == [
             3, 3, 1, 1, 2, 0, 3, 1, 4, 3, 1, 2, 2, 0, 4, 1, 3, 0, 3, 4, 1, 4, 0, 0, 0,
@@ -676,7 +702,7 @@ def fold_oracle(ds: Dataset, fold: np.ndarray, unit: str) -> list[dict]:
 class TestFoldDatasets:
     @pytest.mark.parametrize("unit", FOLD_UNITS)
     def test_matches_row_loop(self, small_dataset, unit):
-        synth = synth_generate(SynthSpec(patients_per_class=(5, 3, 6), images_min=1, images_max=6, seed=4))
+        synth = parse_predictions(synth_generate(SynthSpec(patients_per_class=(5, 3, 6), images_max=6, seed=4)))
         for ds in (small_dataset, synth):
             n_units = len(ds.patient_ids if unit == "patient" else ds.image_ids)
             for seed in range(4):
@@ -694,21 +720,22 @@ class TestFoldDatasets:
 class TestSynth:
     def test_reproducible_and_sized(self):
         spec = SynthSpec(patients_per_class=(5, 4, 6), images_min=2, images_max=4, seed=11)
-        a = synth_generate(spec)
-        b = synth_generate(spec)
-        assert dataset_columns(a) == dataset_columns(b)
+        text = synth_generate(spec)
+        assert synth_generate(spec) == text
+        a = parse_predictions(text)
         assert len(a.patient_ids) == 15
         counts = a.patient_counts()
         assert counts.min() >= 2 and counts.max() <= 4
         assert np.bincount(a.truth[a.patient_first_row]).tolist() == [5, 4, 6]
 
     def test_probability_rows_valid(self):
-        ds = synth_generate(SynthSpec(patients_per_class=(3, 3, 3), seed=2))
+        ds = parse_predictions(synth_generate(SynthSpec(patients_per_class=(3, 3, 3), seed=2)), strict=True)
+        assert ds.renormalized == 0
         assert np.allclose(ds.probs.sum(axis=1), 1.0, rtol=0, atol=1e-9)
         assert (ds.probs >= 0).all()
 
     def test_infinite_separation_is_one_hot(self):
-        ds = synth_generate(SynthSpec(patients_per_class=(2, 2, 2), separation=float("inf"), seed=5))
+        ds = parse_predictions(synth_generate(SynthSpec(patients_per_class=(2, 2, 2), separation=float("inf"), seed=5)))
         assert (ds.probs[np.arange(len(ds)), ds.truth] == 1.0).all()
         assert ds.pred.tolist() == ds.truth.tolist()
 
@@ -720,15 +747,17 @@ class TestSynth:
     def test_separation_improves_accuracy(self):
         accs = []
         for sep in (0.5, 3.0):
-            ds = synth_generate(SynthSpec(patients_per_class=(30, 30, 30), separation=sep, seed=7))
+            ds = parse_predictions(synth_generate(SynthSpec(patients_per_class=(30, 30, 30), separation=sep, seed=7)))
             acc = np.mean(ds.pred == ds.truth)
             accs.append(acc)
         assert accs[1] > accs[0]
 
     def test_demographics_present_by_default(self):
-        ds = synth_generate(SynthSpec(patients_per_class=(2, 2, 2), seed=3))
-        assert ds.sex[0] in ("male", "female") and 40 <= ds.age[0] <= 85
-        assert ds.center[0] is not None and ds.modality[0] is not None
+        rows = list(csv.reader(io.StringIO(synth_generate(SynthSpec(patients_per_class=(2, 2, 2), seed=3)))))
+        assert rows[0] == [*HEADER.split(","), "center", "modality", "sex", "age"]
+        for center, modality, sex, age in (row[6:] for row in rows[1:]):
+            assert center in ("C1", "C2", "C3") and modality in ("WLI", "NBI")
+            assert sex in ("male", "female") and 40 <= float(age) <= 85 and age == repr(float(age))
 
 
 class TestCsvText:

@@ -26,7 +26,7 @@ import pytest
 
 import gjeval.data
 import gjeval.fusion
-from gjeval import SynthSpec, TrainSpec, evaluate, parse_predictions, serialize_predictions, synth_generate, train_toy
+from gjeval import SynthSpec, TrainSpec, evaluate, parse_predictions, synth_generate, train_toy
 from gjeval.cli import _write_outputs
 from gjeval.metrics import repr_bytes
 from gjeval.report import _CURVE_BLOCK_ROWS, curve_csvs
@@ -39,7 +39,7 @@ BOUND = 1.5
 def texts() -> dict[int, str]:
     """Predictions CSV text by scale: 1 and GROWTH times (440, 180, 500) patients."""
     return {
-        scale: serialize_predictions(synth_generate(SynthSpec((440 * scale, 180 * scale, 500 * scale), seed=scale)))
+        scale: synth_generate(SynthSpec((440 * scale, 180 * scale, 500 * scale), seed=scale))
         for scale in (1, GROWTH)
     }
 

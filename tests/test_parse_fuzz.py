@@ -2,7 +2,9 @@
 
 The oracle is the row-by-row parser that the columnar ``parse_predictions``
 replaced, kept here with the rules added since: an empty ``image_id`` or
-``patient_id`` is a row error; a duplicated header column is an error; a
+``patient_id`` is a row error; an ``age`` above 150 is a row error; a
+patient's sex and age are those of its first row, and ``center`` and
+``modality`` are not kept; a duplicated header column is an error; a
 leading byte order mark is ignored; a duplicated ``image_id`` or a
 patient's second true label names the file line that repeats it; and a row
 is numbered by the file line it starts on, so a row after a quoted field
@@ -27,10 +29,10 @@ import numpy as np
 import pytest
 
 import gjeval.data
-from conftest import dataset_columns, numbered_records, oracle_label
+from conftest import dataset_columns, numbered_records, oracle_label, predictions_csv
 
 from gjeval.cli import main
-from gjeval.data import ParseError, parse_predictions, serialize_predictions
+from gjeval.data import ParseError, parse_predictions
 
 BASE = ("image_id", "patient_id", "true_label", "p_aegja", "p_eegja", "p_control")
 OPTIONAL = ("center", "modality", "sex", "age")
@@ -94,10 +96,9 @@ def oracle_parse(source: str, strict: bool = False) -> dict:
                 age = float(fields["age"])
             except ValueError:
                 raise ParseError(f"non-numeric age {fields['age']!r}", row_no) from None
-            if not math.isfinite(age) or age < 0:
-                raise ParseError(f"age must be finite and non-negative, got {fields['age']!r}", row_no)
-        records.append((fields["image_id"], fields["patient_id"], truth, probs,
-                        *(fields.get(c) or None for c in ("center", "modality", "sex")), age))
+            if not 0 <= age <= 150:
+                raise ParseError(f"age must be in [0, 150], got {fields['age']!r}", row_no)
+        records.append((fields["image_id"], fields["patient_id"], truth, probs, fields.get("sex") or None, age))
         lines.append(row_no)
     if not records:
         raise ParseError("no data rows")
@@ -117,12 +118,7 @@ def oracle_parse(source: str, strict: bool = False) -> dict:
                 best = i
         return best
 
-    def optional(i):
-        col = tuple(r[i] for r in records)
-        return None if all(v is None for v in col) else col
-
     patients = tuple(first)
-    ages = np.array([r[7] for r in records])
     return {
         "image_ids": tuple(r[0] for r in records),
         "patient_ids": patients,
@@ -131,10 +127,8 @@ def oracle_parse(source: str, strict: bool = False) -> dict:
         "truth": [r[2] for r in records],
         "probs": np.array([r[3] for r in records], dtype=np.float64).tobytes(),
         "pred": [pred(r[3]) for r in records],
-        "center": optional(4),
-        "modality": optional(5),
-        "sex": optional(6),
-        "age": None if np.isnan(ages).all() else ages.tobytes(),
+        "sex": tuple(records[pos][4] for pos in first.values()),
+        "age": np.array([records[pos][5] for pos in first.values()], dtype=np.float64).tobytes(),
         "renormalized": renorm,
     }
 
@@ -266,16 +260,17 @@ def test_parser_matches_row_by_row_oracle(seed, tokenizer_paths):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_serialized_dataset_reads_back(seed):
-    """Every text the parser accepts gives a Dataset whose serialized CSV
-    parses to the same columns, bar ``renormalized``: it counts parse-time
-    fixes, and the written probabilities need none."""
+    """Every text the parser accepts gives a Dataset whose CSV, as
+    ``predictions_csv`` writes it, parses to the same columns, bar
+    ``renormalized``: it counts parse-time fixes, and the written
+    probabilities need none."""
     accepted = 0
     for text, strict in cases(400, seed):
         try:
             ds = parse_predictions(text, strict)
         except ParseError:
             continue
-        again = parse_predictions(serialize_predictions(ds), strict)
+        again = parse_predictions(predictions_csv(ds), strict)
         assert again.renormalized == 0, text
         assert {**dataset_columns(again), "renormalized": ds.renormalized} == dataset_columns(ds), text
         accepted += 1

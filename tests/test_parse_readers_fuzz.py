@@ -2,7 +2,8 @@
 
 The oracle is the row-by-row parser that the columnar ``parse_readers``
 replaced, kept here with the rules added since: an empty ``reader_id`` or
-``image_id`` is a row error, checked right after the field count; a row that
+``image_id`` is a row error, checked right after the field count; an
+``elapsed_s`` above 86400 is a row error; a row that
 ``csv`` rejects (a field over its size limit) is a row error like a wrong
 field count; and a row is numbered by the file line it starts on, so a row
 after a quoted field that holds a line end counts that line. Both parsers
@@ -79,8 +80,8 @@ def oracle_parse(source: str) -> dict:
                 elapsed = float(fields["elapsed_s"])
             except ValueError:
                 raise ParseError(f"non-numeric elapsed_s {fields['elapsed_s']!r}", row_no) from None
-            if not math.isfinite(elapsed) or elapsed < 0:
-                raise ParseError(f"elapsed_s out of range: {elapsed!r}", row_no)
+            if not 0 <= elapsed <= 86400:
+                raise ParseError(f"elapsed_s must be in [0, 86400] seconds, got {fields['elapsed_s']!r}", row_no)
         pred = oracle_label(fields["pred_label"], row_no)
         calls.append((key[0], GROUPS.index(group), ARMS.index(arm), key[1], pred, elapsed))
     if not calls:
