@@ -17,7 +17,7 @@ weighted  image-level rows weighted by 1 / (images of the same patient),
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -94,7 +94,6 @@ def _rows_of(ds: Dataset, image_ids: Sequence[str]) -> np.ndarray:
 class JoinedPredictions:
     """Two models' predictions joined on image_id, in first-dataset order."""
 
-    image_ids: tuple[str, ...]
     truths: np.ndarray
     preds_a: np.ndarray
     preds_b: np.ndarray
@@ -117,7 +116,6 @@ def join_predictions(ds_a: Dataset, ds_b: Dataset) -> JoinedPredictions:
     if not rows_a.size:
         raise ValueError("no common image_ids between the two prediction sets")
     return JoinedPredictions(
-        image_ids=tuple(map(ds_a.image_ids.__getitem__, rows_a.tolist())),
         truths=truths,
         preds_a=ds_a.pred[rows_a],
         preds_b=ds_b.pred[rows_b],
@@ -134,23 +132,19 @@ class PooledReaderPairs:
     prediction is replicated once per reader observation of that image, so
     reader and model see identical observation counts in pooled comparisons.
     ``rows`` holds each observation's row in the model's dataset, so equal
-    rows mean the same image.
+    rows mean the same image. ``n_readers`` counts the cell's distinct
+    readers; ``time_cost_s`` is the mean ``elapsed_s`` of its calls, None
+    when none of them has a time.
     """
 
     group: str
     arm: str
-    reader_ids: tuple[str, ...]
+    n_readers: int
     rows: np.ndarray
     truths: np.ndarray
     reader_preds: np.ndarray
     model_preds: np.ndarray
-    elapsed_s: np.ndarray | None  # None when the cell recorded no timings
-
-    @property
-    def mean_elapsed_s(self) -> float | None:
-        if self.elapsed_s is None:
-            return None
-        return float(self.elapsed_s.mean())
+    time_cost_s: float | None
 
 
 def reader_rows(readers: Readers, model: Dataset) -> np.ndarray:
@@ -158,26 +152,28 @@ def reader_rows(readers: Readers, model: Dataset) -> np.ndarray:
     return _rows_of(model, readers.image_ids)
 
 
-def pool_readers(readers: Readers, model: Dataset, group: str, arm: str, rows: np.ndarray) -> PooledReaderPairs:
-    """Pool every reader observation of one (group, arm) cell against the model.
+def pool_readers(readers: Readers, model: Dataset, cell: int, rows: np.ndarray) -> PooledReaderPairs:
+    """Pool every reader observation of one cell against the model; ``cell``
+    is the cell's position in ``READER_CELLS``.
 
-    A call on an image the model lacks is an error (the model dataset defines
-    the image universe), and so is a call without a time in a cell that has
-    times. The first such call in file order is reported; on one call, the
-    unknown image. ``rows`` is ``reader_rows(readers, model)``, looked up
-    once for every cell.
+    A code out of range or a cell without calls is an error. So is a call on
+    an image the model lacks (the model dataset defines the image universe),
+    and a call without a time in a cell that has times. The first such call
+    in file order is reported; on one call, the unknown image. ``rows`` is
+    ``reader_rows(readers, model)``, looked up once for every cell.
     """
-    code = READER_CELLS.index((group, arm)) if (group, arm) in READER_CELLS else -1
-    in_cell = readers.cells() == code
-    calls = np.flatnonzero(in_cell)
+    if not 0 <= cell < len(READER_CELLS):
+        raise ValueError(f"reader cell code must be in [0, {len(READER_CELLS)}), got {cell}")
+    group, arm = READER_CELLS[cell]
+    calls = np.flatnonzero(readers.cell == cell)
     if not calls.size:
         raise ValueError(f"no reader records for group={group!r} arm={arm!r}")
     rows = rows[calls]
-    elapsed = None if readers.elapsed_s is None else readers.elapsed_s[calls]
-    if elapsed is not None and np.isnan(elapsed).all():
-        elapsed = None
+    elapsed = readers.elapsed_s[calls]
+    untimed = np.isnan(elapsed)
+    timed = not untimed.all()
     unknown = rows < 0
-    bad = np.flatnonzero(unknown if elapsed is None else unknown | np.isnan(elapsed))
+    bad = np.flatnonzero(unknown | untimed if timed else unknown)
     if bad.size:
         i = int(bad[0])
         image_id = readers.image_ids[int(calls[i])]
@@ -188,12 +184,12 @@ def pool_readers(readers: Readers, model: Dataset, group: str, arm: str, rows: n
     return PooledReaderPairs(
         group=group,
         arm=arm,
-        reader_ids=tuple(sorted(set(compress(readers.reader_ids, in_cell.tolist())))),
+        n_readers=len(set(map(readers.reader_ids.__getitem__, calls.tolist()))),
         rows=rows,
         truths=model.truth[rows],
         reader_preds=readers.pred[calls],
         model_preds=model.pred[rows],
-        elapsed_s=elapsed,
+        time_cost_s=float(elapsed.mean()) if timed else None,
     )
 
 
@@ -204,7 +200,7 @@ def reader_group_report(pool: PooledReaderPairs) -> MetricReport:
         pool.reader_preds,
         probs=None,
         level=f"readers:{pool.group}:{pool.arm}",
-        time_cost_s=pool.mean_elapsed_s,
+        time_cost_s=pool.time_cost_s,
     )
 
 
@@ -249,7 +245,7 @@ def per_reader_points(readers: Readers, model: Dataset, rows: np.ndarray) -> lis
     """
     names = sorted(set(readers.reader_ids))
     rank = dict(zip(names, range(len(names))))
-    key = readers.cells() * len(names) + np.fromiter(
+    key = readers.cell * len(names) + np.fromiter(
         map(rank.__getitem__, readers.reader_ids), np.int64, len(readers)
     )
     order = np.argsort(key, kind="stable")

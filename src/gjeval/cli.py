@@ -39,7 +39,6 @@ from . import aggregate, forking, fusion, report as rpt
 from .data import (
     CLASS_ORDER,
     FOLD_UNITS,
-    READER_CELLS,
     ParseError,
     SynthSpec,
     csv_text,
@@ -237,7 +236,7 @@ def cmd_compare(args) -> int:
     }
     results = {
         "join": {
-            "n_common": len(joined.image_ids),
+            "n_common": joined.truths.size,
             "n_a": len(ds_a),
             "n_b": len(ds_b),
         },
@@ -252,21 +251,20 @@ def cmd_readers(args) -> int:
     pred_path, readers_path, inputs = Path(args.pred), Path(args.readers), {}
     model = parse_predictions(_read_text(pred_path, "pred", inputs))
     readers = parse_readers(_read_text(readers_path, "readers", inputs))
-    cells = [READER_CELLS[c] for c in np.flatnonzero(np.bincount(readers.cells())).tolist()]
     rows = aggregate.reader_rows(readers, model)
-    pooled = {cell: aggregate.pool_readers(readers, model, *cell, rows) for cell in cells}
+    pooled = [aggregate.pool_readers(readers, model, cell, rows)
+              for cell in np.flatnonzero(np.bincount(readers.cell)).tolist()]
     groups_out = []
     model_vs_group = {}
-    for cell in cells:
-        pool = pooled[cell]
+    for pool in pooled:
         mr = aggregate.reader_group_report(pool)
         tests = aggregate.model_vs_reader_tests(pool)
-        model_vs_group[f"{cell[0]}:{cell[1]}"] = tests[0].detail.get("kappa")
+        model_vs_group[f"{pool.group}:{pool.arm}"] = tests[0].detail.get("kappa")
         groups_out.append(
             {
-                "group": cell[0],
-                "arm": cell[1],
-                "readers": len(pool.reader_ids),
+                "group": pool.group,
+                "arm": pool.arm,
+                "readers": pool.n_readers,
                 "observations": int(pool.truths.size),
                 "report": mr.as_dict(),
                 "tests": [t.as_dict() for t in tests],
@@ -274,11 +272,11 @@ def cmd_readers(args) -> int:
         )
     group_vs_group = {}
     notes = []
-    for i, cx in enumerate(cells):
-        for cy in cells[i + 1 :]:
-            key = f"{cx[0]}:{cx[1]}|{cy[0]}:{cy[1]}"
+    for i, px in enumerate(pooled):
+        for py in pooled[i + 1 :]:
+            key = f"{px.group}:{px.arm}|{py.group}:{py.arm}"
             try:
-                res = aggregate.group_vs_group_kappa(pooled[cx], pooled[cy])
+                res = aggregate.group_vs_group_kappa(px, py)
             except ValueError as exc:
                 notes.append(f"{key}: {exc}")
                 continue

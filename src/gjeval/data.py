@@ -214,10 +214,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.image_ids)
 
-    def row_patient_ids(self) -> np.ndarray:
-        """Each row's patient id, as an object array."""
-        return np.array(self.patient_ids, dtype=object)[self.patient_codes]
-
     def patient_counts(self) -> np.ndarray:
         """Images per patient, in ``patient_ids`` order."""
         return np.bincount(self.patient_codes, minlength=len(self.patient_ids))
@@ -248,11 +244,14 @@ def _floats(col: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return vals, bad
 
 
-def _blank_as_nan(col: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_floats`` of a column whose blanks read as NaN, and the non-blank mask."""
-    given = np.fromiter(map(len, col), np.int64, len(col)) > 0
-    vals, non_numeric = _floats(col if given.all() else [v or "nan" for v in col])
-    return vals, non_numeric, given
+def _bounded(fail: _FirstFailure, raw: list[str], name: str, hi: int, unit: str = "") -> np.ndarray:
+    """A column of numbers in [0, ``hi``], NaN where blank. A non-numeric
+    entry, then one out of range, goes to ``fail``."""
+    given = np.fromiter(map(len, raw), np.int64, len(raw)) > 0
+    vals, non_numeric = _floats(raw if given.all() else [v or "nan" for v in raw])
+    fail.check(non_numeric, lambda i: f"non-numeric {name} {raw[i]!r}")
+    fail.check(given & ~((vals >= 0) & (vals <= hi)), lambda i: f"{name} must be in [0, {hi}]{unit}, got {raw[i]!r}")
+    return vals
 
 
 def _codes(col: list[str], table: dict[str, int], fold: Callable[[str], str] = str.lower) -> np.ndarray:
@@ -472,12 +471,7 @@ def _prediction_block(
     probs[renorm] /= total[renorm, None]
     arrays = {"truth": truth, "probs": probs, "renormalized": renorm}
     if "age" in cols:
-        raw = cols["age"]
-        age, non_numeric, given = _blank_as_nan(raw)
-        fail.check(non_numeric, lambda i: f"non-numeric age {raw[i]!r}")
-        bad = given & ~((age >= 0) & (age <= _AGE_MAX))
-        fail.check(bad, lambda i: f"age must be in [0, {_AGE_MAX}], got {raw[i]!r}")
-        arrays["age"] = age
+        arrays["age"] = _bounded(fail, cols["age"], "age", _AGE_MAX)
     texts = {name: map(shared.setdefault, cols[name], cols[name]) for name in names}
     return fail, {"image_id": cols["image_id"], **texts}, arrays
 
@@ -603,31 +597,24 @@ def csv_text(rows: Iterable[Sequence[str]]) -> str:
 class Readers:
     """Reader calls as columns, one row per (reader, image) call, in file order.
 
-    ``group`` and ``arm`` are int64 codes into ``READER_GROUPS`` and
-    ``READER_ARMS``; ``cells()`` combines them into positions in
-    ``READER_CELLS``. ``pred`` is the called class. ``elapsed_s`` is NaN on
-    calls without a time, and None when the file has no ``elapsed_s`` column.
-    The arrays are read-only.
+    ``cell`` is each call's int64 position in ``READER_CELLS``, its (group,
+    arm) pair. ``pred`` is the called class. ``elapsed_s`` is each call's
+    time in seconds as float64, NaN where it has none: on every call when
+    the file has no ``elapsed_s`` column. The arrays are read-only.
     """
 
     reader_ids: tuple[str, ...]
     image_ids: tuple[str, ...]
-    group: np.ndarray
-    arm: np.ndarray
+    cell: np.ndarray
     pred: np.ndarray
-    elapsed_s: np.ndarray | None = None
+    elapsed_s: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.group, self.arm, self.pred, self.elapsed_s):
-            if arr is not None:
-                arr.flags.writeable = False
+        for arr in (self.cell, self.pred, self.elapsed_s):
+            arr.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.reader_ids)
-
-    def cells(self) -> np.ndarray:
-        """Each call's cell code, ``2 * group + arm``."""
-        return 2 * self.group + self.arm
 
 
 def _reader_block(
@@ -635,7 +622,7 @@ def _reader_block(
 ) -> _Checked:
     """The first failing row of one block of reader columns; its reader and
     image ids, each distinct id as the one object ``shared`` holds; and its
-    group, arm, label and time columns. A (reader_id, image_id) pair repeats
+    cell, label and time columns. A (reader_id, image_id) pair repeats
     when it is in ``pairs`` (by the ``codes`` of its two ids) or earlier in the
     block; the block's pairs are added to ``pairs``."""
     fail = _FirstFailure()
@@ -652,14 +639,9 @@ def _reader_block(
     seen = np.fromiter(map(pairs.__contains__, keys), bool, len(keys))
     fail.check(seen | _repeats(pair), lambda i: f"duplicate (reader_id, image_id) pair {(rids[i], iids[i])!r}")
     pairs.update(keys)
-    arrays = {"group": group, "arm": arm}
+    arrays = {"cell": len(READER_ARMS) * group + arm}
     if "elapsed_s" in cols:
-        raw = cols["elapsed_s"]
-        elapsed, non_numeric, given = _blank_as_nan(raw)
-        fail.check(non_numeric, lambda i: f"non-numeric elapsed_s {raw[i]!r}")
-        bad = given & ~((elapsed >= 0) & (elapsed <= _ELAPSED_MAX_S))
-        fail.check(bad, lambda i: f"elapsed_s must be in [0, {_ELAPSED_MAX_S}] seconds, got {raw[i]!r}")
-        arrays["elapsed_s"] = elapsed
+        arrays["elapsed_s"] = _bounded(fail, cols["elapsed_s"], "elapsed_s", _ELAPSED_MAX_S, " seconds")
     labels = cols["pred_label"]
     arrays["pred"] = pred = _codes(labels, _LABEL_ALIASES)
     fail.check(pred < 0, lambda i: f"unknown class label {labels[i]!r}")
@@ -692,6 +674,7 @@ def parse_readers(source: str) -> Readers:
     if not texts.get("reader_id"):
         raise ParseError("no data rows")
     columns = {name: np.concatenate(arrs) for name, arrs in arrays.items()}
+    columns.setdefault("elapsed_s", np.full(len(texts["reader_id"]), np.nan))
     return Readers(tuple(texts["reader_id"]), tuple(texts["image_id"]), **columns)
 
 

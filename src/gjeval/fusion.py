@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -697,15 +697,7 @@ def params_to_json(params: HeadParams) -> str:
     """Versioned JSON serialization; floats round-trip exactly."""
     doc = {
         "format": HEAD_FORMAT,
-        "config": {
-            "c_dino": params.config.c_dino,
-            "c_res": params.config.c_res,
-            "grid_dino": list(params.config.grid_dino),
-            "grid_res": list(params.config.grid_res),
-            "hidden": params.config.hidden,
-            "dropout": params.config.dropout,
-            "n_classes": N_CLASSES,
-        },
+        "config": {**asdict(params.config), "n_classes": N_CLASSES},
         "params": {
             name: {"shape": list(arr.shape), "data": [float(v) for v in arr.reshape(-1)]}
             for name, arr in params.param_items()

@@ -115,6 +115,9 @@ def confusion_matrix(
     return counts
 
 
+METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "ppv", "npv")
+
+
 @dataclass(frozen=True)
 class BinaryStats:
     """One-vs-rest statistics for a single class.
@@ -135,20 +138,8 @@ class BinaryStats:
     npv: RateCI
 
     def as_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "tn": self.tn,
-            "accuracy": self.accuracy.as_dict(),
-            "sensitivity": self.sensitivity.as_dict(),
-            "specificity": self.specificity.as_dict(),
-            "ppv": self.ppv.as_dict(),
-            "npv": self.npv.as_dict(),
-        }
-
-
-METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "ppv", "npv")
+        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
+                **{name: getattr(self, name).as_dict() for name in METRIC_NAMES}}
 
 
 def class_stats(cm: np.ndarray, cls: ClassLabel) -> BinaryStats:
@@ -217,15 +208,9 @@ def macro_stats(per_class: Sequence[BinaryStats], cm: np.ndarray) -> OverallStat
     """Overall metrics: macro means of the per-class stats, plus overall accuracy
     computed directly as trace/total with its own Wald interval."""
     warnings: list[str] = []
-    overall_acc = rate_ci(float(np.trace(cm)), float(cm.sum()))
-    return OverallStats(
-        accuracy=overall_acc,
-        sensitivity=_macro_rate(per_class, "sensitivity", warnings),
-        specificity=_macro_rate(per_class, "specificity", warnings),
-        ppv=_macro_rate(per_class, "ppv", warnings),
-        npv=_macro_rate(per_class, "npv", warnings),
-        warnings=tuple(warnings),
-    )
+    # accuracy is taken over the whole matrix; the other rates are macro means
+    rates = {name: _macro_rate(per_class, name, warnings) for name in METRIC_NAMES[1:]}
+    return OverallStats(accuracy=rate_ci(float(np.trace(cm)), float(cm.sum())), **rates, warnings=tuple(warnings))
 
 
 def cohen_kappa(cm: np.ndarray) -> float:

@@ -178,6 +178,11 @@ def params_from_json(text: str) -> HeadParams:
     return HeadParams(config=HeadConfig(**cfg), **params)
 
 
+def row_patient_ids(ds: Dataset) -> np.ndarray:
+    """Each row's patient id, as an object array."""
+    return np.array(ds.patient_ids, dtype=object)[ds.patient_codes]
+
+
 def make_dataset(truths, probs, patient_ids=None) -> Dataset:
     """Dataset from parallel truth/probability rows; one patient per row by default."""
     n = len(truths)
@@ -198,7 +203,7 @@ def predictions_csv(ds: Dataset) -> str:
     codes = ds.patient_codes.tolist()
     rows = zip(
         ds.image_ids,
-        ds.row_patient_ids().tolist(),
+        row_patient_ids(ds).tolist(),
         [names[t] for t in ds.truth.tolist()],
         *(map(repr, ds.probs[:, j].tolist()) for j in range(3)),
         [ds.sex[c] or "" for c in codes],
@@ -227,15 +232,17 @@ def dataset_columns(ds: Dataset) -> dict:
 
 
 def reader_columns(readers: Readers) -> dict:
-    """Every column of a Readers table in a form ``==`` compares exactly."""
-    return {
+    """Every column of a Readers table in a form ``==`` compares exactly
+    (times by their bytes, so NaN and the last bit count)."""
+    columns = {
         "reader_ids": readers.reader_ids,
         "image_ids": readers.image_ids,
-        "group": readers.group.tolist(),
-        "arm": readers.arm.tolist(),
+        "cell": readers.cell.tolist(),
         "pred": readers.pred.tolist(),
-        "elapsed_s": None if readers.elapsed_s is None else readers.elapsed_s.tobytes(),
+        "elapsed_s": readers.elapsed_s.tobytes(),
     }
+    assert set(columns) == {field.name for field in dataclasses.fields(readers)}, "a Readers field is left out"
+    return columns
 
 
 @pytest.fixture

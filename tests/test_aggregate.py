@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_dataset
+from conftest import make_dataset, row_patient_ids
 
 from gjeval import (
     ClassLabel,
@@ -23,7 +23,7 @@ from gjeval import (
     reader_rows,
 )
 from gjeval.aggregate import LEVELS
-from gjeval.data import READER_ARMS, READER_GROUPS
+from gjeval.data import READER_CELLS
 from gjeval.stats import kappa_test
 
 
@@ -61,7 +61,7 @@ class TestPatientAggregation:
         agg = patient_mean_aggregate(ds)
         for k, pid in enumerate(ds.patient_ids):
             total = np.zeros(3)
-            for row in np.flatnonzero(ds.row_patient_ids() == pid):
+            for row in np.flatnonzero(row_patient_ids(ds) == pid):
                 total = total + probs[row]
             assert agg[k].tobytes() == (total / ds.patient_counts()[k]).tobytes()
 
@@ -144,13 +144,15 @@ class TestJoinPredictions:
     def test_inner_join_in_first_order(self, small_dataset):
         rows = [8, 7, 6, 5, 4]
         other = Dataset.from_columns(
-            [small_dataset.image_ids[i] for i in rows], small_dataset.row_patient_ids()[rows],
+            [small_dataset.image_ids[i] for i in rows], row_patient_ids(small_dataset)[rows],
             small_dataset.truth[rows], small_dataset.probs[rows],
         )
         joined = join_predictions(small_dataset, other)
-        # order follows the first dataset
-        assert list(joined.image_ids) == list(small_dataset.image_ids[4:])
+        # order follows the first dataset: each joined row is one image in both
+        assert joined.truths.tolist() == small_dataset.truth[4:].tolist()
+        assert joined.probs_a.tolist() == small_dataset.probs[4:].tolist()
         assert joined.probs_b.tolist() == small_dataset.probs[4:].tolist()
+        assert joined.preds_a.tolist() == joined.preds_b.tolist() == small_dataset.pred[4:].tolist()
 
     def test_truth_mismatch_rejected(self, small_dataset):
         other = Dataset.from_columns(
@@ -170,15 +172,14 @@ def make_readers(calls) -> Readers:
     rid, group, arm, image, pred, elapsed = zip(*calls)
     return Readers(
         rid, image,
-        np.array([READER_GROUPS.index(g) for g in group]),
-        np.array([READER_ARMS.index(a) for a in arm]),
+        np.array([READER_CELLS.index(cell) for cell in zip(group, arm)]),
         np.array(pred, dtype=np.int64),
         np.array(elapsed, dtype=np.float64),
     )
 
 
 def pooled(readers, ds, group, arm):
-    return pool_readers(readers, ds, group, arm, reader_rows(readers, ds))
+    return pool_readers(readers, ds, READER_CELLS.index((group, arm)), reader_rows(readers, ds))
 
 
 def reader_calls(ds):
@@ -204,7 +205,8 @@ class TestReaderPooling:
         pool = pooled(readers, small_dataset, "trainee", "A")
         n = len(small_dataset)
         assert pool.truths.size == 2 * n  # two trainees
-        assert sorted(set(pool.reader_ids)) == ["t1", "t2"]
+        assert pool.n_readers == 2  # t1 and t2, 9 calls each
+        assert (pool.group, pool.arm) == ("trainee", "A")
         by_img = dict(zip(small_dataset.image_ids, small_dataset.pred.tolist()))
         cell = [c[3] for c in reader_calls(small_dataset) if c[1] == "trainee"]
         assert [small_dataset.image_ids[r] for r in pool.rows.tolist()] == cell
@@ -214,7 +216,7 @@ class TestReaderPooling:
     def test_mean_elapsed(self, small_dataset):
         readers = reader_fixture(small_dataset)
         pool = pooled(readers, small_dataset, "expert", "B")
-        assert pool.mean_elapsed_s == pytest.approx(5.0)
+        assert pool.time_cost_s == pytest.approx(5.0)
 
     def test_dangling_image_rejected(self, small_dataset):
         readers = make_readers(reader_calls(small_dataset) + [("t1", "trainee", "A", "ghost", 2, 1.0)])
@@ -223,8 +225,12 @@ class TestReaderPooling:
 
     def test_empty_cell_rejected(self, small_dataset):
         readers = reader_fixture(small_dataset)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no reader records for group='competent' arm='A'"):
             pooled(readers, small_dataset, "competent", "A")
+        rows = reader_rows(readers, small_dataset)
+        for code in (-1, len(READER_CELLS)):  # out of range: a ValueError, never an IndexError
+            with pytest.raises(ValueError, match="reader cell code"):
+                pool_readers(readers, small_dataset, code, rows)
 
     def test_partial_elapsed_rejected(self, small_dataset):
         calls = reader_calls(small_dataset)
@@ -245,8 +251,8 @@ class TestReaderPooling:
     def test_untimed_cell_among_timed(self, small_dataset):
         calls = [(*c[:5], np.nan) if c[0] == "e1" else c for c in reader_calls(small_dataset)]
         readers = make_readers(calls)
-        assert pooled(readers, small_dataset, "expert", "B").mean_elapsed_s is None
-        assert pooled(readers, small_dataset, "trainee", "A").mean_elapsed_s == 5.0
+        assert pooled(readers, small_dataset, "expert", "B").time_cost_s is None
+        assert pooled(readers, small_dataset, "trainee", "A").time_cost_s == 5.0
 
     def test_pool_keeps_file_order(self, small_dataset):
         calls = reader_calls(small_dataset)[::-1]
@@ -317,9 +323,10 @@ class TestReaderReports:
         assert rows.tolist() == [
             -1 if c[3] == "ghost" else small_dataset.image_ids.index(c[3]) for c in calls
         ]
-        assert pool_readers(readers, small_dataset, "expert", "B", rows).truths.size == len(small_dataset)
+        expert_b, trainee_a = READER_CELLS.index(("expert", "B")), READER_CELLS.index(("trainee", "A"))
+        assert pool_readers(readers, small_dataset, expert_b, rows).truths.size == len(small_dataset)
         with pytest.raises(ValueError, match="unknown image 'ghost'"):
-            pool_readers(readers, small_dataset, "trainee", "A", rows)
+            pool_readers(readers, small_dataset, trainee_a, rows)
         with pytest.raises(ValueError, match="unknown image 'ghost'"):
             per_reader_points(readers, small_dataset, rows)
 

@@ -1,5 +1,6 @@
 """The exported API: every name an ``__all__`` lists is defined, every
-name a library module exports has a caller in the package, and every function
+name a library module exports, and every public method of a class it
+exports, has a caller in the package, and every function
 the benchmark's tracer wraps exists; the curve functions it wraps are on
 the path an ``evaluate`` run takes, the fold functions on a ``kfold`` run's,
 the fusion functions on a ``fusion-demo`` run's, and the report assembly and
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_dataset, predictions_csv
+from conftest import make_dataset, predictions_csv, row_patient_ids
 
 import gjeval
 from gjeval import TrainSpec, cli, evaluate
@@ -57,13 +58,15 @@ def _exports(tree: ast.Module) -> list[str]:
     return []
 
 
-def test_every_export_is_used_in_the_package():
-    """A name in a library module's ``__all__`` is read, as a name or an
-    attribute, somewhere in the package's code (``__init__.py``, which only
-    re-exports, aside), so no public API exists for the tests alone.
-    ``gjeval.__version__`` is the one export with no caller."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+def _library_trees() -> dict[str, ast.Module]:
+    """The syntax tree of each module of the package but ``__init__.py``,
+    which only re-exports."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
+def _loaded(trees: dict[str, ast.Module]) -> set[str]:
+    """Every name and attribute name that the code of ``trees`` reads."""
     loaded = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -71,10 +74,35 @@ def test_every_export_is_used_in_the_package():
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
+    return loaded
+
+
+def test_every_export_is_used_in_the_package():
+    """A name in a library module's ``__all__`` is read, as a name or an
+    attribute, somewhere in the package's code (``__init__.py``, which only
+    re-exports, aside), so no public API exists for the tests alone.
+    ``gjeval.__version__`` is the one export with no caller."""
+    trees = _library_trees()
+    loaded = _loaded(trees)
     exported = {stem: _exports(tree) for stem, tree in trees.items()}
     assert len([names for names in exported.values() if names]) >= 6  # the six library modules
     unused = {f"{stem}.{name}" for stem, names in exported.items() for name in names if name not in loaded}
     assert unused == set()
+
+
+def test_every_member_of_an_exported_class_is_used_in_the_package():
+    """A public method or property that a class in a library module's
+    ``__all__`` defines is read, as an attribute, somewhere in the package's
+    code, so no class carries API for the tests alone."""
+    trees = _library_trees()
+    loaded = _loaded(trees)
+    members = {f"{stem}.{node.name}.{item.name}": item.name
+               for stem, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name in _exports(tree)
+               for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")}
+    assert len(members) > 10
+    assert {member for member, name in members.items() if name not in loaded} == set()
 
 
 def _spans():
@@ -175,7 +203,7 @@ def test_publish_stays_on_the_traced_path(command, small_dataset, tmp_path):
     spans = _spans()
     pred, pred_b, readers = tmp_path / "pred.csv", tmp_path / "pred_b.csv", tmp_path / "readers.csv"
     pred.write_text(predictions_csv(small_dataset), encoding="utf-8")
-    other = make_dataset(small_dataset.truth, small_dataset.probs[::-1], small_dataset.row_patient_ids())
+    other = make_dataset(small_dataset.truth, small_dataset.probs[::-1], row_patient_ids(small_dataset))
     pred_b.write_text(predictions_csv(other), encoding="utf-8")
     calls = [f"{rid},{group},{arm},{image},{truth if (i + k) % 3 else (truth + 1) % 3},12"
              for k, (rid, group, arm) in enumerate([("r1", "trainee", "A"), ("r2", "expert", "B")])

@@ -21,10 +21,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from conftest import params_from_json, predictions_csv
+from conftest import params_from_json, predictions_csv, reader_columns, row_patient_ids
 
 from gjeval.cli import _write_outputs, build_parser, main
-from gjeval.data import parse_predictions
+from gjeval.data import parse_predictions, parse_readers
 from gjeval.report import dump_json
 
 
@@ -87,7 +87,7 @@ def pred_csv_b(tmp_path_factory, pred_csv) -> Path:
     ds = parse_predictions(pred_csv.read_text())
     noisy = ds.probs + np.random.default_rng(5).uniform(0, 0.4, size=ds.probs.shape)
     noisy /= noisy.sum(axis=1, keepdims=True)
-    ds_b = Dataset.from_columns(ds.image_ids, ds.row_patient_ids(), ds.truth, noisy,
+    ds_b = Dataset.from_columns(ds.image_ids, row_patient_ids(ds), ds.truth, noisy,
                                 sex=[ds.sex[c] for c in ds.patient_codes.tolist()], age=ds.age[ds.patient_codes])
     path = tmp_path_factory.mktemp("inputs-b") / "pred_b.csv"
     path.write_text(predictions_csv(ds_b))
@@ -510,6 +510,25 @@ class TestReaders:
         run("readers", "--pred", str(pred_csv), "--readers", str(readers_csv), "--out", str(a))
         run("readers", "--pred", str(pred_csv), "--readers", str(readers_csv), "--out", str(b))
         assert tree(a) == tree(b)
+
+    def test_no_elapsed_column_reads_as_blank_times(self, pred_csv, readers_csv, tmp_path):
+        """A reader file without an ``elapsed_s`` column parses to the columns
+        of the same file with that column left blank, and writes the same
+        results block and reader points."""
+        lines = readers_csv.read_text().splitlines()
+        texts = {"none": "".join(line.rsplit(",", 1)[0] + "\n" for line in lines),
+                 "blank": lines[0] + "\n" + "".join(line.rsplit(",", 1)[0] + ",\n" for line in lines[1:])}
+        assert texts["none"].startswith("reader_id,group,arm,image_id,pred_label\n")
+        assert reader_columns(parse_readers(texts["none"])) == reader_columns(parse_readers(texts["blank"]))
+        outputs = {}
+        for name, text in texts.items():
+            path, out = tmp_path / f"{name}.csv", tmp_path / name
+            path.write_text(text)
+            assert run("readers", "--pred", str(pred_csv), "--readers", str(path), "--out", str(out)) == 0
+            doc = json.loads((out / "report.json").read_text())
+            outputs[name] = doc["results"], (out / "reader_points.csv").read_bytes()
+        assert outputs["none"] == outputs["blank"]
+        assert not any("time_cost_s" in g["report"] for g in outputs["none"][0]["groups"])
 
     def test_model_rows_looked_up_once(self, pred_csv, readers_csv, tmp_path, monkeypatch):
         from gjeval import aggregate

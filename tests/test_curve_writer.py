@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import gjeval.report
-from conftest import predictions_csv
+from conftest import predictions_csv, row_patient_ids
 from gjeval import Dataset, SynthSpec, evaluate, parse_predictions, synth_generate
 from gjeval.cli import main
 from gjeval.data import CLASS_ORDER
@@ -76,7 +76,7 @@ def tied_dataset(seed: int) -> Dataset:
         zeros = np.flatnonzero(probs[:, j] == 0.0)
         flip = zeros[gen.random(zeros.size) < 0.5]
         probs[np.r_[flip, zeros[-1:]], j] = -0.0
-    return Dataset.from_columns(ds.image_ids, ds.row_patient_ids(), ds.truth, probs)
+    return Dataset.from_columns(ds.image_ids, row_patient_ids(ds), ds.truth, probs)
 
 
 @pytest.mark.parametrize("level", ["image", "patient", "weighted"])

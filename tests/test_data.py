@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gjeval.data
-from conftest import dataset_columns, make_dataset, predictions_csv, reader_columns
+from conftest import dataset_columns, make_dataset, predictions_csv, reader_columns, row_patient_ids
 
 from gjeval import (
     ClassLabel,
@@ -278,7 +278,7 @@ class TestDataset:
         assert ds.patient_codes.tolist() == [0, 1, 0, 2, 1]
         assert ds.patient_first_row.tolist() == [0, 1, 3]
         assert ds.patient_counts().tolist() == [2, 2, 1]
-        assert ds.row_patient_ids().tolist() == ["pz", "pa", "pz", "pm", "pa"]
+        assert row_patient_ids(ds).tolist() == ["pz", "pa", "pz", "pm", "pa"]
         assert len(patient_mean_aggregate(ds)) == 3 and len(ds) == 5
 
     def test_columns_are_read_only(self, small_dataset):
@@ -313,13 +313,12 @@ class TestReaders:
         )
         readers = parse_readers(text)
         assert len(readers) == 3
-        assert readers.group[0] == READER_GROUPS.index("trainee") and readers.arm[0] == READER_ARMS.index("A")
+        assert READER_CELLS[int(readers.cell[0])] == ("trainee", "A")
         assert readers.pred[2] == ClassLabel.EEGJA
         assert reader_columns(readers) == {
             "reader_ids": ("r1", "r1", "r2"),
             "image_ids": ("i1", "i2", "i1"),
-            "group": [0, 0, 2],
-            "arm": [0, 0, 1],
+            "cell": [0, 0, 5],
             "pred": [0, 2, 1],
             "elapsed_s": np.array([12.5, 8.0, 3.25]).tobytes(),
         }
@@ -327,13 +326,21 @@ class TestReaders:
     def test_group_case_insensitive_arm_normalized(self):
         text = READER_HEADER + "\nr1,Expert,b,i1,control\n"
         readers = parse_readers(text)
-        assert READER_CELLS[int(readers.cells()[0])] == ("expert", "B")
-        assert readers.elapsed_s is None
+        assert READER_CELLS[int(readers.cell[0])] == ("expert", "B")
+        # no elapsed_s column: a float64 NaN time on every call
+        assert readers.elapsed_s.dtype == np.float64 and np.isnan(readers.elapsed_s).all()
+
+    def test_cell_is_the_group_then_arm_position(self):
+        calls = [f"r{k},{group.upper()},{arm.lower()},i1,0" for k, (group, arm) in enumerate(
+            (g, a) for g in READER_GROUPS for a in READER_ARMS)]
+        readers = parse_readers(READER_HEADER + "\n" + "\n".join(calls[::-1]) + "\n")
+        assert readers.cell.dtype == np.int64
+        assert [READER_CELLS[c] for c in readers.cell.tolist()] == list(READER_CELLS)[::-1]
 
     def test_blank_elapsed_is_nan_and_arrays_read_only(self):
         readers = parse_readers(READER_HEADER + ",elapsed_s\nr1,trainee,A,i1,0,\nr1,trainee,A,i2,1,4\n")
         assert np.isnan(readers.elapsed_s[0]) and readers.elapsed_s[1] == 4.0
-        for arr in (readers.group, readers.arm, readers.pred, readers.elapsed_s):
+        for arr in (readers.cell, readers.pred, readers.elapsed_s):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
@@ -648,7 +655,7 @@ class TestKFold:
         assert sum(f["images"] for f in per_fold) == len(ds)
         assert [f["patients"] for f in per_fold] == [f["units"] for f in per_fold] == np.bincount(fold).tolist()
         row_folds: dict[str, set[int]] = {}
-        for patient, f in zip(ds.row_patient_ids().tolist(), fold[ds.patient_codes].tolist()):
+        for patient, f in zip(row_patient_ids(ds).tolist(), fold[ds.patient_codes].tolist()):
             row_folds.setdefault(patient, set()).add(f)
         assert sorted(row_folds) == sorted(ds.patient_ids)
         assert all(len(folds) == 1 for folds in row_folds.values())
@@ -689,7 +696,7 @@ def fold_oracle(ds: Dataset, fold: np.ndarray, unit: str) -> list[dict]:
                for f in range(max(unit_fold.values()) + 1)]
     for f in unit_fold.values():
         entries[f]["units"] += 1
-    for image, patient, truth in zip(ds.image_ids, ds.row_patient_ids().tolist(), ds.truth.tolist()):
+    for image, patient, truth in zip(ds.image_ids, row_patient_ids(ds).tolist(), ds.truth.tolist()):
         entry = entries[unit_fold[patient if unit == "patient" else image]]
         entry["patients"].add(patient)
         entry["images"] += 1

@@ -35,6 +35,7 @@ from gjeval.data import ParseError, parse_readers
 BASE = ("reader_id", "group", "arm", "image_id", "pred_label")
 GROUPS = ("trainee", "competent", "expert")
 ARMS = ("A", "B")
+CELLS = tuple((g, a) for g in GROUPS for a in ARMS)  # a call's cell code is its position here
 IMAGES = tuple(f"i{k}" for k in range(8))
 OVER_LONG = "x" * (csv.field_size_limit() + 1)
 
@@ -83,27 +84,25 @@ def oracle_parse(source: str) -> dict:
             if not 0 <= elapsed <= 86400:
                 raise ParseError(f"elapsed_s must be in [0, 86400] seconds, got {fields['elapsed_s']!r}", row_no)
         pred = oracle_label(fields["pred_label"], row_no)
-        calls.append((key[0], GROUPS.index(group), ARMS.index(arm), key[1], pred, elapsed))
+        calls.append((key[0], CELLS.index((group, arm)), key[1], pred, elapsed))
     if not calls:
         raise ParseError("no data rows")
     return {
         "reader_ids": tuple(c[0] for c in calls),
-        "image_ids": tuple(c[3] for c in calls),
-        "group": [c[1] for c in calls],
-        "arm": [c[2] for c in calls],
-        "pred": [c[4] for c in calls],
-        "elapsed_s": np.array([c[5] for c in calls]).tobytes() if has_elapsed else None,
+        "image_ids": tuple(c[2] for c in calls),
+        "cell": [c[1] for c in calls],
+        "pred": [c[3] for c in calls],
+        "elapsed_s": np.array([c[4] for c in calls], dtype=np.float64).tobytes(),
     }
 
 
 def oracle_pool_error(cols: dict) -> str | None:
     """The first error of pooling each present cell, call by call, against a
     model that has exactly ``IMAGES``."""
-    elapsed = None if cols["elapsed_s"] is None else np.frombuffer(cols["elapsed_s"])
-    cells = sorted(set(zip(cols["group"], cols["arm"])))
-    for cell in cells:
-        calls = [i for i, c in enumerate(zip(cols["group"], cols["arm"])) if c == cell]
-        timed = elapsed is not None and any(not math.isnan(elapsed[i]) for i in calls)
+    elapsed = np.frombuffer(cols["elapsed_s"])
+    for cell in sorted(set(cols["cell"])):
+        calls = [i for i, c in enumerate(cols["cell"]) if c == cell]
+        timed = any(not math.isnan(elapsed[i]) for i in calls)
         for i in calls:
             if cols["image_ids"][i] not in IMAGES:
                 return f"reader record references unknown image {cols['image_ids'][i]!r}"
