@@ -208,7 +208,7 @@ def model_vs_reader_tests(pool: PooledReaderPairs) -> list[TestResult]:
     """Agreement (kappa) and symmetry (Bowker) between model and pooled readers."""
     return [
         kappa_test(pool.model_preds, pool.reader_preds),
-        bowker_test(np.stack((pool.model_preds, pool.reader_preds), axis=1)),
+        bowker_test(pool.model_preds, pool.reader_preds),
     ]
 
 

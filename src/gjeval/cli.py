@@ -216,7 +216,7 @@ def cmd_compare(args) -> int:
     ds_b = parse_predictions(_read_text(path_b, "pred_b", inputs))
     joined = aggregate.join_predictions(ds_a, ds_b)
     tests = [
-        bowker_test(np.stack((joined.preds_a, joined.preds_b), axis=1)),
+        bowker_test(joined.preds_a, joined.preds_b),
         kappa_test(joined.preds_a, joined.preds_b),
     ]
     warnings: list[str] = []

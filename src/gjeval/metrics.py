@@ -35,6 +35,7 @@ __all__ = [
     "rate_ci",
     "class_stats",
     "macro_stats",
+    "agreement",
     "cohen_kappa",
     "curve_pair",
     "micro_curves",
@@ -213,13 +214,12 @@ def macro_stats(per_class: Sequence[BinaryStats], cm: np.ndarray) -> OverallStat
     return OverallStats(accuracy=rate_ci(float(np.trace(cm)), float(cm.sum())), **rates, warnings=tuple(warnings))
 
 
-def cohen_kappa(cm: np.ndarray) -> float:
-    """Cohen's kappa from a (possibly weighted) agreement matrix.
-
-    Returns 1.0 for perfect agreement even when chance agreement is also
-    perfect (single shared category); returns NaN for the degenerate case
-    p_e == 1 with p_o < 1, which cannot arise from a real cross-table.
-    """
+def agreement(cm: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray, float, bool]:
+    """A (possibly weighted) square table's observed agreement p_o (trace /
+    total), chance agreement p_e (row by column marginals), its row and column
+    marginals as proportions, Cohen's kappa, and whether p_e == 1 (a single
+    shared category). kappa is then 1.0 if p_o == 1 and NaN otherwise, which
+    cannot arise from a real cross-table."""
     counts = np.asarray(cm, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise ValueError(f"agreement matrix must be square, got {counts.shape}")
@@ -227,12 +227,18 @@ def cohen_kappa(cm: np.ndarray) -> float:
     if total <= 0:
         raise ValueError("empty confusion matrix")
     p_o = float(np.trace(counts)) / total
-    marg = counts.sum(axis=1) / total
-    marg_c = counts.sum(axis=0) / total
-    p_e = float(np.dot(marg, marg_c))
+    row = counts.sum(axis=1) / total
+    col = counts.sum(axis=0) / total
+    p_e = float(np.dot(row, col))
     if 1.0 - p_e < 1e-15:
-        return 1.0 if p_o >= 1.0 - 1e-12 else float("nan")
-    return (p_o - p_e) / (1.0 - p_e)
+        return p_o, p_e, row, col, 1.0 if p_o >= 1.0 - 1e-12 else float("nan"), True
+    return p_o, p_e, row, col, (p_o - p_e) / (1.0 - p_e), False
+
+
+def cohen_kappa(cm: np.ndarray) -> float:
+    """Cohen's kappa of a (possibly weighted) agreement matrix, as ``agreement`` gives it."""
+    _, _, _, _, kappa, _ = agreement(cm)
+    return kappa
 
 
 _U = np.uint64

@@ -14,9 +14,9 @@ Implemented tests
   large-sample (non-null) standard error is also reported for interval use.
 
 The normal CDF is computed from the complementary error function, and the
-chi-square survival function from the regularized upper incomplete gamma
-function (series expansion below a + 1, continued fraction above), so there
-is no runtime dependency on a stats library.
+chi-square survival function, for the integer degrees of freedom it
+accepts, as a finite sum of closed-form terms, so there is no runtime
+dependency on a stats library.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import binary_scored, confusion_matrix
+from .metrics import agreement, binary_scored, confusion_matrix
 
 __all__ = [
     "TestResult",
@@ -39,8 +39,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_MAX_ITER = 500
-_EPS = 1e-16
 _DEGENERATE_VAR = 1e-15
 
 
@@ -81,62 +79,30 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def _gamma_p_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by series, for x < a + 1."""
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by modified Lentz continued
-    fraction, for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
 def chi2_sf(x: float, df: int) -> float:
     """Chi-square survival function P(X >= x) with ``df`` degrees of freedom.
 
-    Equals the regularized upper incomplete gamma Q(df/2, x/2). For df = 2
-    this reduces analytically to exp(-x/2).
+    Equals the regularized upper incomplete gamma Q(df/2, h) at h = x/2,
+    which for integer df is a finite sum (Abramowitz and Stegun, section
+    26.4): Q(1/2, h) = erfc(sqrt(h)) for odd df, Q(0, h) = 0 for even df,
+    then Q(a + 1, h) = Q(a, h) + h^a e^-h / Gamma(a + 1) up to a = df/2.
+    Every term is positive, so nothing cancels. For df = 2 this is
+    exp(-x/2) exactly.
     """
     if df < 1 or int(df) != df:
         raise ValueError(f"df must be a positive integer, got {df!r}")
     if not math.isfinite(x) or x < 0:
         raise ValueError(f"x must be finite and non-negative, got {x!r}")
-    if x == 0.0:
+    h = x / 2.0
+    if h == 0.0:
         return 1.0
-    a = df / 2.0
-    t = x / 2.0
-    if t < a + 1.0:
-        return 1.0 - _gamma_p_series(a, t)
-    return _gamma_q_contfrac(a, t)
+    log_h = math.log(h)
+    a = (df % 2) / 2.0
+    q = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    while a < df / 2.0:
+        q += math.exp(a * log_h - h - math.lgamma(a + 1.0))
+        a += 1.0
+    return q
 
 
 def _structural_components(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -185,21 +151,27 @@ def delong_test(scores_a, scores_b, labels) -> TestResult:
     return TestResult(name="delong", statistic=z, p_value=p, detail=detail)
 
 
-def bowker_test(pairs: Sequence[tuple[int, int]] | np.ndarray) -> TestResult:
-    """McNemar-Bowker test of symmetry on the cross-table of two prediction sets.
+def _cross_table(labels_a: Sequence[int], labels_b: Sequence[int]) -> np.ndarray:
+    """The 3x3 cross-table of two label vectors: 1-D, equal length,
+    non-empty, labels in {0, 1, 2}."""
+    a = np.asarray(labels_a, dtype=np.int64)
+    b = np.asarray(labels_b, dtype=np.int64)
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        raise ValueError("label vectors must be 1-D, non-empty, equal length")
+    return confusion_matrix(a, b)
 
-    ``pairs`` holds (pred_a, pred_b) label pairs: a sequence of pairs or an
-    (n, 2) array. statistic = sum over class pairs (i, j),
-    i < j, of (T[i,j] - T[j,i])^2 / (T[i,j] + T[j,i]). Pairs with
-    T[i,j] + T[j,i] == 0 are dropped and df reduced. A table with no
-    informative pairs returns statistic 0, p = 1.
+
+def bowker_test(labels_a: Sequence[int], labels_b: Sequence[int]) -> TestResult:
+    """McNemar-Bowker test of symmetry on the cross-table T of two label
+    vectors, one pair of predictions per record.
+
+    statistic = sum over class pairs (i, j), i < j, of
+    (T[i,j] - T[j,i])^2 / (T[i,j] + T[j,i]). Pairs with
+    T[i,j] + T[j,i] == 0 are dropped and df reduced; ``detail`` counts them
+    as ``dropped_pairs``. A table with no informative pairs returns
+    statistic 0, p = 1.
     """
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if not pairs.size:
-        raise ValueError("bowker_test requires at least one pair")
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError(f"pairs must have shape (n, 2), got {pairs.shape}")
-    t = confusion_matrix(pairs[:, 0], pairs[:, 1])
+    t = _cross_table(labels_a, labels_b)
     stat = 0.0
     df = 0
     dropped = 0
@@ -211,7 +183,7 @@ def bowker_test(pairs: Sequence[tuple[int, int]] | np.ndarray) -> TestResult:
                 df += 1
             else:
                 dropped += 1
-    detail = {"dropped_pairs": dropped, "all_pairs": False}
+    detail = {"dropped_pairs": dropped}
     if df == 0:
         return TestResult(name="bowker", statistic=0.0, p_value=1.0, df=0, detail=detail)
     return TestResult(name="bowker", statistic=stat, p_value=chi2_sf(stat, df), df=df, detail=detail)
@@ -222,40 +194,26 @@ def kappa_test(labels_a: Sequence[int], labels_b: Sequence[int]) -> TestResult:
 
     The statistic is kappa / SE0 where SE0 is the standard error under the
     null (kappa = 0). The large-sample non-null standard error is included
-    in the detail payload for confidence-interval construction. When both
+    in the detail payload for confidence-interval construction. Kappa, p_o
+    and p_e are those of ``metrics.agreement`` on the cross-table. When both
     raters use a single shared category the test is degenerate: kappa is 1
     by convention if the ratings are identical, NaN otherwise.
     """
-    a = np.asarray(labels_a, dtype=np.int64)
-    b = np.asarray(labels_b, dtype=np.int64)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-        raise ValueError("label vectors must be 1-D, non-empty, equal length")
-    t = confusion_matrix(a, b)
+    t = _cross_table(labels_a, labels_b)
+    p_o, p_e, row, col, kappa, degenerate = agreement(t)
     n = float(t.sum())
-    p = t / n
-    p_o = float(np.trace(p))
-    row = p.sum(axis=1)
-    col = p.sum(axis=0)
-    p_e = float(np.dot(row, col))
-    detail: dict = {"p_o": p_o, "p_e": p_e, "n": n, "degenerate": False}
-    if 1.0 - p_e < _DEGENERATE_VAR:
-        kappa = 1.0 if p_o >= 1.0 - 1e-12 else float("nan")
-        detail.update(kappa=kappa, degenerate=True)
+    detail: dict = {"p_o": p_o, "p_e": p_e, "n": n, "degenerate": degenerate}
+    if degenerate:
+        detail["kappa"] = kappa
         return TestResult(name="kappa", statistic=0.0, p_value=1.0, detail=detail)
-    kappa = (p_o - p_e) / (1.0 - p_e)
     # Null-hypothesis variance (Fleiss): the z statistic tests kappa = 0.
     var0_num = p_e + p_e**2 - float(np.sum(row * col * (row + col)))
     se0 = math.sqrt(max(0.0, var0_num)) / ((1.0 - p_e) * math.sqrt(n))
     # Large-sample non-null variance (Fleiss-Cohen-Everitt form).
-    term1 = 0.0
-    for i in range(3):
-        term1 += p[i, i] * ((1.0 - p_e) - (row[i] + col[i]) * (1.0 - p_o)) ** 2
-    term2 = 0.0
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                term2 += p[i, j] * (col[i] + row[j]) ** 2
-    term2 *= (1.0 - p_o) ** 2
+    p = t / n
+    term1 = float(np.sum(np.diag(p) * ((1.0 - p_e) - (row + col) * (1.0 - p_o)) ** 2))
+    off = ~np.eye(3, dtype=bool)
+    term2 = float(np.sum((p * (col[:, None] + row) ** 2)[off])) * (1.0 - p_o) ** 2
     term3 = (p_o * p_e - 2.0 * p_e + p_o) ** 2
     var_full = (term1 + term2 - term3) / (n * (1.0 - p_e) ** 4)
     se_full = math.sqrt(max(0.0, var_full))

@@ -156,10 +156,10 @@ def test_criterion_4_delong_vs_oracles():
 def test_criterion_5_symmetry_test_and_special_functions():
     t0 = time.perf_counter()
     sym = [(0, 0)] * 3 + [(0, 1), (1, 0)] * 3 + [(1, 2), (2, 1)] * 2 + [(0, 2), (2, 0)]
-    res_sym = bowker_test(sym)
+    res_sym = bowker_test(*zip(*sym))
     ok_sym = res_sym.statistic == 0.0 and res_sym.p_value == 1.0
 
-    res_40 = bowker_test([(0, 1)] * 4 + [(0, 0), (1, 1)])
+    res_40 = bowker_test([0] * 4 + [0, 1], [1] * 4 + [0, 1])
     ok_40 = (
         res_40.statistic == 4.0
         and res_40.df == 1
@@ -242,7 +242,7 @@ def test_criterion_6_metric_property_suite():
         kt = kappa_test(truths, preds)
         if not math.isnan(kt.p_value):
             assert 0.0 <= kt.p_value <= 1.0
-        bt = bowker_test(list(zip(truths.tolist(), preds.tolist())))
+        bt = bowker_test(truths, preds)
         assert 0.0 <= bt.p_value <= 1.0
 
     elapsed = time.perf_counter() - t0

@@ -19,6 +19,8 @@ from conftest import midranks
 from gjeval import (
     bowker_test,
     chi2_sf,
+    cohen_kappa,
+    confusion_matrix,
     delong_test,
     kappa_test,
     std_normal_cdf,
@@ -141,7 +143,7 @@ class TestChi2SF:
     def test_df2_closed_form_grid(self):
         # survival function with two degrees of freedom is exp(-x/2)
         for x in np.linspace(0.0, 30.0, 100):
-            assert chi2_sf(float(x), 2) == pytest.approx(math.exp(-x / 2), abs=1e-10)
+            assert chi2_sf(float(x), 2) == math.exp(-x / 2)
 
     def test_against_scipy_grid(self):
         for df in (1, 2, 3, 5, 10, 30, 100):
@@ -156,6 +158,20 @@ class TestChi2SF:
             oracle = float(mpmath.gammainc(df / 2, x / 2, mpmath.inf, regularized=True))
             assert chi2_sf(x, df) == pytest.approx(oracle, abs=1e-12)
 
+    def test_relative_error_against_mpmath_to_the_underflow(self):
+        # every (df, x) whose tail is a normal double keeps 12 digits; none is 0
+        mpmath.mp.dps = 50
+        xs = np.concatenate([np.geomspace(1e-8, 3000.0, 67), [1.0, 3.841458820694124, 1381.0, 1382.0]])
+        for df in (*range(1, 11), 15, 20, 30, 50, 100):
+            for x in xs.tolist():
+                oracle = mpmath.gammainc(df / 2, x / 2, mpmath.inf, regularized=True)
+                got = chi2_sf(x, df)
+                if oracle >= 1e-300:
+                    assert got > 0.0, (df, x)
+                    assert abs(got - oracle) <= 1e-12 * oracle, (df, x, got, float(oracle))
+                else:
+                    assert 0.0 <= got < 1e-299, (df, x, got)
+
     def test_critical_values(self):
         # classic alpha = 0.05 critical points
         assert chi2_sf(3.841, 1) == pytest.approx(0.05, abs=1e-3)
@@ -164,6 +180,8 @@ class TestChi2SF:
 
     def test_bounds_and_edges(self):
         assert chi2_sf(0.0, 4) == 1.0
+        # x / 2 rounds to 0 here; its log once raised "math domain error"
+        assert [chi2_sf(5e-324, df) for df in (1, 2, 3)] == [1.0, 1.0, 1.0]
         assert 0.0 <= chi2_sf(1000.0, 1) < 1e-100
         with pytest.raises(ValueError):
             chi2_sf(-1.0, 2)
@@ -295,44 +313,46 @@ class TestBootstrapVariance:
 
 class TestBowker:
     def test_hand_case_single_pair(self):
-        res = bowker_test([(0, 1)] * 4)
+        res = bowker_test([0] * 4, [1] * 4)
         assert res.statistic == 4.0
         assert res.df == 1
         assert res.p_value == pytest.approx(0.0455, abs=1e-3)
 
     def test_hand_case_three_pairs(self):
-        pairs = [(0, 1)] * 5 + [(1, 0)] * 1 + [(0, 2)] * 2 + [(2, 0)] * 2 + [(1, 2)] * 3 + [(2, 1)] * 3
-        res = bowker_test(pairs)
+        # T[0,1] = 5, T[1,0] = 1, T[0,2] = T[2,0] = 2, T[1,2] = T[2,1] = 3
+        a = [0] * 5 + [1] + [0] * 2 + [2] * 2 + [1] * 3 + [2] * 3
+        b = [1] * 5 + [0] + [2] * 2 + [0] * 2 + [2] * 3 + [1] * 3
+        res = bowker_test(a, b)
         assert res.statistic == pytest.approx(16 / 6)
         assert res.df == 3
         assert res.p_value == pytest.approx(float(scipy.stats.chi2.sf(16 / 6, 3)), abs=1e-10)
 
     def test_symmetric_table_is_null(self):
-        pairs = [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1), (0, 0), (1, 1)]
-        res = bowker_test(pairs)
+        res = bowker_test([0, 1, 0, 2, 1, 2, 0, 1], [1, 0, 2, 0, 2, 1, 0, 1])
         assert res.statistic == 0.0
         assert res.p_value == 1.0
 
     def test_diagonal_only_table(self):
-        res = bowker_test([(0, 0), (1, 1), (2, 2)])
+        res = bowker_test([0, 1, 2], [0, 1, 2])
         assert res.statistic == 0.0 and res.df == 0 and res.p_value == 1.0
+        assert res.detail == {"dropped_pairs": 3}
 
     def test_accepts_paired_predictions(self):
-        res = bowker_test(np.array([[0, 1], [1, 1], [2, 2]]))
-        assert res.df == 1
+        res = bowker_test(np.array([0, 1, 2]), np.array([1, 1, 2]))
+        assert res.df == 1 and res.detail == {"dropped_pairs": 2}
 
-    def test_rejects_pairs_not_shaped_n_by_2(self):
-        # a flat list would index out of range, and a third column go unread
-        with pytest.raises(ValueError, match=r"shape \(n, 2\), got \(2,\)"):
-            bowker_test([0, 1])
-        with pytest.raises(ValueError, match=r"shape \(n, 2\), got \(3, 3\)"):
-            bowker_test([[0, 1, 2], [1, 0, 2], [0, 1, 0]])
+    def test_rejects_label_vectors_not_1d_equal_length(self):
+        # the check kappa_test makes: one flat vector per rater, same length, not empty
+        for a, b in (([0, 1], [0]), ([[0, 1], [1, 0]], [[0, 1], [1, 0]]), ([], [])):
+            with pytest.raises(ValueError, match="label vectors must be 1-D, non-empty, equal length"):
+                bowker_test(a, b)
+            with pytest.raises(ValueError, match="label vectors must be 1-D, non-empty, equal length"):
+                kappa_test(a, b)
 
     def test_p_in_unit_interval_fuzz(self, rng):
         for _ in range(300):
             n = int(rng.integers(1, 40))
-            pairs = list(zip(rng.integers(0, 3, n), rng.integers(0, 3, n)))
-            res = bowker_test(pairs)
+            res = bowker_test(rng.integers(0, 3, n), rng.integers(0, 3, n))
             assert 0.0 <= res.p_value <= 1.0
             assert res.statistic >= 0.0
 
@@ -343,7 +363,7 @@ class TestKappaTest:
         with pytest.raises(ValueError, match=r"labels must be in \{0, 1, 2\}"):
             kappa_test([-1, 0, 1], [2, 0, 1])
         with pytest.raises(ValueError, match=r"labels must be in \{0, 1, 2\}"):
-            bowker_test([(0, 3), (1, 1)])
+            bowker_test([0, 1], [3, 1])
 
     def test_hand_kappa_value(self):
         a = [0, 0, 1, 1, 2, 2, 0, 1, 2]
@@ -383,6 +403,17 @@ class TestKappaTest:
     def test_nonnull_se_present(self):
         res = kappa_test([0, 0, 1, 1, 2, 2], [0, 1, 1, 2, 2, 0])
         assert "se" in res.detail and res.detail["se"] >= 0
+
+    def test_kappa_is_cohen_kappa_of_the_cross_table(self):
+        # one arithmetic for both kappas, bit for bit; skewed class odds give
+        # single-category and near-degenerate tables too
+        gen = np.random.default_rng(28)
+        for _ in range(300):
+            n = int(gen.integers(1, 80))
+            a = gen.choice(3, n, p=gen.dirichlet((0.5, 0.5, 0.5)))
+            b = np.where(gen.random(n) < gen.random(), a, gen.integers(0, 3, n))
+            got = kappa_test(a, b).detail["kappa"]
+            assert got.hex() == cohen_kappa(confusion_matrix(a, b)).hex(), (a.tolist(), b.tolist())
 
     def test_kappa_range_fuzz(self, rng):
         for _ in range(300):
