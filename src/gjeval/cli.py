@@ -9,17 +9,21 @@ checks the gradients, so a run that exits 4 keeps them for diagnosis. The
 curve CSVs are formatted as they are written, a block of rows at a time; every
 other file is written whole. On Linux with two CPUs or more, a report whose
 curve sets hold at least ``FORK_MIN_POINTS`` ROC points has its micro set
-(``roc_micro.csv``, ``pr_micro.csv``) written by a forked second process
-while this one writes the other files, and a predictions file of at least
-``data.FORK_MIN_CHARS`` characters without quotes or CRs has the second half
-of its rows parsed by one while this one parses the first. The bytes and
-exit codes are the same, and an error in either process gives the same
-single ``gjeval: input error: …`` line and exit 1 as one process would; so
-does a second process that dies. A write that fails part-way leaves the files
-written before it, a truncated curve file, and any files already in
-``--out``. Outputs are byte-identical across reruns with the same config and
-inputs; ``--stamp`` opts into an embedded timestamp (and therefore out of
-byte identity).
+(``roc_micro.csv``, ``pr_micro.csv``) written by a forked second process while
+this one writes the other files. In the same way, where the two input files of
+``compare`` or ``readers`` hold at least ``data.FORK_MIN_CHARS`` characters
+together, a second process parses the second file while this one parses the
+first (``_parse_pair``); and a predictions file of at least that size without
+quotes or CRs, parsed while no second process runs, has the second half of its
+rows parsed by one while this one parses the first. There is one second
+process at a time (``forking``), so each of two files is parsed by one
+process. The bytes and exit codes are the same, and an error in either process
+gives the same single ``gjeval: input error: …`` line and exit 1 as one
+process would; so does a second process that dies. A write that fails part-way
+leaves the files written before it, a truncated curve file, and any files
+already in ``--out``. Outputs are byte-identical across reruns with the same
+config and inputs; ``--stamp`` opts into an embedded timestamp (and therefore
+out of byte identity).
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from contextlib import ExitStack
 from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
-from typing import Collection, Iterator
+from typing import Callable, Collection, Iterator, TypeVar
 
 import numpy as np
 
-from . import aggregate, forking, fusion, report as rpt
+from . import aggregate, data, forking, fusion, report as rpt
 from .data import (
     CLASS_ORDER,
     FOLD_UNITS,
@@ -65,6 +69,9 @@ GRAD_CHECK_TOL = 1e-4
 # 236 -> 184 ms at 127k (20 of 21), 761 -> 492 ms at 353k (11 of 11). The
 # crossover is near 85k points, so 2**17 forks only where forking won.
 FORK_MIN_POINTS = 1 << 17
+
+A = TypeVar("A")
+B = TypeVar("B")
 
 
 class _UsageError(Exception):
@@ -160,14 +167,46 @@ def _read_text(path: Path, name: str, inputs: dict[str, tuple[Path, str]]) -> st
     is read once, so a pipe works too: ``inputs[name]`` is set to the path and
     the sha256 of the bytes read. Bytes that are not UTF-8 raise a ParseError
     naming their line."""
-    data = path.read_bytes()
-    inputs[name] = (path, rpt.sha256_bytes(data))
+    raw = path.read_bytes()
+    inputs[name] = (path, rpt.sha256_bytes(raw))
     try:
-        text = data.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = 1 + len(re.findall(rb"\r\n?|\n", exc.object[: exc.start]))
         raise ParseError(str(exc), line) from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _parse_pair(first: tuple[Path, str, Callable[[str], A]], second: tuple[Path, str, Callable[[str], B]],
+                inputs: dict[str, tuple[Path, str]]) -> tuple[A, B]:
+    """Read and parse two input files, each given as ``(path, name, parse)``
+    (``name`` as for ``_read_text``), and return what the two parses give.
+    The first error is raised in the order: read the first file, parse it,
+    read the second, parse it. Where a forked child can help
+    (``forking.spare_cpu``) and the two texts hold at least
+    ``data.FORK_MIN_CHARS`` characters, a child parses the second while this
+    process parses the first; each process then parses its file alone. This
+    process drops the second text once the child has it, and each text is
+    freed as its parse ends."""
+    (path_a, name_a, parse_a), (path_b, name_b, parse_b) = first, second
+    texts = [_read_text(path_a, name_a, inputs)]
+    if forking.spare_cpu():  # else the second text is read once the first is freed
+        try:
+            texts.append(_read_text(path_b, name_b, inputs))
+        except (OSError, ValueError):
+            parse_a(texts.pop())  # a fault in the first file is raised first
+            raise
+        if len(texts[0]) + len(texts[1]) >= data.FORK_MIN_CHARS:
+            def here() -> A:
+                del texts[1]  # the child has its own copy
+                return parse_a(texts.pop())
+
+            # a fault in the first file wins, so the child is killed then
+            both = forking.run_forked(here, lambda: parse_b(texts.pop()), kill_on_error=True)
+            if both is not None:
+                return both
+    parsed = parse_a(texts.pop(0))
+    return parsed, parse_b(texts.pop() if texts else _read_text(path_b, name_b, inputs))
 
 
 def _report_files(mr: MetricReport, svg: bool = False) -> dict[str, str | Iterator[str]]:
@@ -212,8 +251,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     path_a, path_b, inputs = Path(args.pred_a), Path(args.pred_b), {}
-    ds_a = parse_predictions(_read_text(path_a, "pred_a", inputs))
-    ds_b = parse_predictions(_read_text(path_b, "pred_b", inputs))
+    ds_a, ds_b = _parse_pair((path_a, "pred_a", parse_predictions), (path_b, "pred_b", parse_predictions), inputs)
     joined = aggregate.join_predictions(ds_a, ds_b)
     tests = [
         bowker_test(joined.preds_a, joined.preds_b),
@@ -249,8 +287,8 @@ def cmd_compare(args) -> int:
 
 def cmd_readers(args) -> int:
     pred_path, readers_path, inputs = Path(args.pred), Path(args.readers), {}
-    model = parse_predictions(_read_text(pred_path, "pred", inputs))
-    readers = parse_readers(_read_text(readers_path, "readers", inputs))
+    model, readers = _parse_pair((pred_path, "pred", parse_predictions), (readers_path, "readers", parse_readers),
+                                 inputs)
     rows = aggregate.reader_rows(readers, model)
     pooled = [aggregate.pool_readers(readers, model, cell, rows)
               for cell in np.flatnonzero(np.bincount(readers.cell)).tolist()]

@@ -1,9 +1,13 @@
 """Run one function in a forked child process while this process runs another.
 
-Two phases of a large run use a second CPU this way: the curve writer
-(``cli._write_outputs``) and the plain-text predictions parser
-(``data.parse_predictions``). Each decides for itself whether the work is
-large enough to pay for a fork; ``spare_cpu`` says whether a fork can help.
+Three phases of a large run use a second CPU this way: the curve writer
+(``cli._write_outputs``), the plain-text predictions parser
+(``data.parse_predictions``) and the two-file parse of ``compare`` and
+``readers`` (``cli._parse_pair``). Each decides for itself whether the work
+is large enough to pay for a fork; ``spare_cpu`` says whether a fork can
+help. There is one extra process at a time: while ``run_forked``'s ``here``
+runs, and in its child, ``spare_cpu`` is False and ``run_forked`` forks
+nothing, so a phase run inside another's fork works in one process.
 """
 
 from __future__ import annotations
@@ -17,18 +21,22 @@ __all__ = ["spare_cpu", "run_forked"]
 A = TypeVar("A")
 B = TypeVar("B")
 
+_forked = False  # True while run_forked's ``here`` runs, and in its child
+
 
 def spare_cpu() -> bool:
-    """Whether this process may run on more than one CPU. Without
-    ``os.sched_getaffinity`` (any platform but Linux) it is False, so
-    nothing is forked there."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    """Whether a forked child could run on a CPU of its own: this process may
+    run on more than one CPU and no child of ``run_forked`` is running or
+    being run. Without ``os.sched_getaffinity`` (any platform but Linux) it
+    is False, so nothing is forked there."""
+    return not _forked and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
 def run_forked(here: Callable[[], A], there: Callable[[], B], *, kill_on_error: bool) -> tuple[A, B] | None:
     """``(here(), there())``, with ``there`` called in a forked child process
     while this one calls ``here``. None, and neither is called, when no
-    process can be forked: the caller then does the work itself.
+    process can be forked, or when this call is made inside another's
+    ``here`` or child: the caller then does the work itself.
 
     The child sends what ``there`` returns, or the exception it raises,
     pickled through a pipe. It must print nothing and call no BLAS (numpy's
@@ -41,10 +49,15 @@ def run_forked(here: Callable[[], A], there: Callable[[], B], *, kill_on_error: 
     ``kill_on_error`` and after it finishes otherwise. Else the child's
     exception is raised here; a child that ends without sending one (killed
     by a signal) is an OSError naming its exit code."""
+    global _forked
+    if _forked:
+        return None
     read_fd, write_fd = os.pipe()
+    _forked = True  # before the fork, so the child sees it too
     try:
         pid = os.fork()
     except OSError:  # out of processes or memory
+        _forked = False
         os.close(read_fd)
         os.close(write_fd)
         return None
@@ -60,6 +73,8 @@ def run_forked(here: Callable[[], A], there: Callable[[], B], *, kill_on_error: 
             os.kill(pid, signal.SIGKILL)
         _reap(pid, read_fd)
         raise
+    finally:
+        _forked = False
     payload, code = _reap(pid, read_fd)
     if code == 0:
         return mine, pickle.loads(payload)

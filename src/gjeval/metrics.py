@@ -93,6 +93,7 @@ def confusion_matrix(
     a read-only (3, 3) float64 array in canonical class order. Counts are
     float64 so weighted and unit-weight matrices share one type; unit-weight
     accumulation stays exact because small integers are exact in binary floats.
+    A weighted cell sums its records' weights in record order.
     """
     t = np.asarray(truths, dtype=np.int64)
     p = np.asarray(preds, dtype=np.int64)
@@ -102,16 +103,13 @@ def confusion_matrix(
         raise ValueError("cannot build a confusion matrix from zero records")
     if np.any((t < 0) | (t > 2)) or np.any((p < 0) | (p > 2)):
         raise ValueError("labels must be in {0, 1, 2}")
-    if weights is None:
-        w = np.ones(t.size, dtype=np.float64)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != t.shape:
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != t.shape:
             raise ValueError("weights must match truths in length")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
+        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite and non-negative")
-    counts = np.zeros((3, 3), dtype=np.float64)
-    np.add.at(counts, (t, p), w)
+    counts = np.bincount(3 * t + p, weights=weights, minlength=9).astype(np.float64, copy=False).reshape(3, 3)
     counts.flags.writeable = False
     return counts
 

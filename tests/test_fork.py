@@ -1,9 +1,11 @@
 """The forked child processes: a large report's micro curve set is written
-by a child process while the CLI writes the other files, and the second
-half of a large plain predictions text is parsed by one while the parser
-reads the first. The fixtures ``forked_writes`` and ``forked_parse`` force
-these paths on small inputs; the golden digests of the files the CLI writes
-on them are checked in ``test_golden.py``, and the forked parse is fuzzed
+by a child process while the CLI writes the other files, the second file of
+a large ``compare`` or ``readers`` run is parsed by one while the CLI parses
+the first, and the second half of a large plain predictions text parsed on
+its own is read by one while the parser reads the first. There is one child
+at a time. The fixtures ``forked_writes`` and ``forked_parse`` force these
+paths on small inputs; the golden digests of the files the CLI writes on
+them are checked in ``test_golden.py``, and the forked parse is fuzzed
 against the serial one in ``test_parse_fuzz.py``."""
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 import gjeval.cli
 import gjeval.data
 from conftest import dataset_columns
+from gjeval import forking
 from gjeval.cli import main
 from gjeval.data import ParseError, parse_predictions
 
@@ -282,3 +285,199 @@ def test_text_read_by_csv_never_forks(text, forked_parse, monkeypatch):
     process: a quoted field may hold a line end."""
     assert dataset_columns(parse_predictions(text)) == serial_outcome(text, monkeypatch)
     assert forked_parse == []
+
+
+def test_one_child_at_a_time(monkeypatch):
+    """While ``run_forked``'s ``here`` runs, and in its child, no CPU is
+    spare and no second child is forked; afterwards the CPU is spare again."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert forking.spare_cpu()
+    assert forking.run_forked(forking.spare_cpu, forking.spare_cpu, kill_on_error=True) == (False, False)
+    assert forking.spare_cpu()
+
+    def nested():
+        return forking.run_forked(int, int, kill_on_error=True)
+
+    assert forking.run_forked(nested, nested, kill_on_error=True) == (None, None)
+    assert forking.spare_cpu()
+
+
+@pytest.fixture
+def fork_log(tmp_path, monkeypatch):
+    """Claim two usable CPUs and log every ``os.fork`` call, in this process
+    or in a child, as a line of a file; the fixture is a function that counts
+    the lines."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    log, fork = tmp_path / "forks.log", os.fork
+
+    def logged() -> int:
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", logged)
+    return lambda: len(log.read_text().splitlines()) if log.exists() else 0
+
+
+BULK_ROWS = 117_600
+
+
+@pytest.fixture(scope="module")
+def bulk_inputs(tmp_path_factory):
+    """Two predictions files and a reader file of ``BULK_ROWS`` rows each,
+    every one of them past ``FORK_MIN_CHARS``."""
+    root = tmp_path_factory.mktemp("bulk")
+    labels = ("A-EGJA", "E-EGJA", "control")
+    triples = ("0.5,0.25,0.25", "0.2,0.7,0.1", "0.125,0.25,0.625", "0.4,0.35,0.25", "0.1,0.1,0.8")
+    rows = [(f"img{k:06d}", f"p{k // 10:05d}", labels[k // 10 % 3]) for k in range(BULK_ROWS)]
+    for name, step in (("pred_a.csv", 1), ("pred_b.csv", 2)):
+        lines = [f"{i},{p},{t},{triples[k * step % 5]}" for k, (i, p, t) in enumerate(rows)]
+        (root / name).write_text("\n".join([PRED_HEADER, *lines]) + "\n")
+    lines = [f"r1,expert,A,{i},{labels[k % 3]}" for k, (i, _, _) in enumerate(rows)]
+    (root / "readers.csv").write_text("\n".join(["reader_id,group,arm,image_id,pred_label", *lines]) + "\n")
+    for name in ("pred_a.csv", "pred_b.csv", "readers.csv"):
+        assert (root / name).stat().st_size >= gjeval.data.FORK_MIN_CHARS
+    return root
+
+
+@pytest.mark.parametrize("command", ["compare", "readers"])
+def test_bulk_two_file_op_forks_once(command, bulk_inputs, tmp_path, fork_log, capsys):
+    """Each file alone is large enough for the half-split parse, yet the
+    second file's child and this process each parse their file alone."""
+    d = bulk_inputs
+    argv = {"compare": ["compare", "--pred-a", str(d / "pred_a.csv"), "--pred-b", str(d / "pred_b.csv")],
+            "readers": ["readers", "--pred", str(d / "pred_a.csv"), "--readers", str(d / "readers.csv")]}[command]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert fork_log() == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["compare", "readers"])
+def test_paper_scale_two_file_op_forks_nothing(command, pred_csv, tmp_path, fork_log, capsys):
+    readers = tmp_path / "readers.csv"
+    image_ids = [line.split(",")[0] for line in pred_csv.read_text().splitlines()[1:]]
+    readers.write_text("reader_id,group,arm,image_id,pred_label\n" + "".join(f"r1,expert,A,{i},0\n" for i in image_ids))
+    argv = {"compare": ["compare", "--pred-a", str(pred_csv), "--pred-b", str(pred_csv)],
+            "readers": ["readers", "--pred", str(pred_csv), "--readers", str(readers)]}[command]
+    assert len(pred_csv.read_text()) + len(readers.read_text()) < gjeval.data.FORK_MIN_CHARS
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert fork_log() == 0
+    capsys.readouterr()
+
+
+READERS_HEADER = "reader_id,group,arm,image_id,pred_label"
+GOOD_READERS = READERS_HEADER + "\n" + "".join(f"r1,expert,A,{row.split(',')[0]},0\n" for row in ROWS)
+INPUTS = {
+    "good.csv": pred_text(ROWS),
+    "bad_a.csv": pred_text([ROWS[0].replace("0.5,", "x,"), *ROWS[1:]]),
+    "bad_b.csv": pred_text([*ROWS[:3], ROWS[3].replace("control", "nope"), *ROWS[4:]]),
+    "readers.csv": GOOD_READERS,
+    "bad_readers.csv": GOOD_READERS.replace("r1,expert", "r1,novice", 1),
+}
+NOT_UTF8 = pred_text(ROWS).encode().replace(b"i07,", b"i\xff7,")  # on file line 9
+# the first error of each run, as a run in one process reports it
+PRECEDENCE = {
+    "bad_a_then_missing": (["compare", "--pred-a", "bad_a.csv", "--pred-b", "missing.csv"],
+                           "row 2: non-numeric probability in column p_aegja: 'x'"),
+    "bad_a_then_bad_b": (["compare", "--pred-a", "bad_a.csv", "--pred-b", "bad_b.csv"],
+                         "row 2: non-numeric probability in column p_aegja: 'x'"),
+    "good_then_bad_b": (["compare", "--pred-a", "good.csv", "--pred-b", "bad_b.csv"],
+                        "row 5: unknown class label 'nope'"),
+    "good_then_missing": (["compare", "--pred-a", "good.csv", "--pred-b", "missing.csv"],
+                          "[Errno 2] No such file or directory: 'missing.csv'"),
+    "bad_a_then_not_utf8": (["compare", "--pred-a", "bad_a.csv", "--pred-b", "not_utf8.csv"],
+                            "row 2: non-numeric probability in column p_aegja: 'x'"),
+    "good_then_not_utf8": (["compare", "--pred-a", "good.csv", "--pred-b", "not_utf8.csv"],
+                           "row 9: 'utf-8' codec can't decode byte 0xff in position 257: invalid start byte"),
+    "bad_pred_then_bad_readers": (["readers", "--pred", "bad_a.csv", "--readers", "bad_readers.csv"],
+                                  "row 2: non-numeric probability in column p_aegja: 'x'"),
+    "good_pred_then_bad_readers": (["readers", "--pred", "good.csv", "--readers", "bad_readers.csv"],
+                                   "row 2: unknown reader group 'novice'"),
+    "good_pred_then_not_utf8": (["readers", "--pred", "good.csv", "--readers", "not_utf8.csv"],
+                                "row 9: 'utf-8' codec can't decode byte 0xff in position 257: invalid start byte"),
+}
+
+
+@pytest.fixture
+def error_inputs(tmp_path, monkeypatch):
+    """The files ``PRECEDENCE`` names, in the working directory."""
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "not_utf8.csv").write_bytes(NOT_UTF8)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("host", ["one_cpu", "below_threshold", "forked"])
+@pytest.mark.parametrize("case", sorted(PRECEDENCE))
+def test_two_file_error_precedence(case, host, error_inputs, monkeypatch, capsys, request):
+    """The first error in the order: read the first file, parse it, read the
+    second, parse it; on one CPU, with both texts read before either is
+    parsed, and with the second parsed by a child."""
+    argv, message = PRECEDENCE[case]
+    if host == "forked":
+        forks = request.getfixturevalue("forked_parse")
+    else:
+        forks = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if host == "one_cpu" else {0, 1}, raising=False)
+    assert main([*argv, "--out", "o"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"gjeval: input error: {message}\n"
+    assert captured.out == ""
+    assert not (error_inputs / "o").exists()
+    # the second file's child, or where that file is not read, the first file's half-split parse
+    assert len(forks) == (host == "forked")
+
+
+def test_second_file_fault_comes_from_the_child(error_inputs, forked_parse, monkeypatch, capsys):
+    """This process parses only the first file; the second file's fault is
+    raised by the child that parsed it."""
+    parsed, parse = [], gjeval.cli.parse_predictions
+
+    def logged(text):
+        parsed.append(len(text))  # in the child, into its own copy of the list
+        return parse(text)
+
+    monkeypatch.setattr(gjeval.cli, "parse_predictions", logged)
+    assert main(["compare", "--pred-a", "good.csv", "--pred-b", "bad_b.csv", "--out", "o"]) == 1
+    assert capsys.readouterr().err == "gjeval: input error: row 5: unknown class label 'nope'\n"
+    assert parsed == [len(INPUTS["good.csv"])]
+    assert len(forked_parse) == 1
+
+
+def test_two_file_child_killed_by_a_signal_is_an_error(error_inputs, forked_parse, monkeypatch, capsys):
+    parent, parse = os.getpid(), gjeval.cli.parse_readers
+
+    def killed_in_child(text):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return parse(text)
+
+    monkeypatch.setattr(gjeval.cli, "parse_readers", killed_in_child)
+    assert main(["readers", "--pred", "good.csv", "--readers", "readers.csv", "--out", "o"]) == 1
+    assert capsys.readouterr().err == "gjeval: input error: the forked child process ended with exit code -9\n"
+    assert len(forked_parse) == 1 and no_child()
+    assert not (error_inputs / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--pred-a", "good.csv", "--pred-b", "good.csv"],
+    ["readers", "--pred", "good.csv", "--readers", "readers.csv"],
+], ids=["compare", "readers"])
+def test_two_file_parse_where_the_fork_fails_is_serial(argv, error_inputs, forked_parse, monkeypatch, capsys):
+    """Where no process can be forked, one process parses both files and
+    writes the same bytes as a run that forks."""
+    assert main([*argv, "--out", "forked"]) == 0
+    assert len(forked_parse) == 1
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert main([*argv, "--out", "serial"]) == 0
+    assert forks  # the two-file fork, then each predictions file's half-split one
+    capsys.readouterr()
+    for path in sorted((error_inputs / "forked").iterdir()):
+        assert (error_inputs / "serial" / path.name).read_bytes() == path.read_bytes()

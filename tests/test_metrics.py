@@ -94,6 +94,18 @@ class TestConfusionMatrix:
         assert cm[0, 1] == 0.25
         assert cm[1, 1] == 2.0
 
+    @pytest.mark.parametrize("n", [1, 7, 1200, 117_600])
+    def test_matches_add_at_bit_for_bit(self, n):
+        """Unit and weighted matrices equal a sequential ``np.add.at``
+        accumulation of the same records, to the last bit."""
+        gen = np.random.default_rng(n)
+        truths, preds = gen.integers(0, 3, n), gen.integers(0, 3, n)
+        weights = gen.exponential(1.0, n) * (gen.random(n) < 0.9)  # a tenth of them zero
+        for w in (None, weights):
+            ref = np.zeros((3, 3))
+            np.add.at(ref, (truths, preds), np.ones(n) if w is None else w)
+            assert confusion_matrix(truths, preds, w).tobytes() == ref.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             confusion_matrix([0, 3], [0, 0])
