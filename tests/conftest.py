@@ -295,7 +295,8 @@ def forked_writes(monkeypatch) -> list[int]:
 @pytest.fixture
 def forked_parse(monkeypatch) -> list[int]:
     """Force the forked parsers: ``compare``'s and ``readers``' second file
-    is parsed by a child process, and every other plain predictions text with
+    is parsed by a child process where the two lengths let the fork pay
+    (``cli._parse_pair``), and every other plain predictions text with
     a line past its middle has its second half read by one, in blocks of
     three data lines, whatever its size and however many CPUs the host has.
     The list holds the pid of each child forked."""

@@ -319,39 +319,6 @@ def fork_log(tmp_path, monkeypatch):
     return lambda: len(log.read_text().splitlines()) if log.exists() else 0
 
 
-BULK_ROWS = 117_600
-
-
-@pytest.fixture(scope="module")
-def bulk_inputs(tmp_path_factory):
-    """Two predictions files and a reader file of ``BULK_ROWS`` rows each,
-    every one of them past ``FORK_MIN_CHARS``."""
-    root = tmp_path_factory.mktemp("bulk")
-    labels = ("A-EGJA", "E-EGJA", "control")
-    triples = ("0.5,0.25,0.25", "0.2,0.7,0.1", "0.125,0.25,0.625", "0.4,0.35,0.25", "0.1,0.1,0.8")
-    rows = [(f"img{k:06d}", f"p{k // 10:05d}", labels[k // 10 % 3]) for k in range(BULK_ROWS)]
-    for name, step in (("pred_a.csv", 1), ("pred_b.csv", 2)):
-        lines = [f"{i},{p},{t},{triples[k * step % 5]}" for k, (i, p, t) in enumerate(rows)]
-        (root / name).write_text("\n".join([PRED_HEADER, *lines]) + "\n")
-    lines = [f"r1,expert,A,{i},{labels[k % 3]}" for k, (i, _, _) in enumerate(rows)]
-    (root / "readers.csv").write_text("\n".join(["reader_id,group,arm,image_id,pred_label", *lines]) + "\n")
-    for name in ("pred_a.csv", "pred_b.csv", "readers.csv"):
-        assert (root / name).stat().st_size >= gjeval.data.FORK_MIN_CHARS
-    return root
-
-
-@pytest.mark.parametrize("command", ["compare", "readers"])
-def test_bulk_two_file_op_forks_once(command, bulk_inputs, tmp_path, fork_log, capsys):
-    """Each file alone is large enough for the half-split parse, yet the
-    second file's child and this process each parse their file alone."""
-    d = bulk_inputs
-    argv = {"compare": ["compare", "--pred-a", str(d / "pred_a.csv"), "--pred-b", str(d / "pred_b.csv")],
-            "readers": ["readers", "--pred", str(d / "pred_a.csv"), "--readers", str(d / "readers.csv")]}[command]
-    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
-    assert fork_log() == 1
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize("command", ["compare", "readers"])
 def test_paper_scale_two_file_op_forks_nothing(command, pred_csv, tmp_path, fork_log, capsys):
     readers = tmp_path / "readers.csv"
@@ -366,13 +333,26 @@ def test_paper_scale_two_file_op_forks_nothing(command, pred_csv, tmp_path, fork
 
 
 READERS_HEADER = "reader_id,group,arm,image_id,pred_label"
-GOOD_READERS = READERS_HEADER + "\n" + "".join(f"r1,expert,A,{row.split(',')[0]},0\n" for row in ROWS)
+
+
+def readers_text(rows, readers=1) -> str:
+    """A reader file of ``readers`` readers, each over the images of ``rows``."""
+    calls = (f"r{r + 1},expert,A,{row.split(',')[0]},0\n" for r in range(readers) for row in rows)
+    return READERS_HEADER + "\n" + "".join(calls)
+
+
+GOOD_READERS = readers_text(ROWS)
 INPUTS = {
     "good.csv": pred_text(ROWS),
     "bad_a.csv": pred_text([ROWS[0].replace("0.5,", "x,"), *ROWS[1:]]),
     "bad_b.csv": pred_text([*ROWS[:3], ROWS[3].replace("control", "nope"), *ROWS[4:]]),
     "readers.csv": GOOD_READERS,
     "bad_readers.csv": GOOD_READERS.replace("r1,expert", "r1,novice", 1),
+    # over twice as long as good.csv
+    "long.csv": pred_text([*ROWS, *(f"i{k:02d},p{k // 2},control,0.2,0.2,0.6" for k in range(12, 40))]),
+    "few_readers.csv": readers_text(ROWS[:5]),  # under a third of good.csv's length
+    "some_readers.csv": readers_text(ROWS[:7]),  # over a third
+    "many_readers.csv": readers_text(ROWS, readers=5),  # over twice
 }
 NOT_UTF8 = pred_text(ROWS).encode().replace(b"i07,", b"i\xff7,")  # on file line 9
 # the first error of each run, as a run in one process reports it
@@ -481,3 +461,31 @@ def test_two_file_parse_where_the_fork_fails_is_serial(argv, error_inputs, forke
     capsys.readouterr()
     for path in sorted((error_inputs / "forked").iterdir()):
         assert (error_inputs / "serial" / path.name).read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("argv, here", [
+    (["compare", "--pred-a", "good.csv", "--pred-b", "good.csv"], ["good.csv"]),
+    (["compare", "--pred-a", "good.csv", "--pred-b", "long.csv"], ["good.csv", "long.csv"]),
+    (["compare", "--pred-a", "long.csv", "--pred-b", "good.csv"], ["long.csv", "good.csv"]),
+    (["readers", "--pred", "good.csv", "--readers", "readers.csv"], ["good.csv"]),
+    (["readers", "--pred", "good.csv", "--readers", "few_readers.csv"], ["good.csv", "few_readers.csv"]),
+    (["readers", "--pred", "good.csv", "--readers", "some_readers.csv"], ["good.csv"]),
+    (["readers", "--pred", "good.csv", "--readers", "many_readers.csv"], ["good.csv"]),
+], ids=["compare_alike", "compare_long_b", "compare_long_a", "readers", "readers_few", "readers_some", "readers_many"])
+def test_two_file_fork_only_where_it_pays(argv, here, error_inputs, forked_parse, fork_log, monkeypatch, capsys):
+    """The second file goes to a child unless halving the longer text would
+    save more: a predictions text over twice the other, or a reader file
+    under a third of the predictions. The files this process parses are
+    logged; a child logs into its own copy of the list. Each run forks once
+    in all, a child never again, but where both predictions files are halved."""
+    parsed = []
+
+    def logged(parse):
+        return lambda text: parsed.append(len(text)) or parse(text)
+
+    monkeypatch.setattr(gjeval.cli, "parse_predictions", logged(gjeval.cli.parse_predictions))
+    monkeypatch.setattr(gjeval.cli, "parse_readers", logged(gjeval.cli.parse_readers))
+    assert main([*argv, "--out", "o"]) == 0
+    capsys.readouterr()
+    assert parsed == [len(INPUTS[name]) for name in here]
+    assert fork_log() == len(forked_parse) == (2 if argv[0] == "compare" and len(here) == 2 else 1)
