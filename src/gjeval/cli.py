@@ -442,7 +442,7 @@ def cmd_fusion_demo(args) -> int:
         "train": {
             "epochs_run": len(result.log),
             "final_train_loss": result.log[-1]["train_loss"] if result.log else None,
-            "holdout_accuracy": result.holdout_accuracy,
+            "holdout_accuracy": result.report.overall.accuracy.value,
         },
         "holdout_report": result.report.as_dict(),
     }

@@ -24,15 +24,10 @@ gradients, so training and the gradient check share one computation.
 
 The gating network runs channels-first: a batch's two branches form one
 (2, N*C) array, sample-major along each row, and the hidden layers are
-(h, N*C). Each pointwise convolution is then one GEMM over all N*C positions,
-``w @ X`` forward and ``w.T @ G`` for input gradients, and each bias add
-broadcasts one column along a row. Weight gradients are each sample's
-``g_i @ a_i.T``, and bias gradients each sample's sum over C, summed over the
-batch in order, so no sum depends on how a kernel blocks the N*C columns:
-every output has the bits of per-sample products on (N, channels, C) arrays.
-Shapes where one GEMM would round otherwise (a unit dimension, or more than
-``GEMM_MAX_CHANNELS`` channels) run per sample. Bias adds, dropout and ReLU
-masks work in place.
+(h, N*C). Each pointwise convolution is then one matrix product over all N*C
+positions: ``w @ x`` forward, ``w.T @ g`` for input gradients, ``g @ a.T``
+for weight gradients and a sum along each row for bias gradients. Bias adds,
+dropout and ReLU masks work in place.
 
 The spatial means are fixed per sample. ``head_forward`` and ``backward``
 pool their bundle and run the same core as training. ``train_toy`` pools every
@@ -82,12 +77,6 @@ ADAM_EPS = 1e-8
 # straddles a kink (1e-5 -> ~1e-8)
 GRAD_CHECK_STEP = 1e-5
 KINK_HALVINGS = 10
-# A pointwise convolution whose channel counts are both at most this runs as
-# one GEMM over the N*C positions of a batch. Such a GEMM rounds every entry
-# as one GEMM per sample does (measured with OpenBLAS 0.3.31 for 2-8
-# channels, C up to 2048 and batches up to 2000); with 16 input channels, or
-# about 60 output channels, some entries differ in the last bit.
-GEMM_MAX_CHANNELS = 8
 
 
 @dataclass(frozen=True)
@@ -218,39 +207,10 @@ def _dropout_masks(rng_seed: int, n: int, h: int, c: int, rate: float) -> tuple[
     return masks[0].reshape(h, n * c), masks[1].reshape(h, n * c)
 
 
-def _by_sample(a: np.ndarray, n: int, c: int) -> np.ndarray:
-    """A channels-first (channels, N*C) array as a contiguous (N, channels, C) one."""
-    return np.ascontiguousarray(a.reshape(len(a), n, c).transpose(1, 0, 2))
-
-
-def _has_unit_dim(c: int, *arrays: np.ndarray) -> bool:
-    """Whether C or the channel count of one of the (channels, N*C) arrays is 1.
-
-    numpy sends a product with a unit dimension to gemv, dot or its own
-    loop, whose rounding can depend on the row length and the strides, and
-    it coalesces unit axes in a sum, so such shapes run per sample, on
-    batch-first copies.
-    """
-    return min(c, *map(len, arrays)) == 1
-
-
-def _pointwise(w: np.ndarray, x: np.ndarray, n: int, c: int) -> np.ndarray:
-    """``w @ x``: a pointwise convolution of a (channels, N*C) array.
-
-    One GEMM over all N*C columns when both channel counts are at most
-    ``GEMM_MAX_CHANNELS``; otherwise one GEMM per sample, on a batch-first
-    copy. Either way each entry has the bits of its sample's own product.
-    """
-    if max(w.shape) <= GEMM_MAX_CHANNELS and not _has_unit_dim(c, w, x):
-        return w @ x
-    return (w @ _by_sample(x, n, c)).transpose(1, 0, 2).reshape(len(w), n * c)
-
-
 def _gate_core(x: np.ndarray, p: HeadParams, training: bool, rng_seed: int) -> dict:
     """Gating network on the 2-channel sequences of a batch, x of shape (2, N, C).
 
-    Runs channels-first on (channels, N*C) arrays, sample-major along each
-    row (see ``_pointwise``).
+    Runs channels-first on (channels, N*C) arrays, sample-major along each row.
     """
     _, n, c = x.shape
     x = x.reshape(2, n * c)
@@ -259,17 +219,17 @@ def _gate_core(x: np.ndarray, p: HeadParams, training: bool, rng_seed: int) -> d
         m1, m2 = _dropout_masks(rng_seed, n, p.gate_b1.size, c, dropout)
     else:
         m1 = m2 = None
-    h1 = _pointwise(p.gate_w1, x, n, c)
+    h1 = p.gate_w1 @ x
     h1 += p.gate_b1[:, None]
     a1d = np.maximum(h1, 0.0)
     if m1 is not None:
         a1d *= m1
-    h2 = _pointwise(p.gate_w2, a1d, n, c)
+    h2 = p.gate_w2 @ a1d
     h2 += p.gate_b2[:, None]
     a2d = np.maximum(h2, 0.0)
     if m2 is not None:
         a2d *= m2
-    s = _pointwise(p.gate_w3, a2d, n, c)
+    s = p.gate_w3 @ a2d
     s += p.gate_b3[:, None]
     # softmax across the two channels: max and sum of the two rows
     s -= np.maximum(s[0], s[1])
@@ -319,25 +279,10 @@ def head_forward(
     )
 
 
-def _weight_grad(g: np.ndarray, a: np.ndarray, n: int, c: int) -> np.ndarray:
-    """Weight gradient of a pointwise convolution from its output gradient
-    ``g`` (k, N*C) and input ``a`` (j, N*C): each sample's ``g_i @ a_i.T``,
-    summed over the batch in order. One (k, N*C) @ (N*C, j) product would
-    pair the terms differently and move the last bits."""
-    if _has_unit_dim(c, g, a):
-        return (_by_sample(g, n, c) @ _by_sample(a, n, c).transpose(0, 2, 1)).sum(axis=0)
-    g_i = g.reshape(len(g), n, c).transpose(1, 0, 2)
-    a_i_t = a.reshape(len(a), n, c).transpose(1, 2, 0)
-    return np.matmul(g_i, a_i_t).sum(axis=0)
-
-
-def _bias_grad(g: np.ndarray, n: int, c: int) -> np.ndarray:
-    """Bias gradient of a pointwise convolution: each sample's sum over C,
-    then the samples summed in order (a plain sum over N*C pairs the terms
-    differently)."""
-    if _has_unit_dim(c, g):
-        return _by_sample(g, n, c).sum(axis=(0, 2))
-    return np.ascontiguousarray(g.reshape(len(g), n, c).sum(axis=2).T).sum(axis=0)
+def _losses(probs: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """Per-sample cross-entropy: -log of each row's probability of its label,
+    floored at ``LOSS_FLOOR``."""
+    return -np.log(np.maximum(probs[np.arange(truths.size), truths], LOSS_FLOOR))
 
 
 def _loss_and_grads(
@@ -356,7 +301,7 @@ def _loss_and_grads(
     n, width = f_dino.shape
     if truths.shape != (n,):
         raise ValueError(f"truths must hold one label per row: {n} rows, truths of shape {truths.shape}")
-    losses = -np.log(np.maximum(probs[np.arange(n), truths], LOSS_FLOOR))
+    losses = _losses(probs, truths)
     loss = float(losses.mean() if reduction == "mean" else losses.sum())
 
     # Softmax + cross-entropy collapse to (probs - onehot) at the logits.
@@ -376,21 +321,21 @@ def _loss_and_grads(
     g_z -= (g_z * s).sum(axis=0)
     g_z *= s
 
-    g_b3 = _bias_grad(g_z, n, width)
-    g_w3 = _weight_grad(g_z, c["a2d"], n, width)
-    g_h2 = _pointwise(params.gate_w3.T, g_z, n, width)
+    g_b3 = g_z.sum(axis=1)
+    g_w3 = g_z @ c["a2d"].T
+    g_h2 = params.gate_w3.T @ g_z
     if c["m2"] is not None:
         g_h2 *= c["m2"]
     g_h2 *= c["h2"] > 0
-    g_b2 = _bias_grad(g_h2, n, width)
-    g_w2 = _weight_grad(g_h2, c["a1d"], n, width)
-    g_h1 = _pointwise(params.gate_w2.T, g_h2, n, width)
+    g_b2 = g_h2.sum(axis=1)
+    g_w2 = g_h2 @ c["a1d"].T
+    g_h1 = params.gate_w2.T @ g_h2
     if c["m1"] is not None:
         g_h1 *= c["m1"]
     g_h1 *= c["h1"] > 0
-    g_b1 = _bias_grad(g_h1, n, width)
-    g_w1 = _weight_grad(g_h1, c["x"], n, width)
-    g_x = _pointwise(params.gate_w1.T, g_h1, n, width)
+    g_b1 = g_h1.sum(axis=1)
+    g_w1 = g_h1 @ c["x"].T
+    g_x = params.gate_w1.T @ g_h1
 
     # f_dino has no parameters upstream, so only the conv branch carries on
     g_fres = g_ffus * c["a_res"] + g_x[1].reshape(n, width)
@@ -503,9 +448,7 @@ def grad_check(
     def probe() -> tuple[float, tuple[np.ndarray, np.ndarray]]:
         """Loss at the current params and the ReLU pattern of h1 and h2."""
         c = _forward(params, *pooled, training, rng_seed)
-        probs = c["probs"]
-        loss = float(-np.log(np.maximum(probs[np.arange(truths.size), truths], LOSS_FLOOR)).sum())
-        return loss, (c["h1"] > 0, c["h2"] > 0)
+        return float(_losses(c["probs"], truths).sum()), (c["h1"] > 0, c["h2"] > 0)
 
     def keeps(pattern: tuple[np.ndarray, np.ndarray]) -> bool:
         return all(map(np.array_equal, pattern, base))
@@ -584,7 +527,6 @@ class TrainResult:
     params: HeadParams
     log: tuple[dict, ...]
     report: MetricReport
-    holdout_accuracy: float
 
 
 def make_synthetic_features(
@@ -689,8 +631,7 @@ def train_toy(spec: TrainSpec) -> TrainResult:
     fp = head_forward(params, hold_fb)
     pred = fp.probs.argmax(axis=1)
     report = compute_report(y_hold, pred, fp.probs, level="image")
-    acc = float((pred == y_hold).mean())
-    return TrainResult(params=params, log=tuple(log), report=report, holdout_accuracy=acc)
+    return TrainResult(params=params, log=tuple(log), report=report)
 
 
 def params_to_json(params: HeadParams) -> str:

@@ -435,7 +435,7 @@ def binary_scored(labels, *scores) -> tuple[np.ndarray, ...]:
 def _validate_scored(scores, labels, weights):
     """Checked float64 scores, labels and weights, without the samples of
     zero weight (they move neither curve, and would give a precision of
-    0/0), and the positive and negative mass."""
+    0/0). Raises ValueError unless both classes keep a sample."""
     s, y = binary_scored(labels, scores)
     if weights is None:
         w = np.ones(s.size, dtype=np.float64)
@@ -446,20 +446,24 @@ def _validate_scored(scores, labels, weights):
         if not w.all():
             keep = w > 0
             s, y, w = s[keep], y[keep], w[keep]
-    pos = float((w * y).sum())
-    neg = float(w.sum() - pos)
-    if pos <= 0 or neg <= 0:
+    if not (y.any() and not y.all()):
         raise ValueError("need positive mass in both classes for a curve")
-    return s, y, w, pos, neg
+    return s, y, w
 
 
 # perfbench/spans.py wraps roc_points and pr_points by name: each runs once
 # per curve set, as the two derivations of the set's one sweep.
-def roc_points(sweep, pos: float, neg: float) -> CurveSeries:
-    """ROC curve of a ``_grouped_sweep`` over ``pos`` positive and ``neg``
-    negative mass, with trapezoidal AUC: over grouped ties it equals the
-    Mann-Whitney statistic with half credit for ties."""
+def roc_points(sweep) -> CurveSeries:
+    """ROC curve of a ``_grouped_sweep``, with trapezoidal AUC: over grouped
+    ties it equals the Mann-Whitney statistic with half credit for ties.
+    The class masses are the sweep's last cumulative ones, so the curve ends
+    at (1, 1) exactly."""
     thr, cum_pos, cum_all = sweep
+    pos = cum_pos[-1]
+    neg = cum_all[-1] - pos
+    if neg <= 0:
+        # a negative mass below the last bit of the total is lost in its sum
+        raise ValueError("need positive mass in both classes for a curve")
     tpr = np.concatenate(([0.0], cum_pos / pos))
     fpr = np.concatenate(([0.0], (cum_all - cum_pos) / neg))
     thresholds = np.concatenate(([np.inf], thr))
@@ -482,9 +486,8 @@ def curve_pair(scores, labels, weights=None) -> tuple[CurveSeries, CurveSeries]:
     """ROC and PR curves of binary labels, from one validated sweep of the
     scores (see ``roc_points`` and ``pr_points``). Samples of zero weight
     are left out: the curves are those of the other samples."""
-    s, y, w, pos, neg = _validate_scored(scores, labels, weights)
-    sweep = _grouped_sweep(s, y, w)
-    roc = roc_points(sweep, pos, neg)
+    sweep = _grouped_sweep(*_validate_scored(scores, labels, weights))
+    roc = roc_points(sweep)
     return roc, pr_points(sweep, roc)
 
 

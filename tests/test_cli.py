@@ -706,12 +706,15 @@ class TestFusionDemo:
         assert not out.exists()
         assert message in capsys.readouterr().err
 
-    def test_deterministic(self, tmp_path):
+    # gates of more than 8 channels, and with C = 1 or a single hidden channel
+    @pytest.mark.parametrize("dim, hidden", [("12", "3"), ("12", "16"), ("1", "3"), ("1", "1")],
+                             ids=["dim12-hidden3", "dim12-hidden16", "dim1-hidden3", "dim1-hidden1"])
+    def test_deterministic(self, tmp_path, dim, hidden):
         a, b = tmp_path / "a", tmp_path / "b"
-        args = ["fusion-demo", "--dim", "12", "--hidden", "3", "--epochs", "2",
-                "--batch", "64", "--lr", "1e-3", "--seed", "4"]
-        run(*args, "--out", str(a))
-        run(*args, "--out", str(b))
+        args = ["fusion-demo", "--dim", dim, "--hidden", hidden, "--epochs", "2",
+                "--batch", "64", "--lr", "1e-3", "--seed", "4", "--grad-check"]
+        assert run(*args, "--out", str(a)) == 0
+        assert run(*args, "--out", str(b)) == 0
         assert tree(a) == tree(b)
 
 

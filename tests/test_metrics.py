@@ -277,9 +277,27 @@ class TestROC:
                 brute_weighted_auc(scores, labels, weights), abs=1e-10
             )
 
+    def test_weighted_curve_ends_at_one_one(self, rng):
+        # the rates divide by the sweep's own last masses, not by separately
+        # summed totals that round otherwise
+        for _ in range(50):
+            n = int(rng.integers(20, 400))
+            labels = (rng.random(n) < 0.4).astype(float)
+            labels[:2] = 1, 0
+            weights = rng.uniform(0.01, 3.0, n) * (rng.random(n) < 0.9)
+            weights[:2] = 0.7, 1.3
+            roc = curve_pair(rng.integers(0, 50, n) / 49.0, labels, weights=weights)[0]
+            assert roc.x[-1] == roc.y[-1] == 1.0
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             curve_pair(np.array([0.1, 0.2]), np.array([1.0, 1.0]))[0]
+        # a class whose every sample has zero weight has no mass either
+        with pytest.raises(ValueError, match="positive mass in both classes"):
+            curve_pair(np.array([0.1, 0.2, 0.3]), np.array([1.0, 0.0, 0.0]), weights=[0.0, 1.0, 2.0])
+        # or a negative mass that the sweep's total cannot hold
+        with pytest.raises(ValueError, match="positive mass in both classes"):
+            curve_pair(np.array([0.1, 0.2]), np.array([1.0, 0.0]), weights=[1e20, 1e-10])
 
     def test_all_tied_scores(self):
         roc = curve_pair(np.full(6, 0.5), np.array([1, 0, 1, 0, 1, 0], float))[0]
