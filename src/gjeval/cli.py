@@ -1,24 +1,15 @@
 """Command-line interface: evaluate, compare, readers, kfold, synth, fusion-demo.
 
-Exit codes: 0 success, 1 input error, 2 strict-mode metric degeneracy,
+Exit codes: 0 success, 1 input or usage error, 2 strict-mode metric degeneracy,
 3 training divergence, 4 failed self-check. Each subcommand computes and
 checks everything before it opens a file, so a run that fails with exit 1, 2
 or 3 writes nothing. Every ``report.json`` is written by ``_publish``, with
 the subcommand's other files. ``fusion-demo`` writes all its files before it
 checks the gradients, so a run that exits 4 keeps them for diagnosis. The
 curve CSVs are formatted as they are written, a block of rows at a time; every
-other file is written whole. On Linux with two CPUs or more, a report whose
-curve sets hold at least ``FORK_MIN_POINTS`` ROC points has its micro set
-(``roc_micro.csv``, ``pr_micro.csv``) written by a forked second process while
-this one writes the other files. In the same way, where the two input files of
-``compare`` or ``readers`` hold at least ``data.FORK_MIN_CHARS`` characters
-together and the shorter is long enough for the fork to pay, a second
-process parses the second file while this one parses the first
-(``_parse_pair``); and a predictions file of at least that size without
-quotes or CRs, parsed while no second process runs, has the second half of its
-rows parsed by one while this one parses the first. There is one second
-process at a time (``forking``), so each of two files is parsed by one
-process. The bytes and exit codes are the same, and an error in either process
+other file is written whole. Large reports and inputs are written or
+parsed with the help of a forked second process where that pays
+(``forking``). The bytes and exit codes are the same, and an error in either process
 gives the same single ``gjeval: input error: …`` line and exit 1 as one
 process would; so does a second process that dies. A write that fails part-way
 leaves the files written before it, a truncated curve file, and any files
@@ -71,7 +62,11 @@ GRAD_CHECK_TOL = 1e-4
 # crossover is near 85k points, so 2**17 forks only where forking won.
 FORK_MIN_POINTS = 1 << 17
 
-A = TypeVar("A")
+# Options that say how a run executes, not what it computes, and argparse's
+# own entries: a report's config leaves them out, so its bytes do not depend
+# on where they go or on whether SVGs come with them.
+_NOT_CONFIG = ("out", "stamp", "svg", "subcommand", "func")
+
 B = TypeVar("B")
 
 
@@ -91,6 +86,24 @@ def _out_path(text: str) -> Path:
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
     return Path(text)
+
+
+def _patients(text: str) -> tuple[int, ...]:
+    try:
+        sizes = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        sizes = ()
+    if len(sizes) != 3 or min(sizes) < 0 or sum(sizes) == 0:
+        raise argparse.ArgumentTypeError(f"expects three comma-separated integers, none negative "
+                                         f"and not all 0, got {text!r}")
+    return sizes
+
+
+def _config(args) -> dict:
+    """A report's config: the parsed options but ``_NOT_CONFIG``, in the order
+    the subcommand declares them (argparse sets their defaults in that order),
+    with each path as text."""
+    return {k: str(v) if isinstance(v, Path) else v for k, v in vars(args).items() if k not in _NOT_CONFIG}
 
 
 def _err(message: str) -> None:
@@ -178,10 +191,11 @@ def _read_text(path: Path, name: str, inputs: dict[str, tuple[Path, str]]) -> st
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _parse_pair(first: tuple[Path, str, Callable[[str], A]], second: tuple[Path, str, Callable[[str], B]],
-                inputs: dict[str, tuple[Path, str]]) -> tuple[A, B]:
-    """Read and parse two input files, each given as ``(path, name, parse)``
-    (``name`` as for ``_read_text``), and return what the two parses give.
+def _parse_pair(first: tuple[Path, str], second: tuple[Path, str, Callable[[str], B]],
+                inputs: dict[str, tuple[Path, str]]) -> tuple[data.Dataset, B]:
+    """Read and parse two input files, a predictions file given as
+    ``(path, name)`` (``name`` as for ``_read_text``) and a second one as
+    ``(path, name, parse)``, and return what the two parses give.
     The first error is raised in the order: read the first file, parse it,
     read the second, parse it. Where a forked child can help
     (``forking.spare_cpu``), the two texts hold at least
@@ -191,13 +205,13 @@ def _parse_pair(first: tuple[Path, str, Callable[[str], A]], second: tuple[Path,
     drops the second text once the child has it, and each text is freed as its
     parse ends. Otherwise the two are parsed one after the other, each long
     predictions text in halves (``data.parse_predictions``)."""
-    (path_a, name_a, parse_a), (path_b, name_b, parse_b) = first, second
+    (path_a, name_a), (path_b, name_b, parse_b) = first, second
     texts = [_read_text(path_a, name_a, inputs)]
     if forking.spare_cpu():  # else the second text is read once the first is freed
         try:
             texts.append(_read_text(path_b, name_b, inputs))
         except (OSError, ValueError):
-            parse_a(texts.pop())  # a fault in the first file is raised first
+            parse_predictions(texts.pop())  # a fault in the first file is raised first
             raise
         # Halving a long predictions text (data.parse_predictions) takes
         # 0.68-0.81 of its serial parse time at 117,600 rows; the child
@@ -208,15 +222,15 @@ def _parse_pair(first: tuple[Path, str, Callable[[str], A]], second: tuple[Path,
         n_a, n_b = len(texts[0]), len(texts[1])
         pays = n_a <= 3 * n_b if parse_b is parse_readers else max(n_a, n_b) <= 2 * min(n_a, n_b)
         if pays and n_a + n_b >= data.FORK_MIN_CHARS:
-            def here() -> A:
+            def here() -> data.Dataset:
                 del texts[1]  # the child has its own copy
-                return parse_a(texts.pop())
+                return parse_predictions(texts.pop())
 
             # a fault in the first file wins, so the child is killed then
             both = forking.run_forked(here, lambda: parse_b(texts.pop()), kill_on_error=True)
             if both is not None:
                 return both
-    parsed = parse_a(texts.pop(0))
+    parsed = parse_predictions(texts.pop(0))
     return parsed, parse_b(texts.pop() if texts else _read_text(path_b, name_b, inputs))
 
 
@@ -242,34 +256,28 @@ def _has_undefined(mr: MetricReport) -> bool:
 
 
 def cmd_evaluate(args) -> int:
-    pred_path, inputs = Path(args.pred), {}
-    ds = parse_predictions(_read_text(pred_path, "pred", inputs), strict=args.strict)
+    inputs = {}
+    ds = parse_predictions(_read_text(args.pred, "pred", inputs), strict=args.strict)
     mr = aggregate.evaluate(ds, level=args.level)
     if args.strict and _has_undefined(mr):
         _err("metric degeneracy (zero-denominator ratio) in strict mode")
         return 2
-    # SVG emission is an execution detail, not semantic config: reports must
-    # be byte-identical with and without it.
-    config = {
-        "pred": str(pred_path),
-        "level": args.level,
-        "strict": args.strict,
-    }
     results = {"dataset": summarize(ds), "report": mr.as_dict()}
-    _publish(args, config, inputs, results, _report_files(mr, svg=args.svg), _forked_files(mr))
+    _publish(args, _config(args), inputs, results, _report_files(mr, svg=args.svg), _forked_files(mr))
     return 0
 
 
 def cmd_compare(args) -> int:
-    path_a, path_b, inputs = Path(args.pred_a), Path(args.pred_b), {}
-    ds_a, ds_b = _parse_pair((path_a, "pred_a", parse_predictions), (path_b, "pred_b", parse_predictions), inputs)
+    inputs = {}
+    ds_a, ds_b = _parse_pair((args.pred_a, "pred_a"), (args.pred_b, "pred_b", parse_predictions), inputs)
     joined = aggregate.join_predictions(ds_a, ds_b)
     tests = [
         bowker_test(joined.preds_a, joined.preds_b),
         kappa_test(joined.preds_a, joined.preds_b),
     ]
     warnings: list[str] = []
-    wanted = CLASS_ORDER if args.cls == "all" else [c for c in CLASS_ORDER if c.slug == args.cls]
+    slug = getattr(args, "class")  # a keyword, so not args.class
+    wanted = CLASS_ORDER if slug == "all" else [c for c in CLASS_ORDER if c.slug == slug]
     for cls in wanted:
         labels = (joined.truths == int(cls)).astype(np.float64)
         try:
@@ -278,11 +286,6 @@ def cmd_compare(args) -> int:
             warnings.append(f"delong:{cls.slug} skipped: {exc}")
             continue
         tests.append(replace(res, name=f"delong:{cls.slug}"))
-    config = {
-        "pred_a": str(path_a),
-        "pred_b": str(path_b),
-        "class": args.cls,
-    }
     results = {
         "join": {
             "n_common": joined.truths.size,
@@ -292,14 +295,13 @@ def cmd_compare(args) -> int:
         "tests": [t.as_dict() for t in tests],
         "warnings": warnings,
     }
-    _publish(args, config, inputs, results)
+    _publish(args, _config(args), inputs, results)
     return 0
 
 
 def cmd_readers(args) -> int:
-    pred_path, readers_path, inputs = Path(args.pred), Path(args.readers), {}
-    model, readers = _parse_pair((pred_path, "pred", parse_predictions), (readers_path, "readers", parse_readers),
-                                 inputs)
+    inputs = {}
+    model, readers = _parse_pair((args.pred, "pred"), (args.readers, "readers", parse_readers), inputs)
     rows = aggregate.reader_rows(readers, model)
     pooled = [aggregate.pool_readers(readers, model, cell, rows)
               for cell in np.flatnonzero(np.bincount(readers.cell)).tolist()]
@@ -337,10 +339,6 @@ def cmd_readers(args) -> int:
             [row["reader_id"], row["group"], row["arm"], row["class"]]
             + ["" if row[k] is None else repr(row[k]) for k in ("sensitivity", "specificity", "ppv")]
         )
-    config = {
-        "pred": str(pred_path),
-        "readers": str(readers_path),
-    }
     results = {
         "pairing": "pooled: model prediction replicated per reader observation",
         "groups": groups_out,
@@ -348,46 +346,33 @@ def cmd_readers(args) -> int:
         "group_vs_group_kappa": group_vs_group,
         "notes": notes,
     }
-    _publish(args, config, inputs, results, {"reader_points.csv": csv_text(scatter_rows)})
+    _publish(args, _config(args), inputs, results, {"reader_points.csv": csv_text(scatter_rows)})
     return 0
 
 
 def cmd_kfold(args) -> int:
-    pred_path, inputs = Path(args.pred), {}
-    ds = parse_predictions(_read_text(pred_path, "pred", inputs))
+    inputs = {}
+    ds = parse_predictions(_read_text(args.pred, "pred", inputs))
     fold = kfold_split(ds, k=args.k, unit=args.by, seed=args.seed)
     per_fold = fold_datasets(ds, fold, args.by)
     units = ds.patient_ids if args.by == "patient" else ds.image_ids
     assign_rows = [("unit_id", "fold"), *zip(units, map(str, fold.tolist()))]
-    config = {
-        "pred": str(pred_path),
-        "k": args.k,
-        "by": args.by,
-        "seed": args.seed,
-    }
     results = {
         "unit": args.by,
         "k": args.k,
         "fold_sizes": [f["units"] for f in per_fold],
         "per_fold": per_fold,
     }
-    _publish(args, config, inputs, results, {"assignments.csv": csv_text(assign_rows)})
+    _publish(args, _config(args), inputs, results, {"assignments.csv": csv_text(assign_rows)})
     return 0
 
 
 def cmd_synth(args) -> int:
-    try:
-        sizes = tuple(int(v) for v in args.patients.split(","))
-    except ValueError:
-        raise _UsageError(f"--patients expects three comma-separated integers, got {args.patients!r}")
-    if len(sizes) != 3 or min(sizes) < 0 or sum(sizes) == 0:
-        raise _UsageError(f"--patients expects three non-negative integers, got {args.patients!r}")
-    sep = float("inf") if args.sep.lower() in ("inf", "infinity") else float(args.sep)
     spec = SynthSpec(
-        patients_per_class=sizes,  # type: ignore[arg-type]
+        patients_per_class=args.patients,  # type: ignore[arg-type]
         images_min=args.images_min,
         images_max=args.images_max,
-        separation=sep,
+        separation=args.sep,
         seed=args.seed,
     )
     text = synth_generate(spec)
@@ -395,7 +380,7 @@ def cmd_synth(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text, encoding="utf-8")
     images = text.count("\n") - 1  # every line but the header
-    print(f"wrote {out} ({sum(sizes)} patients, {images} images)")
+    print(f"wrote {out} ({sum(args.patients)} patients, {images} images)")
     return 0
 
 
@@ -409,18 +394,6 @@ def cmd_fusion_demo(args) -> int:
         seed=args.seed,
     )
     result = fusion.train_toy(spec)
-    run_config = {
-        "dim": args.dim,
-        "hidden": args.hidden,
-        "epochs": args.epochs,
-        "batch": args.batch,
-        "lr": args.lr,
-        "seed": args.seed,
-        "grad_check": args.grad_check,
-        "n_samples": spec.n_samples,
-        "separation": spec.separation,
-        "holdout_frac": spec.holdout_frac,
-    }
     grad_result = None
     if args.grad_check:
         probe_fb, probe_labels = fusion.make_synthetic_features(
@@ -453,7 +426,8 @@ def cmd_fusion_demo(args) -> int:
         "training_log.csv": rpt.training_log_csv(result.log),
     }
     files.update(_report_files(result.report))
-    _publish(args, run_config, {}, results, files, _forked_files(result.report))
+    _publish(args, {**_config(args), "n_samples": spec.n_samples, "separation": spec.separation,
+                    "holdout_frac": spec.holdout_frac}, {}, results, files, _forked_files(result.report))
     if grad_result is not None and grad_result["max_relative_error"] >= GRAD_CHECK_TOL:
         _err(
             f"gradient self-check failed: max relative error "
@@ -466,59 +440,52 @@ def cmd_fusion_demo(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gjeval", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand")
+    writes_report = argparse.ArgumentParser(add_help=False)  # options of each subcommand that writes a report.json
+    writes_report.add_argument("--out", type=_out_path, required=True)
+    writes_report.add_argument("--stamp", action="store_true")
 
-    p = sub.add_parser("evaluate", help="metrics report for one predictions file")
-    p.add_argument("--pred", required=True)
+    p = sub.add_parser("evaluate", parents=[writes_report], help="metrics report for one predictions file")
+    p.add_argument("--pred", type=Path, required=True)
     p.add_argument("--level", choices=aggregate.LEVELS, default="image")
-    p.add_argument("--out", type=_out_path, required=True)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="hypothesis tests between two prediction files")
-    p.add_argument("--pred-a", required=True)
-    p.add_argument("--pred-b", required=True)
-    p.add_argument("--out", type=_out_path, required=True)
-    p.add_argument("--class", dest="cls", choices=[c.slug for c in CLASS_ORDER] + ["all"], default="all")
-    p.add_argument("--stamp", action="store_true")
+    p = sub.add_parser("compare", parents=[writes_report], help="hypothesis tests between two prediction files")
+    p.add_argument("--pred-a", type=Path, required=True)
+    p.add_argument("--pred-b", type=Path, required=True)
+    p.add_argument("--class", choices=[c.slug for c in CLASS_ORDER] + ["all"], default="all")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("readers", help="reader-study analysis against model predictions")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--readers", required=True)
-    p.add_argument("--out", type=_out_path, required=True)
-    p.add_argument("--stamp", action="store_true")
+    p = sub.add_parser("readers", parents=[writes_report], help="reader-study analysis against model predictions")
+    p.add_argument("--pred", type=Path, required=True)
+    p.add_argument("--readers", type=Path, required=True)
     p.set_defaults(func=cmd_readers)
 
-    p = sub.add_parser("kfold", help="deterministic fold assignment")
-    p.add_argument("--pred", required=True)
+    p = sub.add_parser("kfold", parents=[writes_report], help="deterministic fold assignment")
+    p.add_argument("--pred", type=Path, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--by", choices=FOLD_UNITS, default="patient")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", type=_out_path, required=True)
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=cmd_kfold)
 
     p = sub.add_parser("synth", help="generate a synthetic predictions file")
-    p.add_argument("--patients", default="44,18,50")
+    p.add_argument("--patients", type=_patients, default=(44, 18, 50))
     p.add_argument("--images-min", type=int, default=1)
     p.add_argument("--images-max", type=int, default=20)
-    p.add_argument("--sep", default="3.0")
+    p.add_argument("--sep", type=float, default=3.0)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fusion-demo", help="train the fusion head on synthetic features")
+    p = sub.add_parser("fusion-demo", parents=[writes_report], help="train the fusion head on synthetic features")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--hidden", type=int, default=8)
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--lr", type=float, default=0.0001)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", type=_out_path, required=True)
     p.add_argument("--grad-check", action="store_true")
-    p.add_argument("--stamp", action="store_true")
     p.set_defaults(func=cmd_fusion_demo)
 
     return parser
@@ -529,7 +496,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        _err(str(exc))
+        print(exc, file=sys.stderr)  # the parser's own line names the program
         return 1
     if not getattr(args, "subcommand", None):
         parser.print_help()
@@ -539,9 +506,6 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         _err(f"training diverged: {exc}")
         return 3
-    except _UsageError as exc:
-        _err(str(exc))
-        return 1
     except (OSError, ValueError) as exc:
         _err(f"input error: {exc}")
         return 1

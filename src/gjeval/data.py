@@ -324,15 +324,15 @@ def _table(source: str) -> tuple[list[str], int | None, Iterator[_Rows]]:
     blocks of at most ``_BLOCK_ROWS`` lines or ``csv`` records. A leading
     byte order mark is ignored.
 
-    When the text has no quote, CR or NUL (a CR ends a line for ``csv``;
-    Python 3.10's ``csv`` rejects NUL) and its header line has a comma and
-    fits ``csv.field_size_limit()``, every line is one record; each block of
-    lines is then split on newlines and commas when ``csv`` would read it as
-    plain fields (see ``_plain_blocks``), and read by ``csv`` otherwise. Any
-    other file is read by ``csv`` throughout. Both give the same fields and
-    errors. The text is read by offset, never copied whole."""
+    When the text has no quote or CR (a CR ends a line for ``csv``) and its
+    header line has a comma and fits ``csv.field_size_limit()``, every line
+    is one record; each block of lines is then split on newlines and commas
+    when ``csv`` would read it as plain fields (see ``_plain_blocks``), and
+    read by ``csv`` otherwise. Any other file is read by ``csv`` throughout.
+    Both give the same fields and errors. The text is read by offset, never
+    copied whole."""
     start = len(_BOM) if source.startswith(_BOM) else 0
-    if not ('"' in source or "\r" in source or "\0" in source):
+    if not ('"' in source or "\r" in source):
         end = source.find("\n", start)
         head = source[start:end]
         if end >= 0 and "," in head and len(head) <= csv.field_size_limit():

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tomllib
 import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -63,7 +64,6 @@ def tree(outdir: Path) -> dict[str, bytes]:
 
 def declared_console_script() -> str:
     """The ``module:attr`` target of the ``gjeval`` script in pyproject.toml."""
-    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     return tomllib.loads(pyproject.read_text())["project"]["scripts"]["gjeval"]
 
@@ -134,16 +134,6 @@ class TestEvaluate:
         run("evaluate", "--pred", str(pred_csv), "--out", str(b))
         assert tree(a) == tree(b)
 
-    def test_config_holds_only_what_changes_results(self, pred_csv, tmp_path, capsys):
-        # nothing in evaluate is random, and the curves are computed in one thread
-        out = tmp_path / "ev"
-        assert run("evaluate", "--pred", str(pred_csv), "--out", str(out)) == 0
-        config = json.loads((out / "report.json").read_text())["config"]
-        assert sorted(config) == ["level", "pred", "strict", "subcommand"]
-        for flag in ("--seed", "--workers"):
-            assert run("evaluate", "--pred", str(pred_csv), "--out", str(tmp_path / "x"), flag, "2") == 1
-            assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
-
     def test_svg_adds_files_without_touching_report(self, pred_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run("evaluate", "--pred", str(pred_csv), "--out", str(a))
@@ -213,17 +203,46 @@ class TestEvaluate:
         assert doc["inputs"]["pred"] == {"path": str(fifo), "sha256": hashlib.sha256(data).hexdigest()}
 
 
-@pytest.mark.parametrize("command", ["evaluate", "compare", "readers", "kfold", "fusion-demo"])
-def test_stamp_adds_only_generated_at(command, pred_csv, pred_csv_b, readers_csv, tmp_path):
-    """``--stamp`` on each report-writing subcommand puts an ISO-8601 UTC
-    time right after ``inputs`` and changes no other byte of any file."""
-    argv = {
+def report_argv(command: str, pred_csv: Path, pred_csv_b: Path, readers_csv: Path) -> list[str]:
+    """A small run of a report-writing subcommand, without ``--out``."""
+    return {
         "evaluate": ["--pred", str(pred_csv)],
         "compare": ["--pred-a", str(pred_csv), "--pred-b", str(pred_csv_b)],
         "readers": ["--pred", str(pred_csv), "--readers", str(readers_csv)],
         "kfold": ["--pred", str(pred_csv), "--k", "3"],
         "fusion-demo": ["--dim", "8", "--hidden", "3", "--epochs", "1", "--batch", "64"],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare", "readers", "kfold", "fusion-demo"])
+def test_config_holds_only_what_changes_results(command, pred_csv, pred_csv_b, readers_csv, tmp_path, capsys):
+    """Each report's config holds every option that can change its results,
+    in the order the subcommand declares them, and no other: not ``--out``,
+    ``--stamp`` or ``--svg``. There is no ``--seed`` where nothing is random,
+    and no ``--workers``, as the bytes do not depend on how work is spread."""
+    keys = {
+        "evaluate": ["subcommand", "pred", "level", "strict"],
+        "compare": ["subcommand", "pred_a", "pred_b", "class"],
+        "readers": ["subcommand", "pred", "readers"],
+        "kfold": ["subcommand", "pred", "k", "by", "seed"],
+        "fusion-demo": ["subcommand", "dim", "hidden", "epochs", "batch", "lr", "seed", "grad_check",
+                        "n_samples", "separation", "holdout_frac"],
+    }[command]
+    argv = [command, *report_argv(command, pred_csv, pred_csv_b, readers_csv), "--out", str(tmp_path / "r")]
+    assert run(*argv, "--stamp", *(["--svg"] if command == "evaluate" else [])) == 0
+    assert list(json.loads((tmp_path / "r" / "report.json").read_text())["config"]) == keys
+    capsys.readouterr()
+    for flag in [f for f in ("--seed", "--workers") if f[2:] not in keys]:
+        assert run(*argv[:-1], str(tmp_path / "x"), flag, "2") == 1
+        assert capsys.readouterr().err == f"gjeval: unrecognized arguments: {flag} 2\n"
+        assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare", "readers", "kfold", "fusion-demo"])
+def test_stamp_adds_only_generated_at(command, pred_csv, pred_csv_b, readers_csv, tmp_path):
+    """``--stamp`` on each report-writing subcommand puts an ISO-8601 UTC
+    time right after ``inputs`` and changes no other byte of any file."""
+    argv = report_argv(command, pred_csv, pred_csv_b, readers_csv)
     plain, stamped = tmp_path / "plain", tmp_path / "stamped"
     assert run(command, *argv, "--out", str(plain)) == 0
     assert run(command, *argv, "--out", str(stamped), "--stamp") == 0
@@ -358,7 +377,7 @@ class TestExitCodes:
         }[command]
         assert run(*argv, "--out", "") == 1
         captured = capsys.readouterr()
-        assert captured.err == f"gjeval: gjeval {command}: argument --out: must not be empty\n"
+        assert captured.err == f"gjeval {command}: argument --out: must not be empty\n"
         assert captured.out == ""
         assert list(cwd.iterdir()) == []
 
@@ -366,6 +385,18 @@ class TestExitCodes:
     def test_dump_json_rejects_non_finite(self, value):
         with pytest.raises(ValueError, match="not JSON compliant"):
             dump_json({"results": {"summary": {"age_mean": value}}})
+
+    @pytest.mark.parametrize("subcommand, text, message", [
+        ("evaluate", "", "empty file"),
+        ("readers", "reader_id,group,arm,image_id,pred_label,elapsed_s\n", "no data rows"),
+    ], ids=["empty-predictions", "header-only-readers"])
+    def test_empty_input_is_1(self, subcommand, text, message, pred_csv, tmp_path, capsys):
+        empty, out = tmp_path / "empty.csv", tmp_path / "o"
+        empty.write_text(text)
+        argv = {"evaluate": ["--pred", str(empty)], "readers": ["--pred", str(pred_csv), "--readers", str(empty)]}
+        assert run(subcommand, *argv[subcommand], "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", f"gjeval: input error: {message}\n")
+        assert not out.exists()
 
     def test_usage_error_is_1(self, tmp_path, capsys):
         assert run("evaluate", "--bogus-flag") == 1
@@ -640,6 +671,9 @@ class TestKfold:
             assert doc["fold_sizes"] == [folds.count(fold) for fold in range(5)]
 
 
+PATIENTS_RULE = "expects three comma-separated integers, none negative and not all 0, got "
+
+
 class TestSynth:
     def test_round_trip_and_counts(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
@@ -658,6 +692,23 @@ class TestSynth:
         assert run("synth", "--sep", "nan", "--out", str(out)) == 1
         assert not out.exists()
         assert "separation must be >= 0, got nan" in capsys.readouterr().err
+
+    # text that is not of an option's type is a usage error; a value that the
+    # spec rejects is an input error
+    @pytest.mark.parametrize("argv, message", [
+        (["--patients", "1,2,x"], "gjeval synth: argument --patients: " + PATIENTS_RULE + "'1,2,x'"),
+        (["--patients", "1,2"], "gjeval synth: argument --patients: " + PATIENTS_RULE + "'1,2'"),
+        (["--patients", "0,0,0"], "gjeval synth: argument --patients: " + PATIENTS_RULE + "'0,0,0'"),
+        (["--sep", "abc"], "gjeval synth: argument --sep: invalid float value: 'abc'"),
+        (["--images-min", "0"], "gjeval: input error: need 1 <= images_min <= images_max"),
+        (["--images-min", "5", "--images-max", "2"], "gjeval: input error: need 1 <= images_min <= images_max"),
+    ], ids=["patients-not-int", "patients-two", "patients-zero", "sep-not-float", "images-min-0",
+            "images-min-above-max"])
+    def test_bad_option_is_1(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("synth", *argv, "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", message + "\n")
+        assert not out.exists()
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -425,7 +425,7 @@ TOKENIZER_CASES = [
     ("over-long-header", parse_predictions, _text(OVER + "," + HEADER, ROWS), ""),
     ("over-long-field", parse_predictions, _text(HEADER, (ROWS[0], OVER + ROWS[1], ROWS[2])), "csv"),
     ("long-line-short-fields", parse_predictions, _text(HEADER, (ROWS[0], f"{LONG},{LONG}p,A-EGJA,1,0,0")), "csv"),
-    ("nul", parse_predictions, _text(HEADER, (ROWS[0], "i\x002" + ROWS[1][2:], ROWS[2])), "csv csv"),
+    ("nul", parse_predictions, _text(HEADER, (ROWS[0], "i\x002" + ROWS[1][2:], ROWS[2])), "plain plain"),
     ("x85", parse_predictions, _text(HEADER, ("i\x851,\x85p1\x85" + ROWS[0][5:], ROWS[1])), "plain"),
     ("u2028", parse_predictions, _text(HEADER, ("i\u20281,p1\u2028" + ROWS[0][5:], ROWS[1])), "plain"),
     ("x0b", parse_predictions, _text(HEADER, ("i1\x0b,\x0bp1" + ROWS[0][5:], ROWS[1])), "plain"),
