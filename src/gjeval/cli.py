@@ -8,10 +8,11 @@ the subcommand's other files. ``fusion-demo`` writes all its files before it
 checks the gradients, so a run that exits 4 keeps them for diagnosis. The
 curve CSVs are formatted as they are written, a block of rows at a time; every
 other file is written whole. Large reports and inputs are written or
-parsed with the help of a forked second process where that pays
-(``forking``). The bytes and exit codes are the same, and an error in either process
-gives the same single ``gjeval: input error: …`` line and exit 1 as one
-process would; so does a second process that dies. A write that fails part-way
+parsed with the help of a forked second process where that pays and a
+second CPU is free (``forking``); each input file is read by the process
+that parses it. The bytes and exit codes are the same, and an error in either
+process gives the same single ``gjeval: input error: …`` line and exit 1 as
+one process would; so does a second process that dies. A write that fails part-way
 leaves the files written before it, a truncated curve file, and any files
 already in ``--out``. Outputs are byte-identical across reruns with the same
 config and inputs; ``--stamp`` opts into an embedded timestamp (and therefore
@@ -21,10 +22,12 @@ out of byte identity).
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Collection, Iterator, TypeVar
@@ -115,8 +118,9 @@ def _write_outputs(outdir: Path, files: dict[str, str | Iterator[str]], forked: 
     as it yields them. The chunked files are open together and take one
     chunk each in turn, so a curve set's ROC and PR files advance in
     lockstep. The chunked files named in ``forked`` are written by a child
-    process (``forking.run_forked``) while this one writes the others; an
-    error in the child is raised here once both are done."""
+    process, where one can run (``forking.run_forked``), while this one
+    writes the others; an error in the child is raised here once both are
+    done."""
     outdir.mkdir(parents=True, exist_ok=True)
     chunked = {}
     for name, content in files.items():
@@ -164,74 +168,60 @@ def _write_chunked(outdir: Path, chunked: dict[str, Iterator[str]]) -> None:
 
 
 def _forked_files(mr: MetricReport) -> tuple[str, ...]:
-    """The files a second process writes: the micro curve set's, when this
-    process may run on more than one CPU (``forking.spare_cpu``) and the
+    """The files a second process may write: the micro curve set's, when the
     report's curves hold at least FORK_MIN_POINTS ROC points; none
     otherwise."""
-    if "micro" not in mr.curves:
-        return ()
-    points = sum(roc.x.size for roc, _ in mr.curves.values())
-    if points < FORK_MIN_POINTS or not forking.spare_cpu():
+    if "micro" not in mr.curves or sum(roc.x.size for roc, _ in mr.curves.values()) < FORK_MIN_POINTS:
         return ()
     return ("roc_micro.csv", "pr_micro.csv")
 
 
-def _read_text(path: Path, name: str, inputs: dict[str, tuple[Path, str]]) -> str:
-    """An input file's UTF-8 text, with CRLF and lone CR read as LF. The file
-    is read once, so a pipe works too: ``inputs[name]`` is set to the path and
-    the sha256 of the bytes read. Bytes that are not UTF-8 raise a ParseError
-    naming their line."""
+def _parse_file(path: Path, parse: Callable[[str], B]) -> tuple[B, str]:
+    """What ``parse`` gives for an input file's UTF-8 text, with CRLF and lone
+    CR read as LF, and the sha256 of the file's bytes. The file is read once,
+    so a pipe works too. Bytes that are not UTF-8 raise a ParseError naming
+    their line. The bytes are dropped before the parse, and the text when it
+    returns."""
     raw = path.read_bytes()
-    inputs[name] = (path, rpt.sha256_bytes(raw))
+    digest = rpt.sha256_bytes(raw)
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = 1 + len(re.findall(rb"\r\n?|\n", exc.object[: exc.start]))
         raise ParseError(str(exc), line) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    del raw
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse(text), digest
 
 
-def _parse_pair(first: tuple[Path, str], second: tuple[Path, str, Callable[[str], B]],
-                inputs: dict[str, tuple[Path, str]]) -> tuple[data.Dataset, B]:
-    """Read and parse two input files, a predictions file given as
-    ``(path, name)`` (``name`` as for ``_read_text``) and a second one as
-    ``(path, name, parse)``, and return what the two parses give.
-    The first error is raised in the order: read the first file, parse it,
-    read the second, parse it. Where a forked child can help
-    (``forking.spare_cpu``), the two texts hold at least
-    ``data.FORK_MIN_CHARS`` characters and the shorter one is long enough
-    for the fork to pay, a child parses the second while this process
-    parses the first; each process then parses its file alone. This process
-    drops the second text once the child has it, and each text is freed as its
-    parse ends. Otherwise the two are parsed one after the other, each long
-    predictions text in halves (``data.parse_predictions``)."""
-    (path_a, name_a), (path_b, name_b, parse_b) = first, second
-    texts = [_read_text(path_a, name_a, inputs)]
-    if forking.spare_cpu():  # else the second text is read once the first is freed
-        try:
-            texts.append(_read_text(path_b, name_b, inputs))
-        except (OSError, ValueError):
-            parse_predictions(texts.pop())  # a fault in the first file is raised first
-            raise
-        # Halving a long predictions text (data.parse_predictions) takes
-        # 0.68-0.81 of its serial parse time at 117,600 rows; the child
-        # takes the whole shorter parse off. So the child pays where the
-        # shorter text is at least half the longer one, or a third when it
-        # is a reader file, which is never halved, and always where the
-        # longer one is a reader file.
-        n_a, n_b = len(texts[0]), len(texts[1])
-        pays = n_a <= 3 * n_b if parse_b is parse_readers else max(n_a, n_b) <= 2 * min(n_a, n_b)
-        if pays and n_a + n_b >= data.FORK_MIN_CHARS:
-            def here() -> data.Dataset:
-                del texts[1]  # the child has its own copy
-                return parse_predictions(texts.pop())
-
-            # a fault in the first file wins, so the child is killed then
-            both = forking.run_forked(here, lambda: parse_b(texts.pop()), kill_on_error=True)
-            if both is not None:
-                return both
-    parsed = parse_predictions(texts.pop(0))
-    return parsed, parse_b(texts.pop() if texts else _read_text(path_b, name_b, inputs))
+def _parse_pair(path_a: Path, path_b: Path,
+                parse_b: Callable[[str], B]) -> tuple[tuple[data.Dataset, str], tuple[B, str]]:
+    """``_parse_file`` of a predictions file and of a second file parsed by
+    ``parse_b``. The first error is raised in the order: read the first file,
+    parse it, read the second, parse it. Where the two files hold at least
+    ``data.FORK_MIN_CHARS`` bytes together and the shorter one is long enough
+    for the fork to pay, a forked child reads and parses the second while
+    this process reads and parses the first (``forking.run_forked``); a fault
+    in the first kills the child. Otherwise, and where no child can run, the
+    two are parsed one after the other, each long predictions text in halves
+    (``data.parse_predictions``). A path that is not a regular file, such as
+    a pipe, or that cannot be looked at, counts as empty here; so a file that
+    cannot be read raises in that order."""
+    n_a, n_b = (os.path.getsize(path) if os.path.isfile(path) else 0 for path in (path_a, path_b))
+    # Halving a long predictions text (data.parse_predictions) takes
+    # 0.68-0.81 of its serial parse time at 117,600 rows; the child
+    # takes the whole shorter parse off. So the child pays where the
+    # shorter text is at least half the longer one, or a third when it
+    # is a reader file, which is never halved, and always where the
+    # longer one is a reader file.
+    pays = n_a <= 3 * n_b if parse_b is parse_readers else max(n_a, n_b) <= 2 * min(n_a, n_b)
+    first, second = partial(_parse_file, path_a, parse_predictions), partial(_parse_file, path_b, parse_b)
+    if pays and n_a + n_b >= data.FORK_MIN_CHARS:
+        both = forking.run_forked(first, second, kill_on_error=True)
+        if both is not None:
+            return both
+    return first(), second()
 
 
 def _report_files(mr: MetricReport, svg: bool = False) -> dict[str, str | Iterator[str]]:
@@ -256,20 +246,19 @@ def _has_undefined(mr: MetricReport) -> bool:
 
 
 def cmd_evaluate(args) -> int:
-    inputs = {}
-    ds = parse_predictions(_read_text(args.pred, "pred", inputs), strict=args.strict)
+    ds, digest = _parse_file(args.pred, partial(parse_predictions, strict=args.strict))
     mr = aggregate.evaluate(ds, level=args.level)
     if args.strict and _has_undefined(mr):
         _err("metric degeneracy (zero-denominator ratio) in strict mode")
         return 2
     results = {"dataset": summarize(ds), "report": mr.as_dict()}
-    _publish(args, _config(args), inputs, results, _report_files(mr, svg=args.svg), _forked_files(mr))
+    _publish(args, _config(args), {"pred": (args.pred, digest)}, results, _report_files(mr, svg=args.svg),
+             _forked_files(mr))
     return 0
 
 
 def cmd_compare(args) -> int:
-    inputs = {}
-    ds_a, ds_b = _parse_pair((args.pred_a, "pred_a"), (args.pred_b, "pred_b", parse_predictions), inputs)
+    (ds_a, digest_a), (ds_b, digest_b) = _parse_pair(args.pred_a, args.pred_b, parse_predictions)
     joined = aggregate.join_predictions(ds_a, ds_b)
     tests = [
         bowker_test(joined.preds_a, joined.preds_b),
@@ -295,13 +284,12 @@ def cmd_compare(args) -> int:
         "tests": [t.as_dict() for t in tests],
         "warnings": warnings,
     }
-    _publish(args, _config(args), inputs, results)
+    _publish(args, _config(args), {"pred_a": (args.pred_a, digest_a), "pred_b": (args.pred_b, digest_b)}, results)
     return 0
 
 
 def cmd_readers(args) -> int:
-    inputs = {}
-    model, readers = _parse_pair((args.pred, "pred"), (args.readers, "readers", parse_readers), inputs)
+    (model, digest_p), (readers, digest_r) = _parse_pair(args.pred, args.readers, parse_readers)
     rows = aggregate.reader_rows(readers, model)
     pooled = [aggregate.pool_readers(readers, model, cell, rows)
               for cell in np.flatnonzero(np.bincount(readers.cell)).tolist()]
@@ -346,13 +334,13 @@ def cmd_readers(args) -> int:
         "group_vs_group_kappa": group_vs_group,
         "notes": notes,
     }
+    inputs = {"pred": (args.pred, digest_p), "readers": (args.readers, digest_r)}
     _publish(args, _config(args), inputs, results, {"reader_points.csv": csv_text(scatter_rows)})
     return 0
 
 
 def cmd_kfold(args) -> int:
-    inputs = {}
-    ds = parse_predictions(_read_text(args.pred, "pred", inputs))
+    ds, digest = _parse_file(args.pred, parse_predictions)
     fold = kfold_split(ds, k=args.k, unit=args.by, seed=args.seed)
     per_fold = fold_datasets(ds, fold, args.by)
     units = ds.patient_ids if args.by == "patient" else ds.image_ids
@@ -363,7 +351,7 @@ def cmd_kfold(args) -> int:
         "fold_sizes": [f["units"] for f in per_fold],
         "per_fold": per_fold,
     }
-    _publish(args, _config(args), inputs, results, {"assignments.csv": csv_text(assign_rows)})
+    _publish(args, _config(args), {"pred": (args.pred, digest)}, results, {"assignments.csv": csv_text(assign_rows)})
     return 0
 
 

@@ -519,7 +519,7 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     the Dataset keeps outlive a block. Equal ``sex`` values share one string
     object. Plain text (see ``_table``) of at least ``FORK_MIN_CHARS``
     characters is split at the first line that starts past its middle when
-    this process may run on more than one CPU: a forked child reads the
+    a second CPU is free (``forking.run_forked``): a forked child reads the
     second half while this process reads the first, and each half has its
     own string objects. Rows, errors and their order are
     those of reading the text in one process.
@@ -542,7 +542,7 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
 
     halves = None
     with _gc_paused():
-        if body is not None and len(source) >= FORK_MIN_CHARS and forking.spare_cpu():
+        if body is not None and len(source) >= FORK_MIN_CHARS:
             mid = source.find("\n", (body + len(source)) // 2) + 1  # the second half's first line
             if 0 < mid < len(source):
                 # the child counts the lines before its half; a row fault in

@@ -4,10 +4,10 @@ Three phases of a large run use a second CPU this way: the curve writer
 (``cli._write_outputs``), the plain-text predictions parser
 (``data.parse_predictions``) and the two-file parse of ``compare`` and
 ``readers`` (``cli._parse_pair``). Each decides for itself whether the work
-is large enough to pay for a fork; ``spare_cpu`` says whether a fork can
-help. There is one extra process at a time: while ``run_forked``'s ``here``
-runs, and in its child, ``spare_cpu`` is False and ``run_forked`` forks
-nothing, so a phase run inside another's fork works in one process.
+is large enough to pay for a fork; ``run_forked`` decides whether a CPU is
+free for it, and where none is, the phase does the work in one process.
+There is one extra process at a time: while ``run_forked``'s ``here`` runs,
+and in its child, ``run_forked`` forks nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import pickle
 from typing import Callable, NoReturn, TypeVar
 
-__all__ = ["spare_cpu", "run_forked"]
+__all__ = ["run_forked"]
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -24,7 +24,7 @@ B = TypeVar("B")
 _forked = False  # True while run_forked's ``here`` runs, and in its child
 
 
-def spare_cpu() -> bool:
+def _spare_cpu() -> bool:
     """Whether a forked child could run on a CPU of its own: this process may
     run on more than one CPU and no child of ``run_forked`` is running or
     being run. Without ``os.sched_getaffinity`` (any platform but Linux) it
@@ -34,9 +34,9 @@ def spare_cpu() -> bool:
 
 def run_forked(here: Callable[[], A], there: Callable[[], B], *, kill_on_error: bool) -> tuple[A, B] | None:
     """``(here(), there())``, with ``there`` called in a forked child process
-    while this one calls ``here``. None, and neither is called, when no
-    process can be forked, or when this call is made inside another's
-    ``here`` or child: the caller then does the work itself.
+    while this one calls ``here``. None, and neither is called, when the
+    child would have no CPU of its own (``_spare_cpu``) or no process can be
+    forked: the caller then does the work itself.
 
     The child sends what ``there`` returns, or the exception it raises,
     pickled through a pipe. It must print nothing and call no BLAS (numpy's
@@ -50,7 +50,7 @@ def run_forked(here: Callable[[], A], there: Callable[[], B], *, kill_on_error: 
     exception is raised here; a child that ends without sending one (killed
     by a signal) is an OSError naming its exit code."""
     global _forked
-    if _forked:
+    if not _spare_cpu():
         return None
     read_fd, write_fd = os.pipe()
     _forked = True  # before the fork, so the child sees it too

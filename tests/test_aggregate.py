@@ -65,6 +65,10 @@ class TestPatientAggregation:
                 total = total + probs[row]
             assert agg[k].tobytes() == (total / ds.patient_counts()[k]).tobytes()
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="^cannot aggregate an empty dataset$"):
+            patient_mean_aggregate(make_dataset([], np.zeros((0, 3)), []))
+
     def test_severity_tie_break_after_aggregation(self):
         # mean probs tie between E-EGJA and control -> E-EGJA (more severe)
         truths = [1, 1]

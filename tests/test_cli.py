@@ -171,16 +171,22 @@ class TestEvaluate:
         want = hashlib.sha256(pred_csv.read_bytes()).hexdigest()
         assert doc["inputs"]["pred"]["sha256"] == want
 
-    def test_fifo_input_is_read_and_hashed_once(self, pred_csv, tmp_path):
+    @pytest.mark.parametrize("command, option", [
+        ("evaluate", "--pred"), ("compare", "--pred-b"), ("readers", "--readers"),
+    ], ids=["evaluate", "compare", "readers"])
+    def test_fifo_input_is_read_and_hashed_once(self, command, option, pred_csv, pred_csv_b, readers_csv, tmp_path):
         # a FIFO yields its bytes to one reader only: a second open for the
-        # digest would block for want of a writer
+        # digest would block for want of a writer. compare and readers parse
+        # a FIFO second file in the calling process.
         import hashlib
 
-        data = pred_csv.read_bytes()
-        fifo, out = tmp_path / "pred.fifo", tmp_path / "ev"
+        argv = [command, *report_argv(command, pred_csv, pred_csv_b, readers_csv)]
+        data = Path(argv[argv.index(option) + 1]).read_bytes()
+        fifo = tmp_path / "input.fifo"
+        argv[argv.index(option) + 1] = str(fifo)
         os.mkfifo(fifo)
-        proc = subprocess.Popen([sys.executable, "-m", "gjeval", "evaluate", "--pred", str(fifo),
-                                 "--out", str(out)], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        proc = subprocess.Popen([sys.executable, "-m", "gjeval", *argv, "--out", str(tmp_path / "fifo")],
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         deadline = time.monotonic() + 30
         try:
             while True:  # opening to write without blocking fails until the CLI opens to read
@@ -199,8 +205,14 @@ class TestEvaluate:
                 proc.kill()
                 proc.communicate()
         assert proc.returncode == 0, err
-        doc = json.loads((out / "report.json").read_text())
-        assert doc["inputs"]["pred"] == {"path": str(fifo), "sha256": hashlib.sha256(data).hexdigest()}
+        doc = json.loads((tmp_path / "fifo" / "report.json").read_text())
+        name = option[2:].replace("-", "_")
+        assert doc["inputs"][name] == {"path": str(fifo), "sha256": hashlib.sha256(data).hexdigest()}
+        # the same bytes from a regular file at the same path give the same files
+        fifo.unlink()
+        fifo.write_bytes(data)
+        assert run(*argv, "--out", str(tmp_path / "file")) == 0
+        assert tree(tmp_path / "fifo") == tree(tmp_path / "file")
 
 
 def report_argv(command: str, pred_csv: Path, pred_csv_b: Path, readers_csv: Path) -> list[str]:
@@ -702,8 +714,12 @@ class TestSynth:
         (["--sep", "abc"], "gjeval synth: argument --sep: invalid float value: 'abc'"),
         (["--images-min", "0"], "gjeval: input error: need 1 <= images_min <= images_max"),
         (["--images-min", "5", "--images-max", "2"], "gjeval: input error: need 1 <= images_min <= images_max"),
+        # a value that starts with "-" and is not a plain number is taken for
+        # an option unless "=" joins it to its own
+        (["--sep", "-inf"], "gjeval synth: argument --sep: expected one argument"),
+        (["--sep=-inf"], "gjeval: input error: separation must be >= 0, got -inf"),
     ], ids=["patients-not-int", "patients-two", "patients-zero", "sep-not-float", "images-min-0",
-            "images-min-above-max"])
+            "images-min-above-max", "sep-minus-inf-apart", "sep-minus-inf-joined"])
     def test_bad_option_is_1(self, argv, message, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert run("synth", *argv, "--out", str(out)) == 1

@@ -16,6 +16,7 @@ import os
 import signal
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -288,18 +289,19 @@ def test_text_read_by_csv_never_forks(text, forked_parse, monkeypatch):
 
 
 def test_one_child_at_a_time(monkeypatch):
-    """While ``run_forked``'s ``here`` runs, and in its child, no CPU is
-    spare and no second child is forked; afterwards the CPU is spare again."""
+    """While ``run_forked``'s ``here`` runs, and in its child, ``run_forked``
+    forks nothing and returns None; afterwards it forks again. On one CPU it
+    forks nothing either."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert forking.spare_cpu()
-    assert forking.run_forked(forking.spare_cpu, forking.spare_cpu, kill_on_error=True) == (False, False)
-    assert forking.spare_cpu()
 
     def nested():
-        return forking.run_forked(int, int, kill_on_error=True)
+        return forking.run_forked(os.getpid, os.getpid, kill_on_error=True)
 
     assert forking.run_forked(nested, nested, kill_on_error=True) == (None, None)
-    assert forking.spare_cpu()
+    here, there = forking.run_forked(os.getpid, os.getpid, kill_on_error=True)
+    assert here == os.getpid() != there and no_child()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert forking.run_forked(os.getpid, os.getpid, kill_on_error=True) is None
 
 
 @pytest.fixture
@@ -392,8 +394,8 @@ def error_inputs(tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", sorted(PRECEDENCE))
 def test_two_file_error_precedence(case, host, error_inputs, monkeypatch, capsys, request):
     """The first error in the order: read the first file, parse it, read the
-    second, parse it; on one CPU, with both texts read before either is
-    parsed, and with the second parsed by a child."""
+    second, parse it; on one CPU, on two CPUs below the fork's size, and
+    with the second read and parsed by a child."""
     argv, message = PRECEDENCE[case]
     if host == "forked":
         forks = request.getfixturevalue("forked_parse")
@@ -489,3 +491,29 @@ def test_two_file_fork_only_where_it_pays(argv, here, error_inputs, forked_parse
     capsys.readouterr()
     assert parsed == [len(INPUTS[name]) for name in here]
     assert fork_log() == len(forked_parse) == (2 if argv[0] == "compare" and len(here) == 2 else 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--pred-a", "good.csv", "--pred-b", "copy.csv"],
+    ["readers", "--pred", "good.csv", "--readers", "readers.csv"],
+], ids=["compare", "readers"])
+def test_each_process_reads_only_the_file_it_parses(argv, error_inputs, forked_parse, tmp_path, monkeypatch, capsys):
+    """Where the second file is parsed by a child, that child reads it, and
+    this process never reads it: each ``Path.read_bytes`` call, in either
+    process, is logged with its pid."""
+    (error_inputs / "copy.csv").write_text(INPUTS["good.csv"])
+    log, read_bytes = tmp_path / "reads.log", Path.read_bytes
+
+    def logged(path):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {path}\n")
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", logged)
+    assert main([*argv, "--out", "o"]) == 0
+    capsys.readouterr()
+    with open(log) as fh:
+        reads = [line.split() for line in fh]
+    first, second = argv[2], argv[4]
+    assert [path for pid, path in reads if int(pid) == os.getpid()] == [first]
+    assert [(int(pid), path) for pid, path in reads if int(pid) != os.getpid()] == [(forked_parse[0], second)]

@@ -113,6 +113,10 @@ class TestConfusionMatrix:
             confusion_matrix([], [])
         with pytest.raises(ValueError):
             confusion_matrix([0], [0], weights=[-1.0])
+        with pytest.raises(ValueError, match="^truths and preds must have the same length$"):
+            confusion_matrix([0, 1], [0])
+        with pytest.raises(ValueError, match="^weights must match truths in length$"):
+            confusion_matrix([0, 1], [0, 1], weights=[1.0])
 
 
 class TestClassStats:
@@ -222,6 +226,12 @@ class TestCohenKappa:
         cm = np.outer([0.2, 0.3, 0.5], [0.1, 0.4, 0.5]) * 1000
         assert cohen_kappa(cm) == pytest.approx(0.0, abs=1e-12)
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match=r"^agreement matrix must be square, got \(2, 3\)$"):
+            cohen_kappa(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="^empty confusion matrix$"):
+            cohen_kappa(np.zeros((3, 3)))
+
 
 class TestROC:
     def test_known_points(self):
@@ -303,6 +313,19 @@ class TestROC:
         roc = curve_pair(np.full(6, 0.5), np.array([1, 0, 1, 0, 1, 0], float))[0]
         assert roc.area == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("scores, labels, weights, message", [
+        ([0.1, 0.2], [1.0, 0.0, 1.0], None, "scores and labels must be 1-D and equal length"),
+        ([[0.1, 0.2]], [[1.0, 0.0]], None, "scores and labels must be 1-D and equal length"),
+        ([0.1, np.nan], [1.0, 0.0], None, "scores must be finite"),
+        ([0.1, 0.2], [1.0, 2.0], None, "labels must be binary 0/1"),
+        ([0.1, 0.2], [1.0, 0.0], [1.0], "weights must be finite, non-negative, and match scores"),
+        ([0.1, 0.2], [1.0, 0.0], [1.0, -1.0], "weights must be finite, non-negative, and match scores"),
+        ([0.1, 0.2], [1.0, 0.0], [1.0, np.inf], "weights must be finite, non-negative, and match scores"),
+    ], ids=["length", "not-1d", "score-nan", "label-2", "weights-length", "weights-negative", "weights-inf"])
+    def test_bad_input_rejected(self, scores, labels, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            curve_pair(np.array(scores), np.array(labels), weights=weights)
+
 
 class TestPR:
     def test_known_ap(self):
@@ -341,6 +364,11 @@ class TestMicroCurves:
         assert roc.area == pytest.approx(expect.area, abs=1e-12)
         expect_pr = curve_pair(np.array(flat_scores), np.array(flat_labels))[1]
         assert pr.area == pytest.approx(expect_pr.area, abs=1e-12)
+
+    @pytest.mark.parametrize("shape, n", [((4, 2), 4), ((4, 3), 5), ((12,), 4)], ids=["two-columns", "rows", "flat"])
+    def test_misaligned_probs_rejected(self, shape, n):
+        with pytest.raises(ValueError, match=r"^probs must be \(n, 3\) aligned with truths$"):
+            micro_curves(np.full(shape, 1 / 3), np.zeros(n, dtype=np.int64))
 
     def test_class_curves_are_one_vs_rest(self, rng):
         probs = rng.dirichlet(np.ones(3), 10)
