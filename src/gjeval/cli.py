@@ -8,11 +8,12 @@ the subcommand's other files. ``fusion-demo`` writes all its files before it
 checks the gradients, so a run that exits 4 keeps them for diagnosis. The
 curve CSVs are formatted as they are written, a block of rows at a time; every
 other file is written whole. Large reports and inputs are written or
-parsed with the help of a forked second process where that pays and a
-second CPU is free (``forking``); each input file is read by the process
-that parses it. The bytes and exit codes are the same, and an error in either
-process gives the same single ``gjeval: input error: …`` line and exit 1 as
-one process would; so does a second process that dies. A write that fails part-way
+parsed in two shares, each input file read by the process that parses it:
+a forked second process takes one share where a second CPU is free, and
+otherwise this process takes it after its own (``forking``). The bytes,
+exit codes and first error are the same on every host: an error in either
+share gives the same single ``gjeval: input error: …`` line and exit 1; so
+does a second process that dies. A write that fails part-way
 leaves the files written before it, a truncated curve file, and any files
 already in ``--out``. Outputs are byte-identical across reruns with the same
 config and inputs; ``--stamp`` opts into an embedded timestamp (and therefore
@@ -54,8 +55,9 @@ from .stats import delong_test, kappa_test, bowker_test
 
 DEFAULT_SEED = 20240  # fixed constant: runs are reproducible by default
 GRAD_CHECK_TOL = 1e-4
-# A report whose curve sets hold at least this many ROC points in all has
-# its micro set written by a second process (``_forked_files``). A fork costs
+# An ``evaluate`` report whose curve sets hold at least this many ROC points
+# in all has its micro set written by a second process (``_forked_files``);
+# fusion-demo's 500-row hold-out report stays far below. A fork costs
 # the parent 8-10 ms that a small report does not win back. In-process
 # image-level ``evaluate`` medians over alternating pairs on a 2-core VM,
 # serial -> forked: 17 -> 26 ms at 7.1k points, 57 -> 69 ms at 21k and
@@ -117,10 +119,10 @@ def _write_outputs(outdir: Path, files: dict[str, str | Iterator[str]], forked: 
     """Write every file into ``outdir``: a text whole, an iterator of chunks
     as it yields them. The chunked files are open together and take one
     chunk each in turn, so a curve set's ROC and PR files advance in
-    lockstep. The chunked files named in ``forked`` are written by a child
-    process, where one can run (``forking.run_forked``), while this one
-    writes the others; an error in the child is raised here once both are
-    done."""
+    lockstep. The chunked files named in ``forked`` are written after the
+    others, or by a child process while this one writes the others where a
+    child can run (``forking.run_forked``); an error in the child is raised
+    here once both are done."""
     outdir.mkdir(parents=True, exist_ok=True)
     chunked = {}
     for name, content in files.items():
@@ -129,10 +131,11 @@ def _write_outputs(outdir: Path, files: dict[str, str | Iterator[str]], forked: 
         else:
             chunked[name] = content
     share = {name: chunked.pop(name) for name in forked}
-    # a failure here waits for the child, so the files it writes are whole
-    if not share or forking.run_forked(lambda: _write_chunked(outdir, chunked),
-                                       lambda: _write_chunked(outdir, share), kill_on_error=False) is None:
-        _write_chunked(outdir, share | chunked)
+    if share:  # a failure here waits for the child, so the files it writes are whole
+        forking.run_forked(partial(_write_chunked, outdir, chunked), partial(_write_chunked, outdir, share),
+                           kill_on_error=False)
+    else:
+        _write_chunked(outdir, chunked)
     for name in files:
         print(f"wrote {outdir / name}")
 
@@ -201,10 +204,10 @@ def _parse_pair(path_a: Path, path_b: Path,
     ``parse_b``. The first error is raised in the order: read the first file,
     parse it, read the second, parse it. Where the two files hold at least
     ``data.FORK_MIN_CHARS`` bytes together and the shorter one is long enough
-    for the fork to pay, a forked child reads and parses the second while
-    this process reads and parses the first (``forking.run_forked``); a fault
-    in the first kills the child. Otherwise, and where no child can run, the
-    two are parsed one after the other, each long predictions text in halves
+    for the fork to pay, the two go to ``forking.run_forked``: where a child
+    can run, it reads and parses the second while this process reads and
+    parses the first, and a fault in the first kills it. Otherwise the two
+    are parsed one after the other, each long predictions text in halves
     (``data.parse_predictions``). A path that is not a regular file, such as
     a pipe, or that cannot be looked at, counts as empty here; so a file that
     cannot be read raises in that order."""
@@ -218,9 +221,7 @@ def _parse_pair(path_a: Path, path_b: Path,
     pays = n_a <= 3 * n_b if parse_b is parse_readers else max(n_a, n_b) <= 2 * min(n_a, n_b)
     first, second = partial(_parse_file, path_a, parse_predictions), partial(_parse_file, path_b, parse_b)
     if pays and n_a + n_b >= data.FORK_MIN_CHARS:
-        both = forking.run_forked(first, second, kill_on_error=True)
-        if both is not None:
-            return both
+        return forking.run_forked(first, second, kill_on_error=True)
     return first(), second()
 
 
@@ -415,7 +416,7 @@ def cmd_fusion_demo(args) -> int:
     }
     files.update(_report_files(result.report))
     _publish(args, {**_config(args), "n_samples": spec.n_samples, "separation": spec.separation,
-                    "holdout_frac": spec.holdout_frac}, {}, results, files, _forked_files(result.report))
+                    "holdout_frac": spec.holdout_frac}, {}, results, files)
     if grad_result is not None and grad_result["max_relative_error"] >= GRAD_CHECK_TOL:
         _err(
             f"gradient self-check failed: max relative error "

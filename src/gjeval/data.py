@@ -267,14 +267,6 @@ def _id_codes(ids: Sequence[str], codes: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(codes.__getitem__, ids), np.int64, len(ids))
 
 
-def _repeats(key: np.ndarray) -> np.ndarray:
-    """Mask of the entries equal to an earlier entry."""
-    order = np.argsort(key, kind="stable")
-    out = np.zeros(key.size, dtype=bool)
-    out[order[1:]] = key[order[1:]] == key[order[:-1]]
-    return out
-
-
 class _FirstFailure:
     """The earliest row that any check rejects. Checks run in the order a
     row is validated, so at one row the earlier check's message wins."""
@@ -518,11 +510,11 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     Rows are read and checked ``_BLOCK_ROWS`` at a time, and only the columns
     the Dataset keeps outlive a block. Equal ``sex`` values share one string
     object. Plain text (see ``_table``) of at least ``FORK_MIN_CHARS``
-    characters is split at the first line that starts past its middle when
-    a second CPU is free (``forking.run_forked``): a forked child reads the
-    second half while this process reads the first, and each half has its
-    own string objects. Rows, errors and their order are
-    those of reading the text in one process.
+    characters is split at the first line that starts past its middle, and
+    its halves are read by ``forking.run_forked``: the second by a forked
+    child while this process reads the first where a second CPU is free,
+    else one after the other here. Each half has its own string objects.
+    Rows, errors and their order are those of reading the text whole.
     """
     header, body, blocks = _table(source)
     extras = _check_header(header, PRED_BASE_COLUMNS)
@@ -540,20 +532,17 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     def rows(pos: int, stop: int, line: int) -> _Gathered:
         return _read_rows(_plain_blocks(source, pos, stop, line, header), check)
 
-    halves = None
+    split = body is not None and len(source) >= FORK_MIN_CHARS
+    mid = source.find("\n", (body + len(source)) // 2) + 1 if split else 0  # the second half's first line
     with _gc_paused():
-        if body is not None and len(source) >= FORK_MIN_CHARS:
-            mid = source.find("\n", (body + len(source)) // 2) + 1  # the second half's first line
-            if 0 < mid < len(source):
-                # the child counts the lines before its half; a row fault in
-                # the first half wins, so the child is killed then
-                halves = forking.run_forked(lambda: rows(body, mid, 2),
-                                            lambda: rows(mid, len(source), 2 + source.count("\n", body, mid)),
-                                            kill_on_error=True)
-        if halves is None:
+        if not 0 < mid < len(source):
             texts, arrays, lines = _read_rows(blocks, check)
         else:
-            (texts, arrays, lines), (more_texts, more_arrays, more_lines) = halves
+            # the second half counts the lines before it; a row fault in the
+            # first half wins, so a child reading the second is killed then
+            (texts, arrays, lines), (more_texts, more_arrays, more_lines) = forking.run_forked(
+                lambda: rows(body, mid, 2), lambda: rows(mid, len(source), 2 + source.count("\n", body, mid)),
+                kill_on_error=True)
             for mine, theirs in ((texts, more_texts), (arrays, more_arrays)):
                 for name, items in theirs.items():
                     mine.setdefault(name, []).extend(items)
@@ -623,8 +612,8 @@ def _reader_block(
     """The first failing row of one block of reader columns; its reader and
     image ids, each distinct id as the one object ``shared`` holds; and its
     cell, label and time columns. A (reader_id, image_id) pair repeats
-    when it is in ``pairs`` (by the ``codes`` of its two ids) or earlier in the
-    block; the block's pairs are added to ``pairs``."""
+    when it is in ``pairs`` (by the ``codes`` of its two ids), to which each
+    pair is added as it is checked."""
     fail = _FirstFailure()
     fail.empty(cols, ("reader_id", "image_id"))
     groups, arms = cols["group"], cols["arm"]
@@ -634,11 +623,9 @@ def _reader_block(
     fail.check(arm < 0, lambda i: f"unknown study arm {arms[i]!r}")
     rids = list(map(shared.setdefault, cols["reader_id"], cols["reader_id"]))
     iids = list(map(shared.setdefault, cols["image_id"], cols["image_id"]))
-    pair = _id_codes(rids, codes) << 32 | _id_codes(iids, codes)
-    keys = pair.tolist()
-    seen = np.fromiter(map(pairs.__contains__, keys), bool, len(keys))
-    fail.check(seen | _repeats(pair), lambda i: f"duplicate (reader_id, image_id) pair {(rids[i], iids[i])!r}")
-    pairs.update(keys)
+    keys = (_id_codes(rids, codes) << 32 | _id_codes(iids, codes)).tolist()
+    seen = np.fromiter([key in pairs or pairs.add(key) for key in keys], bool, len(keys))  # each pair added as seen
+    fail.check(seen, lambda i: f"duplicate (reader_id, image_id) pair {(rids[i], iids[i])!r}")
     arrays = {"cell": len(READER_ARMS) * group + arm}
     if "elapsed_s" in cols:
         arrays["elapsed_s"] = _bounded(fail, cols["elapsed_s"], "elapsed_s", _ELAPSED_MAX_S, " seconds")

@@ -3,11 +3,12 @@
 Three phases of a large run use a second CPU this way: the curve writer
 (``cli._write_outputs``), the plain-text predictions parser
 (``data.parse_predictions``) and the two-file parse of ``compare`` and
-``readers`` (``cli._parse_pair``). Each decides for itself whether the work
-is large enough to pay for a fork; ``run_forked`` decides whether a CPU is
-free for it, and where none is, the phase does the work in one process.
-There is one extra process at a time: while ``run_forked``'s ``here`` runs,
-and in its child, ``run_forked`` forks nothing.
+``readers`` (``cli._parse_pair``). Each phase only decides whether its work
+is large enough to pay for a fork; ``run_forked`` owns the plan: it forks a
+child where one can run on a CPU of its own, and otherwise calls both
+functions in this process, in the same order. There is one extra process at
+a time: while ``run_forked``'s ``here`` runs, and in its child,
+``run_forked`` forks nothing.
 """
 
 from __future__ import annotations
@@ -24,19 +25,14 @@ B = TypeVar("B")
 _forked = False  # True while run_forked's ``here`` runs, and in its child
 
 
-def _spare_cpu() -> bool:
-    """Whether a forked child could run on a CPU of its own: this process may
-    run on more than one CPU and no child of ``run_forked`` is running or
-    being run. Without ``os.sched_getaffinity`` (any platform but Linux) it
-    is False, so nothing is forked there."""
-    return not _forked and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
-
-
-def run_forked(here: Callable[[], A], there: Callable[[], B], *, kill_on_error: bool) -> tuple[A, B] | None:
+def run_forked(here: Callable[[], A], there: Callable[[], B], *, kill_on_error: bool) -> tuple[A, B]:
     """``(here(), there())``, with ``there`` called in a forked child process
-    while this one calls ``here``. None, and neither is called, when the
-    child would have no CPU of its own (``_spare_cpu``) or no process can be
-    forked: the caller then does the work itself.
+    while this one calls ``here``. Where the child would have no CPU of its
+    own, ``here`` and then ``there`` are called in this process: when this
+    process may run on one CPU only, while a child of ``run_forked`` is
+    running or being run, without ``os.sched_getaffinity`` (any platform but
+    Linux) and where no process can be forked. A fault in ``here`` then
+    means ``there`` is never called.
 
     The child sends what ``there`` returns, or the exception it raises,
     pickled through a pipe. It must print nothing and call no BLAS (numpy's
@@ -50,8 +46,8 @@ def run_forked(here: Callable[[], A], there: Callable[[], B], *, kill_on_error: 
     exception is raised here; a child that ends without sending one (killed
     by a signal) is an OSError naming its exit code."""
     global _forked
-    if not _spare_cpu():
-        return None
+    if _forked or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return here(), there()
     read_fd, write_fd = os.pipe()
     _forked = True  # before the fork, so the child sees it too
     try:
@@ -60,7 +56,7 @@ def run_forked(here: Callable[[], A], there: Callable[[], B], *, kill_on_error: 
         _forked = False
         os.close(read_fd)
         os.close(write_fd)
-        return None
+        return here(), there()
     if pid == 0:
         _child(there, read_fd, write_fd)
     os.close(write_fd)

@@ -97,8 +97,8 @@ def confusion_matrix(
     """
     t = np.asarray(truths, dtype=np.int64)
     p = np.asarray(preds, dtype=np.int64)
-    if t.shape != p.shape:
-        raise ValueError("truths and preds must have the same length")
+    if t.ndim != 1 or t.shape != p.shape:
+        raise ValueError("truths and preds must be 1-D and of the same length")
     if t.size == 0:
         raise ValueError("cannot build a confusion matrix from zero records")
     if np.any((t < 0) | (t > 2)) or np.any((p < 0) | (p > 2)):

@@ -151,16 +151,6 @@ def delong_test(scores_a, scores_b, labels) -> TestResult:
     return TestResult(name="delong", statistic=z, p_value=p, detail=detail)
 
 
-def _cross_table(labels_a: Sequence[int], labels_b: Sequence[int]) -> np.ndarray:
-    """The 3x3 cross-table of two label vectors: 1-D, equal length,
-    non-empty, labels in {0, 1, 2}."""
-    a = np.asarray(labels_a, dtype=np.int64)
-    b = np.asarray(labels_b, dtype=np.int64)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
-        raise ValueError("label vectors must be 1-D, non-empty, equal length")
-    return confusion_matrix(a, b)
-
-
 def bowker_test(labels_a: Sequence[int], labels_b: Sequence[int]) -> TestResult:
     """McNemar-Bowker test of symmetry on the cross-table T of two label
     vectors, one pair of predictions per record.
@@ -171,7 +161,7 @@ def bowker_test(labels_a: Sequence[int], labels_b: Sequence[int]) -> TestResult:
     as ``dropped_pairs``. A table with no informative pairs returns
     statistic 0, p = 1.
     """
-    t = _cross_table(labels_a, labels_b)
+    t = confusion_matrix(labels_a, labels_b)
     stat = 0.0
     df = 0
     dropped = 0
@@ -199,7 +189,7 @@ def kappa_test(labels_a: Sequence[int], labels_b: Sequence[int]) -> TestResult:
     raters use a single shared category the test is degenerate: kappa is 1
     by convention if the ratings are identical, NaN otherwise.
     """
-    t = _cross_table(labels_a, labels_b)
+    t = confusion_matrix(labels_a, labels_b)
     p_o, p_e, row, col, kappa, degenerate = agreement(t)
     n = float(t.sum())
     detail: dict = {"p_o": p_o, "p_e": p_e, "n": n, "degenerate": degenerate}

@@ -285,8 +285,8 @@ def _counted_forks(monkeypatch) -> list[int]:
 
 @pytest.fixture
 def forked_writes(monkeypatch) -> list[int]:
-    """Force the forked curve writer: every report with a micro curve set has
-    that set written by a child process, whatever its size and however many
+    """Force the forked curve writer: every ``evaluate`` report has its micro
+    curve set written by a child process, whatever its size and however many
     CPUs the host has. The list holds the pid of each child forked."""
     monkeypatch.setattr(gjeval.cli, "FORK_MIN_POINTS", 0)
     return _counted_forks(monkeypatch)

@@ -3,19 +3,22 @@ by a child process while the CLI writes the other files, the second file of
 a large ``compare`` or ``readers`` run is parsed by one while the CLI parses
 the first, and the second half of a large plain predictions text parsed on
 its own is read by one while the parser reads the first. There is one child
-at a time. The fixtures ``forked_writes`` and ``forked_parse`` force these
+at a time, and where none can run, this process does the child's share
+after its own. The fixtures ``forked_writes`` and ``forked_parse`` force these
 paths on small inputs; the golden digests of the files the CLI writes on
 them are checked in ``test_golden.py``, and the forked parse is fuzzed
 against the serial one in ``test_parse_fuzz.py``."""
 
 from __future__ import annotations
 
+import errno
 import io
 import math
 import os
 import signal
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -120,26 +123,118 @@ def test_child_exception_keeps_its_type(pred_csv, tmp_path, forked_writes, monke
         main(["evaluate", "--pred", str(pred_csv), "--out", str(tmp_path / "o")])
 
 
-@pytest.mark.parametrize("command", ["evaluate", "fusion-demo"])
-def test_each_line_is_printed_once(command, pred_csv, tmp_path, forked_writes, monkeypatch, capfd):
-    """A block-buffered stdout, as when output goes to a pipe, holds its
-    unwritten text when the child is forked; the child must not write it
-    again. ``fusion-demo --grad-check`` prints its line before the fork."""
+def block_buffered_stdout(monkeypatch) -> io.TextIOWrapper:
+    """A block-buffered stdout, as when output goes to a pipe: what is
+    printed stays in its buffer until it is flushed."""
     stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(1, "w", closefd=False), 1 << 16), encoding="utf-8")
     monkeypatch.setattr(sys, "stdout", stdout)
+    return stdout
+
+
+@pytest.mark.parametrize("command", ["evaluate"])
+def test_each_line_is_printed_once(command, pred_csv, tmp_path, forked_writes, monkeypatch, capfd):
+    """Every line the CLI prints around a forked write comes out once."""
+    stdout = block_buffered_stdout(monkeypatch)
     out = tmp_path / "o"
-    argv = {
-        "evaluate": ["evaluate", "--pred", str(pred_csv)],
-        "fusion-demo": ["fusion-demo", "--dim", "8", "--hidden", "3", "--epochs", "1", "--batch", "64",
-                        "--grad-check"],
-    }[command]
-    assert main([*argv, "--out", str(out)]) == 0
+    assert main([command, "--pred", str(pred_csv), "--out", str(out)]) == 0
     stdout.flush()
     lines = capfd.readouterr().out.splitlines()
     assert len(forked_writes) == 1
     assert len(lines) == len(set(lines))
     assert {f"wrote {out / name}" for name in CURVE_FILES} <= set(lines)
-    assert sum(line.startswith("gradient check: ") for line in lines) == (command == "fusion-demo")
+
+
+def test_line_pending_at_the_fork_is_printed_once(monkeypatch, capfd):
+    """A line still in stdout's buffer when the child is forked is written
+    by this process alone: the child leaves without flushing its copy."""
+    stdout = block_buffered_stdout(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    print("before the fork")
+    here, there = forking.run_forked(os.getpid, os.getpid, kill_on_error=True)
+    assert here == os.getpid() != there and no_child()
+    stdout.flush()
+    assert capfd.readouterr().out == "before the fork\n"
+
+
+@pytest.mark.parametrize("host", ["one_cpu", "two_cpus", "no_affinity", "fork_fails"])
+def test_first_error_on_any_host(host, pred_csv, tmp_path, monkeypatch, capsys):
+    """With a class curve file and the micro set's both unwritable, the
+    first error names the class file on every host: a child writes the micro
+    set while this process writes the class curves, or this process writes
+    it after them."""
+    monkeypatch.setattr(gjeval.cli, "FORK_MIN_POINTS", 0)
+    if host == "no_affinity":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if host == "one_cpu" else {0, 1}, raising=False)
+    forks, fork = [], os.fork
+
+    def counted() -> int:
+        forks.append(1)
+        if host == "fork_fails":
+            raise OSError(errno.EAGAIN, "no process to spare")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.chdir(tmp_path)
+    for name in ("roc_micro.csv", "roc_aegja.csv"):
+        (tmp_path / "o" / name).mkdir(parents=True)
+    assert main(["evaluate", "--pred", str(pred_csv), "--out", "o"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "gjeval: input error: [Errno 21] Is a directory: 'o/roc_aegja.csv'\n"
+    assert captured.out == ""
+    assert len(forks) == (host in ("two_cpus", "fork_fails")) and no_child()
+
+
+@pytest.fixture(params=["one_cpu", "no_affinity", "nested"])
+def in_process(request, monkeypatch):
+    """A host where ``run_forked`` runs both functions in this process: one
+    CPU, no ``os.sched_getaffinity``, or a call inside a running ``here``.
+    The fixture is a function that calls ``run_forked`` there."""
+    if request.param == "no_affinity":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if request.param == "one_cpu" else {0, 1},
+                            raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    if request.param == "nested":
+        monkeypatch.setattr(forking, "_forked", True)
+    return partial(forking.run_forked, kill_on_error=True)
+
+
+def test_in_process_plan_runs_here_first(in_process):
+    calls = []
+    assert in_process(lambda: calls.append("here") or 1, lambda: calls.append("there") or 2) == (1, 2)
+    assert calls == ["here", "there"]
+
+
+def test_in_process_fault_in_here_skips_there(in_process):
+    calls = []
+
+    def here():
+        raise ParseError("a first-half fault", 2)
+
+    with pytest.raises(ParseError, match="^row 2: a first-half fault$"):
+        in_process(here, lambda: calls.append("there"))
+    assert calls == []
+
+
+def test_failed_fork_runs_both_here(monkeypatch):
+    """Where ``os.fork`` fails, both functions run in this process, no child
+    is left, the pipe's two ends are closed, and the next call forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    fork = os.fork
+
+    def failing() -> int:
+        raise OSError(errno.EAGAIN, "no process to spare")
+
+    fds = set(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", failing)
+    assert forking.run_forked(os.getpid, os.getpid, kill_on_error=True) == (os.getpid(), os.getpid())
+    assert no_child() and set(os.listdir("/proc/self/fd")) == fds
+    monkeypatch.setattr(os, "fork", fork)
+    here, there = forking.run_forked(os.getpid, os.getpid, kill_on_error=True)
+    assert here == os.getpid() != there and no_child()
 
 
 PRED_HEADER = "image_id,patient_id,true_label,p_aegja,p_eegja,p_control"
@@ -288,20 +383,22 @@ def test_text_read_by_csv_never_forks(text, forked_parse, monkeypatch):
     assert forked_parse == []
 
 
-def test_one_child_at_a_time(monkeypatch):
+def test_one_child_at_a_time(fork_log, monkeypatch):
     """While ``run_forked``'s ``here`` runs, and in its child, ``run_forked``
-    forks nothing and returns None; afterwards it forks again. On one CPU it
-    forks nothing either."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks nothing and calls both functions in the process it runs in;
+    afterwards it forks again. On one CPU it forks nothing either."""
 
     def nested():
         return forking.run_forked(os.getpid, os.getpid, kill_on_error=True)
 
-    assert forking.run_forked(nested, nested, kill_on_error=True) == (None, None)
+    parent = os.getpid()
+    (p1, p2), (c1, c2) = forking.run_forked(nested, nested, kill_on_error=True)
+    assert p1 == p2 == parent != c1 == c2 and fork_log() == 1
     here, there = forking.run_forked(os.getpid, os.getpid, kill_on_error=True)
-    assert here == os.getpid() != there and no_child()
+    assert here == parent != there and fork_log() == 2 and no_child()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert forking.run_forked(os.getpid, os.getpid, kill_on_error=True) is None
+    assert forking.run_forked(os.getpid, os.getpid, kill_on_error=True) == (parent, parent)
+    assert fork_log() == 2
 
 
 @pytest.fixture

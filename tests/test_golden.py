@@ -216,9 +216,8 @@ def test_output_bytes_match_golden(workdir, golden, case):
 
 
 
-# every evaluate run on two fixtures, and the one fusion-demo run
+# every evaluate run on two fixtures
 FORKED_CASES = [f"{f}.{run}" for f in ("default", "grid") for run in RUNS if run.startswith("evaluate")]
-FORKED_CASES.append("fusion_demo")
 
 
 @pytest.mark.parametrize("case", FORKED_CASES)
@@ -244,7 +243,7 @@ def test_forked_parse_matches_golden(workdir, golden, case, forked_parse):
 
 
 @pytest.mark.parametrize("host", ["one_cpu", "no_affinity", "fork_fails"])
-@pytest.mark.parametrize("case", ["default.evaluate_image", "fusion_demo"])
+@pytest.mark.parametrize("case", ["default.evaluate_image", "grid.evaluate_weighted"])
 def test_serial_writer_where_no_child_helps(workdir, golden, case, host, monkeypatch):
     """With the threshold at 0, one process still writes every file on one
     CPU, on a platform without ``os.sched_getaffinity`` and where the fork

@@ -113,8 +113,9 @@ class TestConfusionMatrix:
             confusion_matrix([], [])
         with pytest.raises(ValueError):
             confusion_matrix([0], [0], weights=[-1.0])
-        with pytest.raises(ValueError, match="^truths and preds must have the same length$"):
-            confusion_matrix([0, 1], [0])
+        for t, p in (([0, 1], [0]), ([[0, 1], [1, 0]], [[0, 1], [1, 0]]), (0, 0)):  # unequal, 2-D, 0-D
+            with pytest.raises(ValueError, match="^truths and preds must be 1-D and of the same length$"):
+                confusion_matrix(t, p)
         with pytest.raises(ValueError, match="^weights must match truths in length$"):
             confusion_matrix([0, 1], [0, 1], weights=[1.0])
 

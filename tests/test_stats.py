@@ -7,7 +7,9 @@ package itself must not import them.
 from __future__ import annotations
 
 import math
+import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -109,9 +111,10 @@ def bootstrap_auc_variance(scores, labels, n_boot: int = 10000, seed: int = 0) -
 def test_package_has_no_scipy_dependency():
     import gjeval
 
-    for mod_name in ("data", "metrics", "stats", "aggregate", "fusion", "report", "cli"):
-        mod = getattr(__import__(f"gjeval.{mod_name}"), mod_name)
-        source = open(mod.__file__).read()
+    names = [mod.name for mod in pkgutil.iter_modules(gjeval.__path__)]
+    assert {"cli", "forking", "__main__"} <= set(names)
+    for name in names:
+        source = Path(gjeval.__path__[0], f"{name}.py").read_text(encoding="utf-8")
         assert "import scipy" not in source
         assert "import sklearn" not in source
 
@@ -342,11 +345,13 @@ class TestBowker:
         assert res.df == 1 and res.detail == {"dropped_pairs": 2}
 
     def test_rejects_label_vectors_not_1d_equal_length(self):
-        # the check kappa_test makes: one flat vector per rater, same length, not empty
-        for a, b in (([0, 1], [0]), ([[0, 1], [1, 0]], [[0, 1], [1, 0]]), ([], [])):
-            with pytest.raises(ValueError, match="label vectors must be 1-D, non-empty, equal length"):
+        # confusion_matrix's checks: one flat vector per rater, same length, not empty
+        for a, b, message in (([0, 1], [0], "must be 1-D and of the same length"),
+                              ([[0, 1], [1, 0]], [[0, 1], [1, 0]], "must be 1-D and of the same length"),
+                              ([], [], "from zero records")):
+            with pytest.raises(ValueError, match=message):
                 bowker_test(a, b)
-            with pytest.raises(ValueError, match="label vectors must be 1-D, non-empty, equal length"):
+            with pytest.raises(ValueError, match=message):
                 kappa_test(a, b)
 
     def test_p_in_unit_interval_fuzz(self, rng):
