@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import CLASS_ORDER, READER_CELLS, Dataset, Readers
-from .metrics import MetricReport, class_stats, compute_report, confusion_matrix
+from .metrics import MetricReport, class_stats, cohen_kappa, compute_report, confusion_matrix
 from .stats import TestResult, bowker_test, kappa_test
 
 __all__ = [
@@ -212,8 +212,8 @@ def model_vs_reader_tests(pool: PooledReaderPairs) -> list[TestResult]:
     ]
 
 
-def group_vs_group_kappa(pool_x: PooledReaderPairs, pool_y: PooledReaderPairs) -> TestResult:
-    """Kappa between two reader cells over their common images.
+def group_vs_group_kappa(pool_x: PooledReaderPairs, pool_y: PooledReaderPairs) -> float:
+    """Cohen's kappa between two reader cells over their common images.
 
     Observations are paired by the cross product of readers within each
     image: every reader call in one cell is matched with every call on the
@@ -232,9 +232,7 @@ def group_vs_group_kappa(pool_x: PooledReaderPairs, pool_y: PooledReaderPairs) -
     # each call of pool_y in turn, with the pool_x calls on its image in file order
     ends = np.cumsum(counts)
     picks = order[np.arange(n_pairs) + np.repeat(start - (ends - counts), counts)]
-    res = kappa_test(pool_x.reader_preds[picks], np.repeat(pool_y.reader_preds, counts))
-    res.detail["n_pairs"] = n_pairs
-    return res
+    return cohen_kappa(confusion_matrix(pool_x.reader_preds[picks], np.repeat(pool_y.reader_preds, counts)))
 
 
 def per_reader_points(readers: Readers, model: Dataset, rows: np.ndarray) -> list[dict]:

@@ -13,11 +13,12 @@ a forked second process takes one share where a second CPU is free, and
 otherwise this process takes it after its own (``forking``). The bytes,
 exit codes and first error are the same on every host: an error in either
 share gives the same single ``gjeval: input error: …`` line and exit 1; so
-does a second process that dies. A write that fails part-way
-leaves the files written before it, a truncated curve file, and any files
-already in ``--out``. Outputs are byte-identical across reruns with the same
-config and inputs; ``--stamp`` opts into an embedded timestamp (and therefore
-out of byte identity).
+does a second process that dies. A fault in this process's share stops
+the second process. A write that fails part-way leaves the files written
+before it, truncated curve files, and any files already in ``--out``.
+Outputs are byte-identical across reruns with the same config and inputs;
+``--stamp`` opts into an embedded timestamp (and therefore out of byte
+identity).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .data import (
     synth_generate,
 )
 from .fusion import DivergenceError
-from .metrics import METRIC_NAMES, MetricReport
+from .metrics import MetricReport
 from .stats import delong_test, kappa_test, bowker_test
 
 DEFAULT_SEED = 20240  # fixed constant: runs are reproducible by default
@@ -121,8 +122,9 @@ def _write_outputs(outdir: Path, files: dict[str, str | Iterator[str]], forked: 
     chunk each in turn, so a curve set's ROC and PR files advance in
     lockstep. The chunked files named in ``forked`` are written after the
     others, or by a child process while this one writes the others where a
-    child can run (``forking.run_forked``); an error in the child is raised
-    here once both are done."""
+    child can run (``forking.run_forked``). An error in the others is raised
+    at once, and the child is killed, so its files may be missing or cut
+    short; an error in the child is raised once the others are written."""
     outdir.mkdir(parents=True, exist_ok=True)
     chunked = {}
     for name, content in files.items():
@@ -131,9 +133,8 @@ def _write_outputs(outdir: Path, files: dict[str, str | Iterator[str]], forked: 
         else:
             chunked[name] = content
     share = {name: chunked.pop(name) for name in forked}
-    if share:  # a failure here waits for the child, so the files it writes are whole
-        forking.run_forked(partial(_write_chunked, outdir, chunked), partial(_write_chunked, outdir, share),
-                           kill_on_error=False)
+    if share:
+        forking.run_forked(partial(_write_chunked, outdir, chunked), partial(_write_chunked, outdir, share))
     else:
         _write_chunked(outdir, chunked)
     for name in files:
@@ -221,7 +222,7 @@ def _parse_pair(path_a: Path, path_b: Path,
     pays = n_a <= 3 * n_b if parse_b is parse_readers else max(n_a, n_b) <= 2 * min(n_a, n_b)
     first, second = partial(_parse_file, path_a, parse_predictions), partial(_parse_file, path_b, parse_b)
     if pays and n_a + n_b >= data.FORK_MIN_CHARS:
-        return forking.run_forked(first, second, kill_on_error=True)
+        return forking.run_forked(first, second)
     return first(), second()
 
 
@@ -237,19 +238,10 @@ def _report_files(mr: MetricReport, svg: bool = False) -> dict[str, str | Iterat
     return files
 
 
-def _has_undefined(mr: MetricReport) -> bool:
-    blocks = [s for s in mr.per_class] + [mr.overall]
-    for block in blocks:
-        for name in METRIC_NAMES:
-            if not getattr(block, name).defined:
-                return True
-    return False
-
-
 def cmd_evaluate(args) -> int:
     ds, digest = _parse_file(args.pred, partial(parse_predictions, strict=args.strict))
     mr = aggregate.evaluate(ds, level=args.level)
-    if args.strict and _has_undefined(mr):
+    if args.strict and mr.overall.warnings:  # one per undefined class rate; accuracy always has a total
         _err("metric degeneracy (zero-denominator ratio) in strict mode")
         return 2
     results = {"dataset": summarize(ds), "report": mr.as_dict()}
@@ -316,11 +308,9 @@ def cmd_readers(args) -> int:
         for py in pooled[i + 1 :]:
             key = f"{px.group}:{px.arm}|{py.group}:{py.arm}"
             try:
-                res = aggregate.group_vs_group_kappa(px, py)
+                group_vs_group[key] = aggregate.group_vs_group_kappa(px, py)
             except ValueError as exc:
                 notes.append(f"{key}: {exc}")
-                continue
-            group_vs_group[key] = res.detail.get("kappa")
     scatter = aggregate.per_reader_points(readers, model, rows)
     scatter_rows = [("reader_id", "group", "arm", "class", "sensitivity", "specificity", "ppv")]
     for row in scatter:

@@ -487,6 +487,17 @@ def _read_rows(blocks: Iterable[_Rows], check: Callable[[dict[str, list[str]]], 
     return texts, arrays, lines
 
 
+def _joined(first: _Gathered, second: _Gathered) -> _Gathered:
+    """``first`` with the rows ``_read_rows`` gathered in ``second`` after
+    its own; once this returns, nothing else holds ``second``'s lists."""
+    (texts, arrays, lines), (more_texts, more_arrays, more_lines) = first, second
+    for mine, theirs in ((texts, more_texts), (arrays, more_arrays)):
+        for name, items in theirs.items():
+            mine.setdefault(name, []).extend(items)
+    lines += more_lines
+    return first
+
+
 def parse_predictions(source: str, strict: bool = False) -> Dataset:
     """Parse a predictions CSV into a validated Dataset.
 
@@ -514,7 +525,9 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
     its halves are read by ``forking.run_forked``: the second by a forked
     child while this process reads the first where a second CPU is free,
     else one after the other here. Each half has its own string objects.
-    Rows, errors and their order are those of reading the text whole.
+    Rows, errors and their order are those of reading the text whole, and
+    the peak memory is about the same: once joined (``_joined``), the
+    second half is held only in the first half's lists.
     """
     header, body, blocks = _table(source)
     extras = _check_header(header, PRED_BASE_COLUMNS)
@@ -540,13 +553,8 @@ def parse_predictions(source: str, strict: bool = False) -> Dataset:
         else:
             # the second half counts the lines before it; a row fault in the
             # first half wins, so a child reading the second is killed then
-            (texts, arrays, lines), (more_texts, more_arrays, more_lines) = forking.run_forked(
-                lambda: rows(body, mid, 2), lambda: rows(mid, len(source), 2 + source.count("\n", body, mid)),
-                kill_on_error=True)
-            for mine, theirs in ((texts, more_texts), (arrays, more_arrays)):
-                for name, items in theirs.items():
-                    mine.setdefault(name, []).extend(items)
-            lines += more_lines
+            texts, arrays, lines = _joined(*forking.run_forked(
+                lambda: rows(body, mid, 2), lambda: rows(mid, len(source), 2 + source.count("\n", body, mid))))
     if not texts.get("image_id"):
         raise ParseError("no data rows")
     columns = {name: np.concatenate(arrays.pop(name)) for name in list(arrays)}  # each block list freed in turn

@@ -6,9 +6,11 @@ Three phases of a large run use a second CPU this way: the curve writer
 ``readers`` (``cli._parse_pair``). Each phase only decides whether its work
 is large enough to pay for a fork; ``run_forked`` owns the plan: it forks a
 child where one can run on a CPU of its own, and otherwise calls both
-functions in this process, in the same order. There is one extra process at
-a time: while ``run_forked``'s ``here`` runs, and in its child,
-``run_forked`` forks nothing.
+functions in this process, in the same order. Either way the first error
+is the same: a fault in this process's share ends the phase, and a child
+still running is killed then. There is one extra process at a time: while
+``run_forked``'s ``here`` runs, and in its child, ``run_forked`` forks
+nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ B = TypeVar("B")
 _forked = False  # True while run_forked's ``here`` runs, and in its child
 
 
-def run_forked(here: Callable[[], A], there: Callable[[], B], *, kill_on_error: bool) -> tuple[A, B]:
+def run_forked(here: Callable[[], A], there: Callable[[], B]) -> tuple[A, B]:
     """``(here(), there())``, with ``there`` called in a forked child process
     while this one calls ``here``. Where the child would have no CPU of its
     own, ``here`` and then ``there`` are called in this process: when this
@@ -41,8 +43,8 @@ def run_forked(here: Callable[[], A], there: Callable[[], B], *, kill_on_error: 
     ``atexit`` handler and never returns into the caller.
 
     The child is reaped before this returns or raises. If ``here`` raises,
-    that exception propagates, after the child is killed when
-    ``kill_on_error`` and after it finishes otherwise. Else the child's
+    the child is killed, and that exception propagates: what the child was
+    making is of no use then, and it may be half made. Else the child's
     exception is raised here; a child that ends without sending one (killed
     by a signal) is an OSError naming its exit code."""
     global _forked
@@ -63,10 +65,9 @@ def run_forked(here: Callable[[], A], there: Callable[[], B], *, kill_on_error: 
     try:
         mine = here()
     except BaseException:
-        if kill_on_error:
-            import signal  # only here: importing it costs every run about 1 ms
+        import signal  # only here: importing it costs every run about 1 ms
 
-            os.kill(pid, signal.SIGKILL)
+        os.kill(pid, signal.SIGKILL)
         _reap(pid, read_fd)
         raise
     finally:

@@ -148,7 +148,9 @@ def class_stats(cm: np.ndarray, cls: ClassLabel) -> BinaryStats:
     tp = float(cm[k, k])
     fn = float(cm[k].sum() - tp)
     fp = float(cm[:, k].sum() - tp)
-    tn = float(total - tp - fn - fp)
+    # at the weighted level the difference can round below 0; fn and fp
+    # cannot, as a float sum of cells is never below one of them
+    tn = max(0.0, total - tp - fn - fp)
     return BinaryStats(
         cls=cls,
         tp=tp,

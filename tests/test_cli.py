@@ -311,6 +311,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == "gjeval: input error: row 2: age must be in [0, 150], got '1e308'\n"
         assert not out.exists()
 
+    def test_weighted_counts_and_rates_stay_in_range(self, tmp_path, capsys):
+        # control's tn is what is left of the weighted total; it once came
+        # out as -2.2e-16, with a negative specificity and npv and a sqrt warning
+        pred = tmp_path / "thirds.csv"
+        pred.write_text(
+            "image_id,patient_id,true_label,p_aegja,p_eegja,p_control\n"
+            "i0,p1,control,0.2,0.2,0.6\n"
+            "i1,p0,A-EGJA,0.3,0.3,0.4\n"
+            "i2,p1,control,0.5,0.3,0.2\n"
+            "i3,p1,control,0.2,0.5,0.3\n"
+        )
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("evaluate", "--level", "weighted", "--pred", str(pred), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "report.json").read_text())["results"]["report"]
+        blocks = [*report["per_class"].values(), report["overall"]]
+        assert all(block["tn"] >= 0 for block in blocks[:-1])
+        rates = [rate for block in blocks for rate in block.values() if isinstance(rate, dict)]
+        assert len(rates) == 20
+        assert all(0 <= v <= 1 for rate in rates if rate["value"] is not None for v in [rate["value"], *rate["ci95"]])
+        assert report["overall"]["specificity"]["value"] == 0.5
+
     def test_huge_elapsed_s_is_1_with_its_row(self, pred_csv, tmp_path, capsys):
         # times of 1e308 once overflowed the time cost the same way
         image_ids = parse_predictions(pred_csv.read_text()).image_ids[:2]

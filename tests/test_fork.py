@@ -18,7 +18,6 @@ import os
 import signal
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -82,16 +81,39 @@ def test_child_error_is_the_serial_error(forked, pred_csv, tmp_path, monkeypatch
 
 
 def test_parent_error_reaps_the_child(pred_csv, tmp_path, forked_writes, capsys):
+    """The files written before the failing one are whole; no ``wrote``
+    line is printed, and no child is left."""
     ref, out = tmp_path / "ref", tmp_path / "o"
     assert main(["evaluate", "--pred", str(pred_csv), "--out", str(ref)]) == 0
     (out / "roc_aegja.csv").mkdir(parents=True)
     capsys.readouterr()
     assert main(["evaluate", "--pred", str(pred_csv), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"gjeval: input error: [Errno 21] Is a directory: '{out / 'roc_aegja.csv'}'\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"gjeval: input error: [Errno 21] Is a directory: '{out / 'roc_aegja.csv'}'\n"
+    assert captured.out == ""
     assert len(forked_writes) == 2 and no_child()
-    # the child was waited for, so its files are whole
-    for name in ("roc_micro.csv", "pr_micro.csv"):
+    for name in ("report.json", "cm.csv"):
         assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+def test_parent_error_does_not_wait_for_the_child(pred_csv, tmp_path, forked_writes, monkeypatch, capsys):
+    """A write that fails in this process ends the run at once: the child,
+    held up here, is killed and reaped, not waited for."""
+    parent, write_chunked = os.getpid(), gjeval.cli._write_chunked
+
+    def slow_in_child(outdir, chunked):
+        if os.getpid() != parent:
+            time.sleep(20)
+        write_chunked(outdir, chunked)
+
+    monkeypatch.setattr(gjeval.cli, "_write_chunked", slow_in_child)
+    out = tmp_path / "o"
+    (out / "roc_aegja.csv").mkdir(parents=True)
+    start = time.monotonic()
+    assert main(["evaluate", "--pred", str(pred_csv), "--out", str(out)]) == 1
+    assert time.monotonic() - start < 10
+    assert capsys.readouterr().err == f"gjeval: input error: [Errno 21] Is a directory: '{out / 'roc_aegja.csv'}'\n"
+    assert len(forked_writes) == 1 and no_child()
 
 
 def test_child_killed_by_a_signal_is_an_error(pred_csv, tmp_path, forked_writes, monkeypatch, capsys):
@@ -150,7 +172,7 @@ def test_line_pending_at_the_fork_is_printed_once(monkeypatch, capfd):
     stdout = block_buffered_stdout(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     print("before the fork")
-    here, there = forking.run_forked(os.getpid, os.getpid, kill_on_error=True)
+    here, there = forking.run_forked(os.getpid, os.getpid)
     assert here == os.getpid() != there and no_child()
     stdout.flush()
     assert capfd.readouterr().out == "before the fork\n"
@@ -199,7 +221,7 @@ def in_process(request, monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
     if request.param == "nested":
         monkeypatch.setattr(forking, "_forked", True)
-    return partial(forking.run_forked, kill_on_error=True)
+    return forking.run_forked
 
 
 def test_in_process_plan_runs_here_first(in_process):
@@ -230,10 +252,10 @@ def test_failed_fork_runs_both_here(monkeypatch):
 
     fds = set(os.listdir("/proc/self/fd"))
     monkeypatch.setattr(os, "fork", failing)
-    assert forking.run_forked(os.getpid, os.getpid, kill_on_error=True) == (os.getpid(), os.getpid())
+    assert forking.run_forked(os.getpid, os.getpid) == (os.getpid(), os.getpid())
     assert no_child() and set(os.listdir("/proc/self/fd")) == fds
     monkeypatch.setattr(os, "fork", fork)
-    here, there = forking.run_forked(os.getpid, os.getpid, kill_on_error=True)
+    here, there = forking.run_forked(os.getpid, os.getpid)
     assert here == os.getpid() != there and no_child()
 
 
@@ -389,15 +411,15 @@ def test_one_child_at_a_time(fork_log, monkeypatch):
     afterwards it forks again. On one CPU it forks nothing either."""
 
     def nested():
-        return forking.run_forked(os.getpid, os.getpid, kill_on_error=True)
+        return forking.run_forked(os.getpid, os.getpid)
 
     parent = os.getpid()
-    (p1, p2), (c1, c2) = forking.run_forked(nested, nested, kill_on_error=True)
+    (p1, p2), (c1, c2) = forking.run_forked(nested, nested)
     assert p1 == p2 == parent != c1 == c2 and fork_log() == 1
-    here, there = forking.run_forked(os.getpid, os.getpid, kill_on_error=True)
+    here, there = forking.run_forked(os.getpid, os.getpid)
     assert here == parent != there and fork_log() == 2 and no_child()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert forking.run_forked(os.getpid, os.getpid, kill_on_error=True) == (parent, parent)
+    assert forking.run_forked(os.getpid, os.getpid) == (parent, parent)
     assert fork_log() == 2
 
 

@@ -12,7 +12,9 @@ their serial paths: the parser reads every block in this process, where a
 large text's second half is otherwise read by a forked child
 (``data.FORK_MIN_CHARS``), and the curve writer formats all four curve sets
 here, where a large report's micro set is otherwise written by a forked
-child (``cli.FORK_MIN_POINTS``).
+child (``cli.FORK_MIN_POINTS``). Where a text is read in halves, weak
+references show that no block array of either half outlives the join of
+its column.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from __future__ import annotations
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import gjeval.data
 import gjeval.fusion
-from gjeval import SynthSpec, TrainSpec, evaluate, parse_predictions, synth_generate, train_toy
+from gjeval import SynthSpec, TrainSpec, evaluate, forking, parse_predictions, synth_generate, train_toy
 from gjeval.cli import _write_outputs
 from gjeval.metrics import repr_bytes
 from gjeval.report import _CURVE_BLOCK_ROWS, curve_csvs
@@ -72,6 +75,32 @@ def test_parse_transient_memory_does_not_grow_with_rows(texts, monkeypatch):
             rows[scale], transient[scale] = len(ds), peak - kept
         assert rows[GROWTH] > 3.5 * rows[1]
         assert transient[GROWTH] <= BOUND * transient[1], (form.__name__, transient)
+
+
+def test_block_arrays_of_both_halves_are_freed_as_they_are_joined(monkeypatch):
+    """With the halves of a text read one after the other in this process,
+    no block array of either half is alive when the Dataset is built: each
+    was freed as its column was joined, the second half's as the first's."""
+    monkeypatch.setattr(gjeval.data, "FORK_MIN_CHARS", 0)
+    monkeypatch.setattr(gjeval.data, "_BLOCK_ROWS", 16)
+    monkeypatch.setattr(forking, "_forked", True)  # both halves in this process
+    read_rows, from_columns = gjeval.data._read_rows, gjeval.data.Dataset.from_columns
+    halves, alive = [], []
+
+    def weakly_watched(*args):
+        gathered = read_rows(*args)
+        halves.append([weakref.ref(arr) for arrs in gathered[1].values() for arr in arrs])
+        return gathered
+
+    def counted(*args, **kwargs):
+        alive.append([sum(ref() is not None for ref in refs) for refs in halves])
+        return from_columns(*args, **kwargs)
+
+    monkeypatch.setattr(gjeval.data, "_read_rows", weakly_watched)
+    monkeypatch.setattr(gjeval.data.Dataset, "from_columns", counted)
+    parse_predictions(synth_generate(SynthSpec((40, 20, 40), images_max=4, seed=2)))
+    assert len(halves) == 2 and min(map(len, halves)) > 16
+    assert alive == [[0, 0]]
 
 
 def test_curve_writer_peak_does_not_grow_with_points(texts, tmp_path):

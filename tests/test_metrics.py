@@ -8,6 +8,7 @@ against hand-computed values.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from gjeval import (
     rate_ci,
 )
 from gjeval import metrics
+from gjeval.aggregate import LEVELS, evaluate
+from gjeval.data import Dataset
+from gjeval.metrics import METRIC_NAMES
 from gjeval.report import dump_json
 from gjeval.report import curve_csvs
 
@@ -147,6 +151,24 @@ class TestClassStats:
             for cls in CLASS_ORDER:
                 s = class_stats(cm, cls)
                 assert s.tp + s.fp + s.fn + s.tn == n
+
+    def test_counts_and_rates_stay_in_range_at_every_level(self):
+        """Weighted cells are sums of fractions; a class's tn is what is left
+        of their total, which rounding once took below 0."""
+        rng = np.random.default_rng(35)
+        for _ in range(500):
+            n = int(rng.integers(2, 9))
+            patients = rng.integers(0, 3, n)
+            probs = rng.integers(1, 10, (n, 3)).astype(float)
+            ds = Dataset.from_columns([f"i{k}" for k in range(n)], [f"p{c}" for c in patients],
+                                      rng.integers(0, 3, 3)[patients], probs / probs.sum(axis=1, keepdims=True))
+            for level in LEVELS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    mr = evaluate(ds, level=level)
+                assert min(min(s.tp, s.fp, s.fn, s.tn) for s in mr.per_class) >= 0
+                rates = [getattr(block, name) for block in (*mr.per_class, mr.overall) for name in METRIC_NAMES]
+                assert all(0 <= v <= 1 for r in rates if r.defined for v in (r.value, r.lo, r.hi)), level
 
 
 class TestMacroStats:
